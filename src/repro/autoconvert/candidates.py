@@ -57,7 +57,7 @@ from repro.isa.instructions import (is_load, is_store, is_triggering_store,
                                     operand_roles)
 from repro.isa.program import Program
 from repro.isa.registers import NUM_REGISTERS
-from repro.machine.machine import Machine, run_to_completion
+from repro.machine.machine import ENGINE_OPCODES, Machine, run_to_completion
 from repro.profiling.redundancy import (RedundantLoadProfiler,
                                         SampledRedundantLoadProfiler)
 
@@ -65,8 +65,7 @@ from repro.profiling.redundancy import (RedundantLoadProfiler,
 #: that leaves the region's frame, and DTT ops (the baseline must be
 #: plain).  ``jmp`` and conditional branches are fine when their targets
 #: stay inside.
-_FORBIDDEN_OPS = frozenset(
-    ["call", "ret", "halt", "out", "tcheck", "treturn", "tst", "tstx"])
+_FORBIDDEN_OPS = frozenset(["call", "ret", "out"]) | ENGINE_OPCODES
 
 #: most registers a parameterized region may read before defining — the
 #: synthesized prologue recovers each from r1, so this bounds its size

@@ -110,6 +110,8 @@ class Cache:
             params.policy, params.num_sets, params.associativity
         )
         self._set_mask = params.num_sets - 1
+        self._line_words = params.line_words
+        self._tag_shift = self._set_mask.bit_length()
         # per set: list of tags (None = invalid way)
         self._tags: List[List[Optional[int]]] = [
             [None] * params.associativity for _ in range(params.num_sets)
@@ -126,8 +128,8 @@ class Cache:
         return address // self.params.line_words
 
     def _index_tag(self, address: int) -> Tuple[int, int]:
-        line = address // self.params.line_words
-        return (line & self._set_mask, line >> self._set_mask.bit_length())
+        line = address // self._line_words
+        return (line & self._set_mask, line >> self._tag_shift)
 
     # -- operations ----------------------------------------------------------------
 
@@ -137,15 +139,17 @@ class Cache:
         A miss that evicts a dirty line counts a writeback; the caller
         (hierarchy) charges the latency of the next level.
         """
-        set_index, tag = self._index_tag(address)
+        line = address // self._line_words  # _index_tag, inlined
+        set_index = line & self._set_mask
+        tag = line >> self._tag_shift
         tags = self._tags[set_index]
-        for way, existing in enumerate(tags):
-            if existing == tag:
-                self.stats.hits += 1
-                self._policy.on_access(set_index, way)
-                if is_write:
-                    self._dirty[set_index][way] = True
-                return True
+        if tag in tags:
+            way = tags.index(tag)
+            self.stats.hits += 1
+            self._policy.on_access(set_index, way)
+            if is_write:
+                self._dirty[set_index][way] = True
+            return True
         self.stats.misses += 1
         self._fill(set_index, tag, is_write)
         return False

@@ -44,10 +44,13 @@ class LruPolicy(ReplacementPolicy):
         self._stacks: Dict[int, List[int]] = {}
 
     def on_access(self, set_index: int, way: int) -> None:
-        stack = self._stacks.setdefault(set_index, [])
-        if way in stack:
-            stack.remove(way)
-        stack.append(way)
+        stack = self._stacks.get(set_index)
+        if stack is None:
+            self._stacks[set_index] = [way]
+        elif stack[-1] != way:  # a repeat hit on the MRU way changes nothing
+            if way in stack:
+                stack.remove(way)
+            stack.append(way)
 
     def victim(self, set_index: int) -> int:
         stack = self._stacks.get(set_index)

@@ -16,8 +16,9 @@ The contract with ``Machine.run``:
 * ``-1`` means the context left the RUNNING state (halt, tcheck block,
   treturn) and its handler already stored the resume PC in ``ctx.pc``;
 * ``<= -2`` encodes ``-2 - next_pc`` and is returned by *legacy* thunks —
-  ops that call into the original handler because they may touch the DTT
-  engine (``tst``/``tstx``/``tcheck``/``treturn``) or context state
+  the :data:`~repro.machine.machine.ENGINE_OPCODES`, which call into the
+  original handler because they may touch the DTT engine
+  (``tst``/``tstx``/``tcheck``/``treturn``) or context state
   (``halt``).  The encoding forces a chunk boundary so the loop re-reads
   the shared instruction counters after any nested synchronous execution.
 
@@ -43,6 +44,7 @@ from repro.machine.machine import (
     _ALU_RRI_FNS,
     _ALU_RRR_FNS,
     _DISPATCH,
+    ENGINE_OPCODES,
     _h_ld,
     _h_ldx,
     _h_st,
@@ -292,7 +294,11 @@ def build_thunks(machine) -> List[Thunk]:
     for pc, i in enumerate(machine.program.instructions):
         op = i.op
         nxt = pc + 1
-        if op == "li":
+        if op in ENGINE_OPCODES:
+            # defer to the single-step handler so engine and state
+            # semantics are shared
+            thunk = _t_legacy(machine, _DISPATCH[op], i, pc)
+        elif op == "li":
             thunk = _t_li(i, nxt)
         elif op == "mov":
             thunk = _t_mov(i, nxt)
@@ -326,9 +332,7 @@ def build_thunks(machine) -> List[Thunk]:
             thunk = _t_out(out_append, i, nxt)
         elif op == "nop":
             thunk = _t_nop(nxt)
-        else:
-            # tst/tstx/tcheck/treturn/halt and any future op: defer to the
-            # single-step handler so engine and state semantics are shared
-            thunk = _t_legacy(machine, _DISPATCH[op], i, pc)
+        else:  # pragma: no cover - a new opcode needs a thunk
+            raise ValueError(f"no fast-path thunk for opcode {op!r}")
         table.append(thunk)
     return table

@@ -19,8 +19,10 @@ Execution is three-tier:
 * :meth:`Machine.step` — exact single-step mode (the ``legacy`` tier).
   The program is pre-decoded once into a dense ``(handler, instruction)``
   table, so a step is a list index plus one call; there are no per-step
-  dict lookups or isinstance re-checks.  The debugger, the timing model,
-  and machine observers (profilers) all drive this tier.
+  dict lookups or isinstance re-checks.  The debugger, the timing model's
+  general issue loop, and machine observers (profilers) all drive this
+  tier; the timing model's solo run-ahead calls the same pre-decoded
+  handlers directly.
 * the ``closure`` tier — batch mode for functional runs.  The program is
   compiled once per machine into per-PC closures ("thunks",
   :mod:`repro.machine.fastpath`) with operands, memory, and the output
@@ -746,6 +748,13 @@ _BRANCH_RL_FNS = {
     "beqz": lambda a: a == 0,
     "bnez": lambda a: a != 0,
 }
+
+#: opcodes whose handlers touch the DTT engine (``tst``/``tstx`` trigger,
+#: ``tcheck`` may block, ``treturn`` ends a support thread) or end the
+#: context (``halt``).  Batch loops never run them on a fast path: the
+#: closure tier routes them to these single-step handlers, and the timing
+#: model's solo run-ahead side-exits to its general issue loop on them.
+ENGINE_OPCODES = frozenset(["tst", "tstx", "tcheck", "treturn", "halt"])
 
 _DISPATCH = {
     "li": _h_li,

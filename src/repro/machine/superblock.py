@@ -74,6 +74,7 @@ import weakref
 from typing import Dict, List, Optional, Tuple
 
 from repro.isa.program import Program
+from repro.machine.machine import ENGINE_OPCODES
 
 #: conditional branches (compiled as block exits, internal diamonds, or
 #: loop back-edges) and ``jmp`` (a block's final edge)
@@ -83,9 +84,7 @@ TERMINATOR_OPCODES = frozenset(
 
 #: ops that never enter a block: they stay on the closure-thunk path
 #: because they touch the call stack, the DTT engine, or context state
-BOUNDARY_OPCODES = frozenset(
-    ["call", "ret", "tst", "tstx", "tcheck", "treturn", "halt"]
-)
+BOUNDARY_OPCODES = frozenset(["call", "ret"]) | ENGINE_OPCODES
 
 #: synthetic filename of the compiled module; profiler frames from this
 #: tier show as (SB_FILENAME, line, "sb_<entry_pc>")

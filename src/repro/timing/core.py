@@ -14,6 +14,12 @@ instruction executes it functionally via the machine and charges:
 
 The round-robin pointer advances every cycle so no context is permanently
 favored — the ICOUNT-lite fairness that an SMT fetch policy provides.
+
+Per-instruction costs come from a per-PC issue table built once per core
+(:func:`issue_table`): the issue kind, static latency, and op class of
+every instruction, plus its pre-decoded handler, so neither the general
+issue path nor the solo run-ahead in :mod:`repro.timing.system` looks up
+an opcode at run time.
 """
 
 from __future__ import annotations
@@ -23,8 +29,41 @@ from typing import Dict, List
 from repro.cache.hierarchy import CacheHierarchy
 from repro.isa.instructions import OpClass
 from repro.machine.context import Context, ContextState
+from repro.machine.machine import ENGINE_OPCODES
 from repro.timing.branch import BranchPredictor
 from repro.timing.params import CoreParams
+
+#: issue kinds of the per-PC table (:attr:`SmtCore.table`): what an
+#: instruction costs beyond its static latency.  Kinds at or above
+#: ``EXIT`` are the :data:`~repro.machine.machine.ENGINE_OPCODES`, on
+#: which the solo run-ahead hands the cycle back to the general scan.
+PLAIN, LOAD, BRANCH, STORE, EXIT, EXIT_STORE = range(6)
+
+#: op classes in ``class_counts`` order
+OP_CLASSES = tuple(OpClass)
+_CLASS_INDEX = {cls: index for index, cls in enumerate(OP_CLASSES)}
+
+
+def issue_table(decoded, params: CoreParams) -> List[tuple]:
+    """One ``(kind, static latency, class index, handler, instruction)``
+    row per PC of a machine's pre-decoded program."""
+    latency = params.latency
+    table = []
+    for handler, instruction in decoded:
+        op_class = instruction.op_class
+        if op_class is OpClass.LOAD:
+            kind = LOAD
+        elif op_class is OpClass.BRANCH:
+            kind = BRANCH
+        elif op_class is OpClass.STORE or op_class is OpClass.TSTORE:
+            kind = STORE
+        else:
+            kind = PLAIN
+        if instruction.op in ENGINE_OPCODES:
+            kind = EXIT_STORE if kind == STORE else EXIT
+        table.append((kind, latency[op_class], _CLASS_INDEX[op_class],
+                      handler, instruction))
+    return table
 
 
 class SmtCore:
@@ -51,10 +90,18 @@ class SmtCore:
         #: I-caches (requires hierarchy.enable_icache(); default off)
         self.model_icache = False
         self._rotation = 0
+        #: per-PC issue table, built once from the machine's decode
+        self.table = issue_table(machine._decoded, params)
         # accounting
         self.instructions_issued = 0
         self.busy_cycles = 0
-        self.class_counts: Dict[OpClass, int] = {cls: 0 for cls in OpClass}
+        #: per-class issue counts, indexed like :data:`OP_CLASSES`
+        self.class_tally = [0] * len(OP_CLASSES)
+
+    @property
+    def class_counts(self) -> Dict[OpClass, int]:
+        """Instructions issued per functional-unit class."""
+        return dict(zip(OP_CLASSES, self.class_tally))
 
     def cycle(self, now: int) -> int:
         """Simulate one cycle; returns instructions issued.
@@ -64,63 +111,68 @@ class SmtCore:
         contexts genuinely *share* the width within a cycle instead of the
         first context hogging all slots.
         """
-        issued = 0
-        width = self.params.issue_width
-        count = len(self.contexts)
-        self._rotation = (self._rotation + 1) % count
-        while issued < width:
-            progressed = False
-            for offset in range(count):
-                if issued >= width:
-                    break
-                ctx = self.contexts[(self._rotation + offset) % count]
-                if ctx.state is ContextState.RUNNING and ctx.busy_until <= now:
-                    issued += self._issue(ctx, now)
-                    progressed = True
-            if not progressed:
-                break
+        self._rotation = (self._rotation + 1) % len(self.contexts)
+        issued = self.scan(now, self._rotation, 0)
         if issued:
             self.busy_cycles += 1
         return issued
 
-    def _issue(self, ctx: Context, now: int) -> int:
+    def scan(self, now: int, index: int, issued: int) -> int:
+        """The round-robin issue order: a cyclic scan over the contexts.
+
+        Starting at context ``index`` with ``issued`` slots already used,
+        issue from every ready context in turn, and stop when the width is
+        used or ``count`` consecutive contexts were not ready.  Readiness
+        changes only when something issues, so ``count`` misses in a row
+        mean no context can issue again this cycle.  Returns the slots
+        used, ``issued`` included.  The solo run-ahead resumes this same
+        scan at the solo context when it meets an engine opcode mid-cycle.
+        """
+        contexts = self.contexts
+        count = len(contexts)
+        width = self.params.issue_width
+        running = ContextState.RUNNING
+        misses = 0
+        while issued < width and misses < count:
+            ctx = contexts[index]
+            if ctx.state is running and ctx.busy_until <= now:
+                self._issue(ctx, now)
+                issued += 1
+                misses = 0
+            else:
+                misses += 1
+            index += 1
+            if index == count:
+                index = 0
+        return issued
+
+    def _issue(self, ctx: Context, now: int) -> None:
         pc = ctx.pc
-        instruction, address, taken = self.machine.step(ctx)
-        op_class = instruction.op_class
-        self.class_counts[op_class] += 1
+        _, address, taken = self.machine.step(ctx)
+        kind, latency, class_index, _, _ = self.table[pc]
+        self.class_tally[class_index] += 1
         self.instructions_issued += 1
-        latency = self._latency(op_class, pc, address, taken)
+        if kind == LOAD:
+            cycles = self.hierarchy.access(self.core_id, address, False)
+            latency = cycles if cycles > self.params.load_hide_latency else 1
+        elif kind == STORE or kind == EXIT_STORE:
+            self.hierarchy.access(self.core_id, address, True)
+        elif kind == BRANCH:
+            if not self.predictor.predict_and_update(pc, taken):
+                latency += self.params.mispredict_penalty
         if self.model_icache:
             fetch = self.hierarchy.fetch(self.core_id, pc)
             if fetch > self.params.load_hide_latency and fetch > latency:
                 latency = fetch
         if latency > 1:
             ctx.busy_until = now + latency
-        return 1
-
-    def _latency(self, op_class: OpClass, pc: int, address, taken) -> int:
-        params = self.params
-        if op_class is OpClass.LOAD:
-            cycles = self.hierarchy.access(self.core_id, address, False)
-            if cycles <= params.load_hide_latency:
-                return 1
-            return cycles
-        if op_class is OpClass.STORE or op_class is OpClass.TSTORE:
-            self.hierarchy.access(self.core_id, address, True)
-            return params.latency[op_class]
-        if op_class is OpClass.BRANCH:
-            correct = self.predictor.predict_and_update(pc, taken)
-            if correct:
-                return params.latency[op_class]
-            return params.latency[op_class] + params.mispredict_penalty
-        return params.latency[op_class]
 
     def min_ready_time(self, now: int) -> int:
         """Earliest future cycle at which a running context becomes ready.
 
         Used by the driver to fast-forward over long stalls.  Returns
-        ``now`` if something is ready now; a large sentinel if nothing on
-        this core is running.
+        ``now`` if something is ready now, and ``-1`` if nothing on this
+        core is running.
         """
         best = None
         for ctx in self.contexts:

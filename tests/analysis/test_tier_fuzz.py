@@ -19,6 +19,11 @@ are judged twice — statically by ``repro.analysis.checks`` and
 dynamically by running the engine under every schedule/poison corner —
 and the two verdicts must agree.  See the "analyzer vs engine" section
 for the construction that makes the analyzer exact on this family.
+
+The same two generators also drive ``TimingSimulator`` under every named
+machine configuration (the "solo run-ahead" section at the bottom): each
+program is timed with the solo run-ahead and with it patched out, and
+every result field, core counter, rotation and ``busy_until`` must match.
 """
 
 import json
@@ -36,8 +41,10 @@ from repro.core.trace import EngineTrace
 from repro.isa.builder import ProgramBuilder
 from repro.machine.context import ContextState
 from repro.machine.machine import Machine, run_to_completion
+from repro.timing.system import TimingSimulator
 
 from tests.conftest import build_dtt_sum
+from tests.timing.solo_diff import CONFIGS, assert_solo_exact, make_config
 
 CORPUS_PATH = Path(__file__).with_name("tier_fuzz_corpus.json")
 CORPUS = json.loads(CORPUS_PATH.read_text())
@@ -362,6 +369,7 @@ def lower_dtt(plan):
         b.la(_TT, "ys")
         for cell in thread["stores"]:
             b.st(_TV, _TT, cell)
+        _lower_pad(b, plan.get("thread_pad", ()))
         b.treturn()
 
     def main_ops(ops):
@@ -383,6 +391,7 @@ def lower_dtt(plan):
         b.la(_XB, "xs")
         b.la(_YB, "ys")
         b.li(_V, value())
+        _lower_pad(b, plan.get("main_pad", ()))
         tst_pc = b.tst(_V, _XB, plan["trigger_cell"])
         main_ops(plan["window"])
         if plan["tcheck"]:
@@ -393,6 +402,29 @@ def lower_dtt(plan):
             b.out(_V)
         b.halt()
     return b.build(), TriggerSpec("worker", store_pcs=[tst_pc])
+
+
+#: timing-only filler a plan may carry as ``thread_pad`` / ``main_pad``:
+#: stalls of several lengths and memory traffic on registers the
+#: analyzer family never reads, so the DTT contract is unaffected
+PAD_KINDS = ["alu", "mul", "div", "ld", "nop"]
+_PAD, _PAD_AUX = 9, 10
+
+
+def _lower_pad(b, pad):
+    for kind in pad:
+        if kind == "alu":
+            b.addi(_PAD, _PAD, 1)
+        elif kind == "mul":
+            b.muli(_PAD, _PAD, 1)
+        elif kind == "div":
+            b.li(_PAD_AUX, 1)
+            b.idiv(_PAD, _PAD, _PAD_AUX)
+        elif kind == "ld":
+            b.la(_PAD_AUX, "xs")
+            b.ld(_PAD_AUX, _PAD_AUX, 0)
+        else:
+            b.nop()
 
 
 def _run_dtt(program, spec, schedule, poison):
@@ -554,3 +586,66 @@ def test_dtt_corpus_covers_both_verdicts_and_every_race_code():
         codes.update(case["codes"])
     assert {"read-race", "write-race", "consume-before-complete",
             "uninitialized-register"} <= codes, sorted(codes)
+
+
+# -- solo run-ahead vs the general issue loop (timing) -------------------------
+#
+# ``TimingSimulator.run`` drives iterations with one RUNNING context
+# through its solo run-ahead.  Both generators above are timed under
+# every named configuration (plus two 2-context cores) twice — as shipped,
+# and with ``_solo_context`` patched to never pick a context — and the
+# snapshots (tests/timing/solo_diff.py) must be identical.  The tier
+# plans are baseline programs (solo from start to halt, with faults);
+# the DTT plans add a trigger, a support thread that may run alone while
+# main blocks at its tcheck, and a treturn that wakes main mid-cycle.
+
+def assert_timing_solo_exact(program, spec=None):
+    for config in CONFIGS:
+        def make_sim(config=config):
+            engine = (DttEngine(ThreadRegistry([spec]), deferred=True)
+                      if spec is not None else None)
+            return TimingSimulator(program, make_config(config),
+                                   engine=engine,
+                                   max_instructions=MAX_INSTRUCTIONS)
+
+        assert_solo_exact(make_sim, label=f"under {config}")
+
+
+def _compose_timing_plan(pick, coin):
+    plan = _compose_dtt_plan(pick, coin)
+    for key in ("thread_pad", "main_pad"):
+        plan[key] = [pick(PAD_KINDS) for _ in range(pick(range(7)))]
+    return plan
+
+
+@st.composite
+def timing_dtt_plan(draw):
+    return _compose_timing_plan(
+        lambda options: draw(st.sampled_from(options)),
+        lambda: draw(st.booleans()),
+    )
+
+
+@given(timing_dtt_plan())
+@settings(max_examples=40, deadline=None)
+def test_random_dtt_programs_time_identically_with_solo_run_ahead(plan):
+    assert_timing_solo_exact(*lower_dtt(plan))
+
+
+@given(plan_body(0))
+@settings(max_examples=40, deadline=None)
+def test_random_programs_time_identically_with_solo_run_ahead(plan):
+    assert_timing_solo_exact(lower(plan))
+
+
+def test_timing_solo_sweep_is_exact():
+    """Seeded sweep: 150 padded DTT programs under five configurations."""
+    rng = random.Random(0x5010)
+    for _ in range(150):
+        plan = _compose_timing_plan(rng.choice, lambda: rng.random() < 0.5)
+        assert_timing_solo_exact(*lower_dtt(plan))
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_corpus_case_times_identically_with_solo_run_ahead(name):
+    assert_timing_solo_exact(lower(CORPUS[name]))

@@ -92,6 +92,25 @@ def test_architecture_documents_superblock_tier():
     )
 
 
+def test_architecture_documents_solo_run_ahead():
+    """The solo run-ahead subsection must name every side-exit opcode and
+    both coverage gauges, so the exit set cannot drift undocumented."""
+    from repro.machine.machine import ENGINE_OPCODES
+
+    text = (DOCS / "architecture.md").read_text()
+    assert "### Solo run-ahead" in text
+    section = text.split("### Solo run-ahead", 1)[1].split("\n## ", 1)[0]
+    missing = [op for op in sorted(ENGINE_OPCODES)
+               if f"`{op}`" not in section]
+    missing += [gauge for gauge in ("timing.solo_cycles",
+                                    "timing.solo_instructions")
+                if f"`{gauge}`" not in section]
+    assert not missing, (
+        f"solo run-ahead surfaces missing from docs/architecture.md: "
+        f"{missing}"
+    )
+
+
 def test_architecture_documents_every_trend_verdict():
     """The Performance observatory section must catalog every verdict
     the trend analyzer can emit, so a new verdict cannot ship silently."""

@@ -1,6 +1,7 @@
 """SmtCore issue logic in isolation: width sharing, rotation, stalls."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cache.hierarchy import CacheHierarchy, HierarchyParams
 from repro.isa.builder import ProgramBuilder
@@ -114,3 +115,60 @@ def test_requires_contexts():
     with pytest.raises(ValueError):
         SmtCore(0, [], CoreParams(), CacheHierarchy(1),
                 make_predictor("gshare"), None)
+
+
+# -- the cyclic scan issues exactly what the pass/offset loop issued ------------
+
+
+def pass_loop(core, now, issue):
+    """The round-robin loop the cyclic scan replaced, kept as a reference:
+    whole passes from the rotation offset until a pass issues nothing."""
+    issued, count = 0, len(core.contexts)
+    while issued < core.params.issue_width:
+        progressed = False
+        for offset in range(count):
+            if issued >= core.params.issue_width:
+                break
+            ctx = core.contexts[(core._rotation + offset) % count]
+            if ctx.state is ContextState.RUNNING and ctx.busy_until <= now:
+                issue(ctx, now)
+                issued += 1
+                progressed = True
+        if not progressed:
+            break
+    return issued
+
+
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(0, 3),
+       st.lists(st.booleans(), min_size=4, max_size=4),
+       st.lists(st.tuples(st.sampled_from(["stay", "stall", "wake"]),
+                          st.integers(0, 3)), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_cyclic_scan_matches_the_pass_loop(count, width, rotation, ready,
+                                           script):
+    """Issue effects are scripted — the issuer stays ready, stalls, or
+    wakes another context — and both loops must issue the same contexts
+    in the same order."""
+
+    def run(loop):
+        machine, core = make_core(alu_spin(1), num_contexts=count,
+                                  issue_width=width)
+        for ctx, flag in zip(core.contexts, ready):
+            ctx.state = ContextState.RUNNING if flag else ContextState.IDLE
+        core._rotation = rotation % count
+        order, effects = [], iter(script)
+
+        def issue(ctx, now):
+            order.append(ctx.context_id)
+            effect, other = next(effects, ("stall", 0))
+            if effect == "stall":
+                ctx.busy_until = now + 2
+            elif effect == "wake":
+                core.contexts[other % count].state = ContextState.RUNNING
+
+        core._issue = issue
+        issued = loop(core, 0, issue)
+        return issued, order
+
+    scanned = run(lambda core, now, issue: core.scan(now, core._rotation, 0))
+    assert scanned == run(pass_loop)
