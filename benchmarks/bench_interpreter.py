@@ -1,4 +1,4 @@
-"""Interpreter tiers — instructions/sec, legacy stepping vs closure vs superblock.
+"""Interpreter — instructions/sec, legacy stepping vs ``Machine.run``.
 
 Regenerates the BENCH_interpreter rows (the same measurement behind
 ``dtt-harness bench``) and times the regeneration; the rendered table is
@@ -6,11 +6,12 @@ printed into the benchmark output (captured with -s or in CI logs).
 
 The speedup assertions are deliberately looser than the committed
 baseline in ``benchmarks/BENCH_interpreter.json`` — the regression *gate*
-is ``dtt-harness compare`` against that file; these bounds only catch a
-tier being turned off entirely (speedup collapsing toward 1x).
+is ``dtt-harness compare`` against that file; these bounds only catch
+the batch driver being turned off entirely (speedup collapsing toward
+1x).
 """
 
-from repro.harness.bench import (BENCH_SCHEMA, BENCH_TIERS, BENCH_WORKLOADS,
+from repro.harness.bench import (BENCH_SCHEMA, BENCH_WORKLOADS,
                                  render_bench, run_bench)
 
 
@@ -22,17 +23,14 @@ def test_interpreter_fast_path(benchmark):
     print(render_bench(result))
     assert result["schema"] == BENCH_SCHEMA
     rows = result["rows"]
-    assert set(rows) == {f"{name}:{tier}" for name in BENCH_WORKLOADS
-                         for tier in BENCH_TIERS}
+    assert set(rows) == {f"{name}:superblock" for name in BENCH_WORKLOADS}
     for name, row in rows.items():
         assert row["instructions"] > 0, name
         assert row["speedup"] >= 2.0, (
             f"{name}: only {row['speedup']:.2f}x over legacy stepping "
             "(expected well above 2x; is run() falling back?)"
         )
-    # the paper-headline pointer-chasing workload is the acceptance bar:
-    # the superblock tier must clearly beat the closure tier on mcf (the
-    # committed baseline records >= 3x; 2x here tolerates machine noise)
+    # the paper-headline pointer-chasing workload is the acceptance bar
+    # (the committed baseline records about 18x; 3x tolerates noise)
     assert rows["mcf:superblock"]["speedup"] >= 3.0
-    assert rows["mcf:superblock"]["speedup_vs_closure"] >= 2.0
     assert rows["mcf:superblock"]["build_seconds"] >= 0.0

@@ -53,7 +53,7 @@ def metric_direction(name: str) -> str:
     base = name.rsplit(".", 1)[-1]
     if base.endswith(("_ci_width", "_ci_low", "_ci_high")):
         return _INFO  # interval bounds annotate their estimate, never gate
-    if base in ("speedup", "speedup_vs_closure", "checks_passed",
+    if base in ("speedup", "checks_passed",
                 "instructions_per_sec", "compression_ratio", "accepted",
                 "elimination", "hand_elimination"):
         return _DOWN_BAD
@@ -374,29 +374,6 @@ def compare_sets(old: ResultSet, new: ResultSet,
     report = CompareReport(old, new, tolerance)
     report.missing = [row for row in old.cells if row not in new.cells]
     report.added = [row for row in new.cells if row not in old.cells]
-
-    # Pre-v6 manifests carry no autoconvert section at all, so comparing
-    # one against a v6+ manifest would count every `autoconvert:` row as
-    # missing (which gates) or silently addable.  When the whole family
-    # is absent from one side — a schema difference, not a conversion
-    # change — surface each row as a non-gating info delta instead.  A
-    # genuine single-workload disappearance (both sides have *some*
-    # autoconvert rows) still gates as missing.
-    if old.kind == "manifest":
-        old_auto = [r for r in old.cells if r.startswith("autoconvert:")]
-        new_auto = [r for r in new.cells if r.startswith("autoconvert:")]
-        if old_auto and not new_auto:
-            report.missing = [r for r in report.missing if r not in old_auto]
-            for row in sorted(old_auto):
-                report.deltas.append(Delta(
-                    row, "autoconvert_rows", 1, 0, -1.0, _INFO, False,
-                    note="rows only in old (pre-v6 manifest on new side)"))
-        elif new_auto and not old_auto:
-            report.added = [r for r in report.added if r not in new_auto]
-            for row in sorted(new_auto):
-                report.deltas.append(Delta(
-                    row, "autoconvert_rows", 0, 1, 1.0, _INFO, False,
-                    note="rows only in new (pre-v6 manifest on old side)"))
 
     for row in sorted(set(old.cells) & set(new.cells)):
         old_cells, new_cells = old.cells[row], new.cells[row]

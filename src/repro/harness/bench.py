@@ -1,9 +1,9 @@
-"""Interpreter benchmark: instructions/sec per execution tier.
+"""Interpreter benchmark: instructions/sec of the batch driver.
 
 ``dtt-harness bench`` (and ``benchmarks/bench_interpreter.py``) measure
-the fast execution tiers of :class:`~repro.machine.machine.Machine` —
-the per-PC closure thunks and the exec-compiled superblock tier — against
-legacy per-instruction stepping, on three workload classes:
+:meth:`~repro.machine.machine.Machine.run` — exec-compiled superblocks
+with the per-PC closure thunks as fallback — against legacy
+per-instruction stepping, on three workload classes:
 
 * ``mcf`` — pointer-chasing integer code, the paper's headline workload
   and the worst case for per-instruction interpreter overhead;
@@ -13,18 +13,18 @@ legacy per-instruction stepping, on three workload classes:
 Each measurement runs the workload's *baseline* program to completion on
 a fresh machine per attempt (the program object is reused, so the
 superblock code cache behaves as in a long-lived harness process), and
-verifies every tier retired the same instructions and produced
+verifies the batch driver retired the same instructions and produced
 byte-identical output/memory/counters.  One **warmup repetition is run
-and discarded** before timing — it absorbs the superblock tier's
+and discarded** before timing — it absorbs the superblock compiler's
 first-run compile cost (reported separately as ``build_seconds``) so
 steady-state ``instructions_per_sec`` is not polluted; the timed
 repetitions report both min (``seconds``, the rate basis) and
 ``mean_seconds``.
 
 The result dict is written as ``BENCH_interpreter.json`` (kind
-``bench_interpreter``, schema 2: one row per ``workload:tier``), which
-``dtt-harness compare`` understands: ``instructions_per_sec``,
-``speedup`` (vs legacy stepping), and ``speedup_vs_closure`` gate
+``bench_interpreter``, schema 2: one ``workload:superblock`` row per
+workload), which ``dtt-harness compare`` understands:
+``instructions_per_sec`` and ``speedup`` (vs legacy stepping) gate
 regressions (they may only fall); the legacy rate and all wall-clock
 cells are informational.
 
@@ -57,16 +57,13 @@ BENCH_WORKLOADS = {
     "perlbmk": "control/branch-heavy",
 }
 
-#: schema version of BENCH_interpreter.json (2: per-tier rows keyed
-#: ``workload:tier``, min+mean timings, build_seconds column)
+#: schema version of BENCH_interpreter.json (2: rows keyed
+#: ``workload:superblock``, min+mean timings, build_seconds column)
 BENCH_SCHEMA = 2
 
 #: schema version of BENCH_trace_overhead.json (unchanged by schema 2
 #: of the interpreter bench — the trace rows kept their shape)
 TRACE_BENCH_SCHEMA = 1
-
-#: fast tiers measured per workload, in baseline-comparison order
-BENCH_TIERS = ("closure", "superblock")
 
 
 def _run_legacy(machine: Machine) -> None:
@@ -77,10 +74,9 @@ def _run_legacy(machine: Machine) -> None:
         step(main)
 
 
-def _tier_driver(tier: str):
-    def drive(machine: Machine) -> None:
-        machine.run(machine.main_context, tier=tier)
-    return drive
+def _run_batch(machine: Machine) -> None:
+    """Drive the main context with one ``Machine.run`` call."""
+    machine.run(machine.main_context)
 
 
 def _fingerprint(machine: Machine) -> Dict:
@@ -116,65 +112,47 @@ def _measure(program, driver, repeat: int, max_instructions: int):
 
 def bench_workload(name: str, repeat: int = 3,
                    seed: Optional[int] = None, scale: Optional[int] = None,
-                   max_instructions: int = 50_000_000,
-                   tiers: Optional[List[str]] = None) -> Dict[str, Dict]:
-    """Measure one workload class; returns its per-tier BENCH rows."""
+                   max_instructions: int = 50_000_000) -> Dict[str, Dict]:
+    """Measure one workload class; returns its BENCH row."""
     from repro.machine.superblock import cache_stats
 
     workload = SUITE[name]
     inp = workload.make_input(seed=seed, scale=scale)
     program = workload.build_baseline(inp)
-    tier_names = list(tiers) if tiers else list(BENCH_TIERS)
     legacy_seconds, _legacy_mean, legacy_fp = _measure(
         program, _run_legacy, repeat, max_instructions)
     instructions = legacy_fp["instructions_executed"]
     legacy_ips = instructions / legacy_seconds if legacy_seconds else 0.0
-    rows: Dict[str, Dict] = {}
-    closure_ips = None
-    for tier in tier_names:
-        build_before = cache_stats()["build_seconds"]
-        seconds, mean_seconds, fp = _measure(
-            program, _tier_driver(tier), repeat, max_instructions)
-        build_seconds = (cache_stats()["build_seconds"] - build_before
-                         if tier == "superblock" else 0.0)
-        if fp != legacy_fp:
-            raise MachineError(
-                f"{tier} tier diverged from legacy stepping on {name!r}: "
-                + ", ".join(
-                    key for key in legacy_fp if legacy_fp[key] != fp[key]
-                )
+    build_before = cache_stats()["build_seconds"]
+    seconds, mean_seconds, fp = _measure(
+        program, _run_batch, repeat, max_instructions)
+    if fp != legacy_fp:
+        raise MachineError(
+            f"Machine.run diverged from legacy stepping on {name!r}: "
+            + ", ".join(
+                key for key in legacy_fp if legacy_fp[key] != fp[key]
             )
-        ips = instructions / seconds if seconds else 0.0
-        if tier == "closure":
-            closure_ips = ips
-        row = {
-            "description": BENCH_WORKLOADS.get(name, ""),
-            "workload": name,
-            "tier": tier,
-            "instructions": instructions,
-            "legacy_seconds": legacy_seconds,
-            "legacy_instructions_per_sec": legacy_ips,
-            "seconds": seconds,
-            "mean_seconds": mean_seconds,
-            "build_seconds": build_seconds,
-            "instructions_per_sec": ips,
-            "speedup": ips / legacy_ips if legacy_ips else 0.0,
-        }
-        if closure_ips:
-            # absent (not 0.0) when closure wasn't measured this run, so
-            # a --tier superblock result can't fake a gating collapse
-            row["speedup_vs_closure"] = ips / closure_ips
-        rows[f"{name}:{tier}"] = row
-    return rows
+        )
+    ips = instructions / seconds if seconds else 0.0
+    return {f"{name}:superblock": {
+        "description": BENCH_WORKLOADS.get(name, ""),
+        "workload": name,
+        "tier": "superblock",
+        "instructions": instructions,
+        "legacy_seconds": legacy_seconds,
+        "legacy_instructions_per_sec": legacy_ips,
+        "seconds": seconds,
+        "mean_seconds": mean_seconds,
+        "build_seconds": cache_stats()["build_seconds"] - build_before,
+        "instructions_per_sec": ips,
+        "speedup": ips / legacy_ips if legacy_ips else 0.0,
+    }}
 
 
 def run_bench(workloads: Optional[List[str]] = None, repeat: int = 3,
               seed: Optional[int] = None, scale: Optional[int] = None,
-              max_instructions: int = 50_000_000,
-              tiers: Optional[List[str]] = None) -> Dict:
+              max_instructions: int = 50_000_000) -> Dict:
     """Benchmark every requested workload class; returns the BENCH dict."""
-    from repro.machine.machine import TIERS
-
     names = list(workloads) if workloads else list(BENCH_WORKLOADS)
     for name in names:
         if name not in SUITE:
@@ -182,18 +160,11 @@ def run_bench(workloads: Optional[List[str]] = None, repeat: int = 3,
                 f"unknown bench workload {name!r} (suite has: "
                 f"{', '.join(sorted(SUITE))})"
             )
-    for tier in tiers or ():
-        if tier not in TIERS or tier == "legacy":
-            raise MachineError(
-                f"unknown bench tier {tier!r} (choose from "
-                f"{', '.join(BENCH_TIERS)})"
-            )
     rows: Dict[str, Dict] = {}
     for name in names:
         rows.update(bench_workload(name, repeat=repeat, seed=seed,
                                    scale=scale,
-                                   max_instructions=max_instructions,
-                                   tiers=tiers))
+                                   max_instructions=max_instructions))
     return {
         "kind": "bench_interpreter",
         "schema": BENCH_SCHEMA,
@@ -344,18 +315,15 @@ def render_bench(result: Dict) -> str:
     """Terminal table of one ``run_bench`` result."""
     lines = ["interpreter benchmark (instructions/sec, min of "
              f"{result.get('repeat', '?')} after warmup)"]
-    header = (f"  {'workload:tier':<22} {'instructions':>12} {'rate':>12} "
-              f"{'build':>8} {'speedup':>8} {'vs closure':>10}")
+    header = (f"  {'workload:driver':<22} {'instructions':>12} "
+              f"{'rate':>12} {'build':>8} {'speedup':>8}")
     lines.append(header)
     for name, row in result.get("rows", {}).items():
-        vs_closure = row.get("speedup_vs_closure")
         lines.append(
             f"  {name:<22} {row['instructions']:>12,} "
             f"{row['instructions_per_sec']:>11,.0f}/s "
             f"{row['build_seconds'] * 1e3:>6.1f}ms "
-            f"{row['speedup']:>7.2f}x "
-            + (f"{vs_closure:>9.2f}x" if vs_closure is not None
-               else f"{'-':>10}")
+            f"{row['speedup']:>7.2f}x"
         )
     return "\n".join(lines)
 

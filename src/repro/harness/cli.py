@@ -14,11 +14,8 @@ Commands::
     dtt-harness compare old.json new.json    # flag regressions
     dtt-harness convert --workload mcf       # auto-convert to DTT
     dtt-harness convert --workload all --bench-out BENCH_autoconvert.json
-    dtt-harness bench                # interpreter instructions/sec per tier
-    dtt-harness bench --tier superblock      # only the superblock tier
+    dtt-harness bench                # interpreter instructions/sec
     dtt-harness bench --trace        # trace codec + sampling accuracy
-    dtt-harness run E3 --tier closure        # pin the execution tier
-    dtt-harness verify --tier superblock     # correctness sweep, one tier
     dtt-harness stats --sample-rate 64 --ctrace-out run.ctrace
     dtt-harness explain --ctrace run.ctrace --activation 3
     dtt-harness report --ctrace run.ctrace -o report.html
@@ -107,25 +104,9 @@ def _cmd_run(args) -> int:
     return status
 
 
-def _set_default_tier(tier: Optional[str]) -> bool:
-    """Pin ``Machine.run``'s default execution tier for this process."""
-    from repro.machine.machine import TIERS, Machine
-
-    if tier is None:
-        return True
-    if tier not in TIERS:
-        print(f"unknown execution tier {tier!r}; "
-              f"choose from {', '.join(TIERS)}")
-        return False
-    Machine.default_tier = tier
-    return True
-
-
 def _run_experiments(args) -> int:
     from repro.obs.metrics import MetricsRegistry
 
-    if not _set_default_tier(args.tier):
-        return 2
     wanted = [w.upper() for w in args.experiments]
     if "ALL" in wanted:
         wanted = list(EXPERIMENTS)
@@ -265,8 +246,7 @@ def _cmd_bench(args) -> int:
         else:
             result = run_bench(workloads=args.workloads, repeat=args.repeat,
                                seed=args.seed, scale=args.scale,
-                               max_instructions=args.max_instructions,
-                               tiers=args.tier)
+                               max_instructions=args.max_instructions)
     except MachineError as error:
         print(f"bench failed: {error}")
         return 2
@@ -837,8 +817,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not _set_default_tier(args.tier):
-        return 2
     status = 0
     for name, workload in SUITE.items():
         try:
@@ -907,11 +885,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "history store (a directory of per-kind JSONL "
                           "files, or one .jsonl file) for `dtt-harness "
                           "history` trend analysis")
-    run.add_argument("--tier", default=None,
-                     choices=["legacy", "closure", "superblock"],
-                     help="pin Machine.run's execution tier for every "
-                          "simulation in this process (default: the "
-                          "machine's default tier)")
     run.add_argument("--status-file", default=None, metavar="FILE",
                      help="write a live atomic-JSON heartbeat (phase, "
                           "runs completed, instructions retired, queue "
@@ -926,15 +899,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="workload classes to measure (default: mcf "
                             "equake perlbmk)")
     bench.add_argument("--repeat", type=int, default=3, metavar="N",
-                       help="timed attempts per tier; best is reported "
+                       help="timed attempts per driver; best is reported "
                             "(default: 3)")
     bench.add_argument("--seed", type=int, default=None)
     bench.add_argument("--scale", type=int, default=None)
     bench.add_argument("--max-instructions", type=int, default=50_000_000)
-    bench.add_argument("--tier", nargs="+", default=None,
-                       choices=["closure", "superblock"],
-                       help="fast tier(s) to measure against legacy "
-                            "stepping (default: both)")
     bench.add_argument("--trace", action="store_true",
                        help="run the trace-overhead benchmark instead "
                             "(ctrace bytes/event, compression ratio, codec "
@@ -1009,10 +978,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="verify baseline == DTT == reference")
     verify.add_argument("--seed", type=int, default=None)
     verify.add_argument("--scale", type=int, default=None)
-    verify.add_argument("--tier", default=None,
-                        choices=["legacy", "closure", "superblock"],
-                        help="pin the execution tier the sweep runs under "
-                             "(the CI smoke pins 'superblock')")
     sweep = sub.add_parser("sweep", help="headline robustness across seeds")
     sweep.add_argument("--seeds", type=int, nargs="+", default=None)
     stats = sub.add_parser(

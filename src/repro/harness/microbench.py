@@ -191,8 +191,8 @@ def instrumentation_overhead(repeats: int = 3) -> Tuple[float, float, float]:
 def superblock_cache_overhead(runs_per_program: int = 4) -> Dict[str, float]:
     """Compile cost and steady-state hit rate of the superblock cache.
 
-    Runs each interpreter-bench workload ``runs_per_program`` times under
-    the superblock tier on fresh machines sharing one program object (the
+    Runs each interpreter-bench workload ``runs_per_program`` times with
+    ``Machine.run`` on fresh machines sharing one program object (the
     long-lived-harness shape), after resetting the cache counters.
     Returns the :func:`~repro.machine.superblock.cache_stats` snapshot
     plus ``programs`` and ``build_seconds_per_program`` — the first run
@@ -211,7 +211,7 @@ def superblock_cache_overhead(runs_per_program: int = 4) -> Dict[str, float]:
         program = workload.build_baseline(workload.make_input(None, None))
         programs += 1
         for _run in range(max(runs_per_program, 1)):
-            run_to_completion(Machine(program), tier="superblock")
+            run_to_completion(Machine(program))
     stats = dict(superblock.cache_stats())
     stats["programs"] = programs
     stats["build_seconds_per_program"] = (

@@ -1,9 +1,11 @@
-"""Fast-path thunk compiler for :meth:`repro.machine.machine.Machine.run`.
+"""Closure-thunk fallback of :meth:`repro.machine.machine.Machine.run`.
 
 ``build_thunks(machine)`` lowers the machine's (already finalized) program
 into one closure per PC.  A thunk takes the executing context, applies the
-instruction's complete architectural effect, and returns the next PC, so
-the batch loop in ``Machine.run`` is::
+instruction's complete architectural effect, and returns the next PC.
+``Machine.run`` runs compiled superblocks (:mod:`repro.machine.superblock`)
+at their entries and falls back to the thunks for guard failures,
+boundary opcodes, and uncompiled PCs, where its batch loop is::
 
     pc = table[pc](ctx)
 

@@ -14,30 +14,27 @@ triggering-store and tcheck extensions do.
 which is everything the timing model and profilers need without
 re-decoding.
 
-Execution is three-tier:
+Execution has two drivers:
 
-* :meth:`Machine.step` — exact single-step mode (the ``legacy`` tier).
-  The program is pre-decoded once into a dense ``(handler, instruction)``
-  table, so a step is a list index plus one call; there are no per-step
-  dict lookups or isinstance re-checks.  The debugger, the timing model's
-  general issue loop, and machine observers (profilers) all drive this
-  tier; the timing model's solo run-ahead calls the same pre-decoded
-  handlers directly.
-* the ``closure`` tier — batch mode for functional runs.  The program is
-  compiled once per machine into per-PC closures ("thunks",
-  :mod:`repro.machine.fastpath`) with operands, memory, and the output
-  buffer bound in; an inner loop then dispatches thousands of
-  instructions per iteration of the accounting code.
-* the ``superblock`` tier (the default for :meth:`Machine.run`) —
-  straight-line runs are exec-compiled into single Python functions
+* :meth:`Machine.step` — exact single-step mode.  The program is
+  pre-decoded once into a dense ``(handler, instruction)`` table, so a
+  step is a list index plus one call; there are no per-step dict lookups
+  or isinstance re-checks.  The debugger, the timing model's general
+  issue loop, and machine observers (profilers) all drive it; the timing
+  model's solo run-ahead calls the same pre-decoded handlers directly.
+* :meth:`Machine.run` — batch mode for functional runs.  Straight-line
+  runs are exec-compiled into single Python functions
   (:mod:`repro.machine.superblock`) that keep registers in locals and
-  batch memory counters per block, side-exiting to the closure tier
-  whenever a guard fails.
+  batch memory counters per block.  Whenever a guard fails, and at
+  boundary opcodes and uncompiled PCs, the driver falls back to per-PC
+  closures ("thunks", :mod:`repro.machine.fastpath`) with operands,
+  memory, and the output buffer bound in.  Accounting (instruction
+  counters, the dynamic-instruction limit, the step budget) is
+  reconciled once per chunk of thousands of instructions.
 
-All tiers produce identical results — architectural state, counters,
-faults, and limits are byte-for-byte the same; pick with
-``Machine.run(tier=...)``.  When machine observers are attached, ``run``
-transparently falls back to single-stepping.
+Both produce identical results — architectural state, counters, faults,
+and limits are byte-for-byte the same.  When machine observers are
+attached, ``run`` transparently falls back to single-stepping.
 """
 
 from __future__ import annotations
@@ -63,9 +60,6 @@ StepResult = Tuple[Instruction, Optional[int], Optional[bool]]
 #: dynamic-instruction limit, the step budget) is reconciled once per chunk
 _CHUNK = 16384
 
-#: the selectable execution tiers of :meth:`Machine.run`
-TIERS = ("legacy", "closure", "superblock")
-
 
 def _trunc_div(b: int, c: int) -> int:
     """C-style integer division (truncate toward zero)."""
@@ -77,10 +71,6 @@ def _trunc_div(b: int, c: int) -> int:
 
 class Machine:
     """A multi-context DTIR machine over one program and one memory."""
-
-    #: execution tier :meth:`run` uses when none is passed; settable per
-    #: instance (or globally, e.g. by ``dtt-harness --tier``)
-    default_tier = "superblock"
 
     def __init__(
         self,
@@ -119,8 +109,8 @@ class Machine:
         ]
         # per-PC closures for the batch loop; compiled lazily by run()
         self._thunks = None
-        # superblock tier state: (block table, report cell, budget cell),
-        # installed lazily by the first superblock-tier run()
+        # compiled-block state: (block table, report cell, budget cell),
+        # installed lazily by the first run()
         self._superblocks = None
         load_program(program, self.memory)
         self.main_context.start_main(program.entry_pc)
@@ -186,8 +176,7 @@ class Machine:
         return (instruction, address, taken)
 
     def run(self, ctx: Optional[Context] = None,
-            max_steps: Optional[int] = None,
-            tier: Optional[str] = None) -> int:
+            max_steps: Optional[int] = None) -> int:
         """Batch-execute ``ctx`` (default: the main context).
 
         Runs until the context leaves RUNNING (halt, block, treturn), the
@@ -196,12 +185,16 @@ class Machine:
         synchronous engine may retire further instructions on support
         contexts; those are counted in the machine totals as usual).
 
-        ``tier`` picks the execution tier (one of :data:`TIERS`; default
-        :attr:`default_tier`).  Architectural results, counters, faults,
-        and the dynamic instruction limit behave exactly as an equivalent
-        ``step()`` loop on every tier; when machine observers are
-        attached (profilers, tracers needing per-instruction callbacks)
-        this transparently single-steps.
+        Compiled superblocks run at their entries; everything else (block
+        interiors after a side exit, boundary opcodes, uncompiled PCs)
+        runs on the closure thunks.  Compiled blocks report their retired
+        count through the shared cell, never exceed the chunk budget
+        passed in, and reconcile memory counters themselves on every exit
+        path.  Architectural results, counters, faults, and the dynamic
+        instruction limit behave exactly as an equivalent ``step()``
+        loop; when machine observers are attached (profilers, tracers
+        needing per-instruction callbacks) this transparently
+        single-steps.
         """
         if ctx is None:
             ctx = self.main_context
@@ -209,98 +202,8 @@ class Machine:
             raise ContextError(
                 f"context {ctx.context_id} is {ctx.state.value}, cannot step"
             )
-        if tier is None:
-            tier = self.default_tier
-        if tier not in TIERS:
-            raise ValueError(
-                f"unknown execution tier {tier!r} (choose from {TIERS})"
-            )
-        if self._observers or tier == "legacy":
+        if self._observers:
             return self._run_slow(ctx, max_steps)
-        if tier == "superblock":
-            return self._run_superblock(ctx, max_steps)
-        return self._run_closure(ctx, max_steps)
-
-    def _run_closure(self, ctx: Context, max_steps: Optional[int]) -> int:
-        """The closure-thunk batch driver behind :meth:`run`."""
-        table = self._thunks
-        if table is None:
-            table = self._build_thunks()
-        size = len(table)
-        running_main = ctx.role is ContextRole.MAIN
-        budget = -1 if max_steps is None else max_steps
-        total = 0
-        pc = ctx.pc
-        while True:
-            if budget >= 0 and total >= budget:
-                break
-            headroom = self.max_instructions - self.instructions_executed
-            if headroom <= _CHUNK:
-                # near the dynamic-instruction limit: single-step the rest
-                # so ExecutionLimitExceeded fires on exactly the same
-                # instruction as the legacy loop
-                ctx.pc = pc
-                remaining = None if budget < 0 else budget - total
-                return total + self._run_slow(ctx, remaining)
-            chunk = _CHUNK
-            if budget >= 0 and budget - total < chunk:
-                chunk = budget - total
-            n = 0
-            try:
-                for n in range(1, chunk + 1):
-                    pc = table[pc](ctx)
-                    if pc < 0:
-                        break
-            except BaseException as exc:
-                # the faulting instruction is counted, as in step()
-                self.instructions_executed += n
-                ctx.instruction_count += n
-                if running_main:
-                    self.main_instructions += n
-                else:
-                    self.support_instructions += n
-                if exc.__class__ is IndexError and pc >= size:
-                    ctx.pc = pc
-                    raise ExecutionFault(
-                        f"context {ctx.context_id} ran off the end of the "
-                        f"program (pc={pc})"
-                    ) from None
-                if not getattr(table[pc], "_legacy", False):
-                    # specialized thunks never touch ctx.pc; resync it to
-                    # the faulting instruction (legacy thunks already left
-                    # ctx.pc exactly as their handler did)
-                    ctx.pc = pc
-                raise
-            self.instructions_executed += n
-            ctx.instruction_count += n
-            if running_main:
-                self.main_instructions += n
-            else:
-                self.support_instructions += n
-            total += n
-            if pc >= 0:
-                continue  # full chunk retired; reconcile and keep going
-            if pc == -1:
-                break  # context left RUNNING; its handler set ctx.pc
-            # a legacy-handler thunk ran (engine hook, possible nested
-            # execution): decode the continuation PC and re-budget
-            pc = -2 - pc
-        if pc >= 0:
-            ctx.pc = pc
-        return total
-
-    def _run_superblock(self, ctx: Context,
-                        max_steps: Optional[int]) -> int:
-        """The superblock batch driver behind :meth:`run`.
-
-        Dispatches compiled block functions at block entries and falls
-        back to the closure thunks everywhere else (block interiors after
-        a side exit, boundary opcodes, uncompiled PCs).  Accounting is
-        identical to :meth:`_run_closure`: compiled blocks report their
-        retired count through the shared cell, never exceed the chunk
-        budget passed in, and reconcile memory counters themselves on
-        every exit path.
-        """
         table = self._thunks
         if table is None:
             table = self._build_thunks()
@@ -752,7 +655,7 @@ _BRANCH_RL_FNS = {
 #: opcodes whose handlers touch the DTT engine (``tst``/``tstx`` trigger,
 #: ``tcheck`` may block, ``treturn`` ends a support thread) or end the
 #: context (``halt``).  Batch loops never run them on a fast path: the
-#: closure tier routes them to these single-step handlers, and the timing
+#: closure thunks route them to these single-step handlers, and the timing
 #: model's solo run-ahead side-exits to its general issue loop on them.
 ENGINE_OPCODES = frozenset(["tst", "tstx", "tcheck", "treturn", "halt"])
 
@@ -787,20 +690,18 @@ for _op, _fn in _BRANCH_RL_FNS.items():
 del _op, _fn
 
 
-def run_to_completion(machine: Machine,
-                      tier: Optional[str] = None) -> List[Number]:
+def run_to_completion(machine: Machine) -> List[Number]:
     """Run the main context until it halts; returns the output buffer.
 
     This is the *functional* driver: support threads are executed
     synchronously by the engine (at trigger or tcheck time per its policy),
     so the main context is never left blocked.  Use
     :class:`repro.timing.system.TimingSimulator` for timed runs.
-    ``tier`` picks the :meth:`Machine.run` execution tier.
     """
     main = machine.main_context
     while main.state is not ContextState.HALTED:
         if main.state is ContextState.RUNNING:
-            machine.run(main, tier=tier)
+            machine.run(main)
         elif main.state is ContextState.BLOCKED:
             raise ContextError(
                 "main context blocked during a functional run; the DTT "

@@ -1,9 +1,10 @@
 """Superblock compiler: exec-compiled straight-line runs for ``Machine.run``.
 
-This is the third (topmost) execution tier.  Where the closure fast path
-(:mod:`repro.machine.fastpath`) pays one Python call per instruction, this
-tier partitions the program into single-entry multi-exit *superblocks*
-and lowers each into one Python function built with ``compile``/``exec``.
+``Machine.run`` dispatches these compiled blocks at their entries and
+falls back to the closure thunks (:mod:`repro.machine.fastpath`), which
+pay one Python call per instruction, everywhere else.  The compiler
+partitions the program into single-entry multi-exit *superblocks* and
+lowers each into one Python function built with ``compile``/``exec``.
 Inside a block, registers live in Python locals, ALU ops are inline
 expressions, and memory accesses go straight at the machine's words dict
 behind the same in-range-exact-``int`` guard the closure thunks use —
@@ -35,8 +36,7 @@ Conditional branches do **not** end a block:
 
 Side exits and faults
 ---------------------
-The contract with :meth:`Machine._run_superblock` (mirroring the thunk
-contract):
+The contract with :meth:`Machine.run` (mirroring the thunk contract):
 
 * return ``>= 0`` — the block retired ``cell[0]`` instructions and the
   return value is the next PC;
@@ -86,8 +86,8 @@ TERMINATOR_OPCODES = frozenset(
 #: because they touch the call stack, the DTT engine, or context state
 BOUNDARY_OPCODES = frozenset(["call", "ret"]) | ENGINE_OPCODES
 
-#: synthetic filename of the compiled module; profiler frames from this
-#: tier show as (SB_FILENAME, line, "sb_<entry_pc>")
+#: synthetic filename of the compiled module; profiler frames from
+#: compiled blocks show as (SB_FILENAME, line, "sb_<entry_pc>")
 SB_FILENAME = "<superblock>"
 
 #: function-name prefix of compiled blocks (flame folding keys off it)

@@ -51,7 +51,7 @@ _SB_FRAME = re.compile(r"<superblock>:\d+\((?:sb_)?([^)]+)\)")
 def fold_superblock_frames(text: str) -> str:
     """Rewrite exec-compiled superblock frames to ``sb:<entry_pc>``.
 
-    ``cProfile`` labels the superblock tier's compiled block functions
+    ``cProfile`` labels the superblock compiler's block functions
     with their synthetic filename and generated names —
     ``<superblock>:41(sb_18)`` — which reads as opaque exec'd code.
     Fold each to the program-level site name ``sb:<entry_pc>`` (and the

@@ -15,7 +15,6 @@ Two analyses, both implemented as machine observers:
   (the computation DTT can skip).
 """
 
-from repro.profiling.advisor import ConversionReport, advise
 from repro.profiling.redundancy import (
     LoadSiteStats,
     RedundantLoadProfiler,
@@ -28,8 +27,6 @@ from repro.profiling.slices import RedundancyTaintAnalyzer
 from repro.profiling.report import RedundancyReport, profile_program
 
 __all__ = [
-    "ConversionReport",
-    "advise",
     "LoadSiteStats",
     "RedundantLoadProfiler",
     "SampledLoadSiteStats",

@@ -175,8 +175,9 @@ class SampledLoadSiteStats:
     ``dynamic`` is exact (a counter costs no memory); redundancy is
     *estimated* from the loads whose addresses fell in the tracked
     subset.  ``redundant`` scales the estimate back to a count so
-    consumers written against :class:`LoadSiteStats` (the advisor, the
-    HTML top-sites tables) keep working; ``estimate`` carries the CI —
+    consumers written against :class:`LoadSiteStats`
+    (:func:`~repro.autoconvert.candidates.rank_candidates`, the HTML
+    top-sites tables) keep working; ``estimate`` carries the CI —
     a :func:`~repro.obs.sampling.cluster_coverage_interval`, because a
     site's loads cluster by address and a binomial interval over sampled
     loads would be confidently wrong whenever the hash sample misses the
@@ -359,7 +360,8 @@ class SampledRedundantLoadProfiler(MachineObserver):
     Interface-compatible with :class:`RedundantLoadProfiler`:
     ``load_sites()`` / ``store_sites()`` / ``hottest_redundant_loads()``
     / ``summary()`` and the fraction properties all exist, with counts
-    scaled from the estimates, so the advisor and
+    scaled from the estimates, so
+    :func:`~repro.autoconvert.candidates.rank_candidates` and
     :meth:`~repro.obs.causality.CausalGraph.site_attribution` consume
     either profiler unchanged.
     """

@@ -1,11 +1,13 @@
-"""Property-based tier equivalence: legacy / closure / superblock.
+"""Property-based driver equivalence: step() / thunks / superblocks.
 
 Random well-formed DTIR programs — nested bounded loops, if-diamonds,
 forward jumps, integer/float ALU traffic, and wild computed addresses —
-are executed under all three ``Machine.run`` tiers.  Registers, memory,
-output, counters, final pc/state, and any fault (type and message) must
-be identical; the superblock tier's if-conversion, tail duplication,
-side exits, and mid-block fault reconciliation may not be observable.
+are executed by the ``step()`` loop, by ``Machine.run``, and by
+``Machine.run`` on the closure thunks alone (an emptied block table).
+Registers, memory, output, counters, final pc/state, and any fault (type
+and message) must be identical; the superblock compiler's
+if-conversion, tail duplication, side exits, and mid-block fault
+reconciliation may not be observable.
 
 Counterexamples found by hypothesis are committed to
 ``tier_fuzz_corpus.json`` (one named plan per historical divergence,
@@ -43,7 +45,7 @@ from repro.machine.context import ContextState
 from repro.machine.machine import Machine, run_to_completion
 from repro.timing.system import TimingSimulator
 
-from tests.conftest import build_dtt_sum
+from tests.conftest import RUN_PATHS, build_dtt_sum
 from tests.timing.solo_diff import CONFIGS, assert_solo_exact, make_config
 
 CORPUS_PATH = Path(__file__).with_name("tier_fuzz_corpus.json")
@@ -121,7 +123,7 @@ def _lower_body(b, body, depth):
             raise AssertionError(f"unknown plan item {item!r}")
 
 
-# -- three-tier differential check ---------------------------------------------
+# -- three-driver differential check -------------------------------------------
 
 
 def _norm(value):
@@ -131,16 +133,16 @@ def _norm(value):
     return value
 
 
-def _run_tier(program, tier):
+def _run_path(program, path):
     machine = Machine(program, max_instructions=MAX_INSTRUCTIONS)
     fault = None
     try:
-        if tier == "step":
+        if path == "step":
             main = machine.main_context
             while main.state is ContextState.RUNNING:
                 machine.step(main)
         else:
-            run_to_completion(machine, tier=tier)
+            run_to_completion(RUN_PATHS[path](machine))
     except Exception as exc:  # noqa: BLE001 - fault identity is the point
         fault = (type(exc).__name__, str(exc))
     main = machine.main_context
@@ -161,10 +163,10 @@ def _run_tier(program, tier):
 
 def assert_tiers_agree(plan):
     program = lower(plan)
-    reference = _run_tier(program, "step")
-    for tier in ("closure", "superblock"):
-        result = _run_tier(program, tier)
-        assert result == reference, f"tier {tier} diverged on {plan!r}"
+    reference = _run_path(program, "step")
+    for path in sorted(RUN_PATHS):
+        result = _run_path(program, path)
+        assert result == reference, f"run path {path} diverged on {plan!r}"
     return reference
 
 
@@ -242,11 +244,11 @@ def test_corpus_exercises_fault_and_loop_paths():
 # -- engine traces under fuzz-shaped DTT programs ------------------------------
 
 
-@pytest.mark.parametrize("tier", ["closure", "superblock"])
-def test_dtt_trace_streams_identical_across_tiers(tier):
+@pytest.mark.parametrize("path", sorted(RUN_PATHS))
+def test_dtt_trace_streams_identical_across_tiers(path):
     program, spec = build_dtt_sum([3, 1, 4, 1, 5], [0, 2, 4], [9, 8, 7])
 
-    def run(selected_tier):
+    def run(selected_path):
         from repro.core.engine import DttEngine
         from repro.core.registry import ThreadRegistry
 
@@ -254,19 +256,19 @@ def test_dtt_trace_streams_identical_across_tiers(tier):
         engine = DttEngine(ThreadRegistry([spec]))
         machine.attach_engine(engine)
         trace = EngineTrace(engine)
-        if selected_tier == "step":
+        if selected_path == "step":
             main = machine.main_context
             while main.state is ContextState.RUNNING:
                 machine.step(main)
         else:
-            run_to_completion(machine, tier=selected_tier)
+            run_to_completion(RUN_PATHS[selected_path](machine))
         return machine, [repr(e) for e in trace.events]
 
     legacy_machine, legacy_events = run("step")
-    tier_machine, tier_events = run(tier)
-    assert tier_events == legacy_events
-    assert list(tier_machine.output) == list(legacy_machine.output)
-    assert (tier_machine.instructions_executed
+    run_machine, run_events = run(path)
+    assert run_events == legacy_events
+    assert list(run_machine.output) == list(legacy_machine.output)
+    assert (run_machine.instructions_executed
             == legacy_machine.instructions_executed)
 
 

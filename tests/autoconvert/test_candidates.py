@@ -183,6 +183,56 @@ def test_sampled_ranking_carries_ci_bounds():
     assert candidate.ci_low <= candidate.score * 1.0001
 
 
+def two_kernel_program(steps: int = 32):
+    """Two independent update/recompute/consume kernels per step, the
+    first over 16 words and the second over 8, so discovery finds two
+    disjoint candidates with different redundant-load mass."""
+    kernels = (("xs", "sum", 16), ("ys", "tot", 8))
+    b = ProgramBuilder()
+    for values, _result, width in kernels:
+        b.data(values, [(3, 1, 4, 1)[i % 4] for i in range(width)])
+    b.data("upd", [(7, 7, 7, 5, 7, 7, 5, 7)[i % 8] for i in range(steps)])
+    b.zeros("sum", 1)
+    b.zeros("tot", 1)
+    with b.function("main"):
+        t = b.global_reg("t")
+        with b.for_range(t, 0, steps):
+            for values, result, width in kernels:
+                with b.scratch(3) as (u, v, x):
+                    b.la(u, "upd")
+                    b.ldx(v, u, t)
+                    b.la(x, values)
+                    b.st(v, x, 0)
+                with b.scratch(4) as (i, base, s, tmp):
+                    b.la(base, values)
+                    b.li(s, 0)
+                    with b.for_range(i, 0, width):
+                        b.ldx(tmp, base, i)
+                        b.add(s, s, tmp)
+                    b.la(tmp, result)
+                    b.st(s, tmp, 0)
+                with b.scratch(2) as (p, q):
+                    b.la(p, result)
+                    b.ld(q, p, 0)
+                    b.out(q)
+        b.halt()
+    return b.build()
+
+
+def test_sampled_ranking_orders_by_ci_lower_bound():
+    program = two_kernel_program()
+    assert len(rank_candidates(program)) == 2
+    ranked = rank_candidates(program, sample_rate=4, sample_seed=1)
+    assert len(ranked) == 2
+    for candidate in ranked:
+        assert candidate.ci_low is not None
+        assert candidate.ci_high is not None
+        assert candidate.ci_low <= candidate.ci_high
+    keys = [candidate.ci_low for candidate in ranked]
+    assert keys == sorted(keys, reverse=True)
+    assert keys[0] > keys[1] > 0.0  # a real order, not a tie at zero
+
+
 def test_as_dict_is_json_ready():
     import json
 

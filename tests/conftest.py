@@ -118,3 +118,25 @@ def dtt_sum_machine():
         return machine, engine
 
     return factory
+
+
+def thunks_only(machine: Machine) -> Machine:
+    """Test fake: empty ``machine``'s compiled-block table.
+
+    ``Machine.run`` then takes its closure-thunk fallback for every
+    instruction, so the thunks are checked on their own rather than only
+    where a compiled block side-exits.  Apply it after ``attach_engine``,
+    which discards the table.
+    """
+    size = len(machine.program.instructions)
+    machine._superblocks = ([None] * size, [0, 0], [0])
+    return machine
+
+
+#: the two ``Machine.run`` paths the equivalence tests compare against
+#: the ``step()`` loop: "superblock" is ``run`` as shipped, "closure" is
+#: ``run`` on the closure thunks alone (see :func:`thunks_only`)
+RUN_PATHS = {
+    "closure": thunks_only,
+    "superblock": lambda machine: machine,
+}

@@ -254,47 +254,9 @@ def test_future_manifest_with_unknown_autoconvert_fields_loads(tmp_path):
     assert loaded.cells["autoconvert:mcf"] == {"speedup": 2.0, "rejected": 0}
 
 
-def test_pre_v6_manifest_pair_reports_autoconvert_as_info(tmp_path):
-    """Comparing a v6+ manifest (with autoconvert rows) against a pre-v6
-    one (none at all) is a schema difference, not a conversion change:
-    the rows surface as non-gating info deltas, never as missing."""
-    def write(name, autoconvert):
-        path = tmp_path / name
-        payload = {"experiment": "convert", "total_seconds": 1.0,
-                   "phase_seconds": {"p": 1.0}, "cache_hits": 1}
-        if autoconvert is not None:
-            payload["autoconvert"] = autoconvert
-        path.write_text(json.dumps(payload))
-        return str(path)
-
-    audit = [{"workload": "mcf", "considered": 2, "accepted": [{}],
-              "rejected": {}, "speedup": 5.9, "elimination": 0.9}]
-    v6 = write("v6.json", audit)
-    pre = write("pre.json", None)
-
-    # v6 old, pre-v6 new: rows vanish, but only as info
-    report = compare_paths(v6, pre)
-    assert not report.has_regressions
-    assert "autoconvert:mcf" not in report.missing
-    (delta,) = [d for d in report.deltas
-                if d.row == "autoconvert:mcf"
-                and d.metric == "autoconvert_rows"]
-    assert not delta.regression
-    assert "pre-v6" in delta.note
-
-    # pre-v6 old, v6 new: rows appear, also only as info
-    report = compare_paths(pre, v6)
-    assert not report.has_regressions
-    assert "autoconvert:mcf" not in report.added
-    (delta,) = [d for d in report.deltas
-                if d.row == "autoconvert:mcf"
-                and d.metric == "autoconvert_rows"]
-    assert not delta.regression
-
-
 def test_partial_autoconvert_disappearance_still_gates(tmp_path):
-    """Both sides converted *something*: one workload's rows vanishing
-    is a real conversion regression and must keep gating."""
+    """One workload's autoconvert rows vanishing is a conversion
+    regression and gates as a missing row."""
     def write(name, workloads):
         path = tmp_path / name
         path.write_text(json.dumps({

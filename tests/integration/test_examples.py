@@ -18,8 +18,10 @@ CASES = {
     "sparse_engine": ["eliminated:", "solution checksum"],
     "mcf_network": ["outputs identical: yes", "speedup: 5.96x"],
     "profile_redundancy": ["measured: 75.9%", "hottest redundant-load"],
-    "convert_with_advisor": ["outputs identical over 120 steps: yes",
-                             "speedup:"],
+    "autoconvert_inventory": ["region pc 10..23 fed by stx at pc 9",
+                              "safety findings: none",
+                              "outputs identical over 120 steps: yes",
+                              "speedup:  2.48x"],
     "export_trace": ["(5.96x)", "trace events",
                      "engine.triggers_fired"],
 }

@@ -1,11 +1,12 @@
-"""Tier equivalence: ``Machine.run`` must match ``step()`` exactly.
+"""Driver equivalence: ``Machine.run`` must match ``step()`` exactly.
 
-``run`` has two fast tiers above the legacy step loop — per-PC closure
-thunks (PR 4) and exec-compiled superblocks — and both batch their
-counter reconciliation; these tests prove that is invisible — every
-bundled workload produces byte-identical memory, output, counters, and
-engine trace streams under all three tiers, and faults/limits/budgets
-land on the same instruction with the same machine state.
+``run`` dispatches exec-compiled superblocks and falls back to per-PC
+closure thunks, and it batches its counter reconciliation; these tests
+prove that is invisible — every bundled workload produces byte-identical
+memory, output, counters, and engine trace streams under ``step()``,
+under ``run``, and under ``run`` on the thunks alone (the ``closure``
+path, an emptied block table), and faults/limits/budgets land on the
+same instruction with the same machine state.
 """
 
 import pytest
@@ -25,7 +26,7 @@ from repro.machine.events import MachineObserver
 from repro.machine.machine import Machine, run_to_completion
 from repro.workloads.suite import SUITE
 
-from tests.conftest import build_dtt_sum
+from tests.conftest import RUN_PATHS, build_dtt_sum, thunks_only
 
 
 def drive_legacy(machine):
@@ -56,27 +57,25 @@ def fingerprint(machine):
     }
 
 
-# -- every bundled workload, every tier --------------------------------------------
-
-FAST_TIERS = ("closure", "superblock")
+# -- every bundled workload, both run paths ----------------------------------------
 
 
-@pytest.mark.parametrize("tier", FAST_TIERS)
+@pytest.mark.parametrize("path", sorted(RUN_PATHS))
 @pytest.mark.parametrize("name", sorted(SUITE))
-def test_baseline_workload_equivalence(name, tier):
+def test_baseline_workload_equivalence(name, path):
     workload = SUITE[name]
     inp = workload.make_input()
     program = workload.build_baseline(inp)
     legacy = Machine(program)
     drive_legacy(legacy)
-    fast = Machine(program)
-    run_to_completion(fast, tier=tier)
+    fast = RUN_PATHS[path](Machine(program))
+    run_to_completion(fast)
     assert fingerprint(fast) == fingerprint(legacy)
 
 
-@pytest.mark.parametrize("tier", FAST_TIERS)
+@pytest.mark.parametrize("path", sorted(RUN_PATHS))
 @pytest.mark.parametrize("name", sorted(SUITE))
-def test_dtt_workload_equivalence_with_trace(name, tier):
+def test_dtt_workload_equivalence_with_trace(name, path):
     workload = SUITE[name]
     inp = workload.make_input()
     build = workload.build_dtt(inp)
@@ -91,7 +90,7 @@ def test_dtt_workload_equivalence_with_trace(name, tier):
     legacy, legacy_engine, legacy_trace = machine_with_engine()
     drive_legacy(legacy)
     fast, fast_engine, fast_trace = machine_with_engine()
-    run_to_completion(fast, tier=tier)
+    run_to_completion(RUN_PATHS[path](fast))
     assert fingerprint(fast) == fingerprint(legacy)
     assert fast_engine.summary() == legacy_engine.summary()
     assert ([repr(e) for e in fast_trace.events]
@@ -109,16 +108,16 @@ def spin_program():
     return b.build()
 
 
-@pytest.mark.parametrize("tier", FAST_TIERS)
-def test_run_respects_max_steps_budget(tier):
-    machine = Machine(spin_program())
-    retired = machine.run(max_steps=1000, tier=tier)
+@pytest.mark.parametrize("path", sorted(RUN_PATHS))
+def test_run_respects_max_steps_budget(path):
+    machine = RUN_PATHS[path](Machine(spin_program()))
+    retired = machine.run(max_steps=1000)
     assert retired == 1000
     assert machine.instructions_executed == 1000
     assert machine.main_context.instruction_count == 1000
     assert machine.main_context.state is ContextState.RUNNING
     # and the loop can resume from the synced pc
-    assert machine.run(max_steps=7, tier=tier) == 7
+    assert machine.run(max_steps=7) == 7
     assert machine.instructions_executed == 1007
 
 
@@ -148,8 +147,8 @@ def test_instruction_limit_identical_to_step_loop():
 
 def _fault_fingerprints(program, exc_type, match):
     drivers = [drive_legacy] + [
-        (lambda m, t=tier: run_to_completion(m, tier=t))
-        for tier in FAST_TIERS
+        (lambda m, prepare=prepare: run_to_completion(prepare(m)))
+        for _path, prepare in sorted(RUN_PATHS.items())
     ]
     results = []
     for driver in drivers:
@@ -170,7 +169,7 @@ def test_ret_fault_identical():
     p.append(Instruction("ret"))
     p.finalize()
     fp = _fault_fingerprints(p, ExecutionFault, "empty call stack")
-    assert fp["pc"] == 1  # both tiers leave the pc on the faulting ret
+    assert fp["pc"] == 1  # every driver leaves the pc on the faulting ret
     assert fp["instructions_executed"] == 2  # the faulting op is counted
 
 
@@ -242,8 +241,8 @@ def test_fast_run_after_restore_reuses_memory_identity():
 
 
 def test_equivalence_survives_interleaved_tiers():
-    # stepping and batch-running the same machine may be freely mixed,
-    # across all three tiers
+    # stepping, thunk-only and compiled batch runs on the same machine
+    # may be freely mixed
     workload = SUITE["gzip"]
     inp = workload.make_input(scale=4)
     program = workload.build_baseline(inp)
@@ -251,8 +250,9 @@ def test_equivalence_survives_interleaved_tiers():
     main = mixed.main_context
     for _ in range(137):
         mixed.step(main)
-    mixed.run(main, max_steps=501, tier="closure")
-    mixed.run(main, max_steps=503, tier="superblock")
+    thunks_only(mixed).run(main, max_steps=501)
+    mixed._superblocks = None  # the next run recompiles the real table
+    mixed.run(main, max_steps=503)
     while main.state is ContextState.RUNNING:
         mixed.step(main)
     reference = Machine(program)
@@ -260,13 +260,7 @@ def test_equivalence_survives_interleaved_tiers():
     assert fingerprint(mixed) == fingerprint(reference)
 
 
-# -- superblock tier specifics -----------------------------------------------------
-
-
-def test_unknown_tier_rejected(tiny_program):
-    machine = Machine(tiny_program)
-    with pytest.raises(ValueError, match="unknown execution tier"):
-        machine.run(tier="jit")
+# -- superblock specifics ----------------------------------------------------------
 
 
 def _guard_side_exit_program(limit):
@@ -323,7 +317,7 @@ def test_superblock_formation_covers_suite():
         compiled = compile_blocks(program)
         assert len(compiled.blocks) == len(blocks)
     # the paper's headline workload must compile its hot loop as a loop
-    # block, or the 3x tier target is unreachable
+    # block, or the 3x run() target is unreachable
     mcf = SUITE["mcf"]
     assert any(
         is_loop for _, _, is_loop
@@ -337,9 +331,9 @@ def test_superblock_code_cache_shares_compiles_across_machines():
     program = workload.build_baseline(workload.make_input(scale=4))
     superblock.reset_cache_stats()
     first = Machine(program)
-    run_to_completion(first, tier="superblock")
+    run_to_completion(first)
     second = Machine(program)
-    run_to_completion(second, tier="superblock")
+    run_to_completion(second)
     stats = superblock.cache_stats()
     assert stats["cache_misses"] == 1
     assert stats["cache_hits"] >= 1
