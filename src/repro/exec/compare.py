@@ -53,7 +53,7 @@ def metric_direction(name: str) -> str:
     base = name.rsplit(".", 1)[-1]
     if base.endswith(("_ci_width", "_ci_low", "_ci_high")):
         return _INFO  # interval bounds annotate their estimate, never gate
-    if base in ("speedup", "checks_passed",
+    if base in ("speedup", "observed_speedup", "checks_passed",
                 "instructions_per_sec", "compression_ratio", "accepted",
                 "elimination", "hand_elimination"):
         return _DOWN_BAD

@@ -10,6 +10,13 @@ per-instruction stepping, on three workload classes:
 * ``equake`` — floating-point kernel code;
 * ``perlbmk`` — control/branch-heavy code.
 
+Each row also times an **observed** run: the same program with both
+redundancy observers attached (``RedundantLoadProfiler`` and
+``RedundancyTaintAnalyzer``, as E1/E2 profile it), under ``Machine.run``
+and under the ``step()`` loop.  The two must agree on the fingerprint and
+on both observers' summaries; ``observed_seconds`` is the ``run`` time
+and ``observed_speedup`` its rate over stepping.
+
 Each measurement runs the workload's *baseline* program to completion on
 a fresh machine per attempt (the program object is reused, so the
 superblock code cache behaves as in a long-lived harness process), and
@@ -24,9 +31,9 @@ repetitions report both min (``seconds``, the rate basis) and
 The result dict is written as ``BENCH_interpreter.json`` (kind
 ``bench_interpreter``, schema 2: one ``workload:superblock`` row per
 workload), which ``dtt-harness compare`` understands:
-``instructions_per_sec`` and ``speedup`` (vs legacy stepping) gate
-regressions (they may only fall); the legacy rate and all wall-clock
-cells are informational.
+``instructions_per_sec``, ``speedup`` and ``observed_speedup`` (vs legacy
+stepping) gate regressions (they may only fall); the legacy rate and all
+wall-clock cells are informational.
 
 ``dtt-harness bench --trace`` runs the companion **trace-overhead
 benchmark** (:func:`run_trace_bench`, written as
@@ -97,17 +104,35 @@ def _fingerprint(machine: Machine) -> Dict:
     }
 
 
-def _measure(program, driver, repeat: int, max_instructions: int):
-    """Warmup (discarded) + ``repeat`` timed runs; (min, mean, fingerprint)."""
-    machine = Machine(program, max_instructions=max_instructions)
-    driver(machine)  # warmup: compiles caches, warms dicts — never timed
+def _measure(program, driver, repeat: int, max_instructions: int,
+             observed: bool = False):
+    """Warmup (discarded) + ``repeat`` timed runs; (min, mean, fingerprint).
+
+    ``observed`` runs every attempt under both redundancy observers, whose
+    summaries join the fingerprint.
+    """
+    from repro.profiling import RedundancyTaintAnalyzer, RedundantLoadProfiler
+
     timings: List[float] = []
-    for _attempt in range(max(repeat, 1)):
+    for attempt in range(max(repeat, 1) + 1):
         machine = Machine(program, max_instructions=max_instructions)
+        observers = ((RedundantLoadProfiler(), RedundancyTaintAnalyzer())
+                     if observed else ())
+        for observer in observers:
+            machine.add_observer(observer)
         started = time.perf_counter()
         driver(machine)
-        timings.append(time.perf_counter() - started)
-    return min(timings), sum(timings) / len(timings), _fingerprint(machine)
+        if attempt:  # attempt 0 is the warmup: compiles caches, warms dicts
+            timings.append(time.perf_counter() - started)
+    fingerprint = _fingerprint(machine)
+    fingerprint["profiles"] = [observer.summary() for observer in observers]
+    return min(timings), sum(timings) / len(timings), fingerprint
+
+
+def _diverged(name: str, what: str, expected: Dict, got: Dict) -> MachineError:
+    return MachineError(
+        f"{what} diverged from legacy stepping on {name!r}: "
+        + ", ".join(key for key in expected if expected[key] != got[key]))
 
 
 def bench_workload(name: str, repeat: int = 3,
@@ -127,12 +152,14 @@ def bench_workload(name: str, repeat: int = 3,
     seconds, mean_seconds, fp = _measure(
         program, _run_batch, repeat, max_instructions)
     if fp != legacy_fp:
-        raise MachineError(
-            f"Machine.run diverged from legacy stepping on {name!r}: "
-            + ", ".join(
-                key for key in legacy_fp if legacy_fp[key] != fp[key]
-            )
-        )
+        raise _diverged(name, "Machine.run", legacy_fp, fp)
+    observed_legacy_seconds, _mean, observed_legacy_fp = _measure(
+        program, _run_legacy, repeat, max_instructions, observed=True)
+    observed_seconds, _mean, observed_fp = _measure(
+        program, _run_batch, repeat, max_instructions, observed=True)
+    if observed_fp != observed_legacy_fp:
+        raise _diverged(name, "observed Machine.run", observed_legacy_fp,
+                        observed_fp)
     ips = instructions / seconds if seconds else 0.0
     return {f"{name}:superblock": {
         "description": BENCH_WORKLOADS.get(name, ""),
@@ -146,6 +173,9 @@ def bench_workload(name: str, repeat: int = 3,
         "build_seconds": cache_stats()["build_seconds"] - build_before,
         "instructions_per_sec": ips,
         "speedup": ips / legacy_ips if legacy_ips else 0.0,
+        "observed_seconds": observed_seconds,
+        "observed_speedup": (observed_legacy_seconds / observed_seconds
+                             if observed_seconds else 0.0),
     }}
 
 
@@ -316,14 +346,15 @@ def render_bench(result: Dict) -> str:
     lines = ["interpreter benchmark (instructions/sec, min of "
              f"{result.get('repeat', '?')} after warmup)"]
     header = (f"  {'workload:driver':<22} {'instructions':>12} "
-              f"{'rate':>12} {'build':>8} {'speedup':>8}")
+              f"{'rate':>12} {'build':>8} {'speedup':>8} {'observed':>8}")
     lines.append(header)
     for name, row in result.get("rows", {}).items():
         lines.append(
             f"  {name:<22} {row['instructions']:>12,} "
             f"{row['instructions_per_sec']:>11,.0f}/s "
             f"{row['build_seconds'] * 1e3:>6.1f}ms "
-            f"{row['speedup']:>7.2f}x"
+            f"{row['speedup']:>7.2f}x "
+            f"{row['observed_speedup']:>7.2f}x"
         )
     return "\n".join(lines)
 

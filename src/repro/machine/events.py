@@ -6,7 +6,18 @@ when at least one observer is attached, so unobserved runs pay nothing.
 
 Hook order per instruction: memory hooks (``on_load`` / ``on_store``) fire
 from inside the instruction's execution, then ``on_instruction`` fires once
-the instruction has fully executed.
+the instruction has fully executed.  An instruction that faults fires no
+hook.  With a spare context, a synchronous DTT engine runs support
+threads nested inside the ``tcheck`` that consumes them, so their hooks
+come before that ``tcheck``'s ``on_instruction``.
+
+Hooks must take the instruction's PC from their ``pc`` argument and must
+not read ``ctx.pc`` or the instruction counters (``ctx.instruction_count``,
+``Machine.instructions_executed`` and the main/support split): observed
+runs go through ``Machine.run``'s batch loop, which reconciles those only
+once per chunk of instructions.  Hooks are bound when the machine
+compiles its thunk table, so attach observers with
+``Machine.add_observer`` rather than patching hook methods during a run.
 """
 
 from __future__ import annotations

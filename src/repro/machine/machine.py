@@ -19,9 +19,9 @@ Execution has two drivers:
 * :meth:`Machine.step` — exact single-step mode.  The program is
   pre-decoded once into a dense ``(handler, instruction)`` table, so a
   step is a list index plus one call; there are no per-step dict lookups
-  or isinstance re-checks.  The debugger, the timing model's general
-  issue loop, and machine observers (profilers) all drive it; the timing
-  model's solo run-ahead calls the same pre-decoded handlers directly.
+  or isinstance re-checks.  The debugger and the timing model's general
+  issue loop drive it; the timing model's solo run-ahead calls the same
+  pre-decoded handlers directly.
 * :meth:`Machine.run` — batch mode for functional runs.  Straight-line
   runs are exec-compiled into single Python functions
   (:mod:`repro.machine.superblock`) that keep registers in locals and
@@ -33,8 +33,10 @@ Execution has two drivers:
   reconciled once per chunk of thousands of instructions.
 
 Both produce identical results — architectural state, counters, faults,
-and limits are byte-for-byte the same.  When machine observers are
-attached, ``run`` transparently falls back to single-stepping.
+and limits are byte-for-byte the same.  Observed runs (profilers and
+other machine observers attached) use the same batch loop without
+compiled blocks: every PC runs on an observed thunk, which calls the
+hooks ``step()`` would, with the same arguments and in the same order.
 """
 
 from __future__ import annotations
@@ -125,19 +127,24 @@ class Machine:
         """Install a DTT engine; the engine is told about the machine."""
         self.dtt_engine = engine
         engine.bind(self)
-        # thunks and superblocks bind machine surroundings at compile
-        # time; recompile after any rewiring so the batch loop can never
-        # run against stale state
-        self._thunks = None
-        self._superblocks = None
+        self._drop_compiled()
 
     def add_observer(self, observer) -> None:
         """Attach a :class:`~repro.machine.events.MachineObserver`."""
         self._observers.append(observer)
+        self._drop_compiled()
 
     def remove_observer(self, observer) -> None:
         """Detach a previously attached observer."""
         self._observers.remove(observer)
+        self._drop_compiled()
+
+    def _drop_compiled(self) -> None:
+        # thunks and superblocks bind the engine and the observers' hooks
+        # at compile time; recompile after any rewiring so the batch loop
+        # can never run against stale state
+        self._thunks = None
+        self._superblocks = None
 
     def idle_contexts(self) -> List[Context]:
         """Contexts available for support-thread dispatch."""
@@ -192,9 +199,14 @@ class Machine:
         passed in, and reconcile memory counters themselves on every exit
         path.  Architectural results, counters, faults, and the dynamic
         instruction limit behave exactly as an equivalent ``step()``
-        loop; when machine observers are attached (profilers, tracers
-        needing per-instruction callbacks) this transparently
-        single-steps.
+        loop.
+
+        With machine observers attached there are no compiled blocks:
+        every PC runs on its observed thunk, which calls the same hooks
+        with the same arguments as ``step()``.  Inside this loop
+        ``ctx.pc`` and the instruction counters are reconciled per
+        chunk, so hooks must rely on their ``pc`` argument (see
+        :mod:`repro.machine.events`).
         """
         if ctx is None:
             ctx = self.main_context
@@ -202,8 +214,6 @@ class Machine:
             raise ContextError(
                 f"context {ctx.context_id} is {ctx.state.value}, cannot step"
             )
-        if self._observers:
-            return self._run_slow(ctx, max_steps)
         table = self._thunks
         if table is None:
             table = self._build_thunks()
@@ -247,6 +257,7 @@ class Machine:
                     n += 1
                     pc = table[pc](ctx)
                     if pc < 0:
+                        n -= 1  # a boundary: stepped below, not run here
                         break
             except BaseException as exc:
                 off_end = False
@@ -260,10 +271,10 @@ class Machine:
                     n += 1  # the off-end attempt is counted, as in step()
                     off_end = True
                     ctx.pc = pc
-                elif not getattr(table[pc], "_legacy", False):
-                    # thunk fault: specialized thunks never touch ctx.pc;
-                    # resync it to the faulting instruction (its attempt
-                    # was already counted before dispatch)
+                else:
+                    # thunk fault: thunks never touch ctx.pc; resync it
+                    # to the faulting instruction (its attempt was
+                    # already counted before dispatch)
                     ctx.pc = pc
                 self.instructions_executed += n
                 ctx.instruction_count += n
@@ -286,17 +297,22 @@ class Machine:
             total += n
             if pc >= 0:
                 continue  # chunk budget spent; reconcile and keep going
-            if pc == -1:
-                break  # context left RUNNING; its handler set ctx.pc
-            # a legacy-handler thunk ran (engine hook, possible nested
-            # execution): decode the continuation PC and re-budget
-            pc = -2 - pc
-        if pc >= 0:
-            ctx.pc = pc
+            # a boundary opcode (engine hook, halt): step it with the
+            # counters reconciled, so nested synchronous execution and
+            # the dynamic-instruction limit see exactly what a step()
+            # loop shows them, then re-budget
+            pc = ctx.pc = -2 - pc
+            self.step(ctx)
+            total += 1
+            if ctx.state is not ContextState.RUNNING:
+                return total  # its handler set ctx.pc
+            pc = ctx.pc
+        ctx.pc = pc
         return total
 
     def _run_slow(self, ctx: Context, max_steps: Optional[int]) -> int:
-        """Single-step driver behind :meth:`run` (observer/limit modes)."""
+        """Single-step the tail of a :meth:`run` near the dynamic
+        instruction limit, so the limit fires on the exact instruction."""
         executed = 0
         step = self.step
         while ctx.state is ContextState.RUNNING and (
@@ -314,9 +330,14 @@ class Machine:
         return table
 
     def _build_superblocks(self):
-        from repro.machine.superblock import install
+        if self._observers:
+            # observed runs stay on the thunks, which call the hooks;
+            # an empty block table sends every PC there
+            superblocks = ([None] * len(self._decoded), [0, 0], [0])
+        else:
+            from repro.machine.superblock import install
 
-        superblocks = install(self)
+            superblocks = install(self)
         self._superblocks = superblocks
         return superblocks
 
@@ -654,9 +675,10 @@ _BRANCH_RL_FNS = {
 
 #: opcodes whose handlers touch the DTT engine (``tst``/``tstx`` trigger,
 #: ``tcheck`` may block, ``treturn`` ends a support thread) or end the
-#: context (``halt``).  Batch loops never run them on a fast path: the
-#: closure thunks route them to these single-step handlers, and the timing
-#: model's solo run-ahead side-exits to its general issue loop on them.
+#: context (``halt``).  Batch loops never run them on a fast path:
+#: ``Machine.run`` ends its chunk and executes them with ``step()``, and
+#: the timing model's solo run-ahead side-exits to its general issue loop
+#: on them.
 ENGINE_OPCODES = frozenset(["tst", "tstx", "tcheck", "treturn", "halt"])
 
 _DISPATCH = {

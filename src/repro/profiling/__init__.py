@@ -13,6 +13,11 @@ Two analyses, both implemented as machine observers:
   redundancy forward through registers and memory to estimate the fraction
   of *all* dynamic instructions that constitute redundant computation
   (the computation DTT can skip).
+
+Attached to a machine, both run under ``Machine.run``'s batch loop: each
+PC's observed thunk calls their hooks directly, and the taint analyzer
+decodes each static instruction once, so a profiled functional run costs
+a few hook calls per instruction rather than a full ``Machine.step``.
 """
 
 from repro.profiling.redundancy import (

@@ -28,12 +28,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.isa.instructions import OPCODES, OpClass, operand_roles
+from repro.isa.instructions import OpClass, operand_roles
 from repro.machine.events import MachineObserver
 from repro.isa.registers import NUM_REGISTERS
 
 #: sentinel distinguishing "never loaded" from any real value
 _NEVER = object()
+
+# how on_instruction treats a static instruction (see _decode)
+_OTHER, _LOAD, _STORE, _CONST, _ALU, _BRANCH = range(6)
 
 
 class RedundancyTaintAnalyzer(MachineObserver):
@@ -46,10 +49,8 @@ class RedundancyTaintAnalyzer(MachineObserver):
         # per-location last-loaded value (same redundancy definition as
         # the profiler, duplicated so the analyzer is self-contained)
         self._last: Dict[int, object] = {}
-        # roles cache: op -> (dest_slot, source_slots)
-        self._roles: Dict[str, Tuple] = {
-            op: operand_roles(op) for op in OPCODES
-        }
+        # pc -> decoded static instruction (see _decode)
+        self._decoded: Dict[int, Tuple] = {}
         self.total_instructions = 0
         self.redundant_instructions = 0
         #: per-class breakdown of redundant dynamic instructions
@@ -64,6 +65,41 @@ class RedundancyTaintAnalyzer(MachineObserver):
             taint = self._reg_taint[ctx.context_id] = [False] * NUM_REGISTERS
         return taint
 
+    def _decode(self, pc, instruction) -> Tuple:
+        """Decode ``instruction`` once: ``(instruction, kind, dest, first,
+        second, op_class)``, with register indices for the operands its
+        kind reads or writes.
+
+        The entry keeps the instruction itself, so a cached decode is
+        reused only for that very object: an analyzer that goes on to
+        watch another program re-decodes each of its PCs.
+        """
+        op_class = instruction.op_class
+        dest, sources = operand_roles(instruction.op)
+        regs = [getattr(instruction, slot) for slot in sources]
+        first = second = None
+        if op_class is OpClass.LOAD:
+            kind, dest = _LOAD, instruction.a
+        elif op_class in (OpClass.STORE, OpClass.TSTORE):
+            kind, dest = _STORE, None
+            first = instruction.a
+        elif dest is not None:
+            dest = getattr(instruction, dest)
+            if regs:
+                # destinations have at most two register sources; a
+                # single source is tested twice
+                kind, first, second = _ALU, regs[0], regs[-1]
+            else:
+                kind = _CONST  # li / constants
+        elif op_class is OpClass.BRANCH and regs:
+            # every conditional branch reads one or two registers
+            kind, first, second = _BRANCH, regs[0], regs[-1]
+        else:
+            kind = _OTHER
+        entry = (instruction, kind, dest, first, second, op_class)
+        self._decoded[pc] = entry
+        return entry
+
     # -- hooks -----------------------------------------------------------------
 
     def on_load(self, ctx, pc, address, value) -> None:
@@ -77,34 +113,30 @@ class RedundancyTaintAnalyzer(MachineObserver):
 
     def on_instruction(self, ctx, pc, instruction) -> None:
         self.total_instructions += 1
-        op = instruction.op
-        op_class = instruction.op_class
-        taint = self._taint_of(ctx)
-        dest, sources = self._roles[op]
-        redundant = False
-        if op_class is OpClass.LOAD:
-            value_taint = self._pending_load_taint
+        entry = self._decoded.get(pc)
+        if entry is None or entry[0] is not instruction:
+            entry = self._decode(pc, instruction)
+        _, kind, dest, first, second, op_class = entry
+        if kind == _OTHER:
+            return
+        taint = self._reg_taint.get(ctx.context_id)
+        if taint is None:
+            taint = self._taint_of(ctx)
+        if kind == _ALU:
+            redundant = taint[dest] = taint[first] and taint[second]
+        elif kind == _LOAD:
+            redundant = taint[dest] = self._pending_load_taint
             self._pending_load_taint = False
-            taint[instruction.a] = value_taint
-            redundant = value_taint
-        elif op_class in (OpClass.STORE, OpClass.TSTORE):
-            stored_taint = taint[instruction.a]
+        elif kind == _CONST:
+            taint[dest] = redundant = False
+        elif kind == _BRANCH:
+            redundant = taint[first] and taint[second]
+        else:  # _STORE
+            redundant = taint[first]
             address = self._pending_store_address  # recorded by on_store
             if address is not None:
-                self._mem_taint[address] = stored_taint
-            redundant = stored_taint
+                self._mem_taint[address] = redundant
             self._pending_store_address = None
-        elif dest is not None:
-            if sources:
-                result_taint = all(taint[getattr(instruction, s)] for s in sources)
-            else:
-                result_taint = False  # li / constants
-            taint[getattr(instruction, dest)] = result_taint
-            redundant = result_taint
-        elif op_class is OpClass.BRANCH:
-            redundant = bool(sources) and all(
-                taint[getattr(instruction, s)] for s in sources
-            )
         if redundant:
             self.redundant_instructions += 1
             self.redundant_by_class[op_class] += 1

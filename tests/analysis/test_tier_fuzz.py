@@ -9,6 +9,11 @@ and message) must be identical; the superblock compiler's
 if-conversion, tail duplication, side exits, and mid-block fault
 reconciliation may not be observable.
 
+The same plans also run *observed*: with a recording observer attached,
+``Machine.run`` takes its observed thunks, and the observer must see the
+identical hook stream (kind, context, pc, arguments) as under the
+``step()`` loop, with the identical end state and fault.
+
 Counterexamples found by hypothesis are committed to
 ``tier_fuzz_corpus.json`` (one named plan per historical divergence,
 plus hand-picked seeds for known-tricky shapes) and replayed here as
@@ -45,7 +50,7 @@ from repro.machine.context import ContextState
 from repro.machine.machine import Machine, run_to_completion
 from repro.timing.system import TimingSimulator
 
-from tests.conftest import RUN_PATHS, build_dtt_sum
+from tests.conftest import RUN_PATHS, HookRecorder, build_dtt_sum
 from tests.timing.solo_diff import CONFIGS, assert_solo_exact, make_config
 
 CORPUS_PATH = Path(__file__).with_name("tier_fuzz_corpus.json")
@@ -133,8 +138,11 @@ def _norm(value):
     return value
 
 
-def _run_path(program, path):
+def _run_path(program, path, observed=False):
     machine = Machine(program, max_instructions=MAX_INSTRUCTIONS)
+    recorder = HookRecorder()
+    if observed:
+        machine.add_observer(recorder)
     fault = None
     try:
         if path == "step":
@@ -158,6 +166,7 @@ def _run_path(program, path):
         "pc": main.pc,
         "state": main.state.name,
         "instruction_count": main.instruction_count,
+        "hooks": recorder.events,
     }
 
 
@@ -167,6 +176,16 @@ def assert_tiers_agree(plan):
     for path in sorted(RUN_PATHS):
         result = _run_path(program, path)
         assert result == reference, f"run path {path} diverged on {plan!r}"
+    return reference
+
+
+def assert_observed_run_agrees(plan):
+    """Observed ``run`` and an observed ``step()`` loop: same hooks, same
+    end state, same fault."""
+    program = lower(plan)
+    reference = _run_path(program, "step", observed=True)
+    result = _run_path(program, "superblock", observed=True)
+    assert result == reference, f"observed run diverged on {plan!r}"
     return reference
 
 
@@ -229,6 +248,18 @@ def test_random_programs_agree_across_tiers(plan):
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_corpus_case_agrees_across_tiers(name):
     assert_tiers_agree(CORPUS[name])
+
+
+@given(plan_body(0))
+@settings(max_examples=40, deadline=None)
+def test_random_programs_observed_run_matches_step(plan):
+    assert_observed_run_agrees(plan)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_corpus_case_observed_run_matches_step(name):
+    reference = assert_observed_run_agrees(CORPUS[name])
+    assert reference["hooks"]  # the observer really was attached
 
 
 def test_corpus_exercises_fault_and_loop_paths():

@@ -7,6 +7,7 @@ import pytest
 from repro.core.engine import DttEngine
 from repro.core.registry import ThreadRegistry, TriggerSpec
 from repro.isa.builder import ProgramBuilder
+from repro.machine.events import MachineObserver
 from repro.machine.machine import Machine
 
 
@@ -140,3 +141,33 @@ RUN_PATHS = {
     "closure": thunks_only,
     "superblock": lambda machine: machine,
 }
+
+
+class HookRecorder(MachineObserver):
+    """Test fake: records every hook call, in order, as
+    ``(hook, context id, pc, *arguments)``.
+
+    Values are recorded by ``repr`` so ``1`` and ``1.0`` differ and a NaN
+    equals itself.
+    """
+
+    def __init__(self):
+        self.events = []
+
+    def on_instruction(self, ctx, pc, instruction):
+        self.events.append(("instruction", ctx.context_id, pc,
+                            instruction.op))
+
+    def on_load(self, ctx, pc, address, value):
+        self.events.append(("load", ctx.context_id, pc, address,
+                            repr(value)))
+
+    def on_store(self, ctx, pc, address, old, new, triggering):
+        self.events.append(("store", ctx.context_id, pc, address, repr(old),
+                            repr(new), triggering))
+
+    def on_branch(self, ctx, pc, taken, target):
+        self.events.append(("branch", ctx.context_id, pc, taken, target))
+
+    def on_halt(self, ctx):
+        self.events.append(("halt", ctx.context_id))

@@ -9,8 +9,13 @@ path, an emptied block table), and faults/limits/budgets land on the
 same instruction with the same machine state.
 """
 
+import gc
+import weakref
+
 import pytest
 
+from repro.core.engine import DttEngine
+from repro.core.registry import ThreadRegistry
 from repro.core.trace import EngineTrace
 from repro.errors import (
     ContextError,
@@ -26,7 +31,8 @@ from repro.machine.events import MachineObserver
 from repro.machine.machine import Machine, run_to_completion
 from repro.workloads.suite import SUITE
 
-from tests.conftest import RUN_PATHS, build_dtt_sum, thunks_only
+from tests.conftest import (RUN_PATHS, HookRecorder, build_dtt_sum,
+                            thunks_only)
 
 
 def drive_legacy(machine):
@@ -212,7 +218,7 @@ class _CountingObserver(MachineObserver):
         self.instructions += 1
 
 
-def test_observers_force_exact_single_stepping():
+def test_observed_run_sees_every_instruction():
     workload = SUITE["mcf"]
     inp = workload.make_input(scale=4)
     program = workload.build_baseline(inp)
@@ -220,7 +226,6 @@ def test_observers_force_exact_single_stepping():
     observer = _CountingObserver()
     observed.add_observer(observer)
     run_to_completion(observed)
-    # the observer saw every retired instruction — run() fell back
     assert observer.instructions == observed.instructions_executed
     plain = Machine(program)
     run_to_completion(plain)
@@ -340,3 +345,193 @@ def test_superblock_code_cache_shares_compiles_across_machines():
     assert stats["blocks_compiled"] >= 1
     assert stats["build_seconds"] > 0
     assert first.output == second.output
+
+
+# -- observed runs ------------------------------------------------------------------
+#
+# With observers attached, ``run`` executes every PC on an observed thunk
+# that calls the hooks itself.  The hook stream (kind, context, pc,
+# arguments, order), the end state and any fault must match the
+# ``step()`` loop's.
+
+
+def _observed(program, driver, num_contexts=1, max_instructions=20_000_000,
+              spec=None):
+    """Run ``program`` under a :class:`HookRecorder`; returns
+    ``(fingerprint, hook events, fault)``."""
+    machine = Machine(program, num_contexts=num_contexts,
+                      max_instructions=max_instructions)
+    if spec is not None:
+        machine.attach_engine(DttEngine(ThreadRegistry([spec])))
+    recorder = HookRecorder()
+    machine.add_observer(recorder)
+    fault = None
+    try:
+        driver(machine)
+    except Exception as exc:  # noqa: BLE001 - fault identity is the point
+        fault = (type(exc).__name__, str(exc))
+    return fingerprint(machine), recorder.events, fault
+
+
+def assert_observed_run_matches_step(program, **kwargs):
+    reference = _observed(program, drive_legacy, **kwargs)
+    assert _observed(program, run_to_completion, **kwargs) == reference
+    return reference
+
+
+def test_observed_faulting_load_matches_step():
+    _fp, events, fault = assert_observed_run_matches_step(
+        _guard_side_exit_program(6))
+    assert fault[0] == "MemoryFault"
+    assert any(event[0] == "load" for event in events)
+
+
+def test_observed_faulting_store_matches_step():
+    b = ProgramBuilder()
+    b.zeros("xs", 4)
+    with b.function("main"):
+        with b.scratch(3) as (i, base, v):
+            b.la(base, "xs")
+            b.li(i, 3)
+            b.label("loop")
+            b.stx(i, base, i)       # faults once base + i < 0
+            b.subi(i, i, 1)
+            b.sub(base, base, i)
+            b.jmp("loop")
+        b.halt()
+    _fp, events, fault = assert_observed_run_matches_step(b.build())
+    assert fault[0] == "MemoryFault"
+    assert any(event[0] == "store" for event in events)
+
+
+def test_observed_division_fault_matches_step():
+    b = ProgramBuilder()
+    with b.function("main"):
+        with b.scratch(4) as (i, d, q, z):
+            b.li(i, 5)
+            b.li(z, 0)
+            b.label("loop")
+            b.subi(d, i, 3)
+            b.idiv(q, i, d)         # faults when i reaches 3
+            b.subi(i, i, 1)
+            b.bgt(i, z, "loop")
+        b.halt()
+    _fp, events, fault = assert_observed_run_matches_step(b.build())
+    assert fault == ("ExecutionFault", "integer division by zero")
+    # the faulting idiv (pc 3) calls no hook; the last one is its subi
+    assert events[-1] == ("instruction", 0, 2, "subi")
+
+
+def test_observed_instruction_limit_matches_step():
+    # past one batch chunk, so the limit is reached by the single-step
+    # hand-off after observed batch execution
+    b = ProgramBuilder()
+    b.data("xs", [1])
+    with b.function("main"):
+        with b.scratch(2) as (base, v):
+            b.la(base, "xs")
+            b.label("loop")
+            b.ld(v, base, 0)
+            b.addi(v, v, 1)
+            b.st(v, base, 0)
+            b.bnez(v, "loop")
+        b.halt()
+    fp, events, fault = assert_observed_run_matches_step(
+        b.build(), max_instructions=40_000)
+    assert fault[0] == "ExecutionLimitExceeded"
+    assert fp["instructions_executed"] == 40_001
+    assert sum(event[0] == "instruction" for event in events) == 40_000
+
+
+@pytest.mark.parametrize("num_contexts", [1, 2])
+def test_observed_dtt_run_matches_step(num_contexts):
+    program, spec = build_dtt_sum([3, 1, 4, 1, 5], [0, 2, 4], [9, 8, 7])
+    _fp, events, fault = assert_observed_run_matches_step(
+        program, num_contexts=num_contexts, spec=spec)
+    assert fault is None
+    assert any(event[0] == "store" and event[-1] for event in events)
+    if num_contexts == 2:
+        # the synchronous engine runs the support thread nested inside
+        # the tcheck: after the tst's on_store, before the tcheck's own
+        # on_instruction
+        tst_store = next(n for n, event in enumerate(events)
+                         if event[0] == "store" and event[-1])
+        support = next(n for n, event in enumerate(events) if event[1] == 1)
+        tcheck = next(n for n, event in enumerate(events)
+                      if event[0] == "instruction" and event[3] == "tcheck")
+        assert tst_store < support < tcheck
+
+
+@pytest.mark.parametrize("observed", [False, True])
+def test_limit_inside_a_nested_support_thread_matches_step(observed):
+    # the first support thread runs nested inside a tcheck for longer
+    # than the headroom left, so the limit fires inside it: the tcheck
+    # itself must already be counted then, as in a step() loop
+    program, spec = build_dtt_sum(list(range(6000)), [0, 5], [9, 8])
+
+    def run_out(driver):
+        machine = Machine(program, num_contexts=2, max_instructions=30_000)
+        machine.attach_engine(DttEngine(ThreadRegistry([spec])))
+        recorder = HookRecorder()
+        if observed:
+            machine.add_observer(recorder)
+        with pytest.raises(ExecutionLimitExceeded):
+            driver(machine)
+        return fingerprint(machine), machine.contexts[1].pc, recorder.events
+
+    fast = run_out(run_to_completion)
+    assert fast == run_out(drive_legacy)
+    assert fast[0]["instructions_executed"] == 30_001
+
+
+# -- observer wiring ------------------------------------------------------------------
+
+
+def _mcf_program():
+    workload = SUITE["mcf"]
+    return workload.build_baseline(workload.make_input(scale=4))
+
+
+def test_observer_added_mid_run_sees_exactly_the_rest():
+    program = _mcf_program()
+    machine = Machine(program)
+    machine.run(max_steps=5000)  # compiles and runs superblocks
+    observer = _CountingObserver()
+    machine.add_observer(observer)
+    run_to_completion(machine)
+    assert observer.instructions == machine.instructions_executed - 5000
+    reference = Machine(program)
+    run_to_completion(reference)
+    assert fingerprint(machine) == fingerprint(reference)
+
+
+def test_removed_observer_sees_nothing_more():
+    program = _mcf_program()
+    machine = Machine(program)
+    observer = _CountingObserver()
+    machine.add_observer(observer)
+    machine.run(max_steps=5000)
+    assert observer.instructions == 5000
+    machine.remove_observer(observer)
+    run_to_completion(machine)
+    assert observer.instructions == 5000
+    reference = Machine(program)
+    run_to_completion(reference)
+    assert fingerprint(machine) == fingerprint(reference)
+
+
+def test_profiled_machine_is_freed_without_the_cycle_collector():
+    # the observed thunk table must not hold the machine that owns it, or
+    # every finished profiled machine lives on until a full collection
+    program = _mcf_program()
+    gc.disable()
+    try:
+        machine = Machine(program)
+        machine.add_observer(_CountingObserver())
+        run_to_completion(machine)
+        assert machine._thunks is not None
+        ref = weakref.ref(machine)
+        del machine
+        assert ref() is None
+    finally:
+        gc.enable()

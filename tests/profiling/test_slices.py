@@ -6,7 +6,7 @@ from repro.machine.machine import Machine, run_to_completion
 from repro.profiling.slices import RedundancyTaintAnalyzer
 
 
-def analyze(build_body, data=None):
+def analyze(build_body, data=None, analyzer=None):
     b = ProgramBuilder()
     for name, values in (data or {}).items():
         b.data(name, values)
@@ -14,7 +14,8 @@ def analyze(build_body, data=None):
         build_body(b)
         b.halt()
     machine = Machine(b.build())
-    analyzer = RedundancyTaintAnalyzer()
+    if analyzer is None:
+        analyzer = RedundancyTaintAnalyzer()
     machine.add_observer(analyzer)
     run_to_completion(machine)
     return analyzer
@@ -138,3 +139,36 @@ def test_contexts_have_independent_register_taint():
     t1 = a._taint_of(Context(1))
     t0[4] = True
     assert t1[4] is False
+
+
+def test_reused_analyzer_decodes_each_program_afresh():
+    # the same PCs hold different instructions in the two programs; a
+    # decode cached for the first program must not leak into the second
+    def first(b):
+        with b.scratch(3) as (base, v, w):
+            b.la(base, "xs")
+            b.ld(v, base, 0)
+            b.ld(v, base, 0)      # redundant -> taints v
+            b.addi(w, v, 1)       # pc 3: redundant ALU
+            b.add(w, w, w)        # pc 4: redundant ALU
+
+    def second(b):
+        with b.scratch(3) as (base, v, w):
+            b.la(base, "xs")
+            b.ld(v, base, 0)      # a new value at the same address: clean
+            b.ld(v, base, 0)      # redundant -> taints v
+            b.li(w, 3)            # pc 3: a constant, never redundant
+            b.beqz(w, "end")      # pc 4: branch on an untainted register
+            b.label("end")
+
+    reused = RedundancyTaintAnalyzer()
+    analyze(first, {"xs": [5]}, reused)
+    analyze(second, {"xs": [7]}, reused)
+    fresh = [analyze(first, {"xs": [5]}), analyze(second, {"xs": [7]})]
+    assert reused.total_instructions == sum(
+        a.total_instructions for a in fresh)
+    assert reused.redundant_instructions == sum(
+        a.redundant_instructions for a in fresh)
+    assert reused.redundant_by_class == {
+        op_class: sum(a.redundant_by_class[op_class] for a in fresh)
+        for op_class in OpClass}

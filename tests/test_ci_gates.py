@@ -19,10 +19,11 @@ def write_json(tmp_path, name, payload):
     return str(path)
 
 
-def interpreter_bench(tmp_path, speedup):
+def interpreter_bench(tmp_path, speedup, observed_speedup=1.5):
     return write_json(tmp_path, "bench.json", {
         "kind": "bench_interpreter", "schema": 2,
         "rows": {"mcf:superblock": {"speedup": speedup,
+                                    "observed_speedup": observed_speedup,
                                     "build_seconds": 0.01}},
     })
 
@@ -53,6 +54,21 @@ def test_interpreter_gate_fails_on_a_3x_row(tmp_path, capsys):
     assert ci_gates.main(
         ["interpreter", interpreter_bench(tmp_path, 3.0)]) == 1
     assert "gate interpreter failed" in capsys.readouterr().err
+
+
+def test_interpreter_gate_fails_on_a_slow_observed_run(tmp_path, capsys):
+    assert ci_gates.main(
+        ["interpreter", interpreter_bench(tmp_path, 4.0, 1.4)]) == 1
+    assert "observed Machine.run only 1.40x" in capsys.readouterr().err
+
+
+def test_interpreter_gate_needs_the_observed_column(tmp_path):
+    path = write_json(tmp_path, "bench.json", {
+        "kind": "bench_interpreter", "schema": 2,
+        "rows": {"mcf:superblock": {"speedup": 4.0,
+                                    "build_seconds": 0.01}},
+    })
+    assert ci_gates.main(["interpreter", path]) == 1
 
 
 def test_dashboard_gate_rejects_scripts(tmp_path):
