@@ -42,9 +42,10 @@ from collections import deque
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.analysis.cfg import CFG, BasicBlock
-from repro.isa.instructions import (is_load, is_store, is_triggering_store,
-                                    operand_roles)
+from repro.isa.instructions import (OPCODES, OpClass, is_load, is_store,
+                                    is_triggering_store, operand_roles)
 from repro.isa.registers import NUM_REGISTERS
+from repro.machine.semantics import evaluate
 
 #: pseudo-definition pc: "defined at region entry" (trigger registers, or
 #: the architecturally zeroed main-context file)
@@ -472,39 +473,13 @@ class ValueAnalysis(DataflowAnalysis):
 
 
 def _fold_constant(op: str, operands: List):
-    """Evaluate one pure opcode over concrete operands, or None."""
-    try:
-        if op in ("add", "addi"):
-            return operands[0] + operands[1]
-        if op in ("sub", "subi"):
-            return operands[0] - operands[1]
-        if op in ("mul", "muli"):
-            return operands[0] * operands[1]
-        if op in ("and_", "andi"):
-            return operands[0] & operands[1]
-        if op in ("or_", "ori"):
-            return operands[0] | operands[1]
-        if op in ("xor", "xori"):
-            return operands[0] ^ operands[1]
-        if op in ("shl", "shli"):
-            return operands[0] << operands[1]
-        if op in ("shr", "shri"):
-            return operands[0] >> operands[1]
-        if op in ("slt", "slti"):
-            return 1 if operands[0] < operands[1] else 0
-        if op == "sle":
-            return 1 if operands[0] <= operands[1] else 0
-        if op in ("sgt", "sgti"):
-            return 1 if operands[0] > operands[1] else 0
-        if op == "sge":
-            return 1 if operands[0] >= operands[1] else 0
-        if op in ("seq", "seqi"):
-            return 1 if operands[0] == operands[1] else 0
-        if op == "sne":
-            return 1 if operands[0] != operands[1] else 0
-    except TypeError:  # pragma: no cover - defensive; operands are numbers
+    """Evaluate one integer ALU opcode over concrete operands, or None."""
+    if OPCODES[op].op_class not in (OpClass.IALU, OpClass.IMUL):
         return None
-    return None
+    try:
+        return evaluate(op, operands)
+    except (ArithmeticError, ValueError):  # the machine would fault
+        return None
 
 
 # ---------------------------------------------------------------------------

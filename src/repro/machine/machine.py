@@ -33,10 +33,14 @@ Execution has two drivers:
   reconciled once per chunk of thousands of instructions.
 
 Both produce identical results — architectural state, counters, faults,
-and limits are byte-for-byte the same.  Observed runs (profilers and
-other machine observers attached) use the same batch loop without
-compiled blocks: every PC runs on an observed thunk, which calls the
-hooks ``step()`` would, with the same arguments and in the same order.
+and limits are byte-for-byte the same.  The step handlers, the thunks
+and the superblock bodies are all generated from one per-opcode template
+table (:mod:`repro.machine.semantics`); only the engine opcodes
+(:data:`ENGINE_OPCODES`) have hand-written handlers, here.  Observed
+runs (profilers and other machine observers attached) use the same batch
+loop without compiled blocks: every PC runs on an observed thunk, which
+calls the hooks ``step()`` would, with the same arguments and in the
+same order.
 """
 
 from __future__ import annotations
@@ -52,8 +56,11 @@ from repro.errors import (
 from repro.isa.instructions import Instruction
 from repro.isa.program import Program
 from repro.machine.context import Context, ContextRole, ContextState
+from repro.machine.fastpath import build_thunks
 from repro.machine.loader import load_program
 from repro.machine.memory import Memory
+from repro.machine.semantics import ENGINE_OPCODES, STEP_HANDLERS
+from repro.machine.superblock import install
 
 Number = Union[int, float]
 StepResult = Tuple[Instruction, Optional[int], Optional[bool]]
@@ -61,14 +68,6 @@ StepResult = Tuple[Instruction, Optional[int], Optional[bool]]
 #: batch size of the fast loop: accounting (instruction counters, the
 #: dynamic-instruction limit, the step budget) is reconciled once per chunk
 _CHUNK = 16384
-
-
-def _trunc_div(b: int, c: int) -> int:
-    """C-style integer division (truncate toward zero)."""
-    if c == 0:
-        raise ExecutionFault("integer division by zero")
-    q = abs(b) // abs(c)
-    return q if (b >= 0) == (c >= 0) else -q
 
 
 class Machine:
@@ -216,7 +215,7 @@ class Machine:
             )
         table = self._thunks
         if table is None:
-            table = self._build_thunks()
+            table = self._thunks = build_thunks(self)
         superblocks = self._superblocks
         if superblocks is None:
             superblocks = self._build_superblocks()
@@ -322,42 +321,15 @@ class Machine:
             executed += 1
         return executed
 
-    def _build_thunks(self):
-        from repro.machine.fastpath import build_thunks
-
-        table = build_thunks(self)
-        self._thunks = table
-        return table
-
     def _build_superblocks(self):
         if self._observers:
             # observed runs stay on the thunks, which call the hooks;
             # an empty block table sends every PC there
             superblocks = ([None] * len(self._decoded), [0, 0], [0])
         else:
-            from repro.machine.superblock import install
-
             superblocks = install(self)
         self._superblocks = superblocks
         return superblocks
-
-    # -- observer notification (called from handlers) ------------------------------
-
-    def _notify_load(self, ctx, pc, address, value) -> None:
-        for observer in self._observers:
-            observer.on_load(ctx, pc, address, value)
-
-    def _notify_store(self, ctx, pc, address, old, new, triggering) -> None:
-        for observer in self._observers:
-            observer.on_store(ctx, pc, address, old, new, triggering)
-
-    def _notify_branch(self, ctx, pc, taken, target) -> None:
-        for observer in self._observers:
-            observer.on_branch(ctx, pc, taken, target)
-
-    def _notify_halt(self, ctx) -> None:
-        for observer in self._observers:
-            observer.on_halt(ctx)
 
     # -- checkpointing -----------------------------------------------------------
 
@@ -419,159 +391,28 @@ class Machine:
         )
 
 
-# ---------------------------------------------------------------------------
-# Instruction handlers.  Each takes (machine, ctx, instruction, pc), performs
-# the architectural effect including the PC update, and returns
-# (memory_address_or_None, branch_taken_or_None).
-# ---------------------------------------------------------------------------
+# Step handlers of the engine opcodes, the only hand-written ones; see
+# repro.machine.semantics.STEP_HANDLERS for the contract.
 
 
-def _h_li(m, ctx, i, pc):
-    ctx.regs[i.a] = i.b
-    ctx.pc = pc + 1
-    return (None, None)
-
-
-def _h_mov(m, ctx, i, pc):
-    ctx.regs[i.a] = ctx.regs[i.b]
-    ctx.pc = pc + 1
-    return (None, None)
-
-
-def _alu_rrr(fn):
-    def handler(m, ctx, i, pc):
-        regs = ctx.regs
-        regs[i.a] = fn(regs[i.b], regs[i.c])
-        ctx.pc = pc + 1
-        return (None, None)
-
-    return handler
-
-
-def _alu_rri(fn):
-    def handler(m, ctx, i, pc):
-        regs = ctx.regs
-        regs[i.a] = fn(regs[i.b], i.c)
-        ctx.pc = pc + 1
-        return (None, None)
-
-    return handler
-
-
-def _alu_rr(fn):
-    def handler(m, ctx, i, pc):
-        regs = ctx.regs
-        regs[i.a] = fn(regs[i.b])
-        ctx.pc = pc + 1
-        return (None, None)
-
-    return handler
-
-
-def _fsqrt(b):
-    value = float(b)
-    if value < 0.0:
-        raise ExecutionFault(f"fsqrt of negative value {value}")
-    return value ** 0.5
-
-
-def _fdiv(b, c):
-    denominator = float(c)
-    if denominator == 0.0:
-        raise ExecutionFault("floating-point division by zero")
-    return float(b) / denominator
-
-
-def _h_ld(m, ctx, i, pc):
-    address = ctx.regs[i.b] + i.c
-    value = m.memory.load(address)
-    ctx.regs[i.a] = value
-    ctx.pc = pc + 1
-    if m._observers:
-        m._notify_load(ctx, pc, address, value)
-    return (address, None)
-
-
-def _h_ldx(m, ctx, i, pc):
-    address = ctx.regs[i.b] + ctx.regs[i.c]
-    value = m.memory.load(address)
-    ctx.regs[i.a] = value
-    ctx.pc = pc + 1
-    if m._observers:
-        m._notify_load(ctx, pc, address, value)
-    return (address, None)
-
-
-def _do_store(m, ctx, i, pc, address, triggering):
+def _h_tstore(m, ctx, i, pc, address):
     new_value = ctx.regs[i.a]
     old_value = m.memory.peek(address)
     m.memory.store(address, new_value)
     ctx.pc = pc + 1
-    if triggering and m.dtt_engine is not None:
+    if m.dtt_engine is not None:
         m.dtt_engine.on_triggering_store(ctx, pc, address, old_value, new_value)
-    if m._observers:
-        m._notify_store(ctx, pc, address, old_value, new_value, triggering)
+    for observer in m._observers:
+        observer.on_store(ctx, pc, address, old_value, new_value, True)
     return (address, None)
 
 
-def _h_st(m, ctx, i, pc):
-    return _do_store(m, ctx, i, pc, ctx.regs[i.b] + i.c, False)
-
-
-def _h_stx(m, ctx, i, pc):
-    return _do_store(m, ctx, i, pc, ctx.regs[i.b] + ctx.regs[i.c], False)
-
-
 def _h_tst(m, ctx, i, pc):
-    return _do_store(m, ctx, i, pc, ctx.regs[i.b] + i.c, True)
+    return _h_tstore(m, ctx, i, pc, ctx.regs[i.b] + i.c)
 
 
 def _h_tstx(m, ctx, i, pc):
-    return _do_store(m, ctx, i, pc, ctx.regs[i.b] + ctx.regs[i.c], True)
-
-
-def _branch_rrl(fn):
-    def handler(m, ctx, i, pc):
-        taken = fn(ctx.regs[i.a], ctx.regs[i.b])
-        target = i.target if taken else pc + 1
-        ctx.pc = target
-        if m._observers:
-            m._notify_branch(ctx, pc, taken, target)
-        return (None, taken)
-
-    return handler
-
-
-def _branch_rl(fn):
-    def handler(m, ctx, i, pc):
-        taken = fn(ctx.regs[i.a])
-        target = i.target if taken else pc + 1
-        ctx.pc = target
-        if m._observers:
-            m._notify_branch(ctx, pc, taken, target)
-        return (None, taken)
-
-    return handler
-
-
-def _h_jmp(m, ctx, i, pc):
-    ctx.pc = i.target
-    return (None, None)
-
-
-def _h_call(m, ctx, i, pc):
-    ctx.call_stack.append(pc + 1)
-    if len(ctx.call_stack) > 10_000:
-        raise ExecutionFault("call stack overflow (runaway recursion?)")
-    ctx.pc = i.target
-    return (None, None)
-
-
-def _h_ret(m, ctx, i, pc):
-    if not ctx.call_stack:
-        raise ExecutionFault(f"ret with empty call stack at pc {pc}")
-    ctx.pc = ctx.call_stack.pop()
-    return (None, None)
+    return _h_tstore(m, ctx, i, pc, ctx.regs[i.b] + ctx.regs[i.c])
 
 
 def _h_tcheck(m, ctx, i, pc):
@@ -589,17 +430,6 @@ def _h_treturn(m, ctx, i, pc):
     return (None, None)
 
 
-def _h_out(m, ctx, i, pc):
-    m.output.append(ctx.regs[i.a])
-    ctx.pc = pc + 1
-    return (None, None)
-
-
-def _h_nop(m, ctx, i, pc):
-    ctx.pc = pc + 1
-    return (None, None)
-
-
 def _h_halt(m, ctx, i, pc):
     if ctx.role is not ContextRole.MAIN:
         raise ExecutionFault(
@@ -607,109 +437,19 @@ def _h_halt(m, ctx, i, pc):
         )
     ctx.state = ContextState.HALTED
     ctx.pc = pc + 1
-    m._notify_halt(ctx)
+    for observer in m._observers:
+        observer.on_halt(ctx)
     return (None, None)
 
 
-# Semantic function tables, keyed by opcode.  Shared with
-# repro.machine.fastpath so the specialized thunks apply the *same function
-# objects* (including the int()/float() coercions) as the handlers.
-_ALU_RRR_FNS = {
-    "add": lambda b, c: b + c,
-    "sub": lambda b, c: b - c,
-    "mul": lambda b, c: b * c,
-    "idiv": lambda b, c: _trunc_div(int(b), int(c)),
-    "imod": lambda b, c: int(b) - _trunc_div(int(b), int(c)) * int(c),
-    "and_": lambda b, c: int(b) & int(c),
-    "or_": lambda b, c: int(b) | int(c),
-    "xor": lambda b, c: int(b) ^ int(c),
-    "shl": lambda b, c: int(b) << int(c),
-    "shr": lambda b, c: int(b) >> int(c),
-    "slt": lambda b, c: 1 if b < c else 0,
-    "sle": lambda b, c: 1 if b <= c else 0,
-    "sgt": lambda b, c: 1 if b > c else 0,
-    "sge": lambda b, c: 1 if b >= c else 0,
-    "seq": lambda b, c: 1 if b == c else 0,
-    "sne": lambda b, c: 1 if b != c else 0,
-    "fadd": lambda b, c: float(b) + float(c),
-    "fsub": lambda b, c: float(b) - float(c),
-    "fmul": lambda b, c: float(b) * float(c),
-    "fdiv": _fdiv,
-}
-
-_ALU_RRI_FNS = {
-    "addi": lambda b, c: b + c,
-    "subi": lambda b, c: b - c,
-    "muli": lambda b, c: b * c,
-    "andi": lambda b, c: int(b) & int(c),
-    "ori": lambda b, c: int(b) | int(c),
-    "xori": lambda b, c: int(b) ^ int(c),
-    "shli": lambda b, c: int(b) << int(c),
-    "shri": lambda b, c: int(b) >> int(c),
-    "slti": lambda b, c: 1 if b < c else 0,
-    "sgti": lambda b, c: 1 if b > c else 0,
-    "seqi": lambda b, c: 1 if b == c else 0,
-}
-
-_ALU_RR_FNS = {
-    "fsqrt": _fsqrt,
-    "fabs": lambda b: abs(float(b)),
-    "fneg": lambda b: -float(b),
-    "itof": float,
-    "ftoi": int,
-}
-
-_BRANCH_RRL_FNS = {
-    "beq": lambda a, b: a == b,
-    "bne": lambda a, b: a != b,
-    "blt": lambda a, b: a < b,
-    "ble": lambda a, b: a <= b,
-    "bgt": lambda a, b: a > b,
-    "bge": lambda a, b: a >= b,
-}
-
-_BRANCH_RL_FNS = {
-    "beqz": lambda a: a == 0,
-    "bnez": lambda a: a != 0,
-}
-
-#: opcodes whose handlers touch the DTT engine (``tst``/``tstx`` trigger,
-#: ``tcheck`` may block, ``treturn`` ends a support thread) or end the
-#: context (``halt``).  Batch loops never run them on a fast path:
-#: ``Machine.run`` ends its chunk and executes them with ``step()``, and
-#: the timing model's solo run-ahead side-exits to its general issue loop
-#: on them.
-ENGINE_OPCODES = frozenset(["tst", "tstx", "tcheck", "treturn", "halt"])
-
-_DISPATCH = {
-    "li": _h_li,
-    "mov": _h_mov,
-    "ld": _h_ld,
-    "ldx": _h_ldx,
-    "st": _h_st,
-    "stx": _h_stx,
-    "tst": _h_tst,
-    "tstx": _h_tstx,
-    "tcheck": _h_tcheck,
-    "treturn": _h_treturn,
-    "jmp": _h_jmp,
-    "call": _h_call,
-    "ret": _h_ret,
-    "out": _h_out,
-    "nop": _h_nop,
-    "halt": _h_halt,
-}
-for _op, _fn in _ALU_RRR_FNS.items():
-    _DISPATCH[_op] = _alu_rrr(_fn)
-for _op, _fn in _ALU_RRI_FNS.items():
-    _DISPATCH[_op] = _alu_rri(_fn)
-for _op, _fn in _ALU_RR_FNS.items():
-    _DISPATCH[_op] = _alu_rr(_fn)
-for _op, _fn in _BRANCH_RRL_FNS.items():
-    _DISPATCH[_op] = _branch_rrl(_fn)
-for _op, _fn in _BRANCH_RL_FNS.items():
-    _DISPATCH[_op] = _branch_rl(_fn)
-del _op, _fn
+_DISPATCH = dict(
+    STEP_HANDLERS,
+    tst=_h_tst,
+    tstx=_h_tstx,
+    tcheck=_h_tcheck,
+    treturn=_h_treturn,
+    halt=_h_halt,
+)
 
 
 def run_to_completion(machine: Machine) -> List[Number]:

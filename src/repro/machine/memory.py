@@ -38,41 +38,35 @@ class Memory:
 
     # -- single-word access ---------------------------------------------------
 
+    def _checked(self, address, access: str) -> None:
+        """Raise the fault of an ``access`` to a bad ``address`` (the
+        generated code's guard sends every address it rejects here)."""
+        # bool cannot be subclassed, so one class test excludes it
+        if not isinstance(address, int) or address.__class__ is bool:
+            raise AlignmentFault(f"non-integer address {address!r}")
+        if not 0 <= address < self.limit:
+            raise MemoryFault(address, f"{access} outside address space")
+
     def load(self, address: int) -> Number:
         """Read one word; untouched words read as 0."""
-        if address.__class__ is not int:
-            # bool cannot be subclassed, so one isinstance suffices here
-            if not isinstance(address, int) or address.__class__ is bool:
-                raise AlignmentFault(f"non-integer address {address!r}")
-        if not 0 <= address < self.limit:
-            raise MemoryFault(address, "load outside address space")
+        self._checked(address, "load")
         self.load_count += 1
         return self._words.get(address, 0)
 
     def store(self, address: int, value: Number) -> None:
         """Write one word."""
-        if address.__class__ is not int:
-            if not isinstance(address, int) or address.__class__ is bool:
-                raise AlignmentFault(f"non-integer address {address!r}")
-        if not 0 <= address < self.limit:
-            raise MemoryFault(address, "store outside address space")
+        self._checked(address, "store")
         self.store_count += 1
         self._words[address] = value
 
     def peek(self, address: int) -> Number:
         """Read without counting (for engines, debuggers, and checkers)."""
-        if not isinstance(address, int) or isinstance(address, bool):
-            raise AlignmentFault(f"non-integer address {address!r}")
-        if not 0 <= address < self.limit:
-            raise MemoryFault(address, "peek outside address space")
+        self._checked(address, "peek")
         return self._words.get(address, 0)
 
     def poke(self, address: int, value: Number) -> None:
         """Write without counting (for loaders and test fixtures)."""
-        if not isinstance(address, int) or isinstance(address, bool):
-            raise AlignmentFault(f"non-integer address {address!r}")
-        if not 0 <= address < self.limit:
-            raise MemoryFault(address, "poke outside address space")
+        self._checked(address, "poke")
         self._words[address] = value
 
     # -- block access ------------------------------------------------------------

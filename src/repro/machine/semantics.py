@@ -1,0 +1,345 @@
+"""One source for the instruction semantics.
+
+:data:`SEMANTICS` holds one source template per non-engine opcode, and
+every form that executes an instruction is generated from it with
+``compile``/``exec``, once per process: the step handlers
+(:data:`STEP_HANDLERS`, called by ``Machine.step`` and the timing model),
+the plain and observed thunk factories of ``Machine.run``
+(:func:`thunk_factories`), the superblock bodies
+(:mod:`repro.machine.superblock`), and the constant folding of the static
+analyses (:func:`evaluate`).  The :data:`ENGINE_OPCODES` have no entry.
+
+An entry is ``(kind, effect, faults, next)``.  For ``ALU`` the effect is
+the value written to register ``a``; for ``LOAD``/``STORE`` the word
+address; for ``BRANCH`` the taken condition; for ``FLOW`` (``jmp``,
+``call``, ``ret``, ``out``, ``nop``) zero or more statements, and
+``next`` is the next-PC expression.  ``faults`` says whether the op can
+raise on some register contents; the superblock compiler marks those.
+
+Templates are :meth:`str.format` strings over the operand slots
+``{a}``/``{b}``/``{c}`` (a register or an immediate, per the opcode's
+signature; ``{b:int}``/``{b:float}`` coerce), the fall-through PC
+``{nxt}``, the branch target ``{target}`` and the output buffer's
+``{out}``.  Each form renders them in its own terms: ``regs[i.b]`` in a
+step handler, ``regs[b]`` in a thunk, the local ``r5`` in a superblock.
+Loads and stores share one memory guard, :data:`GUARD`; an address it
+rejects takes the checked :class:`~repro.machine.memory.Memory` method,
+which raises the fault.
+"""
+
+from __future__ import annotations
+
+import functools
+from typing import Callable, Dict, List, NamedTuple
+
+from repro.errors import ExecutionFault
+from repro.isa.instructions import OPCODES
+
+ALU, LOAD, STORE, BRANCH, FLOW = "alu", "load", "store", "branch", "flow"
+
+#: synthetic filename of the generated handlers and thunks; profiler
+#: frames show as (FILENAME, line, "<form>_<opcode>")
+FILENAME = "<semantics>"
+
+
+class Semantics(NamedTuple):
+    """The source template of one opcode (see the module docstring)."""
+
+    kind: str
+    effect: str
+    faults: bool
+    next: str = "{nxt}"
+
+
+def trunc_div(b: int, c: int) -> int:
+    """C-style integer division (truncate toward zero)."""
+    if c == 0:
+        raise ExecutionFault("integer division by zero")
+    q = abs(b) // abs(c)
+    return q if (b >= 0) == (c >= 0) else -q
+
+
+def fdiv(b, c) -> float:
+    """Floating-point division; the divisor is checked first."""
+    denominator = float(c)
+    if denominator == 0.0:
+        raise ExecutionFault("floating-point division by zero")
+    return float(b) / denominator
+
+
+def fsqrt(b) -> float:
+    """Square root of ``float(b)``; negative values fault."""
+    value = float(b)
+    if value < 0.0:
+        raise ExecutionFault(f"fsqrt of negative value {value}")
+    return value ** 0.5
+
+
+#: names the templates may call, bound into every generated namespace
+HELPERS = {"_idiv": trunc_div, "_fdiv": fdiv, "_fsqrt": fsqrt,
+           "ExecutionFault": ExecutionFault}
+
+#: opcodes whose handlers touch the DTT engine (``tst``/``tstx`` trigger,
+#: ``tcheck`` may block, ``treturn`` ends a support thread) or end the
+#: context (``halt``).  They have no template and no fast path:
+#: ``Machine.run`` ends its chunk and executes them with ``step()``, and
+#: the timing model's solo run-ahead side-exits on them.
+ENGINE_OPCODES = frozenset(["tst", "tstx", "tcheck", "treturn", "halt"])
+
+_S = Semantics
+
+#: every non-engine opcode's semantics, keyed like ``OPCODES``
+SEMANTICS: Dict[str, Semantics] = {
+    "li": _S(ALU, "{b}", False),
+    "mov": _S(ALU, "{b}", False),
+    # plain arithmetic still faults: a huge int meeting a float overflows
+    "add": _S(ALU, "{b} + {c}", True),
+    "sub": _S(ALU, "{b} - {c}", True),
+    "mul": _S(ALU, "{b} * {c}", True),
+    "idiv": _S(ALU, "_idiv({b:int}, {c:int})", True),
+    "imod": _S(ALU, "{b:int} - _idiv({b:int}, {c:int}) * {c:int}", True),
+    "and_": _S(ALU, "{b:int} & {c:int}", True),
+    "or_": _S(ALU, "{b:int} | {c:int}", True),
+    "xor": _S(ALU, "{b:int} ^ {c:int}", True),
+    "shl": _S(ALU, "{b:int} << {c:int}", True),
+    "shr": _S(ALU, "{b:int} >> {c:int}", True),
+    "slt": _S(ALU, "1 if {b} < {c} else 0", False),
+    "sle": _S(ALU, "1 if {b} <= {c} else 0", False),
+    "sgt": _S(ALU, "1 if {b} > {c} else 0", False),
+    "sge": _S(ALU, "1 if {b} >= {c} else 0", False),
+    "seq": _S(ALU, "1 if {b} == {c} else 0", False),
+    "sne": _S(ALU, "1 if {b} != {c} else 0", False),
+    "addi": _S(ALU, "{b} + {c}", True),
+    "subi": _S(ALU, "{b} - {c}", True),
+    "muli": _S(ALU, "{b} * {c}", True),
+    "andi": _S(ALU, "{b:int} & {c:int}", True),
+    "ori": _S(ALU, "{b:int} | {c:int}", True),
+    "xori": _S(ALU, "{b:int} ^ {c:int}", True),
+    "shli": _S(ALU, "{b:int} << {c:int}", True),
+    "shri": _S(ALU, "{b:int} >> {c:int}", True),
+    "slti": _S(ALU, "1 if {b} < {c} else 0", False),
+    "sgti": _S(ALU, "1 if {b} > {c} else 0", False),
+    "seqi": _S(ALU, "1 if {b} == {c} else 0", False),
+    "fadd": _S(ALU, "{b:float} + {c:float}", True),
+    "fsub": _S(ALU, "{b:float} - {c:float}", True),
+    "fmul": _S(ALU, "{b:float} * {c:float}", True),
+    "fdiv": _S(ALU, "_fdiv({b}, {c})", True),
+    "fsqrt": _S(ALU, "_fsqrt({b})", True),
+    "fabs": _S(ALU, "abs({b:float})", True),
+    "fneg": _S(ALU, "-{b:float}", True),
+    "itof": _S(ALU, "{b:float}", True),
+    "ftoi": _S(ALU, "{b:int}", True),
+    "ld": _S(LOAD, "{b} + {c}", True),
+    "ldx": _S(LOAD, "{b} + {c}", True),
+    "st": _S(STORE, "{b} + {c}", True),
+    "stx": _S(STORE, "{b} + {c}", True),
+    "beq": _S(BRANCH, "{a} == {b}", False),
+    "bne": _S(BRANCH, "{a} != {b}", False),
+    "blt": _S(BRANCH, "{a} < {b}", False),
+    "ble": _S(BRANCH, "{a} <= {b}", False),
+    "bgt": _S(BRANCH, "{a} > {b}", False),
+    "bge": _S(BRANCH, "{a} >= {b}", False),
+    "beqz": _S(BRANCH, "{a} == 0", False),
+    "bnez": _S(BRANCH, "{a} != 0", False),
+    "jmp": _S(FLOW, "", False, "{target}"),
+    "call": _S(FLOW, "ctx.call_stack.append({nxt})\n"
+                     "if len(ctx.call_stack) > 10_000:\n"
+                     "    raise ExecutionFault("
+                     "'call stack overflow (runaway recursion?)')",
+               True, "{target}"),
+    "ret": _S(FLOW, "if not ctx.call_stack:\n"
+                    "    raise ExecutionFault("
+                    "'ret with empty call stack at pc %d' % pc)",
+              True, "ctx.call_stack.pop()"),
+    "out": _S(FLOW, "{out}({a})", False),
+    "nop": _S(FLOW, "", False),
+}
+
+# -- the shared memory access -------------------------------------------------
+
+#: the fast-path condition of every load and store (address in ``_a``)
+GUARD = "_a.__class__ is int and 0 <= _a < _limit"
+
+_FAST = {LOAD: "{a} = _get(_a, 0)", STORE: "_words[_a] = {a}"}
+_COUNT = {LOAD: "_mem.load_count += 1", STORE: "_mem.store_count += 1"}
+#: the checked fallback, through the machine ``m``; a store peeks first,
+#: so a bad address faults on the peek exactly as the engine's ``tst`` does
+_CHECKED = {LOAD: ["{a} = m.memory.load(_a)"],
+           STORE: ["_old = m.memory.peek(_a)", "m.memory.store(_a, {a})"]}
+
+
+def access(sem: Semantics, ops: Dict[str, Src], slow: List[str],
+           counted: bool = True, old: bool = False) -> List[str]:
+    """Lines of one load or store behind :data:`GUARD`.
+
+    ``slow`` (rendered lines) runs when the guard fails; ``counted``
+    bumps the memory counter on the fast path (superblocks batch it
+    instead); ``old`` keeps a store's overwritten word in ``_old`` for
+    the store hooks.
+    """
+    fast = [_COUNT[sem.kind]] if counted else []
+    if old:
+        fast.append("_old = _get(_a, 0)")
+    fast.append(_FAST[sem.kind])
+    return ([f"_a = {sem.effect.format(**ops)}", f"if {GUARD}:"]
+            + ["    " + line.format(**ops) for line in fast]
+            + ["else:"] + ["    " + line for line in slow])
+
+
+# -- operand rendering --------------------------------------------------------
+
+
+class Src(str):
+    """A source fragment; format spec ``int``/``float`` coerces it."""
+
+    def __format__(self, spec: str) -> str:
+        return f"{spec}({self})" if spec else str(self)
+
+
+class ExactInt(Src):
+    """An exact ``int`` literal: the ``int`` coercion folds away."""
+
+    def __format__(self, spec: str) -> str:
+        return str(self) if spec == "int" else Src.__format__(self, spec)
+
+
+def operands(op: str, register: Callable[[str], str],
+             immediate: Callable[[str], Src]) -> Dict[str, Src]:
+    """``{slot: source}`` for ``op``'s operand slots, in signature order."""
+    slots = {}
+    names = iter("abc")
+    for code in OPCODES[op].signature:
+        if code == "L":
+            continue
+        slot = next(names)
+        slots[slot] = Src(register(slot)) if code == "R" else immediate(slot)
+    return slots
+
+
+# -- the generated forms ------------------------------------------------------
+
+#: the observer hook each kind reports through besides ``on_instruction``
+#: (ALU and FLOW ops have none)
+KIND_HOOKS = {LOAD: "on_load", STORE: "on_store", BRANCH: "on_branch"}
+
+#: per kind: (hook arguments after ``ctx, pc``, step result)
+_HOOK_ARGS = {
+    LOAD: ("_a, {a}", "(_a, None)"),
+    STORE: ("_a, _old, {a}, False", "(_a, None)"),
+    BRANCH: ("_t, _n", "(None, _t)"),
+}
+
+#: what a thunk factory binds besides the instruction and its pc
+_ENV = ("m", "_mem", "_limit", "_get", "_words", "_out",
+        "on_instruction", "on_load", "on_store", "on_branch")
+
+
+def _body(op: str, form: str) -> List[str]:
+    """The statements of one opcode's ``form``: ``"step"`` (a handler),
+    ``"plain"`` or ``"observed"`` (a thunk)."""
+    sem = SEMANTICS[op]
+    kind = sem.kind
+    if form == "step":
+        ops = operands(op, lambda s: f"regs[i.{s}]", lambda s: Src(f"i.{s}"))
+        env = dict(ops, nxt="pc + 1", target="i.target",
+                   out="m.output.append")
+    else:
+        ops = operands(op, lambda s: f"regs[{s}]", Src)
+        env = dict(ops, nxt="nxt", target="target", out="_out")
+    hook = KIND_HOOKS.get(kind)
+    args, result = _HOOK_ARGS.get(kind, ("", "(None, None)"))
+    lines = ["regs = ctx.regs"] if "R" in OPCODES[op].signature else []
+    if kind in (LOAD, STORE):
+        if form == "step":
+            lines += ["_mem = m.memory", "_limit = _mem.limit",
+                      "_words = _mem._words", "_get = _words.get"]
+        checked = [line.format(**ops) for line in _CHECKED[kind]]
+        lines += access(sem, ops, checked,
+                        old=kind == STORE and form != "plain")
+    elif kind == ALU:
+        lines.append(f"{ops['a']} = {sem.effect.format(**env)}")
+    elif kind == BRANCH:
+        lines.append(f"_t = {sem.effect.format(**env)}")
+    else:
+        lines += sem.effect.format(**env).splitlines()
+    nxt = sem.next.format(**env) if kind != BRANCH else \
+        "{target} if _t else {nxt}".format(**env)
+    args = args.format(**ops)
+    if form == "plain":
+        return lines + [f"return {nxt}"]
+    if "_n" in args or form == "observed":
+        # the next pc before any hook runs (``ret`` pops the call stack)
+        lines.append(f"_n = {nxt}")
+        nxt = "_n"
+    if form == "step":
+        lines.append(f"ctx.pc = {nxt}")
+        if hook:
+            lines += ["if m._observers:", "    for _o in m._observers:",
+                      f"        _o.{hook}(ctx, pc, {args})"]
+        return lines + [f"return {result}"]
+    if hook:
+        lines += [f"for _h in {hook}:", f"    _h(ctx, pc, {args})"]
+    return lines + ["for _h in on_instruction:", "    _h(ctx, pc, i)",
+                    f"return {nxt}"]
+
+
+def _indent(lines: List[str], depth: int = 1) -> List[str]:
+    return ["    " * depth + line for line in lines]
+
+
+def _generate(prefix: str, sources: Dict[str, List[str]]
+              ) -> Dict[str, Callable]:
+    """Compile ``{op: lines defining <prefix><op>}`` as one module."""
+    namespace = dict(HELPERS)
+    source = "\n".join(line for lines in sources.values() for line in lines)
+    exec(compile(source + "\n", FILENAME, "exec"), namespace)
+    return {op: namespace[prefix + op] for op in sources}
+
+
+#: ``{opcode: handler}``; a handler executes one instruction on ``ctx``,
+#: including its PC update and observer notification, and returns
+#: ``(memory address or None, branch taken or None)``
+STEP_HANDLERS = _generate("step_", {
+    op: [f"def step_{op}(m, ctx, i, pc):"] + _indent(_body(op, "step"))
+    for op in SEMANTICS})
+
+
+@functools.lru_cache(maxsize=None)
+def thunk_factories(form: str) -> Dict[str, Callable]:
+    """``{opcode: factory}`` of thunk ``form`` (``"plain"`` or
+    ``"observed"``), compiled on first use.
+
+    ``factory(instruction, pc, *env)`` returns the instruction's thunk:
+    ``thunk(ctx)`` applies the effect and returns the next PC, never
+    touching ``ctx.pc``.  ``env`` binds, in order, the machine (which
+    the checked memory fallback goes through), its memory, the memory's
+    limit, its words dict's ``get``, the words dict, the output buffer's
+    ``append``, and the ``on_instruction`` / ``on_load`` / ``on_store`` /
+    ``on_branch`` hook tuples.  An observed thunk calls its kind's hooks
+    with ``step()``'s arguments, then the ``on_instruction`` hooks.
+    """
+    return _generate(f"make_{form}_", {
+        op: [f"def make_{form}_{op}(i, pc, {', '.join(_ENV)}):",
+             "    a, b, c, target, nxt = i.a, i.b, i.c, i.target, pc + 1",
+             f"    def {form}_{op}(ctx):",
+             *_indent(_body(op, form), 2),
+             f"    return {form}_{op}"]
+        for op in SEMANTICS})
+
+
+@functools.lru_cache(maxsize=None)
+def _value_functions() -> Dict[str, Callable]:
+    functions = {}
+    for op, sem in SEMANTICS.items():
+        if sem.kind == ALU:
+            slots = operands(op, str, Src)
+            params = ", ".join(slot for slot in slots if slot != "a")
+            functions[op] = [f"def value_{op}({params}):",
+                             f"    return {sem.effect.format(**slots)}"]
+    return _generate("value_", functions)
+
+
+def evaluate(op: str, values) -> object:
+    """The value ALU opcode ``op`` writes, given its ``b``/``c`` operand
+    values; raises whatever the instruction would fault with."""
+    return _value_functions()[op](*values)

@@ -8,7 +8,11 @@ lowers each into one Python function built with ``compile``/``exec``.
 Inside a block, registers live in Python locals, ALU ops are inline
 expressions, and memory accesses go straight at the machine's words dict
 behind the same in-range-exact-``int`` guard the closure thunks use —
-with load/store counters batched per block instead of per access.
+with load/store counters batched per block instead of per access.  Each
+instruction's source comes from its template in
+:mod:`repro.machine.semantics`, as the thunks' and step handlers' does;
+this module adds only block formation and the exit and fault
+accounting.
 
 Block formation
 ---------------
@@ -73,14 +77,16 @@ import time
 import weakref
 from typing import Dict, List, Optional, Tuple
 
+from repro.isa.instructions import operand_roles
 from repro.isa.program import Program
-from repro.machine.machine import ENGINE_OPCODES
+from repro.machine.semantics import (ALU, BRANCH, ENGINE_OPCODES, HELPERS,
+                                     LOAD, SEMANTICS, STORE, ExactInt, Src,
+                                     access, operands)
 
 #: conditional branches (compiled as block exits, internal diamonds, or
 #: loop back-edges) and ``jmp`` (a block's final edge)
 TERMINATOR_OPCODES = frozenset(
-    ["beq", "bne", "blt", "ble", "bgt", "bge", "beqz", "bnez", "jmp"]
-)
+    op for op, sem in SEMANTICS.items() if sem.kind == BRANCH) | {"jmp"}
 
 #: ops that never enter a block: they stay on the closure-thunk path
 #: because they touch the call stack, the DTT engine, or context state
@@ -102,41 +108,13 @@ MIN_LOOP_LENGTH = 2
 #: codegen stops extending a block past this many instructions
 MAX_BLOCK_LENGTH = 256
 
-_CMP = {
-    "beq": "==", "bne": "!=", "blt": "<", "ble": "<=",
-    "bgt": ">", "bge": ">=",
-}
-
-#: ops with inline int-coercion codegen:  int(b) <op> int(c)
-_INT_BIN = {"and_": "&", "or_": "|", "xor": "^", "shl": "<<", "shr": ">>"}
-_INT_BIN_IMM = {"andi": "&", "ori": "|", "xori": "^",
-                "shli": "<<", "shri": ">>"}
-
-#: ops with inline float-coercion codegen:  float(b) <op> float(c)
-_FLOAT_BIN = {"fadd": "+", "fsub": "-", "fmul": "*"}
-
-#: plain arithmetic (still fault-capable: huge int + float overflows)
-_NUM_BIN = {"add": "+", "sub": "-", "mul": "*"}
-_NUM_BIN_IMM = {"addi": "+", "subi": "-", "muli": "*"}
-
-#: comparison-producing ops (provably fault-free on numbers)
-_SETCC = {"slt": "<", "sle": "<=", "sgt": ">", "sge": ">=",
-          "seq": "==", "sne": "!="}
-_SETCC_IMM = {"slti": "<", "sgti": ">", "seqi": "=="}
-
 #: everything the code generator can lower (anything else bounds a block)
-COMPILABLE_OPCODES = frozenset(
-    ["li", "mov", "nop", "out", "ld", "ldx", "st", "stx",
-     "idiv", "imod", "fdiv", "fsqrt", "fabs", "fneg", "itof", "ftoi"]
-) | TERMINATOR_OPCODES | set(_INT_BIN) | set(_INT_BIN_IMM) \
-  | set(_FLOAT_BIN) | set(_NUM_BIN) | set(_NUM_BIN_IMM) \
-  | set(_SETCC) | set(_SETCC_IMM)
+COMPILABLE_OPCODES = frozenset(SEMANTICS) - BOUNDARY_OPCODES
 
 #: compilable ops that can never raise on int/float operands; everything
 #: else gets a ``_k`` position marker for the fault-reconciliation path
 _SAFE_OPCODES = frozenset(
-    ["li", "mov", "nop", "out"]
-) | TERMINATOR_OPCODES | set(_SETCC) | set(_SETCC_IMM)
+    op for op in COMPILABLE_OPCODES if not SEMANTICS[op].faults)
 
 # -- process-wide code cache ---------------------------------------------------
 
@@ -301,43 +279,6 @@ def _lit(value, consts: Dict[str, object]) -> str:
     return name
 
 
-def _reg_uses(ins) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """(read registers, written registers) of one compilable instruction."""
-    op = ins.op
-    if op == "li":
-        return (), (ins.a,)
-    if op == "mov":
-        return (ins.b,), (ins.a,)
-    if op in ("nop", "jmp"):
-        return (), ()
-    if op in ("out", "beqz", "bnez"):
-        return (ins.a,), ()
-    if op in _CMP:
-        return (ins.a, ins.b), ()
-    if op == "ld":
-        return (ins.b,), (ins.a,)
-    if op == "ldx":
-        return (ins.b, ins.c), (ins.a,)
-    if op == "st":
-        return (ins.a, ins.b), ()
-    if op == "stx":
-        return (ins.a, ins.b, ins.c), ()
-    if op in _NUM_BIN or op in _INT_BIN or op in _FLOAT_BIN \
-            or op in _SETCC or op in ("idiv", "imod", "fdiv"):
-        return (ins.b, ins.c), (ins.a,)
-    # remaining two-operand forms: rri ALU and rr unary ALU
-    return (ins.b,), (ins.a,)
-
-
-def _branch_condition(ins) -> str:
-    op = ins.op
-    if op == "beqz":
-        return f"r{ins.a} == 0"
-    if op == "bnez":
-        return f"r{ins.a} != 0"
-    return f"r{ins.a} {_CMP[op]} r{ins.b}"
-
-
 class _BlockGen:
     """Source generator for one superblock."""
 
@@ -351,9 +292,10 @@ class _BlockGen:
         read: set = set()
         written: set = set()
         for ins in self.body:
-            r, w = _reg_uses(ins)
-            read.update(r)
-            written.update(w)
+            dest, sources = operand_roles(ins.op)
+            read.update(getattr(ins, slot) for slot in sources)
+            if dest is not None:
+                written.add(getattr(ins, dest))
         self.regs = sorted(read | written)
         self.written = sorted(written)
         #: loads/stores at positions < j, assuming the straight-line path
@@ -487,73 +429,31 @@ class _BlockGen:
 
     # -- per-instruction emitters --------------------------------------------
 
+    def _operands(self, ins) -> Dict[str, Src]:
+        """Template operands: registers are locals, immediates literals."""
+        def immediate(slot):
+            value = getattr(ins, slot)
+            source = _lit(value, self.consts)
+            return ExactInt(source) if value.__class__ is int else Src(source)
+
+        return operands(ins.op, lambda slot: f"r{getattr(ins, slot)}",
+                        immediate)
+
     def _emit_plain(self, j: int, ins) -> List[str]:
-        op = ins.op
+        sem = SEMANTICS[ins.op]
         lines: List[str] = []
-        if self.marked and op not in _SAFE_OPCODES:
+        if self.marked and sem.faults:
             lines.append(f"_k = {j}")
-        a, b, c = ins.a, ins.b, ins.c
-        lit = lambda v: _lit(v, self.consts)  # noqa: E731
-        if op == "li":
-            lines.append(f"r{a} = {lit(b)}")
-        elif op == "mov":
-            lines.append(f"r{a} = r{b}")
-        elif op in _NUM_BIN:
-            lines.append(f"r{a} = r{b} {_NUM_BIN[op]} r{c}")
-        elif op in _NUM_BIN_IMM:
-            lines.append(f"r{a} = r{b} {_NUM_BIN_IMM[op]} {lit(c)}")
-        elif op in _SETCC:
-            lines.append(f"r{a} = 1 if r{b} {_SETCC[op]} r{c} else 0")
-        elif op in _SETCC_IMM:
-            lines.append(f"r{a} = 1 if r{b} {_SETCC_IMM[op]} {lit(c)} else 0")
-        elif op in _INT_BIN:
-            lines.append(f"r{a} = int(r{b}) {_INT_BIN[op]} int(r{c})")
-        elif op in _INT_BIN_IMM:
-            # fold the immediate's int() coercion at codegen time when
-            # the result is exact (int/bool), matching the handler lambda
-            if c.__class__ in (int, bool):
-                imm = lit(int(c))
-            else:
-                imm = f"int({lit(c)})"
-            lines.append(f"r{a} = int(r{b}) {_INT_BIN_IMM[op]} {imm}")
-        elif op in _FLOAT_BIN:
-            lines.append(f"r{a} = float(r{b}) {_FLOAT_BIN[op]} float(r{c})")
-        elif op == "idiv":
-            lines.append(f"r{a} = _idiv(int(r{b}), int(r{c}))")
-        elif op == "imod":
-            lines.append(f"r{a} = int(r{b}) - _idiv(int(r{b}), int(r{c}))"
-                         f" * int(r{c})")
-        elif op == "fdiv":
-            lines.append(f"r{a} = _fdiv(r{b}, r{c})")
-        elif op == "fsqrt":
-            lines.append(f"r{a} = _fsqrt(r{b})")
-        elif op == "fabs":
-            lines.append(f"r{a} = abs(float(r{b}))")
-        elif op == "fneg":
-            lines.append(f"r{a} = -float(r{b})")
-        elif op == "itof":
-            lines.append(f"r{a} = float(r{b})")
-        elif op == "ftoi":
-            lines.append(f"r{a} = int(r{b})")
-        elif op == "out":
-            lines.append(f"_out(r{a})")
-        elif op == "nop":
-            pass
-        elif op in ("ld", "ldx", "st", "stx"):
-            address = (f"r{b} + {lit(c)}" if op in ("ld", "st")
-                       else f"r{b} + r{c}")
-            lines.append(f"_a = {address}")
-            lines.append("if _a.__class__ is int and 0 <= _a < _limit:")
-            if op in ("ld", "ldx"):
-                lines.append(f"    r{a} = _get(_a, 0)")
-            else:
-                lines.append(f"    _words[_a] = r{a}")
-            lines.append("else:")
-            lines.extend(
-                "    " + line
-                for line in self._exit_lines(j, str(-2 - (self.entry + j))))
-        else:  # pragma: no cover - formation admits only the ops above
-            raise AssertionError(f"unexpected opcode in superblock: {op}")
+        ops = self._operands(ins)
+        if sem.kind == ALU:
+            lines.append(f"{ops['a']} = {sem.effect.format(**ops)}")
+        elif sem.kind == LOAD or sem.kind == STORE:
+            # memory counters are batched per block: the fast path does
+            # not count, and a failed guard side-exits to the thunk
+            side_exit = self._exit_lines(j, str(-2 - (self.entry + j)))
+            lines.extend(access(sem, ops, side_exit, counted=False))
+        else:  # out, nop
+            lines.extend(sem.effect.format(out="_out", **ops).splitlines())
         return lines
 
     def _emit_range(self, out: List[str], indent: str,
@@ -595,7 +495,7 @@ class _BlockGen:
                     out.append(indent + line)
                 return
             if op in TERMINATOR_OPCODES:
-                cond = _branch_condition(ins)
+                cond = SEMANTICS[op].effect.format(**self._operands(ins))
                 target = ins.target
                 if target == entry and self.is_loop:
                     out.append(indent + f"if {cond}:")
@@ -616,7 +516,10 @@ class _BlockGen:
                         if not skip:
                             out.append(indent + "    pass")
                         out.append(indent + "else:")
+                        emitted = len(out)
                         self._emit_range(out, indent + "    ", j + 1, merge)
+                        if len(out) == emitted:  # the skipped range is nops
+                            out.append(indent + "    pass")
                     j = merge
                     continue
                 elif entry + hi < target <= entry + length \
@@ -753,13 +656,12 @@ def install(machine):
     against this machine's memory, output buffer, and cells — all bound
     by identity, which ``Machine.restore`` preserves.
     """
-    from repro.machine.machine import _fdiv, _fsqrt, _trunc_div
-
     compiled = compile_blocks(machine.program)
     cell = [0, 0]
     budget_cell = [0]
     memory = machine.memory
-    namespace = dict(compiled.consts)
+    namespace = dict(HELPERS)
+    namespace.update(compiled.consts)
     namespace.update(
         _mem=memory,
         _words=memory._words,
@@ -768,9 +670,6 @@ def install(machine):
         _out=machine.output.append,
         _cell=cell,
         _bc=budget_cell,
-        _idiv=_trunc_div,
-        _fdiv=_fdiv,
-        _fsqrt=_fsqrt,
     )
     exec(compiled.code, namespace)
     table = [None] * len(machine.program.instructions)

@@ -43,23 +43,29 @@ from typing import Dict, List, Optional
 from repro.obs.causality import (OUTCOME_CANCELED, OUTCOME_COMPLETED,
                                  CausalGraph)
 
-#: pstats frame label of an exec-compiled superblock function:
-#: ``<superblock>:<line>(sb_<entry_pc>)`` (or the module-level exec frame)
-_SB_FRAME = re.compile(r"<superblock>:\d+\((?:sb_)?([^)]+)\)")
+#: pstats frame label of generated code, ``<superblock>:<line>(sb_<pc>)``
+#: or ``<semantics>:<line>(<form>_<opcode>)``, or its module-level frame
+_GENERATED_FRAME = re.compile(
+    r"<(superblock|semantics)>:\d+\("
+    r"(?:sb_|(?:make_)?(?:step|plain|observed|value)_)?([^)]+)\)")
+_FOLDED_PREFIX = {"superblock": "sb", "semantics": "op"}
 
 
 def fold_superblock_frames(text: str) -> str:
-    """Rewrite exec-compiled superblock frames to ``sb:<entry_pc>``.
+    """Rewrite exec-compiled frames to ``sb:<entry_pc>`` / ``op:<opcode>``.
 
-    ``cProfile`` labels the superblock compiler's block functions
-    with their synthetic filename and generated names —
-    ``<superblock>:41(sb_18)`` — which reads as opaque exec'd code.
-    Fold each to the program-level site name ``sb:<entry_pc>`` (and the
-    shared-module exec frame to ``sb:<module>``) so profile reports
-    attribute time to superblock entry PCs, same vocabulary as
-    ``form_blocks``/``cache_stats``.
+    ``cProfile`` labels generated code with its synthetic filename and
+    generated names — ``<superblock>:41(sb_18)``,
+    ``<semantics>:90(plain_add)`` — which reads as opaque exec'd code.
+    Fold a superblock to the program-level site name ``sb:<entry_pc>``
+    (same vocabulary as ``form_blocks``/``cache_stats``), and a step
+    handler or thunk of :mod:`repro.machine.semantics` to its opcode,
+    ``op:<opcode>``, so the ops do not pool into one row per source
+    line.  Module-level exec frames fold to ``sb:<module>`` /
+    ``op:<module>``.
     """
-    return _SB_FRAME.sub(lambda m: f"sb:{m.group(1)}", text)
+    return _GENERATED_FRAME.sub(
+        lambda m: f"{_FOLDED_PREFIX[m.group(1)]}:{m.group(2)}", text)
 
 
 def attribute_cycles(workload: str, graph: CausalGraph, total_cycles: int,

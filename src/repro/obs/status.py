@@ -1,11 +1,10 @@
 """Live run telemetry: an atomic JSON heartbeat for in-flight runs.
 
-A full-suite traced run (or, per ROADMAP item 3, a future distributed
-submission) can take minutes with no output between experiments.  A
-:class:`StatusFile` makes the run observable *while it happens*: the
-harness passes ``--status-file status.json`` and any other process —
-``watch cat``, a dashboard, the coordinating service — reads a complete,
-never-torn JSON snapshot of where the run is.
+A full-suite traced run can take minutes with no output between
+experiments.  A :class:`StatusFile` makes the run observable *while it
+happens*: the harness passes ``--status-file status.json`` and any other
+process — ``watch cat``, a dashboard, the coordinating service — reads a
+complete, never-torn JSON snapshot of where the run is.
 
 Integrity comes from :func:`repro.obs.ioutil.atomic_write_text`
 (tmpfile + fsync + ``os.replace``): a reader sees either the previous

@@ -18,7 +18,7 @@ Counterexamples found by hypothesis are committed to
 ``tier_fuzz_corpus.json`` (one named plan per historical divergence,
 plus hand-picked seeds for known-tricky shapes) and replayed here as
 plain regression cases, so shrunk repros outlive the fuzz run that
-found them.  ROADMAP item 5 grows from this harness.
+found them.
 
 A second differential family lives at the bottom of this file: random
 *DTT* programs (feeder ``tst`` + support thread + optional ``tcheck``)
@@ -46,6 +46,7 @@ from repro.core.engine import DttEngine
 from repro.core.registry import ThreadRegistry, TriggerSpec
 from repro.core.trace import EngineTrace
 from repro.isa.builder import ProgramBuilder
+from repro.isa.instructions import OPCODES, OpClass
 from repro.machine.context import ContextState
 from repro.machine.machine import Machine, run_to_completion
 from repro.timing.system import TimingSimulator
@@ -64,11 +65,21 @@ ARRAY = 16  # words of in-bounds scratch
 BASE_REG = 12  # holds the scratch base address
 MAX_INSTRUCTIONS = 50_000
 
-_ALU_OPS = ["add", "sub", "mul", "and_", "or_", "xor", "slt", "seq",
-            "idiv", "imod", "shl", "shr"]
-_ALUI_OPS = ["addi", "subi", "muli", "andi", "ori", "xori", "slti", "seqi"]
-_FALU_OPS = ["fadd", "fsub", "fmul", "fdiv"]
-_FUNARY_OPS = ["fsqrt", "fabs", "fneg", "itof", "ftoi"]
+_MEMORY = (OpClass.LOAD, OpClass.STORE, OpClass.TSTORE)
+
+
+def _ops(signature, op_class=None):
+    """Non-memory opcodes with ``signature`` (and ``op_class``)."""
+    return sorted(name for name, info in OPCODES.items()
+                  if info.signature == signature
+                  and info.op_class not in _MEMORY
+                  and (op_class is None or info.op_class is op_class))
+
+
+_ALU_OPS = _ops("RRR")  # integer and floating-point
+_ALUI_OPS = _ops("RRI")
+_FUNARY_OPS = _ops("RR")  # mov and the fp unary ops
+_CMP_BRANCH_OPS = _ops("RRL", OpClass.BRANCH)
 
 
 # -- plan lowering (shared by fuzz and corpus replay) --------------------------
@@ -118,6 +129,12 @@ def _lower_body(b, body, depth):
             skip = b.fresh_label("fuzzskip")
             b.beqz(item[1], skip)
             _lower_body(b, item[2], depth)
+            b.label(skip)
+        elif kind == "ifcmp":
+            # skip the body when a two-register branch is taken
+            skip = b.fresh_label("fuzzskip")
+            b.emit(item[1], item[2], item[3], label=skip)
+            _lower_body(b, item[4], depth)
             b.label(skip)
         elif kind == "jmpfwd":
             over = b.fresh_label("fuzzjmp")
@@ -231,6 +248,9 @@ def plan_body(depth):
             lambda t: ["loop", t[0], t[1]]),
         st.tuples(st.sampled_from(REGS), nested).map(
             lambda t: ["if", t[0], t[1]]),
+        st.tuples(st.sampled_from(_CMP_BRANCH_OPS), st.sampled_from(REGS),
+                  st.sampled_from(REGS), nested).map(
+            lambda t: ["ifcmp", *t]),
         nested.map(lambda body: ["jmpfwd", body]),
     )
     return st.lists(st.one_of(step, compound), min_size=1, max_size=8)

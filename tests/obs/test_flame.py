@@ -114,6 +114,43 @@ def test_fold_superblock_frames_matches_real_compiled_code():
     assert fold_superblock_frames(label) == f"sb:{entry}"
 
 
+def test_fold_names_the_opcode_of_generated_handlers_and_thunks():
+    # profile a run that goes through the step handlers and both thunk
+    # forms; every generated frame must fold to its opcode
+    import cProfile
+    import io
+    import pstats
+
+    from repro.machine.events import MachineObserver
+    from repro.machine.machine import Machine, run_to_completion
+    from repro.machine.semantics import FILENAME
+    from repro.workloads.suite import SUITE
+
+    class Counter(MachineObserver):
+        def on_instruction(self, ctx, pc, instruction):
+            pass
+
+    workload = SUITE["mcf"]
+    program = workload.build_baseline(workload.make_input())
+    profiler = cProfile.Profile()
+    profiler.enable()
+    machine = Machine(program)
+    machine.step(machine.main_context)
+    run_to_completion(machine)
+    observed = Machine(program)
+    observed.add_observer(Counter())
+    run_to_completion(observed)
+    profiler.disable()
+    buffer = io.StringIO()
+    pstats.Stats(profiler, stream=buffer).print_stats()
+    report = buffer.getvalue()
+    assert FILENAME in report
+    folded = fold_superblock_frames(report)
+    assert FILENAME not in folded
+    for op in ("li", "add", "ldx"):
+        assert f"op:{op}\n" in folded
+
+
 def test_events_unit_trace_fabricates_no_main_band():
     """A trace with no cycle source measures latency in event counts;
     subtracting those from a cycle total would be nonsense."""
