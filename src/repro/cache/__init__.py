@@ -1,23 +1,17 @@
 """Cache-hierarchy substrate for the timing model.
 
-Parameterized set-associative caches (:mod:`repro.cache.cache`) with
-pluggable replacement policies (:mod:`repro.cache.policies`) compose into a
-CMP hierarchy (:mod:`repro.cache.hierarchy`): one L1D per core, a shared
-L2, and DRAM, with write-invalidate coherence between the private L1s.
+Set-associative LRU caches (:mod:`repro.cache.cache`) compose into a CMP
+hierarchy (:mod:`repro.cache.hierarchy`): one L1D per core, a shared L2,
+and DRAM, with write-invalidate coherence between the private L1s.
 Instruction fetch is modeled as ideal (the machine's program store is
 PC-indexed); this affects the paper's baseline and DTT configurations
 identically and is noted in DESIGN.md.
 """
 
-from repro.cache.policies import FifoPolicy, LruPolicy, RandomPolicy, make_policy
 from repro.cache.cache import Cache, CacheParams, CacheStats
 from repro.cache.hierarchy import CacheHierarchy, HierarchyParams
 
 __all__ = [
-    "FifoPolicy",
-    "LruPolicy",
-    "RandomPolicy",
-    "make_policy",
     "Cache",
     "CacheParams",
     "CacheStats",

@@ -8,9 +8,7 @@ hit/miss outcomes and writeback counts, not contents.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-from repro.cache.policies import ReplacementPolicy, make_policy
+from typing import Dict, List, Tuple
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -18,9 +16,9 @@ def _is_power_of_two(n: int) -> bool:
 
 
 class CacheParams:
-    """Geometry and policy of one cache."""
+    """Geometry of one cache."""
 
-    __slots__ = ("name", "num_lines", "associativity", "line_words", "policy")
+    __slots__ = ("name", "num_lines", "associativity", "line_words")
 
     def __init__(
         self,
@@ -28,7 +26,6 @@ class CacheParams:
         num_lines: int,
         associativity: int,
         line_words: int = 16,
-        policy: str = "lru",
     ):
         if not _is_power_of_two(line_words):
             raise ValueError(f"line_words must be a power of two, got {line_words}")
@@ -44,7 +41,6 @@ class CacheParams:
         self.num_lines = num_lines
         self.associativity = associativity
         self.line_words = line_words
-        self.policy = policy
 
     @property
     def num_sets(self) -> int:
@@ -57,8 +53,7 @@ class CacheParams:
     def __repr__(self) -> str:
         return (
             f"CacheParams({self.name!r}, lines={self.num_lines}, "
-            f"assoc={self.associativity}, line={self.line_words}w, "
-            f"{self.policy})"
+            f"assoc={self.associativity}, line={self.line_words}w)"
         )
 
 
@@ -101,31 +96,24 @@ class CacheStats:
 
 
 class Cache:
-    """Tag store of one cache level."""
+    """Tag store of one cache level, with LRU replacement.
 
-    def __init__(self, params: CacheParams,
-                 policy: Optional[ReplacementPolicy] = None):
+    Each set is a dict from resident tag to dirty bit, kept in recency
+    order: the least-recently used line first, the most-recently used
+    last.  A hit moves its tag to the end; a miss into a full set evicts
+    the first.
+    """
+
+    def __init__(self, params: CacheParams):
         self.params = params
-        self._policy = policy or make_policy(
-            params.policy, params.num_sets, params.associativity
-        )
         self._set_mask = params.num_sets - 1
         self._line_words = params.line_words
         self._tag_shift = self._set_mask.bit_length()
-        # per set: list of tags (None = invalid way)
-        self._tags: List[List[Optional[int]]] = [
-            [None] * params.associativity for _ in range(params.num_sets)
-        ]
-        self._dirty: List[List[bool]] = [
-            [False] * params.associativity for _ in range(params.num_sets)
+        self._associativity = params.associativity
+        self._sets: List[Dict[int, bool]] = [
+            {} for _ in range(params.num_sets)
         ]
         self.stats = CacheStats()
-
-    # -- address math ----------------------------------------------------------
-
-    def line_of(self, address: int) -> int:
-        """Line number (address with the offset bits stripped)."""
-        return address // self.params.line_words
 
     def _index_tag(self, address: int) -> Tuple[int, int]:
         line = address // self._line_words
@@ -140,40 +128,28 @@ class Cache:
         (hierarchy) charges the latency of the next level.
         """
         line = address // self._line_words  # _index_tag, inlined
-        set_index = line & self._set_mask
+        ways = self._sets[line & self._set_mask]
         tag = line >> self._tag_shift
-        tags = self._tags[set_index]
-        if tag in tags:
-            way = tags.index(tag)
+        dirty = ways.pop(tag, None)
+        if dirty is not None:
             self.stats.hits += 1
-            self._policy.on_access(set_index, way)
-            if is_write:
-                self._dirty[set_index][way] = True
+            ways[tag] = dirty or is_write  # now the most recently used
             return True
         self.stats.misses += 1
-        self._fill(set_index, tag, is_write)
+        self._fill(ways, tag, is_write)
         return False
 
-    def _fill(self, set_index: int, tag: int, is_write: bool) -> None:
-        tags = self._tags[set_index]
-        way = None
-        for candidate, existing in enumerate(tags):
-            if existing is None:
-                way = candidate
-                break
-        if way is None:
-            way = self._policy.victim(set_index)
+    def _fill(self, ways: Dict[int, bool], tag: int, is_write: bool) -> None:
+        if len(ways) == self._associativity:
             self.stats.evictions += 1
-            if self._dirty[set_index][way]:
+            if ways.pop(next(iter(ways))):  # the least recently used
                 self.stats.writebacks += 1
-        tags[way] = tag
-        self._dirty[set_index][way] = is_write
-        self._policy.on_access(set_index, way)
+        ways[tag] = is_write
 
     def contains(self, address: int) -> bool:
         """Tag-only probe (no stats, no state change)."""
         set_index, tag = self._index_tag(address)
-        return tag in self._tags[set_index]
+        return tag in self._sets[set_index]
 
     def invalidate(self, address: int) -> bool:
         """Drop the line holding ``address`` if present (coherence).
@@ -182,33 +158,17 @@ class Cache:
         counts a writeback (the data must reach the shared level).
         """
         set_index, tag = self._index_tag(address)
-        tags = self._tags[set_index]
-        for way, existing in enumerate(tags):
-            if existing == tag:
-                if self._dirty[set_index][way]:
-                    self.stats.writebacks += 1
-                tags[way] = None
-                self._dirty[set_index][way] = False
-                self.stats.invalidations += 1
-                return True
-        return False
-
-    def flush(self) -> None:
-        """Invalidate everything and reset policy metadata (not stats)."""
-        for set_index in range(self.params.num_sets):
-            for way in range(self.params.associativity):
-                self._tags[set_index][way] = None
-                self._dirty[set_index][way] = False
-        self._policy.reset()
+        dirty = self._sets[set_index].pop(tag, None)
+        if dirty is None:
+            return False
+        if dirty:
+            self.stats.writebacks += 1
+        self.stats.invalidations += 1
+        return True
 
     def resident_lines(self) -> int:
         """Number of valid lines currently held (for invariant tests)."""
-        return sum(
-            1
-            for ways in self._tags
-            for tag in ways
-            if tag is not None
-        )
+        return sum(len(ways) for ways in self._sets)
 
     def __repr__(self) -> str:
         return f"Cache({self.params.name!r}, {self.stats!r})"

@@ -37,7 +37,6 @@ class HierarchyParams:
         "l2_associativity",
         "l2_latency",
         "memory_latency",
-        "policy",
     )
 
     def __init__(
@@ -50,7 +49,6 @@ class HierarchyParams:
         l2_associativity: int = 8,
         l2_latency: int = 12,
         memory_latency: int = 200,
-        policy: str = "lru",
     ):
         self.line_words = line_words
         self.l1_lines = l1_lines
@@ -60,7 +58,6 @@ class HierarchyParams:
         self.l2_associativity = l2_associativity
         self.l2_latency = l2_latency
         self.memory_latency = memory_latency
-        self.policy = policy
 
     def __repr__(self) -> str:
         return (
@@ -85,58 +82,16 @@ class CacheHierarchy:
                     p.l1_lines,
                     p.l1_associativity,
                     p.line_words,
-                    p.policy,
                 )
             )
             for core in range(num_cores)
         ]
         self.l2 = Cache(
-            CacheParams("L2", p.l2_lines, p.l2_associativity, p.line_words, p.policy)
+            CacheParams("L2", p.l2_lines, p.l2_associativity, p.line_words)
         )
         self.num_cores = num_cores
         self.dram_accesses = 0
         self.coherence_invalidations = 0
-        #: optional per-core L1 instruction caches (see enable_icache)
-        self.l1i: List[Cache] = []
-
-    #: instruction addresses are mapped into a region disjoint from data
-    #: (data layout starts near 0 and stays tiny) so code and data can
-    #: share the L2 without aliasing
-    ICODE_BASE = 1 << 28
-
-    def enable_icache(self, lines: int = 64, associativity: int = 2) -> None:
-        """Create per-core L1 instruction caches (off by default).
-
-        Instruction fetch is normally modeled as ideal — the paper-shape
-        results do not depend on it and it affects baseline and DTT builds
-        alike — but the knob exists for sensitivity studies.
-        """
-        p = self.params
-        self.l1i = [
-            Cache(
-                CacheParams(
-                    f"L1I.core{core}", lines, associativity,
-                    p.line_words, p.policy,
-                )
-            )
-            for core in range(self.num_cores)
-        ]
-
-    def fetch(self, core_id: int, pc: int) -> int:
-        """Instruction fetch through the I-cache; returns latency.
-
-        Requires :meth:`enable_icache`.  Code misses refill through the
-        shared L2 (which then holds code lines alongside data lines).
-        """
-        p = self.params
-        address = self.ICODE_BASE + pc
-        latency = p.l1_latency
-        if not self.l1i[core_id].access(address, False):
-            latency += p.l2_latency
-            if not self.l2.access(address, False):
-                latency += p.memory_latency
-                self.dram_accesses += 1
-        return latency
 
     def access(self, core_id: int, address: int, is_write: bool) -> int:
         """Perform one data access; returns its latency in cycles."""
@@ -159,8 +114,6 @@ class CacheHierarchy:
     def level_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-cache stat dictionaries, keyed by cache name."""
         stats = {cache.params.name: cache.stats.as_dict() for cache in self.l1}
-        for cache in self.l1i:
-            stats[cache.params.name] = cache.stats.as_dict()
         stats["L2"] = self.l2.stats.as_dict()
         stats["DRAM"] = {"accesses": self.dram_accesses}
         return stats
@@ -172,14 +125,6 @@ class CacheHierarchy:
     def total_l1_misses(self) -> int:
         """Data misses summed across every core's L1D."""
         return sum(cache.stats.misses for cache in self.l1)
-
-    def flush(self) -> None:
-        """Flush every level (stats preserved)."""
-        for cache in self.l1:
-            cache.flush()
-        for cache in self.l1i:
-            cache.flush()
-        self.l2.flush()
 
     def __repr__(self) -> str:
         return (

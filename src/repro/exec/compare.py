@@ -77,7 +77,7 @@ class ResultSet:
                  cells: Dict[str, Dict[str, float]],
                  checks: Optional[Dict[str, bool]] = None):
         self.source = source
-        self.kind = kind  # 'store' | 'results' | 'manifest'
+        self.kind = kind  # 'store' | 'results' | 'manifest' | 'bench'
         self.cells = cells
         self.checks = checks or {}
 
@@ -192,15 +192,29 @@ def load_result_set(path: str) -> ResultSet:
             data = json.load(handle)
     except (OSError, ValueError) as error:
         raise CompareError(f"cannot read {path!r}: {error}") from error
+    result_set = payload_result_set(data, path)
+    if result_set is None:
+        raise CompareError(
+            f"{path!r} is neither a results list, a run manifest, nor an "
+            "interpreter benchmark file")
+    return result_set
+
+
+def payload_result_set(data, source: str) -> Optional[ResultSet]:
+    """The result set of one decoded JSON payload, by its format.
+
+    A list is a ``run --json`` results list, a dict whose ``kind``
+    starts with ``bench`` a benchmark file, and a dict with
+    ``phase_seconds`` a run manifest.  Returns None for anything else.
+    """
     if isinstance(data, list):
-        return _load_results(path, data)
-    if isinstance(data, dict) and str(data.get("kind", "")).startswith("bench"):
-        return _load_bench(path, data)
-    if isinstance(data, dict) and "phase_seconds" in data:
-        return _load_manifest(path, data)
-    raise CompareError(
-        f"{path!r} is neither a results list, a run manifest, nor an "
-        "interpreter benchmark file")
+        return _load_results(source, data)
+    if isinstance(data, dict):
+        if str(data.get("kind", "")).startswith("bench"):
+            return _load_bench(source, data)
+        if "phase_seconds" in data:
+            return _load_manifest(source, data)
+    return None
 
 
 def _load_store(path: str) -> ResultSet:

@@ -140,33 +140,28 @@ def record_from_payload(data, source: str = "",
     compare loader extracts, and its kind is the bench ``kind`` (or
     ``manifest`` / ``results``).
     """
-    # the compare loaders are the single source of truth for which
-    # numeric cells a payload carries; import lazily (compare pulls in
-    # the exec layer)
+    # compare detects the payload's format and is the single source of
+    # truth for which numeric cells it carries; import lazily (compare
+    # pulls in the exec layer)
     from repro.exec import compare as _compare
 
+    result_set = _compare.payload_result_set(data, source or "<payload>")
+    if result_set is None:
+        raise HistoryError(
+            f"{source or 'payload'} is neither a bench file, a run "
+            "manifest, nor a results list — nothing to append")
+    kind = result_set.kind
     meta: Dict = {}
-    if isinstance(data, list):
-        result_set = _compare._load_results(source or "<results>", data)
-        kind = "results"
-    elif isinstance(data, dict) and str(data.get("kind", "")
-                                        ).startswith("bench"):
-        result_set = _compare._load_bench(source or "<bench>", data)
+    if kind == "bench":
         kind = str(data["kind"])
         for field in ("schema", "repeat", "config"):
             if field in data:
                 meta[field] = data[field]
-    elif isinstance(data, dict) and "phase_seconds" in data:
-        result_set = _compare._load_manifest(source or "<manifest>", data)
-        kind = "manifest"
+    elif kind == "manifest":
         if data.get("experiment"):
             meta["experiment"] = data["experiment"]
         if data.get("schema_version") is not None:
             meta["schema_version"] = data["schema_version"]
-    else:
-        raise HistoryError(
-            f"{source or 'payload'} is neither a bench file, a run "
-            "manifest, nor a results list — nothing to append")
     return make_record(kind, result_set.cells, source=source, meta=meta,
                        **provenance)
 

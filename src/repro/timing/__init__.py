@@ -3,8 +3,10 @@
 The timing model drives the functional machine one instruction at a time
 and charges cycles around it: shared per-core issue bandwidth across SMT
 contexts, per-class functional-unit latencies, cache-hierarchy latencies
-for memory operations, and branch-misprediction penalties from a gshare or
-bimodal predictor.  It is the substrate on which the paper's speedups are
+for memory operations, and branch-misprediction penalties from a gshare
+predictor, over LRU caches and ideal instruction fetch.  The named
+configurations of :mod:`repro.timing.params` differ only in core and
+context counts.  It is the substrate on which the paper's speedups are
 measured (simulated cycles, immune to host-interpreter overhead).
 
 It is deliberately *approximate* — an in-order issue model with hidden
@@ -15,7 +17,7 @@ DTT builds of the same kernel, which this model preserves (see DESIGN.md,
 """
 
 from repro.timing.params import CoreParams, SystemConfig, named_config
-from repro.timing.branch import BimodalPredictor, GsharePredictor, make_predictor
+from repro.timing.branch import BranchPredictor
 from repro.timing.core import SmtCore
 from repro.timing.stats import EnergyModel, TimingResult
 from repro.timing.system import TimingSimulator
@@ -24,9 +26,7 @@ __all__ = [
     "CoreParams",
     "SystemConfig",
     "named_config",
-    "BimodalPredictor",
-    "GsharePredictor",
-    "make_predictor",
+    "BranchPredictor",
     "SmtCore",
     "EnergyModel",
     "TimingResult",

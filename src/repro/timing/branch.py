@@ -1,105 +1,51 @@
-"""Branch predictors: bimodal and gshare.
+"""The branch predictor: gshare over 2-bit saturating counters.
 
-Both use 2-bit saturating counters.  The predictor charges nothing itself;
-the core model adds the misprediction penalty when ``predict`` disagrees
-with the architectural outcome.
+The predictor charges nothing itself; the core model adds the
+misprediction penalty when a prediction disagrees with the architectural
+outcome.
 """
 
 from __future__ import annotations
 
 from typing import List
 
+#: log2 of the number of counters
+TABLE_BITS = 12
+#: bits of global branch history XORed into the index
+HISTORY_BITS = 12
+_TABLE_MASK = (1 << TABLE_BITS) - 1
+_HISTORY_MASK = (1 << HISTORY_BITS) - 1
+
 
 class BranchPredictor:
-    """Interface plus shared accounting."""
+    """Global-history-XOR-PC indexed 2-bit counters (gshare)."""
 
     def __init__(self) -> None:
         self.lookups = 0
         self.mispredicts = 0
-
-    def predict(self, pc: int) -> bool:
-        """Predicted direction for the branch at ``pc``."""
-        raise NotImplementedError
-
-    def update(self, pc: int, taken: bool) -> None:
-        """Train on the architectural outcome of the branch at ``pc``."""
-        raise NotImplementedError
+        self._history = 0
+        # counters start weakly taken (2): loops predict taken early
+        self._counters: List[int] = [2] * (1 << TABLE_BITS)
 
     def predict_and_update(self, pc: int, taken: bool) -> bool:
-        """One-call wrapper: returns True if the prediction was correct."""
+        """Predict the branch at ``pc``, then train on its architectural
+        outcome ``taken``.  Returns True if the prediction was correct."""
         self.lookups += 1
-        correct = self.predict(pc) == taken
+        index = (pc ^ self._history) & _TABLE_MASK
+        counter = self._counters[index]
+        correct = (counter >= 2) == taken
         if not correct:
             self.mispredicts += 1
-        self.update(pc, taken)
+        if taken:
+            if counter < 3:
+                self._counters[index] = counter + 1
+            self._history = ((self._history << 1) | 1) & _HISTORY_MASK
+        else:
+            if counter > 0:
+                self._counters[index] = counter - 1
+            self._history = (self._history << 1) & _HISTORY_MASK
         return correct
 
     @property
     def accuracy(self) -> float:
         return 1.0 - self.mispredicts / self.lookups if self.lookups else 1.0
-
-
-class BimodalPredictor(BranchPredictor):
-    """Per-PC 2-bit saturating counters."""
-
-    def __init__(self, table_bits: int = 12):
-        super().__init__()
-        self.table_size = 1 << table_bits
-        self._mask = self.table_size - 1
-        # counters start weakly taken (2): loops predict taken early
-        self._counters: List[int] = [2] * self.table_size
-
-    def predict(self, pc: int) -> bool:
-        return self._counters[pc & self._mask] >= 2
-
-    def update(self, pc: int, taken: bool) -> None:
-        index = pc & self._mask
-        counter = self._counters[index]
-        if taken:
-            if counter < 3:
-                self._counters[index] = counter + 1
-        elif counter > 0:
-            self._counters[index] = counter - 1
-
-
-class GsharePredictor(BranchPredictor):
-    """Global-history-XOR-PC indexed 2-bit counters."""
-
-    def __init__(self, table_bits: int = 12, history_bits: int = 12):
-        super().__init__()
-        self.table_size = 1 << table_bits
-        self._mask = self.table_size - 1
-        self._history_mask = (1 << history_bits) - 1
-        self._history = 0
-        self._counters: List[int] = [2] * self.table_size
-
-    def _index(self, pc: int) -> int:
-        return (pc ^ self._history) & self._mask
-
-    def predict(self, pc: int) -> bool:
-        return self._counters[self._index(pc)] >= 2
-
-    def update(self, pc: int, taken: bool) -> None:
-        index = self._index(pc)
-        counter = self._counters[index]
-        if taken:
-            if counter < 3:
-                self._counters[index] = counter + 1
-        elif counter > 0:
-            self._counters[index] = counter - 1
-        self._history = ((self._history << 1) | (1 if taken else 0)) & (
-            self._history_mask
-        )
-
-
-_PREDICTORS = {"bimodal": BimodalPredictor, "gshare": GsharePredictor}
-
-
-def make_predictor(name: str) -> BranchPredictor:
-    """Construct a predictor by name ('bimodal' or 'gshare')."""
-    try:
-        return _PREDICTORS[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown predictor {name!r}; choose from {sorted(_PREDICTORS)}"
-        ) from None

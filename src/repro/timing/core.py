@@ -9,8 +9,10 @@ instruction executes it functionally via the machine and charges:
   pipelined (no stall), misses stall the context for the full latency;
 * for stores, cache state is updated (fills, coherence invalidations) but
   the context does not stall — an idealized store buffer;
-* for conditional branches, the misprediction penalty when the predictor
-  disagrees with the architectural outcome.
+* for conditional branches, the misprediction penalty when the gshare
+  predictor disagrees with the architectural outcome.
+
+Instruction fetch is ideal: no instruction pays a fetch latency.
 
 The round-robin pointer advances every cycle so no context is permanently
 favored — the ICOUNT-lite fairness that an SMT fetch policy provides.
@@ -86,9 +88,6 @@ class SmtCore:
         self.hierarchy = hierarchy
         self.predictor = predictor
         self.machine = machine
-        #: charge instruction-fetch latency through the hierarchy's
-        #: I-caches (requires hierarchy.enable_icache(); default off)
-        self.model_icache = False
         self._rotation = 0
         #: per-PC issue table, built once from the machine's decode
         self.table = issue_table(machine._decoded, params)
@@ -160,10 +159,6 @@ class SmtCore:
         elif kind == BRANCH:
             if not self.predictor.predict_and_update(pc, taken):
                 latency += self.params.mispredict_penalty
-        if self.model_icache:
-            fetch = self.hierarchy.fetch(self.core_id, pc)
-            if fetch > self.params.load_hide_latency and fetch > latency:
-                latency = fetch
         if latency > 1:
             ctx.busy_until = now + latency
 

@@ -76,7 +76,7 @@ class CoreParams:
 
 
 class SystemConfig:
-    """Whole-machine configuration: cores, contexts, caches, predictor."""
+    """Whole-machine configuration: cores, contexts, caches, cycle limit."""
 
     __slots__ = (
         "name",
@@ -84,9 +84,7 @@ class SystemConfig:
         "contexts_per_core",
         "core_params",
         "hierarchy_params",
-        "predictor",
         "max_cycles",
-        "model_icache",
     )
 
     def __init__(
@@ -96,9 +94,7 @@ class SystemConfig:
         contexts_per_core: int = 2,
         core_params: Optional[CoreParams] = None,
         hierarchy_params: Optional[HierarchyParams] = None,
-        predictor: str = "gshare",
         max_cycles: int = 200_000_000,
-        model_icache: bool = False,
     ):
         if num_cores < 1 or contexts_per_core < 1:
             raise ValueError("need at least one core and one context per core")
@@ -107,11 +103,7 @@ class SystemConfig:
         self.contexts_per_core = contexts_per_core
         self.core_params = core_params or CoreParams()
         self.hierarchy_params = hierarchy_params or HierarchyParams()
-        self.predictor = predictor
         self.max_cycles = max_cycles
-        #: model instruction fetch through per-core L1 I-caches; off by
-        #: default (ideal fetch affects baseline and DTT builds alike)
-        self.model_icache = model_icache
 
     @property
     def total_contexts(self) -> int:
@@ -126,7 +118,7 @@ class SystemConfig:
             "cores": str(self.num_cores),
             "SMT contexts / core": str(self.contexts_per_core),
             "issue width": str(core.issue_width),
-            "branch predictor": self.predictor,
+            "branch predictor": "gshare",
             "mispredict penalty": f"{core.mispredict_penalty} cycles",
             "int mul / div": (
                 f"{core.latency[OpClass.IMUL]} / {core.latency[OpClass.IDIV]} cycles"

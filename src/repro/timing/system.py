@@ -29,7 +29,7 @@ from repro.errors import ExecutionFault, ExecutionLimitExceeded, MachineError
 from repro.isa.program import Program
 from repro.machine.context import ContextRole, ContextState
 from repro.machine.machine import Machine
-from repro.timing.branch import make_predictor
+from repro.timing.branch import BranchPredictor
 from repro.timing.core import BRANCH, EXIT, LOAD, SmtCore
 from repro.timing.params import SystemConfig
 from repro.timing.stats import EnergyModel, TimingResult
@@ -51,7 +51,6 @@ class TimingSimulator:
         program: Program,
         config: Optional[SystemConfig] = None,
         engine: Optional[DttEngine] = None,
-        energy_model: Optional[EnergyModel] = None,
         max_instructions: int = 50_000_000,
         metrics=None,
     ):
@@ -79,9 +78,7 @@ class TimingSimulator:
         self.hierarchy = CacheHierarchy(
             self.config.num_cores, self.config.hierarchy_params
         )
-        if self.config.model_icache:
-            self.hierarchy.enable_icache()
-        self.predictor = make_predictor(self.config.predictor)
+        self.predictor = BranchPredictor()
         per_core = self.config.contexts_per_core
         self.cores = [
             SmtCore(
@@ -94,10 +91,6 @@ class TimingSimulator:
             )
             for core_id in range(self.config.num_cores)
         ]
-        if self.config.model_icache:
-            for core in self.cores:
-                core.model_icache = True
-        self.energy_model = energy_model or EnergyModel()
         self.now = 0
         #: simulated cycles and instructions of the iterations the solo
         #: run-ahead drove (see _run_solo)
@@ -113,7 +106,6 @@ class TimingSimulator:
         main = machine.main_context
         cores = self.cores
         spawn_latency = self.config.core_params.spawn_latency
-        self._icache = any(core.model_icache for core in cores)
 
         def charge_spawn(ctx):  # hoisted: one closure per run, not per cycle
             self._charge_spawn(ctx, spawn_latency)
@@ -151,10 +143,9 @@ class TimingSimulator:
         """The context the solo run-ahead may drive from this iteration on.
 
         That is the one RUNNING context when it is the only one
-        machine-wide, no core models instruction fetch, no machine
-        observer wants per-instruction callbacks, and at least one full
-        issue width of instructions is left before the dynamic limit.
-        Returns None otherwise.
+        machine-wide, no machine observer wants per-instruction callbacks,
+        and at least one full issue width of instructions is left before
+        the dynamic limit.  Returns None otherwise.
 
         The engine needs no condition of its own: ``dispatch_pending``
         has just run, so its queue is empty or no context is idle, and
@@ -162,7 +153,7 @@ class TimingSimulator:
         iteration the run-ahead drives would have dispatched nothing.
         """
         machine = self.machine
-        if self._icache or machine._observers:
+        if machine._observers:
             return None
         solo = None
         for ctx in machine.contexts:
@@ -399,7 +390,7 @@ class TimingSimulator:
 
     def _result(self) -> TimingResult:
         machine = self.machine
-        energy = self.energy_model.energy(
+        energy = EnergyModel().energy(
             machine.instructions_executed, self.hierarchy
         )
         if self.metrics is not None:

@@ -1,4 +1,5 @@
-"""Set-associative cache: geometry, hits/misses, dirty lines, invariants."""
+"""Set-associative cache: geometry, hits/misses, LRU order, dirty lines,
+invariants."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repro.cache.cache import Cache, CacheParams
 
 
-def small_cache(lines=8, assoc=2, line_words=4, policy="lru"):
-    return Cache(CacheParams("test", lines, assoc, line_words, policy))
+def small_cache(lines=8, assoc=2, line_words=4):
+    return Cache(CacheParams("test", lines, assoc, line_words))
 
 
 # -- geometry validation ------------------------------------------------------
@@ -70,6 +71,56 @@ def test_associativity_holds_conflicting_lines():
     assert c.stats.evictions == 0
 
 
+# -- LRU replacement -------------------------------------------------------------
+# one set of three ways, 4-word lines: addresses 0, 4, 8, 12 are lines 0-3
+
+
+def test_lru_evicts_least_recent():
+    c = small_cache(lines=3, assoc=3)
+    for address in (0, 4, 8):
+        c.access(address, False)
+    c.access(0, False)        # line 0 becomes most recent
+    c.access(12, False)       # evicts line 1, the least recent
+    assert c.stats.evictions == 1
+    assert not c.contains(4)
+    assert c.contains(0) and c.contains(8) and c.contains(12)
+
+
+def test_fill_uses_free_ways_before_evicting():
+    c = small_cache(lines=3, assoc=3)
+    c.access(0, False)
+    c.access(4, False)
+    c.invalidate(0)           # frees a way
+    c.access(8, False)
+    c.access(12, False)       # both fill free ways
+    assert c.stats.evictions == 0
+    assert c.resident_lines() == 3
+
+
+def test_refill_after_invalidate_is_most_recent():
+    c = small_cache(lines=3, assoc=3)
+    for address in (0, 4, 8):
+        c.access(address, False)
+    c.invalidate(0)
+    c.access(0, False)        # refilled: now the most recent
+    c.access(12, False)       # evicts line 1
+    assert c.contains(0)
+    assert not c.contains(4)
+
+
+def test_sets_are_independent():
+    c = small_cache(lines=4, assoc=2)  # 2 sets: even lines, odd lines
+    c.access(0, False)        # line 0, set 0
+    c.access(8, False)        # line 2, set 0
+    c.access(4, False)        # line 1, set 1
+    c.access(0, False)        # set 0: line 2 is now least recent
+    c.access(12, False)       # line 3, set 1: fills without evicting
+    assert c.stats.evictions == 0
+    c.access(16, False)       # line 4, set 0: evicts line 2, not line 1
+    assert not c.contains(8)
+    assert c.contains(0) and c.contains(4) and c.contains(12)
+
+
 def test_dirty_eviction_counts_writeback():
     c = small_cache(lines=4, assoc=1)
     c.access(0, True)     # write-allocate, dirty
@@ -120,15 +171,6 @@ def test_contains_is_side_effect_free():
     assert c.contains(0)
     assert not c.contains(100)
     assert c.stats.accesses == before
-
-
-def test_flush_empties_but_keeps_stats():
-    c = small_cache()
-    c.access(0, False)
-    c.flush()
-    assert c.resident_lines() == 0
-    assert c.stats.misses == 1
-    assert c.access(0, False) is False
 
 
 def test_stats_as_dict_and_miss_rate():

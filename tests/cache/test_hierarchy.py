@@ -86,13 +86,6 @@ def test_totals():
     assert h.total_l1_misses() == 2
 
 
-def test_flush_clears_all_levels():
-    h = CacheHierarchy(1, tiny_params())
-    h.access(0, 0, False)
-    h.flush()
-    assert h.access(0, 0, False) == 2 + 10 + 100
-
-
 def test_default_params_are_sane():
     params = HierarchyParams()
     assert params.l1_latency < params.l2_latency < params.memory_latency

@@ -88,3 +88,15 @@ def test_headline_results_match_goldens(runner):
         golden = json.loads((results_dir / f"{golden_name}.json").read_text())
         assert fresh["rows"] == golden["rows"], experiment_id
         assert fresh["headers"] == golden["headers"], experiment_id
+
+
+def test_run_plan_lists_exactly_the_runs_the_experiments_make(runner):
+    """``build_plan`` repeats each experiment's runner calls by hand; a run
+    it plans that no experiment makes, or one it misses, shows here.
+    After the tests above every run is a memo hit."""
+    from repro.exec.plan import build_plan
+
+    for experiment_id in sorted(EXPERIMENTS):
+        run_experiment(experiment_id, runner)
+    made = set(runner.cache_stats()["keys"])
+    assert made == set(build_plan(["all"]).canonical_names())

@@ -7,7 +7,7 @@ from repro.cache.hierarchy import CacheHierarchy, HierarchyParams
 from repro.isa.builder import ProgramBuilder
 from repro.machine.context import ContextState
 from repro.machine.machine import Machine
-from repro.timing.branch import make_predictor
+from repro.timing.branch import BranchPredictor
 from repro.timing.core import SmtCore
 from repro.timing.params import CoreParams
 
@@ -16,7 +16,7 @@ def make_core(program, num_contexts=2, **core_kwargs):
     machine = Machine(program, num_contexts=num_contexts)
     hierarchy = CacheHierarchy(1, HierarchyParams())
     core = SmtCore(0, machine.contexts, CoreParams(**core_kwargs),
-                   hierarchy, make_predictor("gshare"), machine)
+                   hierarchy, BranchPredictor(), machine)
     return machine, core
 
 
@@ -114,7 +114,7 @@ def test_busy_cycles_counted():
 def test_requires_contexts():
     with pytest.raises(ValueError):
         SmtCore(0, [], CoreParams(), CacheHierarchy(1),
-                make_predictor("gshare"), None)
+                BranchPredictor(), None)
 
 
 # -- the cyclic scan issues exactly what the pass/offset loop issued ------------

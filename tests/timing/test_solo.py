@@ -215,15 +215,14 @@ def test_side_exit_kinds_are_exactly_the_engine_opcodes():
                                              "halt"}
 
 
-def test_observers_and_icache_keep_the_general_path():
+def test_observers_keep_the_general_path():
     program = loop_program()
     observed = TimingSimulator(program, named_config("smt2"))
     observed.machine.add_observer(MachineObserver())
-    icache = TimingSimulator(program, named_config("smt2", model_icache=True))
     plain = TimingSimulator(program, named_config("smt2"))
-    for sim in (observed, icache, plain):
+    for sim in (observed, plain):
         sim.run()
-    assert observed.solo_instructions == icache.solo_instructions == 0
+    assert observed.solo_instructions == 0
     assert observed.now == plain.now
     assert plain.solo_instructions == plain.machine.instructions_executed
 

@@ -6,9 +6,12 @@ from repro.core.engine import DttEngine
 from repro.core.registry import ThreadRegistry, TriggerSpec
 from repro.errors import ExecutionLimitExceeded, MachineError
 from repro.isa.builder import ProgramBuilder
+from repro.isa.instructions import OpClass
 from repro.timing.params import named_config
 from repro.timing.stats import EnergyModel
 from repro.timing.system import TimingSimulator
+from repro.workloads.overlap import OverlapWorkload
+from repro.workloads.suite import SUITE
 
 from tests.conftest import build_dtt_sum, expected_dtt_sum
 
@@ -162,9 +165,10 @@ def test_energy_model_composition():
     model = EnergyModel(per_instruction=1.0, per_l1_access=0.0,
                         per_l2_access=0.0, per_dram_access=0.0,
                         per_writeback=0.0)
-    result = TimingSimulator(straightline_program(10),
-                             energy_model=model).run()
-    assert result.energy == result.instructions
+    sim = TimingSimulator(straightline_program(10))
+    result = sim.run()
+    assert model.energy(result.instructions, sim.hierarchy) == result.instructions
+    assert EnergyModel().energy(result.instructions, sim.hierarchy) == result.energy
 
 
 def test_speedup_over():
@@ -180,3 +184,36 @@ def test_as_dict_round_trips_key_fields():
     assert d["cycles"] == result.cycles
     assert d["instructions"] == result.instructions
     assert d["engine"] is None
+
+
+# -- cache conservation on real timed runs -----------------------------------------
+
+_MEMORY_CLASSES = (OpClass.LOAD, OpClass.STORE, OpClass.TSTORE)
+
+
+@pytest.mark.parametrize("kind", ["baseline", "dtt"])
+@pytest.mark.parametrize("config_name", ["smt2", "smt4", "cmp2", "serial"])
+@pytest.mark.parametrize("workload_name", ["art", "twolf", "overlap"])
+def test_cache_traffic_is_conserved(workload_name, config_name, kind):
+    """Every miss goes one level down and every memory instruction
+    probes its core's L1D exactly once, on every configuration."""
+    workload = (OverlapWorkload() if workload_name == "overlap"
+                else SUITE[workload_name])
+    inp = workload.make_input()
+    if kind == "baseline":
+        sim = TimingSimulator(workload.build_baseline(inp),
+                              named_config(config_name))
+    else:
+        build = workload.build_dtt(inp)
+        sim = TimingSimulator(build.program, named_config(config_name),
+                              engine=build.engine(deferred=True))
+    result = sim.run()
+    hierarchy = sim.hierarchy
+    l1 = [cache.stats for cache in hierarchy.l1]
+    memory_ops = sum(core.class_counts[cls] for core in sim.cores
+                     for cls in _MEMORY_CLASSES)
+    assert memory_ops > 0
+    assert hierarchy.l2.stats.accesses == sum(s.misses for s in l1)
+    assert result.dram_accesses == hierarchy.l2.stats.misses
+    assert sum(s.accesses for s in l1) == memory_ops
+    assert result.coherence_invalidations == sum(s.invalidations for s in l1)
