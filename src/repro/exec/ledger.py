@@ -103,13 +103,23 @@ def entry_of(simulator: TimingSimulator, result: TimingResult) -> Dict:
 
 
 def build_ledger(specs: Optional[Iterable[RunSpec]] = None,
-                 progress=None) -> Dict:
-    """Simulate ``specs`` (default: :func:`ledger_specs`) into a ledger."""
+                 progress=None, coverage: Optional[Dict] = None) -> Dict:
+    """Simulate ``specs`` (default: :func:`ledger_specs`) into a ledger.
+
+    ``coverage``, if given, accumulates the runs' ``solo_instructions``
+    and ``compiled_instructions`` (instructions the solo run-ahead
+    retired, and those of them retired inside compiled blocks).
+    """
     runs = {}
     for spec in (ledger_specs() if specs is None else specs):
         if progress is not None:
             progress(spec.canonical())
-        runs[spec.canonical()] = entry_of(*simulate(spec))
+        simulator, result = simulate(spec)
+        runs[spec.canonical()] = entry_of(simulator, result)
+        if coverage is not None:
+            for key in ("solo_instructions", "compiled_instructions"):
+                coverage[key] = (coverage.get(key, 0)
+                                 + getattr(simulator, key))
     return {"schema": LEDGER_SCHEMA, "runs": runs}
 
 

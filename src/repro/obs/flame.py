@@ -43,12 +43,13 @@ from typing import Dict, List, Optional
 from repro.obs.causality import (OUTCOME_CANCELED, OUTCOME_COMPLETED,
                                  CausalGraph)
 
-#: pstats frame label of generated code, ``<superblock>:<line>(sb_<pc>)``
-#: or ``<semantics>:<line>(<form>_<opcode>)``, or its module-level frame
+#: pstats frame label of generated code, ``<superblock>:<line>(sb_<pc>)``,
+#: ``<timed>:<line>(tb_<pc>)`` or ``<semantics>:<line>(<form>_<opcode>)``,
+#: or its module-level frame
 _GENERATED_FRAME = re.compile(
-    r"<(superblock|semantics)>:\d+\("
-    r"(?:sb_|(?:make_)?(?:step|plain|observed|value)_)?([^)]+)\)")
-_FOLDED_PREFIX = {"superblock": "sb", "semantics": "op"}
+    r"<(superblock|timed|semantics)>:\d+\("
+    r"(?:sb_|tb_|(?:make_)?(?:step|plain|observed|value)_)?([^)]+)\)")
+_FOLDED_PREFIX = {"superblock": "sb", "timed": "tb", "semantics": "op"}
 
 
 def fold_superblock_frames(text: str) -> str:
@@ -58,7 +59,8 @@ def fold_superblock_frames(text: str) -> str:
     generated names — ``<superblock>:41(sb_18)``,
     ``<semantics>:90(plain_add)`` — which reads as opaque exec'd code.
     Fold a superblock to the program-level site name ``sb:<entry_pc>``
-    (same vocabulary as ``form_blocks``/``cache_stats``), and a step
+    (same vocabulary as ``form_blocks``/``cache_stats``), a timed hot
+    block of :mod:`repro.timing.blocks` to ``tb:<entry_pc>``, and a step
     handler or thunk of :mod:`repro.machine.semantics` to its opcode,
     ``op:<opcode>``, so the ops do not pool into one row per source
     line.  Module-level exec frames fold to ``sb:<module>`` /

@@ -39,7 +39,9 @@ from repro.timing.params import CoreParams
 #: instruction costs beyond its static latency.  Kinds at or above
 #: ``EXIT`` are the :data:`~repro.machine.machine.ENGINE_OPCODES`, on
 #: which the solo run-ahead hands the cycle back to the general scan.
-PLAIN, LOAD, BRANCH, STORE, EXIT, EXIT_STORE = range(6)
+#: ``ENTRY`` marks a hot-block entry; it appears only in the solo
+#: run-ahead's copy of the table (:class:`repro.timing.blocks.HotBlocks`).
+PLAIN, LOAD, BRANCH, STORE, EXIT, EXIT_STORE, ENTRY = range(7)
 
 #: op classes in ``class_counts`` order
 OP_CLASSES = tuple(OpClass)

@@ -13,8 +13,9 @@ While exactly one context is RUNNING machine-wide, whole iterations of
 that loop are a pure function of the context's instruction latencies, and
 the *solo run-ahead* (:meth:`TimingSimulator._run_solo`) drives them
 without the per-core scan or :meth:`Machine.step`, then reconciles every
-counter the loop would have changed.  It hands the cycle back to the
-general loop on the opcodes that touch the DTT engine
+counter the loop would have changed.  Code it reaches often runs as
+compiled hot blocks (:mod:`repro.timing.blocks`).  It hands the cycle
+back to the general loop on the opcodes that touch the DTT engine
 (:data:`~repro.machine.machine.ENGINE_OPCODES`); results are identical
 either way.
 """
@@ -29,8 +30,9 @@ from repro.errors import ExecutionFault, ExecutionLimitExceeded, MachineError
 from repro.isa.program import Program
 from repro.machine.context import ContextRole, ContextState
 from repro.machine.machine import Machine
+from repro.timing import blocks
 from repro.timing.branch import BranchPredictor
-from repro.timing.core import BRANCH, EXIT, LOAD, SmtCore
+from repro.timing.core import BRANCH, ENTRY, EXIT, LOAD, SmtCore
 from repro.timing.params import SystemConfig
 from repro.timing.stats import EnergyModel, TimingResult
 
@@ -96,6 +98,13 @@ class TimingSimulator:
         #: run-ahead drove (see _run_solo)
         self.solo_cycles = 0
         self.solo_instructions = 0
+        #: hot-block state per core id, for this run only (see _solo_body)
+        self._hot_blocks = {}
+        #: blocks compiled, seconds spent compiling them, and instructions
+        #: retired inside them
+        self.compiled_blocks = 0
+        self.compile_seconds = 0.0
+        self.compiled_instructions = 0
 
     # -- driving --------------------------------------------------------------------
 
@@ -110,18 +119,29 @@ class TimingSimulator:
         def charge_spawn(ctx):  # hoisted: one closure per run, not per cycle
             self._charge_spawn(ctx, spawn_latency)
 
-        while main.state is not ContextState.HALTED:
-            if engine is not None:
-                engine.dispatch_pending(on_dispatch=charge_spawn)
-            solo = self._solo_context()
-            if solo is not None:
-                self._run_solo(solo)
-                continue
-            issued = 0
-            for core in cores:
-                issued += core.cycle(self.now)
-            self._advance(issued)
+        try:
+            while main.state is not ContextState.HALTED:
+                if engine is not None:
+                    engine.dispatch_pending(on_dispatch=charge_spawn)
+                solo = self._solo_context()
+                if solo is not None:
+                    self._run_solo(solo)
+                    continue
+                issued = 0
+                for core in cores:
+                    issued += core.cycle(self.now)
+                self._advance(issued)
+        finally:
+            self._release_hot_blocks()
         return self._result()
+
+    def _release_hot_blocks(self) -> None:
+        """Tally and drop the run's compiled blocks and namespaces."""
+        for hot in self._hot_blocks.values():
+            self.compiled_blocks += hot.compiled
+            self.compile_seconds += hot.seconds
+            hot.release()
+        self._hot_blocks.clear()
 
     def _advance(self, issued: int) -> None:
         """Close one iteration: tick the clock, skip dead time, and
@@ -234,7 +254,10 @@ class TimingSimulator:
 
         Runs whole iterations until an engine opcode (``_SIDE_EXIT``,
         leaving the cycle unfinished), the cycle limit, a fault, or too
-        little instruction headroom for another full-width cycle.  It
+        little instruction headroom for another full-width cycle.  At a
+        block entry it has reached ``blocks.HOT_THRESHOLD`` times, it
+        compiles the block and from then on calls it, which advances
+        this loop's own state (see :mod:`repro.timing.blocks`).  It
         touches architectural state, the cache hierarchy, the predictor
         and the core's class tally; everything else it returns for
         :meth:`_run_solo` to reconcile::
@@ -244,7 +267,14 @@ class TimingSimulator:
              the exception of a fault or None)
         """
         machine = self.machine
-        table = core.table
+        hot_blocks = self._hot_blocks.get(core.core_id)
+        if hot_blocks is None:
+            hot_blocks = self._hot_blocks[core.core_id] = \
+                blocks.HotBlocks(self, core)
+        table = hot_blocks.table
+        hot = hot_blocks.hot
+        compile_block = hot_blocks.compile
+        cold = core.table
         tally = core.class_tally
         access = self.hierarchy.access
         predict = self.predictor.predict_and_update
@@ -259,7 +289,7 @@ class TimingSimulator:
         budget = machine.max_instructions - machine.instructions_executed - width
         now = self.now
         busy = ctx.busy_until
-        iterations = issuing = retired = k = 0
+        iterations = issuing = retired = k = compiled = 0
         reason = _HEADROOM
         error = None
         try:
@@ -285,8 +315,33 @@ class TimingSimulator:
                         reason = _OFF_END
                         break
                     if kind >= EXIT:
-                        reason = _SIDE_EXIT
-                        break
+                        if kind != ENTRY:
+                            reason = _SIDE_EXIT
+                            break
+                        block = hot[pc]
+                        if block.__class__ is int:
+                            if block > 1:
+                                hot[pc] = block - 1
+                                block = None
+                            else:
+                                block = hot[pc] = compile_block(pc)
+                        if block is not None:
+                            state = block(ctx, now, busy, k, retired,
+                                          iterations, issuing, budget)
+                            if state is not None:
+                                before = retired + k
+                                (now, busy, k, retired, iterations, issuing,
+                                 exit_kind) = state
+                                compiled += retired + k - before
+                                if exit_kind < blocks.GUARD:
+                                    continue
+                                if exit_kind == blocks.CYCLE_LIMIT:
+                                    reason = _CYCLE_LIMIT
+                                    break
+                                # a failed guard or a fault: the block
+                                # hands the instruction back to its handler
+                                pc = ctx.pc
+                        kind, latency, class_index, handler, ins = cold[pc]
                     address, taken = handler(machine, ctx, ins, pc)
                     tally[class_index] += 1
                     k += 1
@@ -316,6 +371,7 @@ class TimingSimulator:
         except Exception as exc:  # the faulting instruction is not retired
             reason = _FAULT
             error = exc
+        self.compiled_instructions += compiled
         partial = k if reason in (_SIDE_EXIT, _OFF_END, _FAULT) else None
         return (reason, now, iterations, issuing, retired + k, partial,
                 busy, error)
@@ -378,6 +434,15 @@ class TimingSimulator:
             "timing.solo_instructions": (
                 self.solo_instructions,
                 "instructions retired in solo run-ahead iterations"),
+            "timing.compiled_blocks": (
+                self.compiled_blocks,
+                "hot blocks the solo run-ahead compiled"),
+            "timing.compile_seconds": (
+                self.compile_seconds,
+                "host seconds spent compiling hot blocks"),
+            "timing.compiled_instructions": (
+                self.compiled_instructions,
+                "solo instructions retired inside compiled blocks"),
         }
         for name, (value, help_text) in gauges.items():
             registry.gauge(name, help_text).set(value)

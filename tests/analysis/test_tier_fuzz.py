@@ -29,8 +29,11 @@ for the construction that makes the analyzer exact on this family.
 
 The same two generators also drive ``TimingSimulator`` under every named
 machine configuration (the "solo run-ahead" section at the bottom): each
-program is timed with the solo run-ahead and with it patched out, and
-every result field, core counter, rotation and ``busy_until`` must match.
+program is timed as shipped, with every hot block compiled on first
+reach, and with the solo run-ahead patched out, and every result field,
+core counter, rotation and ``busy_until`` must match.
+``timing_fuzz_corpus.json`` holds one named plan per exit a compiled
+block can take, replayed the same three ways.
 """
 
 import json
@@ -52,7 +55,8 @@ from repro.machine.machine import Machine, run_to_completion
 from repro.timing.system import TimingSimulator
 
 from tests.conftest import RUN_PATHS, HookRecorder, build_dtt_sum
-from tests.timing.solo_diff import CONFIGS, assert_solo_exact, make_config
+from tests.timing.solo_diff import (CONFIGS, assert_solo_exact, make_config,
+                                   record_exits)
 
 CORPUS_PATH = Path(__file__).with_name("tier_fuzz_corpus.json")
 CORPUS = json.loads(CORPUS_PATH.read_text())
@@ -644,24 +648,52 @@ def test_dtt_corpus_covers_both_verdicts_and_every_race_code():
 # -- solo run-ahead vs the general issue loop (timing) -------------------------
 #
 # ``TimingSimulator.run`` drives iterations with one RUNNING context
-# through its solo run-ahead.  Both generators above are timed under
-# every named configuration (plus two 2-context cores) twice — as shipped,
-# and with ``_solo_context`` patched to never pick a context — and the
-# snapshots (tests/timing/solo_diff.py) must be identical.  The tier
-# plans are baseline programs (solo from start to halt, with faults);
-# the DTT plans add a trigger, a support thread that may run alone while
-# main blocks at its tcheck, and a treturn that wakes main mid-cycle.
+# through its solo run-ahead and its compiled hot blocks.  Both
+# generators above are timed under every named configuration (plus two
+# 2-context cores) three ways — as shipped, with every block entry
+# compiled on first reach, and with ``_solo_context`` patched to never
+# pick a context — and the snapshots (tests/timing/solo_diff.py) must be
+# identical.  The tier plans are baseline programs (solo from start to
+# halt, with faults); the DTT plans add a trigger, a support thread that
+# may run alone while main blocks at its tcheck, and a treturn that
+# wakes main mid-cycle.
 
-def assert_timing_solo_exact(program, spec=None):
+TIMING_CORPUS_PATH = Path(__file__).with_name("timing_fuzz_corpus.json")
+TIMING_CORPUS = json.loads(TIMING_CORPUS_PATH.read_text())
+
+
+def assert_timing_solo_exact(program, spec=None, hook=None,
+                             variant="shipped",
+                             max_instructions=MAX_INSTRUCTIONS,
+                             max_cycles=None):
+    """Time ``program`` three ways under every configuration; returns
+    the ``variant`` simulators."""
+    sims = []
+    overrides = {} if max_cycles is None else {"max_cycles": max_cycles}
     for config in CONFIGS:
         def make_sim(config=config):
             engine = (DttEngine(ThreadRegistry([spec]), deferred=True)
                       if spec is not None else None)
-            return TimingSimulator(program, make_config(config),
+            return TimingSimulator(program, make_config(config, **overrides),
                                    engine=engine,
-                                   max_instructions=MAX_INSTRUCTIONS)
+                                   max_instructions=max_instructions)
 
-        assert_solo_exact(make_sim, label=f"under {config}")
+        sims.append(assert_solo_exact(make_sim, hook=hook,
+                                      label=f"under {config}",
+                                      variant=variant)[0])
+    return sims
+
+
+def replay_timing_case(case, hook=None, variant="shipped"):
+    """Replay one ``timing_fuzz_corpus.json`` case three ways."""
+    if "dtt" in case:
+        program, spec = lower_dtt(case["dtt"])
+    else:
+        program, spec = lower(case["plan"]), None
+    return assert_timing_solo_exact(
+        program, spec, hook=hook, variant=variant,
+        max_instructions=case.get("max_instructions", MAX_INSTRUCTIONS),
+        max_cycles=case.get("max_cycles"))
 
 
 def _compose_timing_plan(pick, coin):
@@ -702,3 +734,25 @@ def test_timing_solo_sweep_is_exact():
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_corpus_case_times_identically_with_solo_run_ahead(name):
     assert_timing_solo_exact(lower(CORPUS[name]))
+
+
+@pytest.mark.parametrize("name", sorted(TIMING_CORPUS))
+def test_timing_corpus_case_is_exact_with_every_block_compiled(name):
+    replay_timing_case(TIMING_CORPUS[name])
+
+
+def test_timing_corpus_covers_every_block_exit():
+    """Each case takes the exit it is named for in a compiled block, and
+    together the cases take every exit kind (a looping call counts as a
+    ``back-edge``)."""
+    from repro.timing.blocks import EXIT_KINDS
+
+    seen = set()
+    for name, case in sorted(TIMING_CORPUS.items()):
+        exits = set()
+        for sim in replay_timing_case(case, hook=record_exits,
+                                      variant="compiled"):
+            exits.update(kind for kind, count in sim.exits.items() if count)
+        assert case["exit"] in exits, (name, sorted(exits))
+        seen |= exits
+    assert seen == set(EXIT_KINDS) | {"back-edge"}

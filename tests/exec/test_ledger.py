@@ -1,5 +1,6 @@
 """The committed cycle ledger: complete over the plan, and exact on a
-representative slice (``tools/cycle_ledger.py --check`` runs all of it)."""
+representative slice (``tools/cycle_ledger.py --check`` runs all of it),
+both as shipped and with every hot block compiled on first reach."""
 
 import json
 from pathlib import Path
@@ -10,6 +11,7 @@ from repro.core.config import DttConfig
 from repro.exec.ledger import (diff_entries, entry_of, ledger_specs,
                                simulate)
 from repro.exec.plan import RunSpec
+from repro.timing import blocks
 
 LEDGER = json.loads((Path(__file__).resolve().parents[2] / "results"
                      / "cycle_ledger.json").read_text())
@@ -43,6 +45,16 @@ def test_ledger_pins_exactly_the_planned_timed_runs():
 def test_representative_runs_match_the_ledger(spec):
     expected = LEDGER["runs"][spec.canonical()]
     actual = entry_of(*simulate(spec))
+    assert actual == expected, diff_entries(expected, actual)
+
+
+@pytest.mark.parametrize("spec", SLICE, ids=RunSpec.canonical)
+def test_runs_match_the_ledger_with_every_block_compiled(spec, monkeypatch):
+    monkeypatch.setattr(blocks, "HOT_THRESHOLD", 1)
+    expected = LEDGER["runs"][spec.canonical()]
+    simulator, result = simulate(spec)
+    assert simulator.compiled_instructions > 0
+    actual = entry_of(simulator, result)
     assert actual == expected, diff_entries(expected, actual)
 
 

@@ -114,6 +114,13 @@ def test_fold_superblock_frames_matches_real_compiled_code():
     assert fold_superblock_frames(label) == f"sb:{entry}"
 
 
+def test_fold_names_the_entry_of_timed_hot_blocks():
+    from repro.timing.blocks import FILENAME, PREFIX
+
+    label = f"   30  0.2  {FILENAME}:12({PREFIX}143)\n"
+    assert fold_superblock_frames(label) == "   30  0.2  tb:143\n"
+
+
 def test_fold_names_the_opcode_of_generated_handlers_and_thunks():
     # profile a run that goes through the step handlers and both thunk
     # forms; every generated frame must fold to its opcode

@@ -93,9 +93,11 @@ def test_architecture_documents_superblock_tier():
 
 
 def test_architecture_documents_solo_run_ahead():
-    """The solo run-ahead subsection must name every side-exit opcode and
-    both coverage gauges, so the exit set cannot drift undocumented."""
+    """The solo run-ahead subsection must name every side-exit opcode,
+    every hot-block exit kind, and the coverage and compile gauges, so
+    none can drift undocumented."""
     from repro.machine.machine import ENGINE_OPCODES
+    from repro.timing.blocks import EXIT_KINDS
 
     text = (DOCS / "architecture.md").read_text()
     assert "### Solo run-ahead" in text
@@ -103,8 +105,12 @@ def test_architecture_documents_solo_run_ahead():
     missing = [op for op in sorted(ENGINE_OPCODES)
                if f"`{op}`" not in section]
     missing += [gauge for gauge in ("timing.solo_cycles",
-                                    "timing.solo_instructions")
+                                    "timing.solo_instructions",
+                                    "timing.compiled_blocks",
+                                    "timing.compile_seconds",
+                                    "timing.compiled_instructions")
                 if f"`{gauge}`" not in section]
+    missing += [kind for kind in EXIT_KINDS if f"*{kind}*" not in section]
     assert not missing, (
         f"solo run-ahead surfaces missing from docs/architecture.md: "
         f"{missing}"

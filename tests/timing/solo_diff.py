@@ -1,16 +1,22 @@
 """Differential oracle for the timing simulator's solo run-ahead.
 
-:func:`run_pair` runs one simulation twice: once as shipped, and once
-with ``TimingSimulator._solo_context`` patched to never find a solo
-context, so every iteration takes the general issue loop.  The solo
-run-ahead is cycle-exact only if the two snapshots are equal: every
-``TimingResult`` field, the machine's counters and architectural state,
-each core's issue counters and rotation, and each context's
-``busy_until`` — after a clean halt or after a fault or limit.
+:func:`run_variants` runs one simulation three ways: as shipped; with
+``blocks.HOT_THRESHOLD`` patched to 1, so the run-ahead compiles every
+block entry the first time it reaches it ("compiled"); and with
+``TimingSimulator._solo_context`` patched to never find a solo context,
+so every iteration takes the general issue loop ("stepped").  The solo
+run-ahead and its compiled blocks are cycle-exact only if the three
+snapshots are equal: every ``TimingResult`` field, the machine's
+counters and architectural state, each core's issue counters and
+rotation, and each context's ``busy_until`` — after a clean halt or
+after a fault or limit.
 """
+
+import collections
 
 import pytest
 
+from repro.timing import blocks
 from repro.timing.params import SystemConfig, named_config
 from repro.timing.stats import TimingResult
 from repro.timing.system import TimingSimulator
@@ -79,18 +85,50 @@ def run_once(make_sim, hook=None):
     return sim, snapshot(sim, error)
 
 
-def run_pair(make_sim, hook=None):
-    """``(solo sim, solo snapshot, step-loop snapshot)`` of one run."""
-    sim, solo = run_once(make_sim, hook)
+def run_variants(make_sim, hook=None):
+    """``{variant: (sim, snapshot)}`` for "shipped", "compiled" and
+    "stepped" (see the module docstring)."""
+    runs = {"shipped": run_once(make_sim, hook)}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(blocks, "HOT_THRESHOLD", 1)
+        runs["compiled"] = run_once(make_sim, hook)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(TimingSimulator, "_solo_context", lambda self: None)
-        _, stepped = run_once(make_sim, hook)
-    return sim, solo, stepped
+        runs["stepped"] = run_once(make_sim, hook)
+    return runs
 
 
-def assert_solo_exact(make_sim, hook=None, label=""):
-    """Run both ways and require identical snapshots; returns the solo
-    simulator and its snapshot for further checks."""
-    sim, solo, stepped = run_pair(make_sim, hook)
-    assert solo == stepped, f"solo run-ahead diverged {label}"
-    return sim, solo
+def assert_solo_exact(make_sim, hook=None, label="", variant="shipped"):
+    """Run all three ways and require identical snapshots; returns the
+    ``variant`` simulator and its snapshot for further checks."""
+    runs = run_variants(make_sim, hook)
+    stepped = runs["stepped"][1]
+    for name in ("shipped", "compiled"):
+        assert runs[name][1] == stepped, f"{name} run diverged {label}"
+    return runs[variant]
+
+
+def record_exits(sim):
+    """Hook: count, on ``sim.exits``, how each compiled block call ended.
+
+    Keys are :data:`blocks.EXIT_KINDS`, plus ``"back-edge"`` for a call
+    that looped, retiring more than one block length.
+    """
+    sim.exits = exits = collections.Counter()
+    for core in sim.cores:
+        hot = sim._hot_blocks[core.core_id] = blocks.HotBlocks(sim, core)
+
+        def traced_compile(entry, hot=hot, compile_block=hot.compile):
+            function = compile_block(entry)
+            length = len(hot.shapes[entry][0])
+
+            def traced(ctx, now, busy, k, retired, *rest):
+                state = function(ctx, now, busy, k, retired, *rest)
+                if state is not None:
+                    exits[blocks.EXIT_KINDS[state[-1]]] += 1
+                    if state[3] + state[2] - retired - k > length:
+                        exits["back-edge"] += 1
+                return state
+            return traced
+
+        hot.compile = traced_compile

@@ -1,10 +1,13 @@
 """Directed cases for the solo run-ahead in ``TimingSimulator.run``.
 
-Each case runs a simulation with the run-ahead and with it patched out
-(:mod:`tests.timing.solo_diff`) and requires identical results, counters,
-rotations and ``busy_until`` — at the edges the run-ahead must reconcile:
-an engine opcode that wakes another context mid-cycle, a fault, the
-instruction and cycle limits, and running off the end of the program.
+Each case runs a simulation as shipped, with every block entry compiled
+on first reach, and with the run-ahead patched out
+(:mod:`tests.timing.solo_diff`), and requires identical results,
+counters, rotations and ``busy_until`` — at the edges the run-ahead and
+its compiled blocks must reconcile: an engine opcode that wakes another
+context mid-cycle, a fault, the instruction and cycle limits, running
+off the end of the program, a failed memory guard, a mispredict that
+ends a cycle mid-block, and a store that invalidates another core's L1.
 """
 
 import pytest
@@ -15,11 +18,13 @@ from repro.isa.builder import ProgramBuilder
 from repro.machine.events import MachineObserver
 from repro.machine.machine import ENGINE_OPCODES
 from repro.obs.metrics import MetricsRegistry
+from repro.timing import blocks
 from repro.timing.core import EXIT
 from repro.timing.params import named_config
 from repro.timing.system import TimingSimulator
 
-from tests.timing.solo_diff import CONFIGS, assert_solo_exact, make_config
+from tests.timing.solo_diff import (CONFIGS, assert_solo_exact, make_config,
+                                   record_exits)
 
 
 def loop_program(trips=40, tail=()):
@@ -201,6 +206,250 @@ def test_running_off_the_end_of_the_program(length):
         "ExecutionFault",
         f"context 0 ran off the end of the program (pc={length + 1})")
     assert sim.machine.instructions_executed == length + 2
+
+
+# -- compiled blocks: the rare exits, compared against the issue loop ---------
+
+
+def compiled_exact(make_sim, label=""):
+    """The compiled variant of a three-way comparison, with its exits."""
+    sim, snap = assert_solo_exact(make_sim, hook=record_exits, label=label,
+                                  variant="compiled")
+    assert sim.compiled_instructions > 0
+    return sim, snap
+
+
+def guard_program(pad):
+    """A loop whose ``ldx`` index jumps out of the address space on its
+    ninth iteration, ``pad`` ALU ops into the block."""
+    b = ProgramBuilder()
+    b.zeros("buf", 64)
+    with b.function("main"):
+        b.la(6, "buf")
+        b.li(5, 0)
+        top = b.fresh_label("loop")
+        b.label(top)
+        for _ in range(pad):
+            b.addi(4, 4, 1)
+        b.shri(9, 5, 3)
+        b.muli(9, 9, 1 << 40)
+        b.ldx(8, 6, 9)
+        b.add(4, 4, 8)
+        b.addi(5, 5, 1)
+        b.slti(10, 5, 20)
+        b.bnez(10, top)
+        b.out(4)
+        b.halt()
+    return b.build()
+
+
+@pytest.mark.parametrize("pad", range(4))
+@pytest.mark.parametrize("config", CONFIGS)
+def test_out_of_range_ldx_mid_block_falls_back_to_the_handler(config, pad):
+    sim, snap = compiled_exact(baseline_sim(guard_program(pad), config))
+    assert snap["error"][0] == "MemoryFault"
+    assert sim.exits["guard"] == 1 and sim.exits["back-edge"]
+
+
+def divide_program(slot):
+    """A loop whose ``idiv`` divides by zero on its sixth iteration, at
+    issue slot ``slot``: a multiply ends the cycle before ``slot`` nops."""
+    b = ProgramBuilder()
+    with b.function("main"):
+        b.li(4, 1000)
+        b.li(5, 10)
+        top = b.fresh_label("loop")
+        b.label(top)
+        b.subi(5, 5, 1)
+        b.subi(9, 5, 4)
+        b.muli(11, 11, 1)
+        for _ in range(slot):
+            b.nop()
+        b.idiv(12, 4, 9)
+        b.bnez(5, top)
+        b.out(12)
+        b.halt()
+    return b.build()
+
+
+@pytest.mark.parametrize("slot", range(4))
+@pytest.mark.parametrize("config", CONFIGS)
+def test_idiv_by_zero_at_each_slot_of_a_compiled_loop(config, slot):
+    sim, snap = compiled_exact(baseline_sim(divide_program(slot), config))
+    assert snap["error"] == ("ExecutionFault", "integer division by zero")
+    assert sim.exits["fault"] == 1 and sim.exits["back-edge"]
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_max_cycles_hit_inside_a_compiled_loop(config):
+    kinds = set()
+    for limit in range(100, 140, 3):
+        sim, snap = compiled_exact(
+            baseline_sim(loop_program(), config, max_cycles=limit))
+        assert snap["error"] == ("ExecutionLimitExceeded",
+                                 f"exceeded {limit} simulated cycles")
+        kinds.update(sim.exits)
+    assert "cycle-limit" in kinds
+
+
+def multiply_chain_program():
+    """A loop of three-cycle multiplies: every cycle ends on a latency,
+    so some cycle limit falls between a cycle end and its stall."""
+    b = ProgramBuilder()
+    with b.function("main"):
+        b.li(4, 1)
+        b.li(5, 30)
+        top = b.fresh_label("loop")
+        b.label(top)
+        b.muli(4, 4, 3)
+        b.muli(6, 4, 5)
+        b.subi(5, 5, 1)
+        b.bnez(5, top)
+        b.out(4)
+        b.halt()
+    return b.build()
+
+
+@pytest.mark.parametrize("config", ["smt2", "cmp2"])
+def test_cycle_limit_between_a_cycle_end_and_its_stall(config):
+    for limit in range(60, 72):
+        sim, snap = compiled_exact(baseline_sim(
+            multiply_chain_program(), config, max_cycles=limit))
+        assert snap["error"] == ("ExecutionLimitExceeded",
+                                 f"exceeded {limit} simulated cycles")
+        assert sim.exits["cycle-limit"] == 1
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_max_instructions_hit_inside_a_compiled_loop(config):
+    for limit in range(150, 160):
+        sim, snap = compiled_exact(
+            baseline_sim(loop_program(), config, max_instructions=limit))
+        assert snap["error"] == (
+            "ExecutionLimitExceeded",
+            f"exceeded {limit} dynamic instructions")
+        # the loop leaves its block when another iteration would not fit
+        assert sim.exits["headroom"] == 1
+
+
+def mispredict_program():
+    """A loop with a branch on the low bit of its counter: the gshare
+    counters start weakly taken, so its fall-through path mispredicts
+    mid-block, and its taken path leaves the block."""
+    b = ProgramBuilder()
+    with b.function("main"):
+        b.li(5, 40)
+        top = b.fresh_label("loop")
+        skip = b.fresh_label("skip")
+        b.label(top)
+        b.addi(4, 4, 1)
+        b.andi(9, 5, 1)
+        b.beqz(9, skip)
+        b.addi(4, 4, 2)
+        b.addi(4, 4, 3)
+        b.label(skip)
+        b.subi(5, 5, 1)
+        b.bnez(5, top)
+        b.out(4)
+        b.halt()
+    return b.build()
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_mispredict_ends_a_cycle_mid_block(config):
+    sim, snap = compiled_exact(baseline_sim(mispredict_program(), config))
+    assert snap["error"] is None
+    assert sim.predictor.mispredicts > 0
+    assert sim.exits["taken"] and sim.exits["fall-through"]
+
+
+def while_program():
+    """A top-tested loop with a diamond: its hottest block starts after
+    the diamond's branch, follows both ``jmp``s, and loops by falling
+    through into its own entry."""
+    b = ProgramBuilder()
+    b.zeros("buf", 64)
+    with b.function("main"):
+        b.la(6, "buf")
+        b.li(5, 0)
+        b.li(7, 50)
+        top = b.fresh_label("top")
+        done = b.fresh_label("done")
+        odd = b.fresh_label("odd")
+        join = b.fresh_label("join")
+        b.label(top)
+        b.bge(5, 7, done)
+        b.andi(9, 5, 7)
+        b.beqz(9, odd)
+        b.ldx(8, 6, 9)
+        b.add(4, 4, 8)
+        b.jmp(join)
+        b.label(odd)
+        b.subi(4, 4, 1)
+        b.label(join)
+        b.stx(4, 6, 9)
+        b.addi(5, 5, 1)
+        b.jmp(top)
+        b.label(done)
+        b.out(4)
+        b.halt()
+    return b.build()
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_a_path_through_jmps_loops_into_its_own_entry(config):
+    program = while_program()
+    sim, snap = compiled_exact(baseline_sim(program, config))
+    assert snap["error"] is None
+    assert sim.exits["back-edge"] and sim.exits["taken"]
+    loops = [path for path, is_loop in
+             blocks.HotBlocks(sim, sim.cores[0]).shapes.values()
+             if is_loop and program.instructions[path[-1]].op != "jmp"]
+    assert loops  # some loop closes by falling through into its entry
+
+
+def invalidating_program():
+    """``worker`` reads eight lines into its core's L1; after its
+    ``treturn`` main stores to the same lines from a compiled loop."""
+    b = ProgramBuilder()
+    b.data("xs", [1])
+    b.zeros("buf", 128)
+    with b.thread("worker"):
+        b.la(5, "buf")
+        b.li(6, 0)
+        top = b.fresh_label("read")
+        b.label(top)
+        b.ldx(7, 5, 6)
+        b.addi(6, 6, 16)
+        b.slti(8, 6, 128)
+        b.bnez(8, top)
+        b.treturn()
+    with b.function("main"):
+        b.la(6, "xs")
+        b.li(4, 99)
+        tst_pc = b.tst(4, 6, 0)
+        b.tcheck_thread("worker")
+        b.la(5, "buf")
+        b.li(6, 0)
+        top = b.fresh_label("write")
+        b.label(top)
+        b.stx(6, 5, 6)
+        b.addi(6, 6, 16)
+        b.slti(8, 6, 128)
+        b.bnez(8, top)
+        b.out(6)
+        b.halt()
+    return b.build(), TriggerSpec("worker", store_pcs=[tst_pc])
+
+
+@pytest.mark.parametrize("config", ["cmp2", "cmp2x2"])
+def test_cmp_store_from_a_block_invalidates_the_other_l1(config):
+    program, spec = invalidating_program()
+    sim, snap = compiled_exact(dtt_sim(program, spec, config))
+    assert snap["error"] is None and snap["output"] == [128]
+    # every line the worker read on core 1 is invalidated by main's stores
+    assert sim.hierarchy.l1[1].stats.invalidations == 8
+    assert snap["result"]["coherence_invalidations"] == 8
 
 
 # -- eligibility ---------------------------------------------------------------------

@@ -9,7 +9,10 @@ root::
     PYTHONPATH=src python3 tools/cycle_ledger.py --check   # exit 1 on drift
 
 ``--only SUBSTRING`` restricts a check to the runs whose canonical name
-contains the substring.
+contains the substring.  A check also prints the share of the solo
+run-ahead's instructions that compiled blocks retired, and fails when
+that share is zero: a change that silently disables the compiled path
+cannot pass on a matching ledger.
 """
 
 from __future__ import annotations
@@ -49,8 +52,10 @@ def main(argv=None) -> int:
                for name in names if name not in committed}
     drifted.update((name, ["no longer planned"]) for name in committed
                    if args.only in name and name not in planned)
+    coverage = {}
     fresh = build_ledger([planned[name] for name in names
-                          if name in committed], progress=progress)["runs"]
+                          if name in committed], progress=progress,
+                         coverage=coverage)["runs"]
     for name, entry in fresh.items():
         if entry != committed[name]:
             drifted[name] = diff_entries(committed[name], entry)
@@ -58,6 +63,14 @@ def main(argv=None) -> int:
         print(f"DRIFT {name}: {', '.join(fields)}")
     matched = sum(1 for name in fresh if name not in drifted)
     print(f"{matched}/{len(names)} runs match the ledger")
+    solo = coverage.get("solo_instructions", 0)
+    compiled = coverage.get("compiled_instructions", 0)
+    share = compiled / solo if solo else 0.0
+    print(f"compiled blocks retired {compiled}/{solo} solo instructions "
+          f"({share:.1%})")
+    if fresh and not compiled:
+        print("FAIL the compiled path retired no instructions")
+        return 1
     return 1 if drifted else 0
 
 
