@@ -101,7 +101,9 @@ class Cache:
     Each set is a dict from resident tag to dirty bit, kept in recency
     order: the least-recently used line first, the most-recently used
     last.  A hit moves its tag to the end; a miss into a full set evicts
-    the first.
+    the first.  The timing model's compiled hot blocks
+    (:mod:`repro.timing.blocks`) inline the L1 hit path of
+    :meth:`access`; ``tests/timing/test_blocks.py`` keeps the two equal.
     """
 
     def __init__(self, params: CacheParams):

@@ -18,7 +18,12 @@ _HISTORY_MASK = (1 << HISTORY_BITS) - 1
 
 
 class BranchPredictor:
-    """Global-history-XOR-PC indexed 2-bit counters (gshare)."""
+    """Global-history-XOR-PC indexed 2-bit counters (gshare).
+
+    The compiled hot blocks (:mod:`repro.timing.blocks`) inline
+    :meth:`predict_and_update`; ``tests/timing/test_blocks.py`` keeps the
+    two equal.
+    """
 
     def __init__(self) -> None:
         self.lookups = 0
