@@ -1,4 +1,4 @@
-"""The cycle ledger: every timed run of the experiment plan, pinned exactly.
+"""The cycle ledger: every run of the experiment plan, pinned exactly.
 
 ``results/cycle_ledger.json`` maps each timed run's canonical name
 (:meth:`repro.exec.plan.RunSpec.canonical`) to what the timing model
@@ -11,6 +11,12 @@ reproduce every entry exactly.
 The runs are the deduplicated E1–E9 timed plan at the default seed and
 scale, plus :data:`EXTRA_SPECS` (the E5 sensitivity subset on ``smt4``,
 which no experiment times but which has the widest issue sharing).
+
+Its ``profiles`` section pins the plan's E1/E2 profile runs the same
+way: both analyzers' summaries, every load and store site in the order
+``load_sites()`` / ``store_sites()`` return them (ties in dynamic count
+keep first-execution order), ``redundant_by_class`` and the output
+digest.
 
 Regenerate (after an intended model change) and check, from the
 repository root::
@@ -26,12 +32,13 @@ import json
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.exec.plan import RunSpec, build_plan, resolve_workload
+from repro.profiling.report import RedundancyReport, profile_program
 from repro.timing.params import named_config
 from repro.timing.stats import TimingResult
 from repro.timing.system import TimingSimulator
 
-#: ledger file format version
-LEDGER_SCHEMA = 1
+#: ledger file format version (2 added the ``profiles`` section)
+LEDGER_SCHEMA = 2
 
 #: timed runs pinned beyond the experiment plan
 EXTRA_SPECS = tuple(
@@ -48,6 +55,11 @@ def ledger_specs() -> List[RunSpec]:
         if spec not in specs:
             specs.append(spec)
     return specs
+
+
+def profile_specs() -> List[RunSpec]:
+    """Every profile run the ledger pins, in plan order."""
+    return [spec for spec in build_plan(["all"]) if spec.kind == "profile"]
 
 
 def output_digest(output) -> str:
@@ -102,9 +114,36 @@ def entry_of(simulator: TimingSimulator, result: TimingResult) -> Dict:
     return json.loads(json.dumps(entry, sort_keys=True))
 
 
+def profile(spec: RunSpec) -> RedundancyReport:
+    """Profile ``spec`` exactly as :meth:`SuiteRunner.profile` does."""
+    workload = resolve_workload(spec.workload)
+    inp = workload.make_input(spec.seed, spec.scale)
+    return profile_program(workload.build_baseline(inp), workload.name)
+
+
+def profile_entry_of(report: RedundancyReport) -> Dict:
+    """The ledger entry of a finished profile, in its JSON round-trip
+    form."""
+    loads, slices = report.loads, report.slices
+    entry = {
+        "loads": loads.summary(),
+        "slices": slices.summary(),
+        "load_sites": [[s.pc, s.dynamic, s.redundant]
+                       for s in loads.load_sites()],
+        "store_sites": [[s.pc, s.dynamic, s.silent, s.triggering]
+                        for s in loads.store_sites()],
+        "redundant_by_class": {cls.value: n for cls, n
+                               in slices.redundant_by_class.items()},
+        "output": output_digest(report.output),
+    }
+    return json.loads(json.dumps(entry, sort_keys=True))
+
+
 def build_ledger(specs: Optional[Iterable[RunSpec]] = None,
+                 profiles: Optional[Iterable[RunSpec]] = None,
                  progress=None, coverage: Optional[Dict] = None) -> Dict:
-    """Simulate ``specs`` (default: :func:`ledger_specs`) into a ledger.
+    """Simulate ``specs`` (default: :func:`ledger_specs`) and profile
+    ``profiles`` (default: :func:`profile_specs`) into a ledger.
 
     ``coverage``, if given, accumulates the runs' ``solo_instructions``
     and ``compiled_instructions`` (instructions the solo run-ahead
@@ -120,7 +159,12 @@ def build_ledger(specs: Optional[Iterable[RunSpec]] = None,
             for key in ("solo_instructions", "compiled_instructions"):
                 coverage[key] = (coverage.get(key, 0)
                                  + getattr(simulator, key))
-    return {"schema": LEDGER_SCHEMA, "runs": runs}
+    pinned = {}
+    for spec in (profile_specs() if profiles is None else profiles):
+        if progress is not None:
+            progress(spec.canonical())
+        pinned[spec.canonical()] = profile_entry_of(profile(spec))
+    return {"schema": LEDGER_SCHEMA, "runs": runs, "profiles": pinned}
 
 
 def diff_entries(expected: Dict, actual: Dict) -> List[str]:

@@ -1,6 +1,7 @@
 """The committed cycle ledger: complete over the plan, and exact on a
 representative slice (``tools/cycle_ledger.py --check`` runs all of it),
-both as shipped and with every hot block compiled on first reach."""
+both as shipped and with every hot block compiled on first reach; its
+profiles likewise."""
 
 import json
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from repro.core.config import DttConfig
 from repro.exec.ledger import (diff_entries, entry_of, ledger_specs,
+                               profile, profile_entry_of, profile_specs,
                                simulate)
 from repro.exec.plan import RunSpec
 from repro.timing import blocks
@@ -34,11 +36,30 @@ SLICE = [
 ]
 
 
+#: the profiles with the most load sites tied on dynamic count, whose
+#: order therefore rests on first execution
+PROFILE_SLICE = [RunSpec.for_profile(name)
+                 for name in ("equake", "twolf", "vpr")]
+
+
 def test_ledger_pins_exactly_the_planned_timed_runs():
-    assert LEDGER["schema"] == 1
+    assert LEDGER["schema"] == 2
     assert sorted(LEDGER["runs"]) == sorted(s.canonical()
                                            for s in ledger_specs())
     assert all(spec.canonical() in LEDGER["runs"] for spec in SLICE)
+
+
+def test_ledger_pins_exactly_the_planned_profiles():
+    assert sorted(LEDGER["profiles"]) == sorted(s.canonical()
+                                               for s in profile_specs())
+    assert len(LEDGER["profiles"]) == 15
+
+
+@pytest.mark.parametrize("spec", PROFILE_SLICE, ids=RunSpec.canonical)
+def test_representative_profiles_match_the_ledger(spec):
+    expected = LEDGER["profiles"][spec.canonical()]
+    actual = profile_entry_of(profile(spec))
+    assert actual == expected, diff_entries(expected, actual)
 
 
 @pytest.mark.parametrize("spec", SLICE, ids=RunSpec.canonical)

@@ -2,14 +2,14 @@
 """Regenerate or check ``results/cycle_ledger.json``.
 
 The ledger pins the timing model's exact output for every timed run of
-the E1–E9 plan (see :mod:`repro.exec.ledger`).  From the repository
-root::
+the E1–E9 plan, and both redundancy analyses of every E1/E2 profile run
+(see :mod:`repro.exec.ledger`).  From the repository root::
 
     PYTHONPATH=src python3 tools/cycle_ledger.py           # rewrite it
     PYTHONPATH=src python3 tools/cycle_ledger.py --check   # exit 1 on drift
 
-``--only SUBSTRING`` restricts a check to the runs whose canonical name
-contains the substring.  A check also prints the share of the solo
+``--only SUBSTRING`` restricts a check to the runs and profiles whose
+canonical name contains the substring.  A check also prints the share of the solo
 run-ahead's instructions that compiled blocks retired, and fails when
 that share is zero: a change that silently disables the compiled path
 cannot pass on a matching ledger.
@@ -22,7 +22,8 @@ import json
 import pathlib
 import sys
 
-from repro.exec.ledger import build_ledger, diff_entries, ledger_specs
+from repro.exec.ledger import (build_ledger, diff_entries, ledger_specs,
+                               profile_specs)
 
 LEDGER_PATH = (pathlib.Path(__file__).resolve().parents[1]
                / "results" / "cycle_ledger.json")
@@ -43,36 +44,47 @@ def main(argv=None) -> int:
         ledger = build_ledger(progress=progress)
         text = json.dumps(ledger, indent=1, sort_keys=True) + "\n"
         LEDGER_PATH.write_text(text, encoding="utf-8")
-        print(f"wrote {len(ledger['runs'])} runs to {LEDGER_PATH}")
+        print(f"wrote {len(ledger['runs'])} runs and "
+              f"{len(ledger['profiles'])} profiles to {LEDGER_PATH}")
         return 0
-    committed = json.loads(LEDGER_PATH.read_text())["runs"]
-    planned = {spec.canonical(): spec for spec in ledger_specs()}
-    names = [name for name in planned if args.only in name]
-    drifted = {name: ["not in the ledger"]
-               for name in names if name not in committed}
-    drifted.update((name, ["no longer planned"]) for name in committed
-                   if args.only in name and name not in planned)
+    committed = json.loads(LEDGER_PATH.read_text())
+    planned = {"runs": {spec.canonical(): spec for spec in ledger_specs()},
+               "profiles": {spec.canonical(): spec
+                            for spec in profile_specs()}}
+    names, drifted = {}, {}
+    for section, specs in planned.items():
+        names[section] = [name for name in specs if args.only in name]
+        pinned = committed.get(section, {})
+        drifted.update((name, ["not in the ledger"])
+                       for name in names[section] if name not in pinned)
+        drifted.update((name, ["no longer planned"]) for name in pinned
+                       if args.only in name and name not in specs)
     coverage = {}
-    fresh = build_ledger([planned[name] for name in names
-                          if name in committed], progress=progress,
-                         coverage=coverage)["runs"]
-    for name, entry in fresh.items():
-        if entry != committed[name]:
-            drifted[name] = diff_entries(committed[name], entry)
+    fresh = build_ledger(
+        *[[planned[section][name] for name in names[section]
+           if name in committed.get(section, {})]
+          for section in ("runs", "profiles")],
+        progress=progress, coverage=coverage)
+    matched = 0
+    for section in ("runs", "profiles"):
+        for name, entry in fresh[section].items():
+            if entry != committed[section][name]:
+                drifted[name] = diff_entries(committed[section][name], entry)
+            else:
+                matched += 1
     for name, fields in sorted(drifted.items()):
         print(f"DRIFT {name}: {', '.join(fields)}")
-    matched = sum(1 for name in fresh if name not in drifted)
-    print(f"{matched}/{len(names)} runs match the ledger")
+    print(f"{matched}/{sum(map(len, names.values()))} runs and profiles "
+          f"match the ledger")
     solo = coverage.get("solo_instructions", 0)
     compiled = coverage.get("compiled_instructions", 0)
     share = compiled / solo if solo else 0.0
     print(f"compiled blocks retired {compiled}/{solo} solo instructions "
           f"({share:.1%})")
-    if fresh and not compiled:
+    if fresh["runs"] and not compiled:
         print("FAIL the compiled path retired no instructions")
         return 1
     return 1 if drifted else 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
