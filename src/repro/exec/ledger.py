@@ -147,7 +147,10 @@ def build_ledger(specs: Optional[Iterable[RunSpec]] = None,
 
     ``coverage``, if given, accumulates the runs' ``solo_instructions``
     and ``compiled_instructions`` (instructions the solo run-ahead
-    retired, and those of them retired inside compiled blocks).
+    retired, and those of them retired inside compiled blocks), and the
+    profiles' ``profiled_instructions`` and ``shadow_instructions``
+    (instructions profiled, and those of them analysed by inline shadow
+    transfers instead of hook calls).
     """
     runs = {}
     for spec in (ledger_specs() if specs is None else specs):
@@ -163,7 +166,13 @@ def build_ledger(specs: Optional[Iterable[RunSpec]] = None,
     for spec in (profile_specs() if profiles is None else profiles):
         if progress is not None:
             progress(spec.canonical())
-        pinned[spec.canonical()] = profile_entry_of(profile(spec))
+        report = profile(spec)
+        pinned[spec.canonical()] = profile_entry_of(report)
+        if coverage is not None:
+            for key, count in (("profiled_instructions", report.instructions),
+                               ("shadow_instructions",
+                                report.shadow_instructions)):
+                coverage[key] = coverage.get(key, 0) + count
     return {"schema": LEDGER_SCHEMA, "runs": runs, "profiles": pinned}
 
 

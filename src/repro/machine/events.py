@@ -18,17 +18,87 @@ runs go through ``Machine.run``'s batch loop, which reconciles those only
 once per chunk of instructions.  Hooks are bound when the machine
 compiles its thunk table, so attach observers with
 ``Machine.add_observer`` rather than patching hook methods during a run.
+
+**Declared shadow transfers.**  An observer whose analysis is a small
+shadow machine (per-register and per-word state updated at each
+instruction) can declare it as a :class:`Shadow`: per instruction kind,
+the source of the update its hooks make.  ``Machine.run`` then generates
+that update inline into each thunk (:mod:`repro.machine.semantics`), so
+the instruction and its shadow update are one call and the observer's
+hooks are not called there.  The hooks still fire everywhere ``step()``
+executes: the engine opcodes (``tst``/``tstx``/``tcheck``/``treturn``/
+``halt``, which ``run`` hands to ``step()``), the single-stepped tail of
+a ``run`` near the dynamic-instruction limit, the timing model's issue
+loop and the debugger.  A declared observer's hooks and transfers must
+therefore update the same state identically; the transfers are tested
+against the hooks.  An observer that declares nothing gets its hooks
+called from the thunks, in ``step()``'s order.
+
+**Instruction totals.**  An observer with ``counts_instructions`` set
+keeps a ``total_instructions`` counter that the machine maintains: ``run``
+adds each chunk's retired count (an instruction that faults is not
+added), and ``step()`` adds one per completed instruction.  Such an
+observer needs no ``on_instruction`` hook just to count.
 """
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 Number = Union[int, float]
 
 
+class Shadow(NamedTuple):
+    """An observer's shadow transfer, declared per instruction kind.
+
+    Each kind's entry is Python source (``""``: nothing to do for that
+    kind), run right after the instruction's effect.  The kinds are
+    ``load``, ``store``, ``alu`` (an ALU op with register sources),
+    ``const`` (an ALU op without, such as ``li``) and ``branch`` (a
+    conditional branch); control flow, ``out`` and ``nop`` have none.
+    The source is a :meth:`str.format` template over these operand
+    slots:
+
+    * ``{address}`` the word address (load, store);
+    * ``{value}`` the loaded or stored value (load, store);
+    * ``{old}`` the value a store overwrote;
+    * ``{dest}`` the destination register index (load, alu, const);
+    * ``{src}`` the stored register's index (store);
+    * ``{first}`` / ``{second}`` the first and last register source's
+      index (alu, branch; a single source is both);
+    * ``{op_class}`` the opcode's :class:`~repro.isa.instructions.OpClass`
+      value, as a string literal.
+
+    Every other ``{name}`` is the observer's own: one of ``state`` (bound
+    from :meth:`MachineObserver.shadow_state` when the table is built),
+    one of ``cells`` (a per-instruction closure variable, ``None`` until
+    that instruction first runs, assignable from the template), or a
+    local.  Each name is renamed per observer, so two observers' sources
+    never collide.  ``pc`` and ``ctx`` are in scope as well.
+    """
+
+    state: Tuple[str, ...] = ()
+    cells: Tuple[str, ...] = ()
+    load: str = ""
+    store: str = ""
+    alu: str = ""
+    const: str = ""
+    branch: str = ""
+
+
 class MachineObserver:
     """Base observer; every hook is a no-op.  Subclass what you need."""
+
+    #: the observer's shadow transfer, generated into ``Machine.run``'s
+    #: thunks in place of its hooks; ``None`` to get hook calls there
+    shadow: Optional[Shadow] = None
+
+    #: set when the machine maintains ``total_instructions`` for it
+    counts_instructions = False
+
+    def shadow_state(self) -> dict:
+        """``{name: object}`` for each name in ``shadow.state``."""
+        return {}
 
     def on_instruction(self, ctx, pc: int, instruction) -> None:
         """An instruction at ``pc`` finished executing on ``ctx``."""

@@ -32,14 +32,22 @@ same expression, coercions, and memory guard, and falls back to the same
 checked ``Memory`` methods for any address that is not an in-range exact
 ``int``.
 
-**Observed tables.**  When machine observers are attached, each thunk
-also calls the hooks ``step()`` would: ``on_load`` / ``on_store`` /
-``on_branch`` with the same arguments, then ``on_instruction``.  Hooks
-are bound when the table is built, and a thunk holds only the hooks an
-observer actually overrides, so :class:`MachineObserver`'s no-ops are
-never called.  Boundary opcodes run under ``Machine.step``, which
-notifies every observer itself.  ``Machine.add_observer`` /
-``remove_observer`` drop the compiled table.
+**Observed tables.**  When machine observers are attached, the thunks
+are composed for them (:func:`~repro.machine.semantics.thunk_factories`).
+An observer that declares a :class:`~repro.machine.events.Shadow` has
+its transfer generated inline: the factory binds the observer's
+``shadow_state()`` objects, and per-instruction ``cells`` (a site
+counter, say) live in the thunk's closure, set on its first execution.
+Its hooks are never called from a thunk.  Every other observer gets the
+hooks ``step()`` would call: ``on_load`` / ``on_store`` / ``on_branch``
+with the same arguments, then ``on_instruction``.  Hooks are bound when
+the table is built, and a thunk holds only the hooks an observer
+actually overrides, so :class:`MachineObserver`'s no-ops are never
+called.  An instruction that neither calls a hook nor runs a transfer
+(a ``jmp`` under the redundancy profilers, say) gets the plain thunk.
+Boundary opcodes run under ``Machine.step``, which calls every
+observer's hooks itself.  ``Machine.add_observer`` / ``remove_observer``
+drop the compiled table.
 
 The memory thunks' checked fallback runs through the machine.  An
 observed table binds a ``weakref.proxy`` of the machine, never the
@@ -57,8 +65,7 @@ from typing import Callable, List, Tuple
 
 from repro.machine.context import Context
 from repro.machine.events import MachineObserver
-from repro.machine.semantics import (ENGINE_OPCODES, KIND_HOOKS, SEMANTICS,
-                                     thunk_factories)
+from repro.machine.semantics import ENGINE_OPCODES, HOOKS, thunk_factories
 
 Thunk = Callable[[Context], int]
 
@@ -85,30 +92,39 @@ def build_thunks(machine) -> List[Thunk]:
     """Compile ``machine.program`` into one next-PC thunk per PC.
 
     The thunks bind the machine's memory (including its words dict), the
-    output buffer, instruction operands, and the attached observers'
-    hooks at compile time; ``Machine`` keeps those objects
-    identity-stable across ``restore()`` and drops the compiled table
-    when rewiring (``attach_engine``, ``add_observer``,
-    ``remove_observer``).  An instruction gets the observed thunk when
-    some hook of its kind or ``on_instruction`` is overridden.
+    output buffer, instruction operands, the attached observers' hooks
+    and their shadow state at compile time; ``Machine`` keeps those
+    objects identity-stable across ``restore()`` and drops the compiled
+    table when rewiring (``attach_engine``, ``add_observer``,
+    ``remove_observer``).
     """
     observers = machine._observers
     ref = weakref.proxy(machine) if observers else machine
     mem = machine.memory
-    hooks = {name: _hooks(observers, name) for name in
-             ("on_instruction", "on_load", "on_store", "on_branch")}
     env = (ref, mem, mem.limit, mem._words.get, mem._words,
-           machine.output.append, hooks["on_instruction"],
-           hooks["on_load"], hooks["on_store"], hooks["on_branch"])
+           machine.output.append)
+    declared = [observer for observer in observers
+                if observer.shadow is not None]
+    hooks = {name: _hooks([observer for observer in observers
+                           if observer.shadow is None], name)
+             for name in HOOKS}
+    names = frozenset(name for name in HOOKS if hooks[name])
+    shadows = tuple(observer.shadow for observer in declared)
+    observed_env = env + tuple(hooks[name] for name in HOOKS
+                               if name in names)
+    for observer in declared:
+        state = observer.shadow_state()
+        observed_env += tuple(state[name] for name in observer.shadow.state)
+    plain = thunk_factories()
+    observed = thunk_factories(names, shadows) if names or shadows else {}
     table: List[Thunk] = []
     for pc, i in enumerate(machine.program.instructions):
         op = i.op
         if op in ENGINE_OPCODES:
             # run by step() so engine and state semantics are shared
             table.append(_t_boundary(pc))
-            continue
-        kind_hooks = hooks.get(KIND_HOOKS.get(SEMANTICS[op].kind), ())
-        form = ("observed" if hooks["on_instruction"] or kind_hooks
-                else "plain")
-        table.append(thunk_factories(form)[op](i, pc, *env))
+        elif op in observed:
+            table.append(observed[op](i, pc, *observed_env))
+        else:
+            table.append(plain[op](i, pc, *env))
     return table

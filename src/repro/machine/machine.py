@@ -38,9 +38,10 @@ and the superblock bodies are all generated from one per-opcode template
 table (:mod:`repro.machine.semantics`); only the engine opcodes
 (:data:`ENGINE_OPCODES`) have hand-written handlers, here.  Observed
 runs (profilers and other machine observers attached) use the same batch
-loop without compiled blocks: every PC runs on an observed thunk, which
-calls the hooks ``step()`` would, with the same arguments and in the
-same order.
+loop without compiled blocks, on thunks composed for the observers: an
+observer that declares a shadow transfer has it generated inline, and
+every other observer gets the hooks ``step()`` would call, with the same
+arguments and in the same order (see :mod:`repro.machine.events`).
 """
 
 from __future__ import annotations
@@ -101,6 +102,13 @@ class Machine:
         #: installed DTT engine, or None for the baseline machine
         self.dtt_engine = None
         self._observers: List = []
+        # the observers whose ``total_instructions`` the machine keeps
+        self._counting: List = []
+        # does some observer declare a shadow transfer?
+        self._shadowed = False
+        #: instructions ``run`` retired on a table with shadow transfers
+        #: inline (those observers' hooks were not called for them)
+        self.shadow_instructions = 0
         self._instructions = program.instructions  # hot-path alias
         # pre-decode: one (handler, instruction) pair per PC, so step() is
         # a list index + one call with no per-step dict lookup on the op
@@ -131,11 +139,17 @@ class Machine:
     def add_observer(self, observer) -> None:
         """Attach a :class:`~repro.machine.events.MachineObserver`."""
         self._observers.append(observer)
-        self._drop_compiled()
+        self._rewire_observers()
 
     def remove_observer(self, observer) -> None:
         """Detach a previously attached observer."""
         self._observers.remove(observer)
+        self._rewire_observers()
+
+    def _rewire_observers(self) -> None:
+        observers = self._observers
+        self._counting = [o for o in observers if o.counts_instructions]
+        self._shadowed = any(o.shadow is not None for o in observers)
         self._drop_compiled()
 
     def _drop_compiled(self) -> None:
@@ -179,6 +193,8 @@ class Machine:
         if self._observers:
             for observer in self._observers:
                 observer.on_instruction(ctx, pc, instruction)
+            for observer in self._counting:
+                observer.total_instructions += 1
         return (instruction, address, taken)
 
     def run(self, ctx: Optional[Context] = None,
@@ -201,11 +217,13 @@ class Machine:
         loop.
 
         With machine observers attached there are no compiled blocks:
-        every PC runs on its observed thunk, which calls the same hooks
-        with the same arguments as ``step()``.  Inside this loop
-        ``ctx.pc`` and the instruction counters are reconciled per
-        chunk, so hooks must rely on their ``pc`` argument (see
-        :mod:`repro.machine.events`).
+        every PC runs on a thunk composed for them, which runs the
+        declared shadow transfers inline and calls the other observers'
+        hooks with the same arguments as ``step()``.  Each chunk's
+        retired count goes to the observers that count instructions.
+        Inside this loop ``ctx.pc`` and the instruction counters are
+        reconciled per chunk, so hooks must rely on their ``pc``
+        argument (see :mod:`repro.machine.events`).
         """
         if ctx is None:
             ctx = self.main_context
@@ -281,6 +299,8 @@ class Machine:
                     self.main_instructions += n
                 else:
                     self.support_instructions += n
+                # the last instruction counted did not complete
+                self._observe_retired(n - 1)
                 if off_end:
                     raise ExecutionFault(
                         f"context {ctx.context_id} ran off the end of the "
@@ -293,6 +313,7 @@ class Machine:
                 self.main_instructions += n
             else:
                 self.support_instructions += n
+            self._observe_retired(n)
             total += n
             if pc >= 0:
                 continue  # chunk budget spent; reconcile and keep going
@@ -308,6 +329,14 @@ class Machine:
             pc = ctx.pc
         ctx.pc = pc
         return total
+
+    def _observe_retired(self, n: int) -> None:
+        """Account ``n`` instructions a :meth:`run` chunk completed to the
+        observers that count instructions."""
+        for observer in self._counting:
+            observer.total_instructions += n
+        if self._shadowed:
+            self.shadow_instructions += n
 
     def _run_slow(self, ctx: Context, max_steps: Optional[int]) -> int:
         """Single-step the tail of a :meth:`run` near the dynamic

@@ -4,10 +4,12 @@
 every form that executes an instruction is generated from it with
 ``compile``/``exec``, once per process: the step handlers
 (:data:`STEP_HANDLERS`, called by ``Machine.step`` and the timing model),
-the plain and observed thunk factories of ``Machine.run``
-(:func:`thunk_factories`), the superblock bodies
-(:mod:`repro.machine.superblock`), and the constant folding of the static
-analyses (:func:`evaluate`).  The :data:`ENGINE_OPCODES` have no entry.
+the thunk factories of ``Machine.run`` (:func:`thunk_factories`: plain,
+or composed with the attached observers' hook calls and declared shadow
+transfers), the superblock bodies (:mod:`repro.machine.superblock`), the
+timed blocks (:mod:`repro.timing.blocks`), and the constant folding of
+the static analyses (:func:`evaluate`).  The :data:`ENGINE_OPCODES` have
+no entry.
 
 An entry is ``(kind, effect, faults, next)``.  For ``ALU`` the effect is
 the value written to register ``a``; for ``LOAD``/``STORE`` the word
@@ -30,10 +32,10 @@ which raises the fault.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, List, NamedTuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Tuple
 
 from repro.errors import ExecutionFault
-from repro.isa.instructions import OPCODES
+from repro.isa.instructions import OPCODES, operand_roles
 
 ALU, LOAD, STORE, BRANCH, FLOW = "alu", "load", "store", "branch", "flow"
 
@@ -222,6 +224,9 @@ def operands(op: str, register: Callable[[str], str],
 #: (ALU and FLOW ops have none)
 KIND_HOOKS = {LOAD: "on_load", STORE: "on_store", BRANCH: "on_branch"}
 
+#: the hooks a thunk may call, in the order a thunk factory binds them
+HOOKS = ("on_load", "on_store", "on_branch", "on_instruction")
+
 #: per kind: (hook arguments after ``ctx, pc``, step result)
 _HOOK_ARGS = {
     LOAD: ("_a, {a}", "(_a, None)"),
@@ -229,14 +234,57 @@ _HOOK_ARGS = {
     BRANCH: ("_t, _n", "(None, _t)"),
 }
 
-#: what a thunk factory binds besides the instruction and its pc
-_ENV = ("m", "_mem", "_limit", "_get", "_words", "_out",
-        "on_instruction", "on_load", "on_store", "on_branch")
+#: what every thunk factory binds besides the instruction and its pc
+_ENV = ("m", "_mem", "_limit", "_get", "_words", "_out")
+
+#: shadow kind of an ALU op without register sources
+CONST = "const"
 
 
-def _body(op: str, form: str) -> List[str]:
-    """The statements of one opcode's ``form``: ``"step"`` (a handler),
-    ``"plain"`` or ``"observed"`` (a thunk)."""
+def _shadow_kind(op: str):
+    """Which :class:`~repro.machine.events.Shadow` entry applies to
+    ``op``: ``"load"``, ``"store"``, ``"alu"``, ``"const"``,
+    ``"branch"``, or ``None``."""
+    kind = SEMANTICS[op].kind
+    if kind == ALU:
+        return ALU if operand_roles(op)[1] else CONST
+    return kind if kind != FLOW else None
+
+
+class _Renamed(dict):
+    """Template slots: the operand slots given, and every other name
+    renamed into observer ``index``'s namespace."""
+
+    def __init__(self, index: int, **slots):
+        super().__init__(slots)
+        self.index = index
+
+    def __missing__(self, name: str) -> str:
+        return f"_{self.index}_{name}"
+
+
+def _transfer(op: str, index: int, shadow) -> List[str]:
+    """Observer ``index``'s rendered shadow transfer for ``op``."""
+    kind = _shadow_kind(op)
+    template = getattr(shadow, kind) if kind else ""
+    if not template:
+        return []
+    dest, sources = operand_roles(op)
+    slots = _Renamed(index, address="_a", value="regs[a]", old="_old",
+                     src="a", op_class=repr(OPCODES[op].op_class.value))
+    if dest:
+        slots["dest"] = dest
+    if sources:
+        slots.update(first=sources[0], second=sources[-1])
+    return template.format_map(slots).splitlines()
+
+
+def _body(op: str, form: str, calls: List[str] = (),
+          transfers: List[str] = ()) -> List[str]:
+    """The statements of one opcode's ``form``: ``"step"`` (a handler)
+    or ``"thunk"``; a thunk calls the hooks named in ``calls`` (its
+    kind's and ``on_instruction``), and runs the rendered shadow
+    ``transfers`` after the effect."""
     sem = SEMANTICS[op]
     kind = sem.kind
     if form == "step":
@@ -247,6 +295,7 @@ def _body(op: str, form: str) -> List[str]:
         ops = operands(op, lambda s: f"regs[{s}]", Src)
         env = dict(ops, nxt="nxt", target="target", out="_out")
     hook = KIND_HOOKS.get(kind)
+    observed = form == "step" or bool(calls or transfers)
     args, result = _HOOK_ARGS.get(kind, ("", "(None, None)"))
     lines = ["regs = ctx.regs"] if "R" in OPCODES[op].signature else []
     if kind in (LOAD, STORE):
@@ -254,8 +303,7 @@ def _body(op: str, form: str) -> List[str]:
             lines += ["_mem = m.memory", "_limit = _mem.limit",
                       "_words = _mem._words", "_get = _words.get"]
         checked = [line.format(**ops) for line in _CHECKED[kind]]
-        lines += access(sem, ops, checked,
-                        old=kind == STORE and form != "plain")
+        lines += access(sem, ops, checked, old=kind == STORE and observed)
     elif kind == ALU:
         lines.append(f"{ops['a']} = {sem.effect.format(**env)}")
     elif kind == BRANCH:
@@ -265,9 +313,7 @@ def _body(op: str, form: str) -> List[str]:
     nxt = sem.next.format(**env) if kind != BRANCH else \
         "{target} if _t else {nxt}".format(**env)
     args = args.format(**ops)
-    if form == "plain":
-        return lines + [f"return {nxt}"]
-    if "_n" in args or form == "observed":
+    if form == "step" and "_n" in args or calls:
         # the next pc before any hook runs (``ret`` pops the call stack)
         lines.append(f"_n = {nxt}")
         nxt = "_n"
@@ -277,10 +323,12 @@ def _body(op: str, form: str) -> List[str]:
             lines += ["if m._observers:", "    for _o in m._observers:",
                       f"        _o.{hook}(ctx, pc, {args})"]
         return lines + [f"return {result}"]
-    if hook:
+    if hook in calls:
         lines += [f"for _h in {hook}:", f"    _h(ctx, pc, {args})"]
-    return lines + ["for _h in on_instruction:", "    _h(ctx, pc, i)",
-                    f"return {nxt}"]
+    lines += transfers
+    if "on_instruction" in calls:
+        lines += ["for _h in on_instruction:", "    _h(ctx, pc, i)"]
+    return lines + [f"return {nxt}"]
 
 
 def _indent(lines: List[str], depth: int = 1) -> List[str]:
@@ -305,26 +353,51 @@ STEP_HANDLERS = _generate("step_", {
 
 
 @functools.lru_cache(maxsize=None)
-def thunk_factories(form: str) -> Dict[str, Callable]:
-    """``{opcode: factory}`` of thunk ``form`` (``"plain"`` or
-    ``"observed"``), compiled on first use.
+def thunk_factories(hooks: FrozenSet[str] = frozenset(),
+                    shadows: Tuple = ()) -> Dict[str, Callable]:
+    """``{opcode: factory}`` of the thunks that call ``hooks`` (names
+    from :data:`HOOKS`) and run each of ``shadows``' transfers
+    (:class:`~repro.machine.events.Shadow`), compiled on first use.
 
     ``factory(instruction, pc, *env)`` returns the instruction's thunk:
     ``thunk(ctx)`` applies the effect and returns the next PC, never
     touching ``ctx.pc``.  ``env`` binds, in order, the machine (which
     the checked memory fallback goes through), its memory, the memory's
     limit, its words dict's ``get``, the words dict, the output buffer's
-    ``append``, and the ``on_instruction`` / ``on_load`` / ``on_store`` /
-    ``on_branch`` hook tuples.  An observed thunk calls its kind's hooks
-    with ``step()``'s arguments, then the ``on_instruction`` hooks.
+    ``append``, the hook tuple of each name in ``hooks`` (in
+    :data:`HOOKS` order), then each shadow's ``state`` objects.  A thunk
+    calls its kind's hooks with ``step()``'s arguments, then runs the
+    shadow transfers of its kind in ``shadows`` order, then calls the
+    ``on_instruction`` hooks.  With neither hooks nor shadows the thunks
+    are the plain form, which only executes; otherwise only the opcodes
+    whose thunks call a hook or run a transfer have a factory, and the
+    plain form serves the rest.
     """
-    return _generate(f"make_{form}_", {
-        op: [f"def make_{form}_{op}(i, pc, {', '.join(_ENV)}):",
-             "    a, b, c, target, nxt = i.a, i.b, i.c, i.target, pc + 1",
-             f"    def {form}_{op}(ctx):",
-             *_indent(_body(op, form), 2),
-             f"    return {form}_{op}"]
-        for op in SEMANTICS})
+    form = "observed" if hooks or shadows else "plain"
+    params = list(_ENV) + [name for name in HOOKS if name in hooks] + [
+        f"_{index}_{name}" for index, shadow in enumerate(shadows)
+        for name in shadow.state]
+    sources = {}
+    for op in SEMANTICS:
+        transfers, cells = [], []
+        for index, shadow in enumerate(shadows):
+            lines = _transfer(op, index, shadow)
+            if lines:
+                transfers += lines
+                cells += [f"_{index}_{name}" for name in shadow.cells]
+        calls = [name for name in (KIND_HOOKS.get(SEMANTICS[op].kind),
+                                   "on_instruction") if name in hooks]
+        if form == "observed" and not (calls or transfers):
+            continue
+        sources[op] = [
+            f"def make_{form}_{op}(i, pc, {', '.join(params)}):",
+            "    a, b, c, target, nxt = i.a, i.b, i.c, i.target, pc + 1",
+            *[f"    {cell} = None" for cell in cells],
+            f"    def {form}_{op}(ctx):",
+            *([f"        nonlocal {', '.join(cells)}"] if cells else []),
+            *_indent(_body(op, "thunk", calls, transfers), 2),
+            f"    return {form}_{op}"]
+    return _generate(f"make_{form}_", sources)
 
 
 @functools.lru_cache(maxsize=None)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.machine.events import MachineObserver
+from repro.machine.events import MachineObserver, Shadow
 from repro.obs.sampling import (AddressSampler, SampleEstimate,
                                 cluster_coverage_interval,
                                 kish_effective_size)
@@ -83,47 +83,95 @@ class StoreSiteStats:
 
 
 class RedundantLoadProfiler(MachineObserver):
-    """Observer computing redundant-load / silent-store statistics."""
+    """Observer computing redundant-load / silent-store statistics.
+
+    Its hooks and its declared shadow transfer make the same update:
+    ``Machine.run`` generates the transfer into its thunks, and
+    ``step()`` calls the hooks (see :mod:`repro.machine.events`).  Each
+    thunk holds its site's stats in a closure cell from the site's first
+    execution on, so sites enter the site maps in first-execution order
+    on every path.  The totals are sums over the sites, and the machine
+    keeps ``total_instructions``.
+    """
+
+    counts_instructions = True
+    shadow = Shadow(
+        state=("last", "last_get", "load_site", "store_site", "NEVER"),
+        cells=("site",),
+        load="""\
+{seen} = {last_get}({address}, {NEVER})
+{last}[{address}] = {value}
+{s} = {site}
+if {s} is None:
+    {s} = {site} = {load_site}(pc)
+{s}.dynamic += 1
+if {seen} == {value} and {seen} is not {NEVER}:
+    {s}.redundant += 1""",
+        store="""\
+{s} = {site}
+if {s} is None:
+    {s} = {site} = {store_site}(pc, False)
+{s}.dynamic += 1
+if {old} == {value}:
+    {s}.silent += 1""")
 
     def __init__(self) -> None:
         self._loads: Dict[int, LoadSiteStats] = {}
         self._stores: Dict[int, StoreSiteStats] = {}
         # per-location last-loaded value (the redundancy definition)
         self._last_loaded: Dict[int, Number] = {}
-        self.total_loads = 0
-        self.redundant_loads = 0
-        self.total_stores = 0
-        self.silent_stores = 0
         self.total_instructions = 0
 
-    # -- observer hooks ---------------------------------------------------------
+    def shadow_state(self) -> dict:
+        return {"last": self._last_loaded, "last_get": self._last_loaded.get,
+                "load_site": self._load_site, "store_site": self._store_site,
+                "NEVER": _NEVER}
 
-    def on_instruction(self, ctx, pc, instruction) -> None:
-        self.total_instructions += 1
-
-    def on_load(self, ctx, pc, address, value) -> None:
+    def _load_site(self, pc) -> LoadSiteStats:
         site = self._loads.get(pc)
         if site is None:
             site = self._loads[pc] = LoadSiteStats(pc)
-        site.dynamic += 1
-        self.total_loads += 1
-        last = self._last_loaded.get(address, _NEVER)
-        if last == value and last is not _NEVER:
-            site.redundant += 1
-            self.redundant_loads += 1
-        self._last_loaded[address] = value
+        return site
 
-    def on_store(self, ctx, pc, address, old_value, new_value, triggering) -> None:
+    def _store_site(self, pc, triggering) -> StoreSiteStats:
         site = self._stores.get(pc)
         if site is None:
             site = self._stores[pc] = StoreSiteStats(pc, triggering)
+        return site
+
+    # -- observer hooks ---------------------------------------------------------
+
+    def on_load(self, ctx, pc, address, value) -> None:
+        site = self._load_site(pc)
         site.dynamic += 1
-        self.total_stores += 1
+        last = self._last_loaded.get(address, _NEVER)
+        if last == value and last is not _NEVER:
+            site.redundant += 1
+        self._last_loaded[address] = value
+
+    def on_store(self, ctx, pc, address, old_value, new_value, triggering) -> None:
+        site = self._store_site(pc, triggering)
+        site.dynamic += 1
         if old_value == new_value:
             site.silent += 1
-            self.silent_stores += 1
 
     # -- reporting ------------------------------------------------------------------
+
+    @property
+    def total_loads(self) -> int:
+        return sum(site.dynamic for site in self._loads.values())
+
+    @property
+    def redundant_loads(self) -> int:
+        return sum(site.redundant for site in self._loads.values())
+
+    @property
+    def total_stores(self) -> int:
+        return sum(site.dynamic for site in self._stores.values())
+
+    @property
+    def silent_stores(self) -> int:
+        return sum(site.silent for site in self._stores.values())
 
     @property
     def redundant_load_fraction(self) -> float:
@@ -366,6 +414,8 @@ class SampledRedundantLoadProfiler(MachineObserver):
     either profiler unchanged.
     """
 
+    counts_instructions = True
+
     def __init__(self, sample_rate: int = 64, seed: int = 0,
                  max_tracked_addresses: int = 1 << 20) -> None:
         self.sampler = AddressSampler(sample_rate, seed)
@@ -389,9 +439,6 @@ class SampledRedundantLoadProfiler(MachineObserver):
         self.tracked_addresses_capped = 0
 
     # -- observer hooks ---------------------------------------------------------
-
-    def on_instruction(self, ctx, pc, instruction) -> None:
-        self.total_instructions += 1
 
     def on_load(self, ctx, pc, address, value) -> None:
         site = self._loads.get(pc)

@@ -18,16 +18,24 @@ from repro.profiling.slices import RedundancyTaintAnalyzer
 
 
 class RedundancyReport:
-    """Both analyses of one run, plus the run's output for checking."""
+    """Both analyses of one run, plus the run's output for checking.
 
-    __slots__ = ("name", "loads", "slices", "output", "instructions")
+    ``shadow_instructions`` counts the instructions whose analysis ran
+    as inline shadow transfers rather than hook calls
+    (``Machine.shadow_instructions``).
+    """
 
-    def __init__(self, name, loads, slices, output, instructions):
+    __slots__ = ("name", "loads", "slices", "output", "instructions",
+                 "shadow_instructions")
+
+    def __init__(self, name, loads, slices, output, instructions,
+                 shadow_instructions=0):
         self.name = name
         self.loads = loads
         self.slices = slices
         self.output = output
         self.instructions = instructions
+        self.shadow_instructions = shadow_instructions
 
     @property
     def redundant_load_fraction(self) -> float:
@@ -100,6 +108,7 @@ def profile_program(
         slices=slices,
         output=output,
         instructions=machine.instructions_executed,
+        shadow_instructions=machine.shadow_instructions,
     )
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.isa.instructions import OpClass, operand_roles
-from repro.machine.events import MachineObserver
+from repro.machine.events import MachineObserver, Shadow
 from repro.isa.registers import NUM_REGISTERS
 
 #: sentinel distinguishing "never loaded" from any real value
@@ -39,12 +39,55 @@ _NEVER = object()
 _OTHER, _LOAD, _STORE, _CONST, _ALU, _BRANCH = range(6)
 
 
+class _RegisterTaint(dict):
+    """Context id -> that context's register taint, clean on first use."""
+
+    def __missing__(self, context_id: int) -> List[bool]:
+        taint = self[context_id] = [False] * NUM_REGISTERS
+        return taint
+
+
 class RedundancyTaintAnalyzer(MachineObserver):
-    """Observer measuring the redundant-computation fraction."""
+    """Observer measuring the redundant-computation fraction.
+
+    Its hooks and its declared shadow transfer make the same update:
+    ``Machine.run`` generates the transfer into its thunks, and
+    ``step()`` calls the hooks (see :mod:`repro.machine.events`).  The
+    machine keeps ``total_instructions``.
+    """
+
+    counts_instructions = True
+    shadow = Shadow(
+        state=("taint", "mem", "mem_get", "last", "last_get", "counts",
+               "NEVER"),
+        load="""\
+{seen} = {last_get}({address}, {NEVER})
+{last}[{address}] = {value}
+if {seen} == {value} and {seen} is not {NEVER} or {mem_get}({address}, False):
+    {taint}[ctx.context_id][{dest}] = True
+    {counts}[{op_class}] += 1
+else:
+    {taint}[ctx.context_id][{dest}] = False""",
+        store="""\
+{r} = {mem}[{address}] = {taint}[ctx.context_id][{src}]
+if {r}:
+    {counts}[{op_class}] += 1""",
+        alu="""\
+{t} = {taint}[ctx.context_id]
+if {t}[{first}] and {t}[{second}]:
+    {t}[{dest}] = True
+    {counts}[{op_class}] += 1
+else:
+    {t}[{dest}] = False""",
+        const="{taint}[ctx.context_id][{dest}] = False",
+        branch="""\
+{t} = {taint}[ctx.context_id]
+if {t}[{first}] and {t}[{second}]:
+    {counts}[{op_class}] += 1""")
 
     def __init__(self) -> None:
         # per-context register taint, created lazily by context id
-        self._reg_taint: Dict[int, List[bool]] = {}
+        self._reg_taint = _RegisterTaint()
         self._mem_taint: Dict[int, bool] = {}
         # per-location last-loaded value (same redundancy definition as
         # the profiler, duplicated so the analyzer is self-contained)
@@ -52,23 +95,25 @@ class RedundancyTaintAnalyzer(MachineObserver):
         # pc -> decoded static instruction (see _decode)
         self._decoded: Dict[int, Tuple] = {}
         self.total_instructions = 0
-        self.redundant_instructions = 0
-        #: per-class breakdown of redundant dynamic instructions
-        self.redundant_by_class: Dict[OpClass, int] = {c: 0 for c in OpClass}
+        # op class value -> redundant dynamic instructions of that class
+        self._redundant: Dict[str, int] = {c.value: 0 for c in OpClass}
         # communication from memory hooks to on_instruction within one step
         self._pending_load_taint = False
         self._pending_store_address = None
 
+    def shadow_state(self) -> dict:
+        return {"taint": self._reg_taint, "mem": self._mem_taint,
+                "mem_get": self._mem_taint.get, "last": self._last,
+                "last_get": self._last.get, "counts": self._redundant,
+                "NEVER": _NEVER}
+
     def _taint_of(self, ctx) -> List[bool]:
-        taint = self._reg_taint.get(ctx.context_id)
-        if taint is None:
-            taint = self._reg_taint[ctx.context_id] = [False] * NUM_REGISTERS
-        return taint
+        return self._reg_taint[ctx.context_id]
 
     def _decode(self, pc, instruction) -> Tuple:
         """Decode ``instruction`` once: ``(instruction, kind, dest, first,
         second, op_class)``, with register indices for the operands its
-        kind reads or writes.
+        kind reads or writes and the value of its class.
 
         The entry keeps the instruction itself, so a cached decode is
         reused only for that very object: an analyzer that goes on to
@@ -96,7 +141,7 @@ class RedundancyTaintAnalyzer(MachineObserver):
             kind, first, second = _BRANCH, regs[0], regs[-1]
         else:
             kind = _OTHER
-        entry = (instruction, kind, dest, first, second, op_class)
+        entry = (instruction, kind, dest, first, second, op_class.value)
         self._decoded[pc] = entry
         return entry
 
@@ -112,16 +157,13 @@ class RedundancyTaintAnalyzer(MachineObserver):
         self._pending_load_taint = redundant or self._mem_taint.get(address, False)
 
     def on_instruction(self, ctx, pc, instruction) -> None:
-        self.total_instructions += 1
         entry = self._decoded.get(pc)
         if entry is None or entry[0] is not instruction:
             entry = self._decode(pc, instruction)
         _, kind, dest, first, second, op_class = entry
         if kind == _OTHER:
             return
-        taint = self._reg_taint.get(ctx.context_id)
-        if taint is None:
-            taint = self._taint_of(ctx)
+        taint = self._reg_taint[ctx.context_id]
         if kind == _ALU:
             redundant = taint[dest] = taint[first] and taint[second]
         elif kind == _LOAD:
@@ -138,13 +180,21 @@ class RedundancyTaintAnalyzer(MachineObserver):
                 self._mem_taint[address] = redundant
             self._pending_store_address = None
         if redundant:
-            self.redundant_instructions += 1
-            self.redundant_by_class[op_class] += 1
+            self._redundant[op_class] += 1
 
     def on_store(self, ctx, pc, address, old_value, new_value, triggering) -> None:
         self._pending_store_address = address
 
     # -- reporting ----------------------------------------------------------------
+
+    @property
+    def redundant_instructions(self) -> int:
+        return sum(self._redundant.values())
+
+    @property
+    def redundant_by_class(self) -> Dict[OpClass, int]:
+        """Redundant dynamic instructions per opcode class."""
+        return {c: self._redundant[c.value] for c in OpClass}
 
     @property
     def redundant_fraction(self) -> float:

@@ -12,6 +12,13 @@ a timed run (the timing simulator's solo run-ahead).  Registers, memory,
 output, the load/store and instruction counters, and any fault (its
 type) must match the oracle.
 
+The same programs also run under both redundancy analyses, whose
+analysis ``run`` generates into its thunks as shadow transfers while
+``step()`` calls their hooks: every analysis result and every piece of
+shadow state must equal the ``step()`` loop's.  Directed cases add what
+random single-context programs lack: the DTT engine, the limit's
+single-stepped tail, an observer without a transfer, and detaching one.
+
 All paths are generated from one set of semantics templates, so two
 paths can no longer disagree with each other about an opcode; this
 oracle is the test that catches a wrong template.
@@ -30,14 +37,21 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import AlignmentFault, ExecutionFault, MemoryFault
+from repro.core.engine import DttEngine
+from repro.core.registry import ThreadRegistry
+from repro.errors import (AlignmentFault, ExecutionFault,
+                          ExecutionLimitExceeded, MemoryFault)
 from repro.isa.builder import ProgramBuilder
 from repro.isa.instructions import OPCODES
 from repro.machine.context import ContextState
+from repro.machine.events import TraceObserver
 from repro.machine.machine import ENGINE_OPCODES, Machine, run_to_completion
+from repro.profiling.redundancy import RedundantLoadProfiler
+from repro.profiling.slices import RedundancyTaintAnalyzer
 from repro.timing.system import TimingSimulator
+from repro.workloads.suite import SUITE
 
-from tests.conftest import RUN_PATHS, HookRecorder
+from tests.conftest import RUN_PATHS, HookRecorder, build_dtt_sum
 
 # register window the generated programs use (avoids reserved r1..r3)
 REGS = [4, 5, 6, 7]
@@ -428,3 +442,165 @@ def test_seeded_sweep_matches_oracle(path):
     rng = random.Random(0x0AC1E)
     for _ in range(200):
         assert_matches_oracle(compose_plan(rng.choice), [path])
+
+
+# -- the analyses' shadow transfers vs their hooks ------------------------------
+
+
+def analysis_state(loads, slices):
+    """Everything both analyses computed, their shadow state included."""
+    return {
+        "loads": loads.summary(),
+        "load_sites": [(s.pc, s.dynamic, s.redundant)
+                       for s in loads.load_sites()],
+        "store_sites": [(s.pc, s.dynamic, s.silent, s.triggering)
+                        for s in loads.store_sites()],
+        "last_loaded": {a: _norm(v) for a, v in loads._last_loaded.items()},
+        "slices": slices.summary(),
+        "by_class": slices.redundant_by_class,
+        "register_taint": {ctx: list(taint)
+                           for ctx, taint in slices._reg_taint.items()},
+        "memory_taint": dict(slices._mem_taint),
+        "slice_last": {a: _norm(v) for a, v in slices._last.items()},
+    }
+
+
+def _analysed(program, drive, num_contexts=1, specs=(), extra=(),
+              **machine_kwargs):
+    """Run ``drive(machine, loads, slices)`` under both analyses (and the
+    ``extra`` observers, attached between them); returns ``(machine,
+    analysis state, fault type name or None)``."""
+    machine = Machine(program, num_contexts=num_contexts, **machine_kwargs)
+    if specs:
+        machine.attach_engine(DttEngine(ThreadRegistry(specs)))
+    loads, slices = RedundantLoadProfiler(), RedundancyTaintAnalyzer()
+    for observer in (loads, *extra, slices):
+        machine.add_observer(observer)
+    fault = None
+    try:
+        drive(machine, loads, slices)
+    except Exception as exc:  # noqa: BLE001 - the fault is the result
+        fault = type(exc).__name__
+    return machine, analysis_state(loads, slices), fault
+
+
+def _steps(machine, _loads, _slices):
+    _run_steps(machine)
+
+
+def _run(machine, _loads, _slices):
+    run_to_completion(machine)
+
+
+def assert_analyses_match_step(program, step=_steps, run=_run, **kwargs):
+    """``run`` under both analyses must end where the ``step()`` loop
+    does, on transfers: returns the ``run`` machine and the fault."""
+    stepped, expected, fault = _analysed(program, step, **kwargs)
+    machine, actual, run_fault = _analysed(program, run, **kwargs)
+    assert (actual, run_fault) == (expected, fault)
+    assert machine.instructions_executed == stepped.instructions_executed
+    assert stepped.shadow_instructions == 0
+    assert machine.shadow_instructions > 0
+    return machine, fault
+
+
+@given(plans())
+@settings(max_examples=50, deadline=None)
+def test_analyses_on_run_match_step(plan):
+    assert_analyses_match_step(lower(plan))
+
+
+def test_seeded_sweep_analyses_match_step():
+    """200 seeded programs: every shadow kind, wild indexed addresses on
+    the checked memory path, and faults mid-run."""
+    rng = random.Random(0x5AD0)
+    faults = set()
+    for _ in range(200):
+        _machine, fault = assert_analyses_match_step(
+            lower(compose_plan(rng.choice)))
+        faults.add(fault)
+    assert {"MemoryFault", "ExecutionFault", None} <= faults
+
+
+@pytest.mark.parametrize("source", ["dtt-sum", "mcf"])
+def test_analyses_of_a_dtt_run_match_step(source):
+    # the engine on two contexts: tst/tstx/tcheck run under step(), and
+    # the synchronous engine runs each support thread nested inside it
+    if source == "mcf":
+        workload = SUITE["mcf"]
+        build = workload.build_dtt(workload.make_input(scale=2))
+        program, specs = build.program, build.specs
+    else:
+        program, spec = build_dtt_sum([3, 1, 4, 1, 5], [0, 2, 4, 2],
+                                      [9, 8, 7, 8])
+        specs = [spec]
+    machine, fault = assert_analyses_match_step(program, num_contexts=2,
+                                                specs=specs)
+    assert fault is None
+    assert machine.support_instructions > 0
+    assert machine.shadow_instructions < machine.instructions_executed
+
+
+def _spin_loads():
+    b = ProgramBuilder()
+    b.data("xs", [1])
+    with b.function("main"):
+        with b.scratch(2) as (base, v):
+            b.la(base, "xs")
+            b.label("loop")
+            b.ld(v, base, 0)
+            b.addi(v, v, 1)
+            b.st(v, base, 0)
+            b.ld(v, base, 0)
+            b.bnez(v, "loop")
+        b.halt()
+    return b.build()
+
+
+def test_analyses_near_the_instruction_limit_match_step():
+    # two chunks, then run() single-steps the tail up to the limit
+    machine, fault = assert_analyses_match_step(_spin_loads(),
+                                                max_instructions=40_000)
+    assert fault == ExecutionLimitExceeded.__name__
+    assert machine.shadow_instructions < 40_000
+
+
+def test_undeclared_observer_sees_steps_hook_stream():
+    # a TraceObserver and a HookRecorder declare no transfer, so they get
+    # the hook calls a step() loop makes, between the two analyses
+    program, spec = build_dtt_sum([3, 1, 4], [0, 2], [9, 8])
+
+    def observed(drive):
+        trace, recorder = TraceObserver(), HookRecorder()
+        result = _analysed(program, drive, num_contexts=2, specs=[spec],
+                           extra=(trace, recorder))
+        return result[1:], trace.entries, recorder.events
+
+    expected = observed(_steps)
+    assert observed(_run) == expected
+    assert expected[1] and expected[2]
+
+
+def test_detached_analysis_matches_step():
+    # detach the taint analysis mid-run; the profiler runs on alone
+    program = _spin_loads()
+
+    def stop_slices(driver):
+        def drive(machine, _loads, slices):
+            driver(machine, 5000)
+            machine.remove_observer(slices)
+            driver(machine, 7000)
+        return drive
+
+    def stepping(machine, count):
+        for _ in range(count):
+            machine.step(machine.main_context)
+
+    def running(machine, count):
+        assert machine.run(max_steps=count) == count
+
+    expected = _analysed(program, stop_slices(stepping))
+    actual = _analysed(program, stop_slices(running))
+    assert actual[1:] == expected[1:]
+    assert actual[1]["slices"]["total_instructions"] == 5000
+    assert actual[1]["loads"]["total_instructions"] == 12_000

@@ -29,6 +29,8 @@ from repro.isa.program import Program
 from repro.machine.context import ContextState
 from repro.machine.events import MachineObserver
 from repro.machine.machine import Machine, run_to_completion
+from repro.profiling.redundancy import RedundantLoadProfiler
+from repro.profiling.slices import RedundancyTaintAnalyzer
 from repro.workloads.suite import SUITE
 
 from tests.conftest import (RUN_PATHS, HookRecorder, build_dtt_sum,
@@ -518,6 +520,24 @@ def test_removed_observer_sees_nothing_more():
     reference = Machine(program)
     run_to_completion(reference)
     assert fingerprint(machine) == fingerprint(reference)
+
+
+def test_declared_transfers_replace_hook_calls():
+    # both analyses declare shadow transfers: their thunks hold no hook
+    # to call, and an instruction neither analyses keeps the plain thunk
+    program = _mcf_program()
+    machine = Machine(program)
+    machine.add_observer(RedundantLoadProfiler())
+    machine.add_observer(RedundancyTaintAnalyzer())
+    machine.run(max_steps=1)
+    thunks = {i.op: thunk for i, thunk
+              in zip(program.instructions, machine._thunks)}
+    assert {"ldx", "add", "bge", "jmp"} <= set(thunks)
+    for op in ("ldx", "add", "bge"):
+        assert thunks[op].__name__ == f"observed_{op}"
+        assert not {"on_instruction", "on_load", "on_branch"} & set(
+            thunks[op].__code__.co_freevars)
+    assert thunks["jmp"].__name__ == "plain_jmp"
 
 
 def test_profiled_machine_is_freed_without_the_cycle_collector():

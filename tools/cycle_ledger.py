@@ -9,10 +9,12 @@ the E1–E9 plan, and both redundancy analyses of every E1/E2 profile run
     PYTHONPATH=src python3 tools/cycle_ledger.py --check   # exit 1 on drift
 
 ``--only SUBSTRING`` restricts a check to the runs and profiles whose
-canonical name contains the substring.  A check also prints the share of the solo
-run-ahead's instructions that compiled blocks retired, and fails when
-that share is zero: a change that silently disables the compiled path
-cannot pass on a matching ledger.
+canonical name contains the substring.  A check also prints the share of
+the solo run-ahead's instructions that compiled blocks retired, and the
+share of the profiled instructions whose analysis ran as inline shadow
+transfers, and fails when either share is zero: a change that silently
+falls back to the step loop or to hook calls cannot pass on a matching
+ledger.
 """
 
 from __future__ import annotations
@@ -81,10 +83,19 @@ def main(argv=None) -> int:
     share = compiled / solo if solo else 0.0
     print(f"compiled blocks retired {compiled}/{solo} solo instructions "
           f"({share:.1%})")
+    profiled = coverage.get("profiled_instructions", 0)
+    shadowed = coverage.get("shadow_instructions", 0)
+    share = shadowed / profiled if profiled else 0.0
+    print(f"shadow thunks retired {shadowed}/{profiled} profiled "
+          f"instructions ({share:.1%})")
+    failed = False
     if fresh["runs"] and not compiled:
         print("FAIL the compiled path retired no instructions")
-        return 1
-    return 1 if drifted else 0
+        failed = True
+    if fresh["profiles"] and not shadowed:
+        print("FAIL no profiled instruction ran on a shadow thunk")
+        failed = True
+    return 1 if drifted or failed else 0
 
 if __name__ == "__main__":
     sys.exit(main())
