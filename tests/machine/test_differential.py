@@ -585,11 +585,11 @@ def test_detached_analysis_matches_step():
     # detach the taint analysis mid-run; the profiler runs on alone
     program = _spin_loads()
 
-    def stop_slices(driver):
+    def stop_slices(advance):
         def drive(machine, _loads, slices):
-            driver(machine, 5000)
+            advance(machine, 5000)
             machine.remove_observer(slices)
-            driver(machine, 7000)
+            advance(machine, 7000)
         return drive
 
     def stepping(machine, count):
