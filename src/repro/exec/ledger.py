@@ -18,6 +18,13 @@ way: both analyzers' summaries, every load and store site in the order
 keep first-execution order), ``redundant_by_class`` and the output
 digest.
 
+Its ``functional`` section pins the functional DTT run of every suite
+workload at the default seed and scale, as :meth:`Workload.run_dtt` runs
+it (synchronous engine, two contexts): main and support instructions,
+the engine summary, the output digest, and a digest of the engine's
+ordered event stream, so a change that reorders engine events but lands
+on the same totals still drifts.
+
 Regenerate (after an intended model change) and check, from the
 repository root::
 
@@ -31,14 +38,20 @@ import hashlib
 import json
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.exec.plan import RunSpec, build_plan, resolve_workload
+from repro.core.trace import EngineEvent, EngineTrace
+from repro.exec.plan import (RunSpec, build_plan, canonical_run_name,
+                             resolve_workload)
+from repro.machine.machine import Machine, run_to_completion
 from repro.profiling.report import RedundancyReport, profile_program
 from repro.timing.params import named_config
 from repro.timing.stats import TimingResult
 from repro.timing.system import TimingSimulator
+from repro.workloads.base import Workload
+from repro.workloads.suite import SUITE
 
-#: ledger file format version (2 added the ``profiles`` section)
-LEDGER_SCHEMA = 2
+#: ledger file format version (2 added the ``profiles`` section, 3 the
+#: ``functional`` section)
+LEDGER_SCHEMA = 3
 
 #: timed runs pinned beyond the experiment plan
 EXTRA_SPECS = tuple(
@@ -60,6 +73,13 @@ def ledger_specs() -> List[RunSpec]:
 def profile_specs() -> List[RunSpec]:
     """Every profile run the ledger pins, in plan order."""
     return [spec for spec in build_plan(["all"]) if spec.kind == "profile"]
+
+
+def functional_runs() -> Dict[str, Workload]:
+    """Every functional DTT run the ledger pins, by canonical name: one
+    per suite workload, in suite order."""
+    return {canonical_run_name(name, "dtt", "functional", (), None, None):
+            workload for name, workload in SUITE.items()}
 
 
 def output_digest(output) -> str:
@@ -139,11 +159,58 @@ def profile_entry_of(report: RedundancyReport) -> Dict:
     return json.loads(json.dumps(entry, sort_keys=True))
 
 
+class EventDigest:
+    """An :class:`EngineTrace` spill sink that hashes every event, every
+    field of it, in the order the engine records them."""
+
+    def __init__(self):
+        self.events = 0
+        self._hash = hashlib.sha256()
+
+    def append(self, event: EngineEvent) -> None:
+        """Hash one recorded event."""
+        self.events += 1
+        fields = [getattr(event, name) for name in EngineEvent.__slots__]
+        self._hash.update(json.dumps(fields).encode("utf-8"))
+
+    def hexdigest(self) -> str:
+        """The digest of every event appended so far."""
+        return self._hash.hexdigest()[:16]
+
+
+def run_functional(workload: Workload) -> Tuple[Machine, EventDigest]:
+    """Run ``workload``'s DTT build at the default seed and scale exactly
+    as :meth:`Workload.run_dtt` does, digesting its engine's events."""
+    machine = workload.dtt_machine(workload.make_input())
+    digest = EventDigest()
+    # no in-memory buffer: every event goes to the digest only
+    EngineTrace(machine.dtt_engine, max_events=0, spill=digest)
+    run_to_completion(machine)
+    return machine, digest
+
+
+def functional_entry_of(machine: Machine, digest: EventDigest) -> Dict:
+    """The ledger entry of a finished functional run, in its JSON
+    round-trip form."""
+    entry = {
+        "main_instructions": machine.main_instructions,
+        "support_instructions": machine.support_instructions,
+        "engine": machine.dtt_engine.summary(),
+        "output": output_digest(machine.output),
+        "events": digest.events,
+        "event_digest": digest.hexdigest(),
+    }
+    return json.loads(json.dumps(entry, sort_keys=True))
+
+
 def build_ledger(specs: Optional[Iterable[RunSpec]] = None,
                  profiles: Optional[Iterable[RunSpec]] = None,
+                 functional: Optional[Iterable[str]] = None,
                  progress=None, coverage: Optional[Dict] = None) -> Dict:
-    """Simulate ``specs`` (default: :func:`ledger_specs`) and profile
-    ``profiles`` (default: :func:`profile_specs`) into a ledger.
+    """Simulate ``specs`` (default: :func:`ledger_specs`), profile
+    ``profiles`` (default: :func:`profile_specs`) and run the functional
+    DTT runs named in ``functional`` (default: all of
+    :func:`functional_runs`) into a ledger.
 
     ``coverage``, if given, accumulates the runs' ``solo_instructions``
     and ``compiled_instructions`` (instructions the solo run-ahead
@@ -173,7 +240,15 @@ def build_ledger(specs: Optional[Iterable[RunSpec]] = None,
                                ("shadow_instructions",
                                 report.shadow_instructions)):
                 coverage[key] = coverage.get(key, 0) + count
-    return {"schema": LEDGER_SCHEMA, "runs": runs, "profiles": pinned}
+    workloads = functional_runs()
+    functional_entries = {}
+    for name in (workloads if functional is None else functional):
+        if progress is not None:
+            progress(name)
+        functional_entries[name] = functional_entry_of(
+            *run_functional(workloads[name]))
+    return {"schema": LEDGER_SCHEMA, "runs": runs, "profiles": pinned,
+            "functional": functional_entries}
 
 
 def diff_entries(expected: Dict, actual: Dict) -> List[str]:

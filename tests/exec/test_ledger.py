@@ -1,7 +1,7 @@
 """The committed cycle ledger: complete over the plan, and exact on a
 representative slice (``tools/cycle_ledger.py --check`` runs all of it),
 both as shipped and with every hot block compiled on first reach; its
-profiles likewise."""
+profiles and functional DTT runs likewise."""
 
 import json
 from pathlib import Path
@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import DttConfig
-from repro.exec.ledger import (diff_entries, entry_of, ledger_specs,
-                               profile, profile_entry_of, profile_specs,
-                               simulate)
+from repro.core.trace import EngineEvent
+from repro.exec.ledger import (EventDigest, diff_entries, entry_of,
+                               functional_entry_of, functional_runs,
+                               ledger_specs, profile, profile_entry_of,
+                               profile_specs, run_functional, simulate)
 from repro.exec.plan import RunSpec
 from repro.timing import blocks
 
@@ -41,9 +43,14 @@ SLICE = [
 PROFILE_SLICE = [RunSpec.for_profile(name)
                  for name in ("equake", "twolf", "vpr")]
 
+#: the functional DTT runs with the most engine events (bzip2, whose
+#: duplicate triggers are suppressed) and the most support instructions
+FUNCTIONAL_SLICE = [name for name in functional_runs()
+                    if name.split(":")[0] in ("bzip2", "crafty", "mcf")]
+
 
 def test_ledger_pins_exactly_the_planned_timed_runs():
-    assert LEDGER["schema"] == 2
+    assert LEDGER["schema"] == 3
     assert sorted(LEDGER["runs"]) == sorted(s.canonical()
                                            for s in ledger_specs())
     assert all(spec.canonical() in LEDGER["runs"] for spec in SLICE)
@@ -53,6 +60,33 @@ def test_ledger_pins_exactly_the_planned_profiles():
     assert sorted(LEDGER["profiles"]) == sorted(s.canonical()
                                                for s in profile_specs())
     assert len(LEDGER["profiles"]) == 15
+
+
+def test_ledger_pins_every_functional_dtt_run():
+    assert sorted(LEDGER["functional"]) == sorted(functional_runs())
+    assert len(LEDGER["functional"]) == 15
+    assert len(FUNCTIONAL_SLICE) == 3
+
+
+@pytest.mark.parametrize("name", FUNCTIONAL_SLICE)
+def test_representative_functional_runs_match_the_ledger(name):
+    expected = LEDGER["functional"][name]
+    machine, digest = run_functional(functional_runs()[name])
+    assert machine.support_instructions > 0
+    actual = functional_entry_of(machine, digest)
+    assert actual == expected, diff_entries(expected, actual)
+
+
+def test_event_digest_is_order_sensitive():
+    first = EngineEvent(1, "fired", "t", 8, activation_id=1)
+    second = EngineEvent(2, "enqueued", "t", 8, activation_id=1)
+    digests = []
+    for events in ((first, second), (second, first)):
+        digest = EventDigest()
+        for event in events:
+            digest.append(event)
+        digests.append(digest.hexdigest())
+    assert digests[0] != digests[1]
 
 
 @pytest.mark.parametrize("spec", PROFILE_SLICE, ids=RunSpec.canonical)

@@ -2,14 +2,15 @@
 """Regenerate or check ``results/cycle_ledger.json``.
 
 The ledger pins the timing model's exact output for every timed run of
-the E1–E9 plan, and both redundancy analyses of every E1/E2 profile run
-(see :mod:`repro.exec.ledger`).  From the repository root::
+the E1–E9 plan, both redundancy analyses of every E1/E2 profile run, and
+the functional DTT run of every suite workload with its engine's event
+order (see :mod:`repro.exec.ledger`).  From the repository root::
 
     PYTHONPATH=src python3 tools/cycle_ledger.py           # rewrite it
     PYTHONPATH=src python3 tools/cycle_ledger.py --check   # exit 1 on drift
 
-``--only SUBSTRING`` restricts a check to the runs and profiles whose
-canonical name contains the substring.  A check also prints the share of
+``--only SUBSTRING`` restricts a check to the entries whose canonical
+name contains the substring.  A check also prints the share of
 the solo run-ahead's instructions that compiled blocks retired, and the
 share of the profiled instructions whose analysis ran as inline shadow
 transfers, and fails when either share is zero: a change that silently
@@ -24,8 +25,8 @@ import json
 import pathlib
 import sys
 
-from repro.exec.ledger import (build_ledger, diff_entries, ledger_specs,
-                               profile_specs)
+from repro.exec.ledger import (build_ledger, diff_entries, functional_runs,
+                               ledger_specs, profile_specs)
 
 LEDGER_PATH = (pathlib.Path(__file__).resolve().parents[1]
                / "results" / "cycle_ledger.json")
@@ -46,13 +47,15 @@ def main(argv=None) -> int:
         ledger = build_ledger(progress=progress)
         text = json.dumps(ledger, indent=1, sort_keys=True) + "\n"
         LEDGER_PATH.write_text(text, encoding="utf-8")
-        print(f"wrote {len(ledger['runs'])} runs and "
-              f"{len(ledger['profiles'])} profiles to {LEDGER_PATH}")
+        print(f"wrote {len(ledger['runs'])} runs, "
+              f"{len(ledger['profiles'])} profiles and "
+              f"{len(ledger['functional'])} functional runs to {LEDGER_PATH}")
         return 0
     committed = json.loads(LEDGER_PATH.read_text())
     planned = {"runs": {spec.canonical(): spec for spec in ledger_specs()},
                "profiles": {spec.canonical(): spec
-                            for spec in profile_specs()}}
+                            for spec in profile_specs()},
+               "functional": {name: name for name in functional_runs()}}
     names, drifted = {}, {}
     for section, specs in planned.items():
         names[section] = [name for name in specs if args.only in name]
@@ -65,10 +68,10 @@ def main(argv=None) -> int:
     fresh = build_ledger(
         *[[planned[section][name] for name in names[section]
            if name in committed.get(section, {})]
-          for section in ("runs", "profiles")],
+          for section in ("runs", "profiles", "functional")],
         progress=progress, coverage=coverage)
     matched = 0
-    for section in ("runs", "profiles"):
+    for section in ("runs", "profiles", "functional"):
         for name, entry in fresh[section].items():
             if entry != committed[section][name]:
                 drifted[name] = diff_entries(committed[section][name], entry)
@@ -76,8 +79,8 @@ def main(argv=None) -> int:
                 matched += 1
     for name, fields in sorted(drifted.items()):
         print(f"DRIFT {name}: {', '.join(fields)}")
-    print(f"{matched}/{sum(map(len, names.values()))} runs and profiles "
-          f"match the ledger")
+    print(f"{matched}/{sum(map(len, names.values()))} runs, profiles and "
+          f"functional runs match the ledger")
     solo = coverage.get("solo_instructions", 0)
     compiled = coverage.get("compiled_instructions", 0)
     share = compiled / solo if solo else 0.0
