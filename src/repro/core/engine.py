@@ -474,7 +474,15 @@ class DttEngine:
     # -- execution mechanics ------------------------------------------------------------
 
     def _run_synchronous(self, support_ctx: Context, key, entry: QueueEntry) -> None:
-        """Run one activation to completion on an idle support context."""
+        """Run one activation to completion on an idle support context.
+
+        When ``Machine.run``'s batch loop handed the consuming ``tcheck``
+        to ``step()``, the support thread runs on that batch loop too;
+        under a bare ``step()`` loop (the debugger, the differential
+        oracles) it is single-stepped, so that loop stays a pure step
+        reference.  Both retire the same instructions with the same
+        effects, counters, faults and engine events.
+        """
         row = self.status[entry.thread]
         row.executions_started += 1
         row.executing += 1
@@ -495,8 +503,12 @@ class DttEngine:
             entry.new_value,
             entry.old_value,
         )
-        while support_ctx.state is ContextState.RUNNING:
-            self.machine.step(support_ctx)
+        machine = self.machine
+        if machine._batching:
+            machine._drive(support_ctx)
+        else:
+            while support_ctx.state is ContextState.RUNNING:
+                machine.step(support_ctx)
 
     def _start_inline(self, ctx, key, entry: QueueEntry, resume_pc: int,
                       retcheck: bool) -> None:

@@ -9,7 +9,10 @@ from inside the instruction's execution, then ``on_instruction`` fires once
 the instruction has fully executed.  An instruction that faults fires no
 hook.  With a spare context, a synchronous DTT engine runs support
 threads nested inside the ``tcheck`` that consumes them, so their hooks
-come before that ``tcheck``'s ``on_instruction``.
+come before that ``tcheck``'s ``on_instruction``.  Inside a
+``Machine.run`` those support threads run on its batch loop too, with
+``ctx.pc`` and the counters reconciled per chunk as below; a bare
+``step()`` loop single-steps them.
 
 Hooks must take the instruction's PC from their ``pc`` argument and must
 not read ``ctx.pc`` or the instruction counters (``ctx.instruction_count``,

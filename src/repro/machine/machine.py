@@ -42,6 +42,11 @@ loop without compiled blocks, on thunks composed for the observers: an
 observer that declares a shadow transfer has it generated inline, and
 every other observer gets the hooks ``step()`` would call, with the same
 arguments and in the same order (see :mod:`repro.machine.events`).
+
+A synchronous DTT engine runs support threads nested inside the
+``tcheck`` that consumes them.  When ``run`` handed that ``tcheck`` to
+``step()``, the nested support threads are batch-run too, on the same
+loop; under a bare ``step()`` loop they are single-stepped.
 """
 
 from __future__ import annotations
@@ -121,6 +126,10 @@ class Machine:
         # compiled-block state: (block table, report cell, budget cell),
         # installed lazily by the first run()
         self._superblocks = None
+        #: True while step() executes a boundary opcode the batch loop
+        #: handed it; a synchronous engine then batch-runs the support
+        #: threads that opcode starts (see DttEngine._run_synchronous)
+        self._batching = False
         load_program(program, self.memory)
         self.main_context.start_main(program.entry_pc)
 
@@ -224,6 +233,14 @@ class Machine:
         Inside this loop ``ctx.pc`` and the instruction counters are
         reconciled per chunk, so hooks must rely on their ``pc``
         argument (see :mod:`repro.machine.events`).
+
+        A synchronous DTT engine runs each support thread nested inside
+        the ``tcheck`` that consumes it.  When this loop handed that
+        ``tcheck`` to ``step()``, the support thread runs on the same
+        batch loop (:meth:`_drive`), not one ``step()`` at a time; a bare
+        ``step()`` loop still single-steps it.  Either way the nested
+        instructions count in the machine totals, not in the return
+        value.
         """
         if ctx is None:
             ctx = self.main_context
@@ -231,6 +248,15 @@ class Machine:
             raise ContextError(
                 f"context {ctx.context_id} is {ctx.state.value}, cannot step"
             )
+        return self._drive(ctx, max_steps)
+
+    def _drive(self, ctx: Context, max_steps: Optional[int] = None) -> int:
+        """The batch loop of :meth:`run` on a RUNNING ``ctx``.
+
+        Also the entry of nested synchronous support threads, so those
+        do not re-enter the public :meth:`run`: each ``run`` call is one
+        driver's run of one context.
+        """
         table = self._thunks
         if table is None:
             table = self._thunks = build_thunks(self)
@@ -320,9 +346,15 @@ class Machine:
             # a boundary opcode (engine hook, halt): step it with the
             # counters reconciled, so nested synchronous execution and
             # the dynamic-instruction limit see exactly what a step()
-            # loop shows them, then re-budget
+            # loop shows them, then re-budget.  The flag is saved and
+            # restored because nested support threads come back here.
             pc = ctx.pc = -2 - pc
-            self.step(ctx)
+            batching = self._batching
+            self._batching = True
+            try:
+                self.step(ctx)
+            finally:
+                self._batching = batching
             total += 1
             if ctx.state is not ContextState.RUNNING:
                 return total  # its handler set ctx.pc
