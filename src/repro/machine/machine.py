@@ -22,8 +22,8 @@ Execution has two drivers:
   or isinstance re-checks.  The debugger and the timing model's general
   issue loop drive it; the timing model's solo run-ahead calls the same
   pre-decoded handlers directly.
-* :meth:`Machine.run` — batch mode for functional runs.  Straight-line
-  runs are exec-compiled into single Python functions
+* :meth:`Machine.run` — batch mode for functional runs.  Hot
+  straight-line runs are compiled into single Python functions
   (:mod:`repro.machine.superblock`) that keep registers in locals and
   batch memory counters per block.  Whenever a guard fails, and at
   boundary opcodes and uncompiled PCs, the driver falls back to per-PC

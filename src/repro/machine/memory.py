@@ -72,7 +72,12 @@ class Memory:
     # -- block access ------------------------------------------------------------
 
     def write_block(self, base: int, values: Iterable[Number]) -> None:
-        """Write consecutive words starting at ``base`` (uncounted)."""
+        """Write consecutive words starting at ``base`` (uncounted); an
+        in-range list or tuple takes one bounds check and one update."""
+        if (base.__class__ is int and values.__class__ in (list, tuple)
+                and 0 <= base and base + len(values) <= self.limit):
+            self._words.update(zip(range(base, base + len(values)), values))
+            return
         address = base
         for value in values:
             self.poke(address, value)

@@ -1,10 +1,10 @@
-"""Superblock compiler: exec-compiled straight-line runs for ``Machine.run``.
+"""Superblock compiler: compiled straight-line runs for ``Machine.run``.
 
 ``Machine.run`` dispatches these compiled blocks at their entries and
 falls back to the closure thunks (:mod:`repro.machine.fastpath`), which
 pay one Python call per instruction, everywhere else.  The compiler
 partitions the program into single-entry multi-exit *superblocks* and
-lowers each into one Python function built with ``compile``/``exec``.
+lowers each hot one into one Python function built with ``compile``.
 Inside a block, registers live in Python locals, ALU ops are inline
 expressions, and memory accesses go straight at the machine's words dict
 behind the same in-range-exact-``int`` guard the closure thunks use —
@@ -38,6 +38,10 @@ Conditional branches do **not** end a block:
 * any other taken branch is a normal *block exit*: registers are written
   back, counters reconciled, and the target PC returned.
 
+Blocks compile lazily: :func:`install` fills the block table with stubs
+that side-exit until a block's :data:`LOOP_REACHES`-th or
+:data:`LINE_REACHES`-th reach, then bind it in their place and run it.
+
 Side exits and faults
 ---------------------
 The contract with :meth:`Machine.run` (mirroring the thunk contract):
@@ -55,27 +59,29 @@ The contract with :meth:`Machine.run` (mirroring the thunk contract):
   instruction, as in ``step()``) in ``cell[0]``, and left ``ctx.pc`` at
   the faulting instruction.
 
-Every instruction that can raise (any ``int()``/``float()`` coercion,
-division, ``fsqrt``, and even plain ``+``/``-``/``*`` — a huge ``int``
-meeting a ``float`` overflows) is preceded by a ``_k = <position>``
-marker so the except path knows exactly how far the block got.
+The except path finds the faulting position from the traceback's line
+number through a static line-to-position table, so no instruction pays
+for a marker.
 
 Code cache
 ----------
-Compiled code objects depend only on the *program*, not the machine:
-machine state (memory, output buffer, counter cells) is bound via the
-globals dict at ``exec`` time.  A process-wide weak-keyed cache therefore
-shares one compile across every machine running the same program;
-:func:`cache_stats` / :func:`publish_metrics` expose build time and
-hit rates to the obs metrics registry.
+Code is relocatable: the entry PC is the function's ``_E`` argument,
+and static tables and non-literal immediates are argument defaults.  So
+a block's code depends only on its *shape* — opcodes, operands and
+targets relative to the entry — and one process-wide LRU cache
+(:func:`shared_code`), which the timed tier shares, compiles each shape
+once.  Each entry binds it over its machine's globals, renamed
+``sb_<entry_pc>`` for profiles; :func:`cache_stats` counts the work.
 """
 
 from __future__ import annotations
 
+import builtins
 import math
 import time
-import weakref
-from typing import Dict, List, Optional, Tuple
+from collections import OrderedDict
+from types import CodeType, FunctionType
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from repro.isa.instructions import operand_roles
 from repro.isa.program import Program
@@ -92,7 +98,7 @@ TERMINATOR_OPCODES = frozenset(
 #: because they touch the call stack, the DTT engine, or context state
 BOUNDARY_OPCODES = frozenset(["call", "ret"]) | ENGINE_OPCODES
 
-#: synthetic filename of the compiled module; profiler frames from
+#: synthetic filename of the compiled code; profiler frames from
 #: compiled blocks show as (SB_FILENAME, line, "sb_<entry_pc>")
 SB_FILENAME = "<superblock>"
 
@@ -108,59 +114,53 @@ MIN_LOOP_LENGTH = 2
 #: codegen stops extending a block past this many instructions
 MAX_BLOCK_LENGTH = 256
 
+#: the reach of its entry that compiles a loop / straight-line block
+#: (earlier reaches run on the thunks, cheaper for a block run rarely)
+LOOP_REACHES = 1
+LINE_REACHES = 16
+
+#: block shapes the code cache keeps; the least recently used goes first
+CACHE_SHAPES = 32
+
 #: everything the code generator can lower (anything else bounds a block)
 COMPILABLE_OPCODES = frozenset(SEMANTICS) - BOUNDARY_OPCODES
 
-#: compilable ops that can never raise on int/float operands; everything
-#: else gets a ``_k`` position marker for the fault-reconciliation path
+#: compilable ops that can never raise on int/float operands; a block
+#: of only these needs no fault-reconciliation path
 _SAFE_OPCODES = frozenset(
     op for op in COMPILABLE_OPCODES if not SEMANTICS[op].faults)
 
 # -- process-wide code cache ---------------------------------------------------
 
-_STATS = {
-    "cache_hits": 0,
-    "cache_misses": 0,
-    "build_seconds": 0.0,
-    "blocks_compiled": 0,
-    "programs_compiled": 0,
-}
+_STATS = {"cache_hits": 0, "cache_misses": 0, "build_seconds": 0.0}
 
-_CODE_CACHE: "weakref.WeakKeyDictionary[Program, CompiledBlocks]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-class CompiledBlocks:
-    """One program's compiled superblocks: shared, machine-independent."""
-
-    __slots__ = ("code", "blocks", "consts", "source", "__weakref__")
-
-    def __init__(self, code, blocks: List[Tuple[int, int]],
-                 consts: Dict[str, object], source: str):
-        self.code = code
-        #: (entry_pc, length) per compiled block
-        self.blocks = blocks
-        #: immediates that cannot be written as source literals
-        self.consts = consts
-        self.source = source
-
-    def __repr__(self) -> str:
-        return f"CompiledBlocks({len(self.blocks)} blocks)"
+#: shape key -> ``(code, static arguments, tier data)``, in LRU order
+_CODE_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
 
 
 def cache_stats() -> Dict[str, float]:
-    """Process-wide code-cache counters (hits, misses, build seconds)."""
+    """Process-wide code-cache counters over both tiers: shapes compiled
+    (``cache_misses``, taking ``build_seconds``), blocks bound to a shape
+    compiled before (``cache_hits``), and blocks bound (both)."""
     stats = dict(_STATS)
-    total = stats["cache_hits"] + stats["cache_misses"]
+    total = stats["blocks_compiled"] = (stats["cache_hits"]
+                                        + stats["cache_misses"])
     stats["hit_rate"] = stats["cache_hits"] / total if total else 0.0
     return stats
 
 
 def reset_cache_stats() -> None:
     """Zero the cache counters (bench/test isolation; cache is kept)."""
-    for key in _STATS:
-        _STATS[key] = 0.0 if key == "build_seconds" else 0
+    _STATS.update(cache_hits=0, cache_misses=0, build_seconds=0.0)
+
+
+_GAUGES = {
+    "cache_hits": "code-cache hits (blocks bound to a shape compiled before)",
+    "cache_misses": "code-cache misses (block shapes compiled)",
+    "build_seconds": "cumulative block codegen+compile wall-clock",
+    "blocks_compiled": "blocks bound to compiled code, both tiers",
+    "hit_rate": "code-cache hit fraction over all lookups",
+}
 
 
 def publish_metrics(registry) -> None:
@@ -170,30 +170,62 @@ def publish_metrics(registry) -> None:
     publishing must be idempotent across registries and repeat calls.
     """
     stats = cache_stats()
-    registry.gauge(
-        "superblock.cache_hits",
-        "superblock code-cache hits (compile skipped)").set(
-            stats["cache_hits"])
-    registry.gauge(
-        "superblock.cache_misses",
-        "superblock code-cache misses (programs compiled)").set(
-            stats["cache_misses"])
-    registry.gauge(
-        "superblock.build_seconds",
-        "cumulative superblock codegen+compile wall-clock").set(
-            stats["build_seconds"])
-    registry.gauge(
-        "superblock.blocks_compiled",
-        "superblocks compiled across all programs").set(
-            stats["blocks_compiled"])
-    registry.gauge(
-        "superblock.programs_compiled",
-        "distinct programs with compiled superblocks").set(
-            stats["programs_compiled"])
-    registry.gauge(
-        "superblock.hit_rate",
-        "code-cache hit fraction over all lookups").set(
-            stats["hit_rate"])
+    for key, help_text in _GAUGES.items():
+        registry.gauge(f"superblock.{key}", help_text).set(stats[key])
+
+
+def shared_code(key: tuple, generate: Callable[[], tuple],
+                filename: str) -> tuple:
+    """The cached ``(code, statics, data)`` of the block shape ``key``;
+    on a miss ``generate()`` returns ``(source lines of one function
+    whose trailing parameters default to statics, statics, data)``."""
+    cached = _CODE_CACHE.get(key)
+    if cached is not None:
+        _STATS["cache_hits"] += 1
+        _CODE_CACHE.move_to_end(key)
+        return cached
+    started = time.perf_counter()
+    lines, statics, data = generate()
+    module = compile("\n".join(lines) + "\n", filename, "exec")
+    code = next(const for const in module.co_consts
+                if const.__class__ is CodeType)
+    cached = _CODE_CACHE[key] = (code, statics, data)
+    if len(_CODE_CACHE) > CACHE_SHAPES:
+        _CODE_CACHE.popitem(last=False)
+    _STATS["cache_misses"] += 1
+    _STATS["build_seconds"] += time.perf_counter() - started
+    return cached
+
+
+def bind(code: CodeType, name: str, namespace: dict,
+         defaults: tuple) -> FunctionType:
+    """A function of the shared ``code`` over ``namespace``, renamed
+    ``name`` (no recompile) so profiles tell its entries apart."""
+    return FunctionType(code.replace(co_name=name), namespace, name,
+                        defaults)
+
+
+def _literal(value) -> bool:
+    """Whether ``repr`` writes ``value`` exactly; anything else (``inf``,
+    ``nan``, numeric subclasses) is bound by reference, as the thunks do."""
+    cls = value.__class__
+    return cls is int or cls is bool or (cls is float and math.isfinite(value))
+
+
+def _operand_key(value):
+    """An operand as a cache key: literals by their source (``1``, ``1.0``,
+    ``True``, ``-0.0`` differ), others by identity (kept alive by statics)."""
+    if value.__class__ is int or value is None:
+        return value
+    return repr(value) if _literal(value) else (value.__class__, id(value))
+
+
+def shape(instructions, pcs, entry: int) -> tuple:
+    """The instructions at ``pcs`` as a cache key, relative to ``entry``."""
+    return tuple((ins.op, _operand_key(ins.a), _operand_key(ins.b),
+                  _operand_key(ins.c),
+                  None if ins.target is None else ins.target - entry)
+                 for ins in map(instructions.__getitem__, pcs))
 
 
 # -- block formation -----------------------------------------------------------
@@ -262,75 +294,83 @@ def form_blocks(program: Program) -> List[Tuple[int, int, bool]]:
 # -- code generation -----------------------------------------------------------
 
 
-def _lit(value, consts: Dict[str, object]) -> str:
-    """A source literal for an immediate, or a bound constant name.
+def block_operands(ins, statics: Dict[str, object]) -> Dict[str, Src]:
+    """Template operands in a compiled block: registers are the locals
+    ``r<n>``, immediates literals or names bound in ``statics``."""
+    def immediate(slot):
+        value = getattr(ins, slot)
+        if not _literal(value):
+            name = f"_const{len(statics)}"
+            statics[name] = value
+            return Src(name)
+        return (ExactInt if value.__class__ is int else Src)(repr(value))
 
-    ``repr`` round-trips exactly for ``int`` and finite ``float``;
-    anything else (``inf``/``nan``, numeric subclasses) is bound by
-    reference so runtime semantics match the thunks bit for bit.
-    """
-    cls = value.__class__
-    if cls is bool or cls is int:
-        return repr(value)
-    if cls is float and math.isfinite(value):
-        return repr(value)
-    name = f"_const{len(consts)}"
-    consts[name] = value
-    return name
+    return operands(ins.op, lambda slot: f"r{getattr(ins, slot)}",
+                    immediate)
+
+
+def block_registers(body) -> Tuple[List[int], List[int]]:
+    """The registers ``body`` reads or writes, and those it writes."""
+    read, written = set(), set()
+    for ins in body:
+        dest, sources = operand_roles(ins.op)
+        read.update(getattr(ins, slot) for slot in sources)
+        if dest is not None:
+            written.add(getattr(ins, dest))
+    return sorted(read | written), sorted(written)
+
+
+def prefix(flags) -> tuple:
+    """Running totals: entry ``d`` counts the flags of positions < d."""
+    totals = [0]
+    for flag in flags:
+        totals.append(totals[-1] + flag)
+    return tuple(totals)
 
 
 class _BlockGen:
-    """Source generator for one superblock."""
+    """Source generator for one superblock, relative to its entry."""
 
-    def __init__(self, program: Program, entry: int, length: int,
-                 is_loop: bool, consts: Dict[str, object]):
-        self.entry = entry
-        self.length = length
+    def __init__(self, body, entry: int, is_loop: bool):
+        self.body = body
+        self.length = length = len(body)
         self.is_loop = is_loop
-        self.consts = consts
-        self.body = program.instructions[entry:entry + length]
-        read: set = set()
-        written: set = set()
-        for ins in self.body:
-            dest, sources = operand_roles(ins.op)
-            read.update(getattr(ins, slot) for slot in sources)
-            if dest is not None:
-                written.add(getattr(ins, dest))
-        self.regs = sorted(read | written)
-        self.written = sorted(written)
+        #: each position's control-flow target, relative to the entry
+        self.targets = [None if ins.target is None else ins.target - entry
+                        for ins in body]
+        #: arguments bound as defaults: static tables and constants
+        self.statics: Dict[str, object] = {}
+        self.regs, self.written = block_registers(body)
         #: loads/stores at positions < j, assuming the straight-line path
-        self.loads_before = [0] * (length + 1)
-        self.stores_before = [0] * (length + 1)
-        for j, ins in enumerate(self.body):
-            self.loads_before[j + 1] = (
-                self.loads_before[j] + (ins.op in ("ld", "ldx")))
-            self.stores_before[j + 1] = (
-                self.stores_before[j] + (ins.op in ("st", "stx")))
+        self.loads_before = prefix(ins.op in ("ld", "ldx") for ins in body)
+        self.stores_before = prefix(ins.op in ("st", "stx") for ins in body)
         self.marked = any(ins.op not in _SAFE_OPCODES for ins in self.body)
         #: source-size budget for tail duplication (positions, not lines)
         self._dup_budget = 8 * length
-        # which skip accumulators the block needs: scan every edge that
-        # can skip a straight-line range (if-converted diamonds and
+        # which skip accumulators the block needs: every edge that can
+        # skip a straight-line range [lo, hi) (if-converted diamonds and
         # loop-continue back-edges)
-        self.has_skip = False
-        self.has_skip_loads = False
-        self.has_skip_stores = False
-        for j, ins in enumerate(self.body):
-            if ins.op not in TERMINATOR_OPCODES:
-                continue
-            target = ins.target
-            if target == entry:
-                lo, hi = j + 1, length
-            elif entry + j < target <= entry + length:
-                lo, hi = j + 1, target - entry
-            else:
-                continue
-            if hi > lo:
-                self.has_skip = True
-                if self.loads_before[hi] > self.loads_before[lo]:
-                    self.has_skip_loads = True
-                if self.stores_before[hi] > self.stores_before[lo]:
-                    self.has_skip_stores = True
+        skips = [(j + 1, length if target == 0 else target)
+                 for j, target in enumerate(self.targets)
+                 if body[j].op in TERMINATOR_OPCODES
+                 and (target == 0 or j < target <= length)]
+        skips = [(lo, hi) for lo, hi in skips if hi > lo]
+        self.has_skip = bool(skips)
+        self.has_skip_loads = any(self.loads_before[hi] > self.loads_before[lo]
+                                  for lo, hi in skips)
+        self.has_skip_stores = any(
+            self.stores_before[hi] > self.stores_before[lo]
+            for lo, hi in skips)
+        #: the function's source lines (the header is filled in last)
+        #: and, per line number, the position its code belongs to
+        self.out: List[str] = [""]
+        self.where: List[int] = [0, 0]
+
+    def _put(self, indent: str, lines: List[str], j: int) -> None:
+        """Append ``lines`` at ``indent``, as code of position ``j``."""
+        for line in lines:
+            self.out.append(indent + line)
+            self.where.append(j)
 
     # -- accounting expressions ---------------------------------------------
 
@@ -371,7 +411,7 @@ class _BlockGen:
             expr += f" - {accumulator}"
         return f"_mem.{counter} = _mem.{counter} + {expr}"
 
-    def _exit_lines(self, k, next_expr: Optional[str]) -> List[str]:
+    def _exit_lines(self, k, next_expr) -> List[str]:
         """Write back, reconcile counters, report, and leave the block.
 
         ``k`` — positions of the current iteration complete at the exit
@@ -383,12 +423,12 @@ class _BlockGen:
         if isinstance(k, int):
             upto_loads = upto_stores = k
         else:
-            # fault path: index the per-position prefix tuples by _k
+            # fault path: index the per-position prefix tables by _k
             # (exclusive — a faulting instruction never reached memory)
-            upto_loads = (f"_LB{self.entry}[_k]"
-                          if self.loads_before[self.length] else 0)
-            upto_stores = (f"_SB{self.entry}[_k]"
-                           if self.stores_before[self.length] else 0)
+            self.statics.update(_LB=self.loads_before,
+                                _SB=self.stores_before)
+            upto_loads = self.loads_before[-1] and "_LB[_k]"
+            upto_stores = self.stores_before[-1] and "_SB[_k]"
         loads = self._counter_line(
             "load_count", self.loads_before[self.length],
             upto_loads, self.has_skip_loads)
@@ -424,255 +464,201 @@ class _BlockGen:
         lines = ["_n = _n + 1"]
         lines.append("if _n < _maxn:")
         lines.append("    continue")
-        lines.extend(self._exit_lines(0, str(self.entry)))
+        lines.extend(self._exit_lines(0, "_E"))
         return lines
 
     # -- per-instruction emitters --------------------------------------------
 
-    def _operands(self, ins) -> Dict[str, Src]:
-        """Template operands: registers are locals, immediates literals."""
-        def immediate(slot):
-            value = getattr(ins, slot)
-            source = _lit(value, self.consts)
-            return ExactInt(source) if value.__class__ is int else Src(source)
-
-        return operands(ins.op, lambda slot: f"r{getattr(ins, slot)}",
-                        immediate)
-
     def _emit_plain(self, j: int, ins) -> List[str]:
         sem = SEMANTICS[ins.op]
-        lines: List[str] = []
-        if self.marked and sem.faults:
-            lines.append(f"_k = {j}")
-        ops = self._operands(ins)
+        ops = block_operands(ins, self.statics)
         if sem.kind == ALU:
-            lines.append(f"{ops['a']} = {sem.effect.format(**ops)}")
-        elif sem.kind == LOAD or sem.kind == STORE:
+            return [f"{ops['a']} = {sem.effect.format(**ops)}"]
+        if sem.kind == LOAD or sem.kind == STORE:
             # memory counters are batched per block: the fast path does
             # not count, and a failed guard side-exits to the thunk
-            side_exit = self._exit_lines(j, str(-2 - (self.entry + j)))
-            lines.extend(access(sem, ops, side_exit, counted=False))
-        else:  # out, nop
-            lines.extend(sem.effect.format(out="_out", **ops).splitlines())
-        return lines
+            side_exit = self._exit_lines(j, f"{-2 - j} - _E")
+            return access(sem, ops, side_exit, counted=False)
+        # out, nop
+        return sem.effect.format(out="_out", **ops).splitlines()
 
-    def _emit_range(self, out: List[str], indent: str,
-                    lo: int, hi: int) -> None:
+    def _emit_range(self, indent: str, lo: int, hi: int) -> None:
         """Emit positions [lo, hi); ends with an exit unless it merges
         back into the enclosing range."""
-        entry, length = self.entry, self.length
+        length = self.length
         j = lo
         while j < hi:
             ins = self.body[j]
             op = ins.op
+            target = self.targets[j]
             if op == "jmp":
-                target = ins.target
-                if target == entry and self.is_loop:
-                    for line in self._continue_lines():
-                        out.append(indent + line)
+                if target == 0 and self.is_loop:
+                    self._put(indent, self._continue_lines(), j)
                     return
-                if entry + j < target <= entry + hi:
+                if j < target <= hi:
                     # forward jmp inside this range: an unconditional
                     # skip straight to its target
-                    for line in self._skip_lines(j + 1, target - entry):
-                        out.append(indent + line)
-                    j = target - entry
+                    self._put(indent, self._skip_lines(j + 1, target), j)
+                    j = target
                     continue
-                if entry + hi < target <= entry + length \
-                        and self._dup_budget >= length - (target - entry):
+                if hi < target <= length \
+                        and self._dup_budget >= length - target:
                     # forward jmp past this range's merge point but
                     # still inside the block: duplicate the tail so
                     # this path reaches the block's back-edge/exit
                     # without leaving compiled code
-                    self._dup_budget -= length - (target - entry)
-                    for line in self._skip_lines(j + 1, target - entry):
-                        out.append(indent + line)
-                    self._emit_range(out, indent, target - entry, length)
+                    self._dup_budget -= length - target
+                    self._put(indent, self._skip_lines(j + 1, target), j)
+                    self._emit_range(indent, target, length)
                     return
                 # backward or out-of-reach: leave the block (anything
                 # after this position is unreachable along this path)
-                for line in self._exit_lines(j + 1, str(target)):
-                    out.append(indent + line)
+                self._put(indent, self._exit_lines(j + 1, f"_E + {target}"),
+                          j)
                 return
             if op in TERMINATOR_OPCODES:
-                cond = SEMANTICS[op].effect.format(**self._operands(ins))
-                target = ins.target
-                if target == entry and self.is_loop:
-                    out.append(indent + f"if {cond}:")
-                    for line in self._skip_lines(j + 1, length):
-                        out.append(indent + "    " + line)
-                    for line in self._continue_lines():
-                        out.append(indent + "    " + line)
-                elif entry + j < target <= entry + hi:
+                cond = SEMANTICS[op].effect.format(
+                    **block_operands(ins, self.statics))
+                inner = indent + "    "
+                if target == 0 and self.is_loop:
+                    self._put(indent, [f"if {cond}:"], j)
+                    self._put(inner, self._skip_lines(j + 1, length), j)
+                    self._put(inner, self._continue_lines(), j)
+                elif j < target <= hi:
                     # forward branch inside this range: if-convert it.
                     # A branch to the very next instruction is a no-op
                     # (taken or not, execution continues at j + 1).
-                    merge = target - entry
-                    if merge > j + 1:
-                        skip = self._skip_lines(j + 1, merge)
-                        out.append(indent + f"if {cond}:")
-                        for line in skip:
-                            out.append(indent + "    " + line)
-                        if not skip:
-                            out.append(indent + "    pass")
-                        out.append(indent + "else:")
-                        emitted = len(out)
-                        self._emit_range(out, indent + "    ", j + 1, merge)
-                        if len(out) == emitted:  # the skipped range is nops
-                            out.append(indent + "    pass")
-                    j = merge
+                    if target > j + 1:
+                        skip = self._skip_lines(j + 1, target)
+                        self._put(indent, [f"if {cond}:"], j)
+                        self._put(inner, skip or ["pass"], j)
+                        self._put(indent, ["else:"], j)
+                        emitted = len(self.out)
+                        self._emit_range(inner, j + 1, target)
+                        if len(self.out) == emitted:  # skipped only nops
+                            self._put(inner, ["pass"], j)
+                    j = target
                     continue
-                elif entry + hi < target <= entry + length \
-                        and self._dup_budget >= length - (target - entry):
+                elif hi < target <= length \
+                        and self._dup_budget >= length - target:
                     # taken edge lands past this range's merge point but
                     # inside the block: duplicate the tail on that edge
-                    self._dup_budget -= length - (target - entry)
-                    out.append(indent + f"if {cond}:")
-                    for line in self._skip_lines(j + 1, target - entry):
-                        out.append(indent + "    " + line)
-                    self._emit_range(out, indent + "    ",
-                                     target - entry, length)
+                    self._dup_budget -= length - target
+                    self._put(indent, [f"if {cond}:"], j)
+                    self._put(inner, self._skip_lines(j + 1, target), j)
+                    self._emit_range(inner, target, length)
                 else:
-                    out.append(indent + f"if {cond}:")
-                    for line in self._exit_lines(j + 1, str(target)):
-                        out.append(indent + "    " + line)
+                    self._put(indent, [f"if {cond}:"], j)
+                    self._put(inner,
+                              self._exit_lines(j + 1, f"_E + {target}"), j)
                 j += 1
                 continue
-            for line in self._emit_plain(j, ins):
-                out.append(indent + line)
+            self._put(indent, self._emit_plain(j, ins), j)
             j += 1
         if hi == length:
             # fell off the block's end: continue at the next instruction
-            for line in self._exit_lines(length, str(entry + length)):
-                out.append(indent + line)
+            self._put(indent, self._exit_lines(length, f"_E + {length}"),
+                      length - 1)
 
     # -- whole-function assembly ----------------------------------------------
 
-    def generate(self) -> List[str]:
-        entry, length = self.entry, self.length
-        out = [f"def {SB_PREFIX}{entry}(ctx):"]
-        out.append("    _b = _bc[0]")
-        out.append(f"    if _b < {length}:")
-        out.append("        _cell[0] = 0")
-        out.append(f"        return {-2 - entry}")
-        out.append("    regs = ctx.regs")
-        for r in self.regs:
-            out.append(f"    r{r} = regs[{r}]")
-        if self.is_loop:
-            out.append(f"    _maxn = _b // {length}")
-            out.append("    _n = 0")
-        if self.has_skip:
-            out.append("    _skip = 0")
-        if self.has_skip_loads:
-            out.append("    _skl = 0")
-        if self.has_skip_stores:
-            out.append("    _sks = 0")
-        if self.marked:
-            out.append("    _k = 0")
-            out.append("    try:")
+    def generate(self) -> Tuple[List[str], tuple, None]:
+        """``(source lines, static defaults, None)`` for
+        :func:`shared_code`: one function ``sb(ctx, _E, *statics)``."""
+        length = self.length
+        skips = [name for name, used in (("_skip", self.has_skip),
+                                         ("_skl", self.has_skip_loads),
+                                         ("_sks", self.has_skip_stores))
+                 if used]
+        self._put("    ", ["_b = _bc[0]", f"if _b < {length}:",
+                           "    _cell[0] = 0", "    return -2 - _E",
+                           "regs = ctx.regs"]
+                  + [f"r{r} = regs[{r}]" for r in self.regs]
+                  + [f"_maxn = _b // {length}", "_n = 0"] * self.is_loop
+                  + [f"{name} = 0" for name in skips]
+                  + ["try:"] * self.marked, 0)
         indent = "    " + ("    " if self.marked else "")
         if self.is_loop:
-            out.append(indent + "while 1:")
-            self._emit_range(out, indent + "    ", 0, length)
+            self._put(indent, ["while 1:"], 0)
+            self._emit_range(indent + "    ", 0, length)
         else:
-            self._emit_range(out, indent, 0, length)
+            self._emit_range(indent, 0, length)
         if self.marked:
-            out.append("    except BaseException:")
-            for line in self._exit_lines("_k + 1", None):
-                out.append("        " + line)
-            out.append("        _cell[1] = 1")
-            out.append(f"        ctx.pc = {entry} + _k")
-            out.append("        raise")
-        return out
-
-    def prelude(self) -> List[str]:
-        """Module-level constant tuples for the fault-reconciliation path.
-
-        ``_LB<entry>[k]`` / ``_SB<entry>[k]`` — straight-line loads and
-        stores at positions *strictly before* ``k``: a fault at position
-        ``k`` raised before the instruction's own memory access counted.
-        """
-        if not self.marked:
-            return []
-        lines = []
-        if self.loads_before[self.length]:
-            lines.append(
-                f"_LB{self.entry} = "
-                f"{tuple(self.loads_before[:self.length])}")
-        if self.stores_before[self.length]:
-            lines.append(
-                f"_SB{self.entry} = "
-                f"{tuple(self.stores_before[:self.length])}")
-        return lines
+            self._put("    ", ["except BaseException as _f:"], 0)
+            self._put("        ", ["_k = _P[_f.__traceback__.tb_lineno]"]
+                      + self._exit_lines("_k + 1", None)
+                      + ["_cell[1] = 1", "ctx.pc = _E + _k", "raise"], 0)
+            self.statics["_P"] = tuple(self.where)
+        self.out[0] = "def sb(ctx, _E, {}):".format(", ".join(self.statics))
+        return self.out, tuple(self.statics.values()), None
 
 
-def generate_source(
-    program: Program, blocks: List[Tuple[int, int, bool]]
-) -> Tuple[str, Dict[str, object]]:
-    """Source text + non-literal constant bindings for a program's blocks."""
-    consts: Dict[str, object] = {}
-    lines: List[str] = []
-    for entry, length, is_loop in blocks:
-        gen = _BlockGen(program, entry, length, is_loop, consts)
-        lines.extend(gen.prelude())
-        lines.extend(gen.generate())
-        lines.append("")
-    return "\n".join(lines), consts
+def _block_code(instructions, entry: int, length: int, is_loop: bool):
+    """The shared code and static defaults of the block at ``entry``."""
+    pcs = range(entry, entry + length)
+    return shared_code((SB_PREFIX, is_loop, shape(instructions, pcs, entry)),
+                       lambda: _BlockGen(instructions[entry:entry + length],
+                                         entry, is_loop).generate(),
+                       SB_FILENAME)
 
 
-# -- compilation and per-machine installation ---------------------------------
+def block_namespace(machine, **bound) -> dict:
+    """Globals of compiled blocks on ``machine``, plus ``bound``."""
+    memory = machine.memory
+    return dict(HELPERS, __builtins__=builtins, _mem=memory,
+                _words=memory._words, _get=memory._words.get,
+                _limit=memory.limit, _out=machine.output.append, **bound)
+
+
+#: a program's ``(entry_pc, length)`` blocks and code object per entry
+CompiledBlocks = NamedTuple("CompiledBlocks",
+                            [("blocks", list), ("codes", dict)])
 
 
 def compile_blocks(program: Program) -> CompiledBlocks:
-    """Compile (or fetch from the process-wide cache) a program's blocks."""
-    cached = _CODE_CACHE.get(program)
-    if cached is not None:
-        _STATS["cache_hits"] += 1
-        return cached
-    _STATS["cache_misses"] += 1
-    started = time.perf_counter()
+    """Compile every block of ``program`` now (unlike :func:`install`)."""
     blocks = form_blocks(program)
-    source, consts = generate_source(program, blocks)
-    code = compile(source, SB_FILENAME, "exec")
-    compiled = CompiledBlocks(
-        code, [(entry, length) for entry, length, _ in blocks],
-        consts, source)
-    _STATS["build_seconds"] += time.perf_counter() - started
-    _STATS["blocks_compiled"] += len(blocks)
-    _STATS["programs_compiled"] += 1
-    _CODE_CACHE[program] = compiled
-    return compiled
+    return CompiledBlocks(
+        [(entry, length) for entry, length, _ in blocks],
+        {entry: _block_code(program.instructions, entry, length,
+                            is_loop)[0]
+         for entry, length, is_loop in blocks})
+
+
+# -- per-machine installation --------------------------------------------------
 
 
 def install(machine):
-    """Bind a machine to its program's compiled blocks.
+    """Bind a machine to its program's blocks, compiled as they get hot.
 
-    Returns ``(table, cell, budget_cell)``: a per-PC table holding the
-    block function at each block entry (``None`` elsewhere), the
+    Returns ``(table, cell, budget_cell)``: a per-PC table holding a
+    countdown stub at each block entry (``None`` elsewhere), the
     ``[retired, fault_flag]`` cell every block reports through, and the
     one-element chunk-budget cell the driver refreshes before each call.
-
-    The code objects are shared via the cache; this only ``exec``s them
-    against this machine's memory, output buffer, and cells — all bound
-    by identity, which ``Machine.restore`` preserves.
+    Blocks bind memory, output buffer and cells by identity, which
+    ``Machine.restore`` preserves.
     """
-    compiled = compile_blocks(machine.program)
-    cell = [0, 0]
-    budget_cell = [0]
-    memory = machine.memory
-    namespace = dict(HELPERS)
-    namespace.update(compiled.consts)
-    namespace.update(
-        _mem=memory,
-        _words=memory._words,
-        _get=memory._words.get,
-        _limit=memory.limit,
-        _out=machine.output.append,
-        _cell=cell,
-        _bc=budget_cell,
-    )
-    exec(compiled.code, namespace)
-    table = [None] * len(machine.program.instructions)
-    for entry, _length in compiled.blocks:
-        table[entry] = namespace[f"{SB_PREFIX}{entry}"]
+    instructions = machine.program.instructions
+    cell, budget_cell = [0, 0], [0]
+    namespace = block_namespace(machine, _cell=cell, _bc=budget_cell)
+    table = [None] * len(instructions)
+
+    def stub(entry: int, length: int, is_loop: bool):
+        reaches = LOOP_REACHES if is_loop else LINE_REACHES
+
+        def countdown(ctx):
+            nonlocal reaches
+            reaches -= 1
+            if reaches > 0:
+                cell[0] = 0
+                return -2 - entry
+            code, statics, _ = _block_code(instructions, entry, length,
+                                           is_loop)
+            block = table[entry] = bind(code, f"{SB_PREFIX}{entry}",
+                                        namespace, (entry,) + statics)
+            return block(ctx)
+        return countdown
+
+    for entry, length, is_loop in form_blocks(machine.program):
+        table[entry] = stub(entry, length, is_loop)
     return table, cell, budget_cell

@@ -100,8 +100,8 @@ class TimingSimulator:
         self.solo_instructions = 0
         #: hot-block state per core id, for this run only (see _solo_body)
         self._hot_blocks = {}
-        #: blocks compiled, seconds spent compiling them, and instructions
-        #: retired inside them
+        #: blocks bound to compiled code, seconds spent binding (and on a
+        #: cache miss compiling) them, and instructions retired inside them
         self.compiled_blocks = 0
         self.compile_seconds = 0.0
         self.compiled_instructions = 0
@@ -256,7 +256,7 @@ class TimingSimulator:
         leaving the cycle unfinished), the cycle limit, a fault, or too
         little instruction headroom for another full-width cycle.  At a
         block entry it has reached ``blocks.HOT_THRESHOLD`` times, it
-        compiles the block and from then on calls it, which advances
+        binds the block's code and from then on calls it, which advances
         this loop's own state (see :mod:`repro.timing.blocks`).  It
         touches architectural state, the cache hierarchy, the predictor
         and the core's class tally; everything else it returns for
@@ -436,10 +436,10 @@ class TimingSimulator:
                 "instructions retired in solo run-ahead iterations"),
             "timing.compiled_blocks": (
                 self.compiled_blocks,
-                "hot blocks the solo run-ahead compiled"),
+                "hot blocks the solo run-ahead bound to compiled code"),
             "timing.compile_seconds": (
                 self.compile_seconds,
-                "host seconds spent compiling hot blocks"),
+                "host seconds spent binding and compiling hot blocks"),
             "timing.compiled_instructions": (
                 self.compiled_instructions,
                 "solo instructions retired inside compiled blocks"),

@@ -7,6 +7,7 @@ import pytest
 from repro.core.engine import DttEngine
 from repro.core.registry import ThreadRegistry, TriggerSpec
 from repro.isa.builder import ProgramBuilder
+from repro.machine import superblock
 from repro.machine.events import MachineObserver
 from repro.machine.machine import Machine
 
@@ -134,11 +135,25 @@ def thunks_only(machine: Machine) -> Machine:
     return machine
 
 
-#: the two ``Machine.run`` paths the equivalence tests compare against
-#: the ``step()`` loop: "superblock" is ``run`` as shipped, "closure" is
-#: ``run`` on the closure thunks alone (see :func:`thunks_only`)
+def every_block_compiled(machine: Machine) -> Machine:
+    """Test fake: install ``machine``'s compiled-block table with every
+    block compiling at its first reach (``LINE_REACHES`` patched to 1),
+    so compiled code runs even where no block gets hot as shipped.
+    Apply it after ``attach_engine``, which discards the table."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(superblock, "LINE_REACHES", 1)
+        machine._build_superblocks()
+    return machine
+
+
+#: the three ``Machine.run`` paths the equivalence tests compare against
+#: the ``step()`` loop: "superblock" is ``run`` as shipped, "compiled" is
+#: ``run`` with every block compiled at its first reach (see
+#: :func:`every_block_compiled`), "closure" is ``run`` on the closure
+#: thunks alone (see :func:`thunks_only`)
 RUN_PATHS = {
     "closure": thunks_only,
+    "compiled": every_block_compiled,
     "superblock": lambda machine: machine,
 }
 

@@ -15,6 +15,7 @@ from repro.exec.ledger import (EventDigest, diff_entries, entry_of,
                                ledger_specs, profile, profile_entry_of,
                                profile_specs, run_functional, simulate)
 from repro.exec.plan import RunSpec
+from repro.machine import superblock
 from repro.timing import blocks
 
 LEDGER = json.loads((Path(__file__).resolve().parents[2] / "results"
@@ -73,6 +74,18 @@ def test_representative_functional_runs_match_the_ledger(name):
     expected = LEDGER["functional"][name]
     machine, digest = run_functional(functional_runs()[name])
     assert machine.support_instructions > 0
+    actual = functional_entry_of(machine, digest)
+    assert actual == expected, diff_entries(expected, actual)
+
+
+@pytest.mark.parametrize("name", FUNCTIONAL_SLICE)
+def test_functional_runs_match_the_ledger_with_every_block_compiled(
+        name, monkeypatch):
+    monkeypatch.setattr(superblock, "LINE_REACHES", 1)
+    expected = LEDGER["functional"][name]
+    before = superblock.cache_stats()["blocks_compiled"]
+    machine, digest = run_functional(functional_runs()[name])
+    assert superblock.cache_stats()["blocks_compiled"] > before
     actual = functional_entry_of(machine, digest)
     assert actual == expected, diff_entries(expected, actual)
 

@@ -295,12 +295,14 @@ def test_superblock_memory_guard_side_exit_faults_identically():
     assert fp["state"] is ContextState.RUNNING
 
 
-def test_superblock_mid_loop_arithmetic_fault_identical():
-    # an idiv-by-zero on a later iteration exercises the in-block fault
-    # reconciliation path (_k marker + batched counter writeback)
+def _mid_loop_fault_program(pad=0):
+    """``pad`` nops, then a loop block whose ``idiv`` divides by zero on
+    its third iteration."""
     b = ProgramBuilder()
     with b.function("main"):
         with b.scratch(4) as (i, d, q, z):
+            for _ in range(pad):
+                b.nop()
             b.li(i, 5)
             b.li(z, 0)
             b.label("loop")
@@ -309,8 +311,111 @@ def test_superblock_mid_loop_arithmetic_fault_identical():
             b.subi(i, i, 1)
             b.bgt(i, z, "loop")
         b.halt()
-    fp = _fault_fingerprints(b.build(), ExecutionFault, "division by zero")
+    return b.build()
+
+
+def test_superblock_mid_loop_arithmetic_fault_identical():
+    # an idiv-by-zero on a later iteration exercises the in-block fault
+    # reconciliation path (traceback position + batched counter writeback)
+    fp = _fault_fingerprints(_mid_loop_fault_program(), ExecutionFault,
+                             "division by zero")
     assert fp["instructions_executed"] > 4  # faulted mid-loop, not at entry
+
+
+def test_one_shape_faulting_at_two_entries_matches_step():
+    # the same loop shape at two entry PCs runs one shared code object;
+    # its fault must leave each machine's pc, registers and counters
+    # exactly where step() leaves them
+    from repro.machine.superblock import compile_blocks, form_blocks
+
+    entries = []
+    for pad in (0, 3):
+        program = _mid_loop_fault_program(pad)
+        (entry,) = [e for e, _, is_loop in form_blocks(program) if is_loop]
+        entries.append((program, entry))
+        fp = _fault_fingerprints(program, ExecutionFault, "division by zero")
+        assert fp["pc"] == entry + 1  # the idiv
+        assert fp["instructions_executed"] > pad + 4  # mid-loop
+    (first, a), (second, b) = entries
+    assert a != b
+    assert compile_blocks(first).codes[a] is compile_blocks(second).codes[b]
+
+
+@pytest.mark.parametrize("copies", [
+    ((1, 1), (2, 1)),        # the forward branch skips one or two
+    ((1, 1), (1, 1.0)),      # an int or a float immediate
+    ((1, 0.0), (1, -0.0)),   # zero or negative zero
+], ids=["target", "int-float", "signed-zero"])
+def test_blocks_of_different_shapes_do_not_share_code(copies):
+    # two blocks alike but for one branch target or immediate: each is
+    # part of the shape, or the second block would run the first's code
+    from repro.machine.superblock import compile_blocks, form_blocks
+
+    b = ProgramBuilder()
+    with b.function("main"):
+        with b.scratch(2) as (x, z):
+            b.li(z, 0)
+            b.li(x, 0)
+            for copy, (skipped, step) in enumerate(copies):
+                b.label(f"copy{copy}")
+                b.addi(x, x, step)
+                b.beqz(z, f"over{copy}_{skipped}")
+                b.addi(x, x, 100)
+                if skipped == 1:
+                    b.label(f"over{copy}_{skipped}")
+                b.addi(x, x, 1000)
+                if skipped == 2:
+                    b.label(f"over{copy}_{skipped}")
+                b.out(x)
+                b.call("noop")
+        b.halt()
+    with b.function("noop"):
+        b.ret()
+    program = b.build()
+    first, second = (program.labels[f"copy{copy}"] for copy in (0, 1))
+    lengths = {entry: n for entry, n, _ in form_blocks(program)}
+    assert lengths[first] == lengths[second] == 5
+    codes = compile_blocks(program).codes
+    assert codes[first] is not codes[second]
+    reference = Machine(program)
+    drive_legacy(reference)
+    for prepare in RUN_PATHS.values():
+        machine = prepare(Machine(program))
+        run_to_completion(machine)
+        assert fingerprint(machine) == fingerprint(reference)
+        assert list(map(repr, machine.output)) == \
+            list(map(repr, reference.output))
+
+
+def test_loop_block_entered_once_runs_compiled():
+    from repro.machine.fastpath import build_thunks
+    from repro.machine.superblock import SB_PREFIX, form_blocks
+
+    b = ProgramBuilder()
+    with b.function("main"):
+        with b.scratch(2) as (i, total):
+            b.li(i, 1000)
+            b.li(total, 0)
+            b.label("loop")
+            b.add(total, total, i)
+            b.subi(i, i, 1)
+            b.bnez(i, "loop")
+            b.out(total)
+        b.halt()
+    program = b.build()
+    (entry,) = [e for e, _, is_loop in form_blocks(program) if is_loop]
+    machine = Machine(program)
+    thunk_calls = []
+    machine._thunks = [
+        (lambda ctx, thunk=thunk: thunk_calls.append(1) or thunk(ctx))
+        for thunk in build_thunks(machine)]
+    run_to_completion(machine)
+    assert machine._superblocks[0][entry].__name__ == f"{SB_PREFIX}{entry}"
+    assert machine.instructions_executed > 3000
+    assert len(thunk_calls) < 10  # the loop ran compiled, not on thunks
+    reference = Machine(program)
+    drive_legacy(reference)
+    assert fingerprint(machine) == fingerprint(reference)
 
 
 def test_superblock_formation_covers_suite():
@@ -332,6 +437,8 @@ def test_superblock_formation_covers_suite():
 
 
 def test_superblock_code_cache_shares_compiles_across_machines():
+    # a second machine on the same program compiles nothing: every block
+    # it binds is a hit on a shape the first machine compiled
     from repro.machine import superblock
 
     workload = SUITE["gap"]
@@ -339,14 +446,35 @@ def test_superblock_code_cache_shares_compiles_across_machines():
     superblock.reset_cache_stats()
     first = Machine(program)
     run_to_completion(first)
+    bound = superblock.cache_stats()["blocks_compiled"]
+    assert bound >= 1
+    superblock.reset_cache_stats()
     second = Machine(program)
     run_to_completion(second)
     stats = superblock.cache_stats()
-    assert stats["cache_misses"] == 1
-    assert stats["cache_hits"] >= 1
-    assert stats["blocks_compiled"] >= 1
-    assert stats["build_seconds"] > 0
+    assert stats["cache_misses"] == 0
+    assert stats["build_seconds"] == 0
+    assert stats["cache_hits"] == stats["blocks_compiled"] == bound
+    assert stats["hit_rate"] == 1.0
     assert first.output == second.output
+
+
+def test_baseline_and_dtt_builds_share_block_shapes():
+    # the DTT build moves the baseline's loops to other PCs; relocatable
+    # code lets both builds run one compile of each shared shape
+    from repro.machine.superblock import compile_blocks, form_blocks, shape
+
+    workload = SUITE["mcf"]
+    inp = workload.make_input()
+    builds = [workload.build_baseline(inp), workload.build_dtt(inp).program]
+    shapes = [{shape(p.instructions, range(e, e + n), e): e
+               for e, n, _ in form_blocks(p)} for p in builds]
+    moved = [(shapes[0][key], shapes[1][key])
+             for key in shapes[0].keys() & shapes[1].keys()
+             if shapes[0][key] != shapes[1][key]]
+    assert moved
+    baseline, dtt = (compile_blocks(p).codes for p in builds)
+    assert all(baseline[a] is dtt[b] for a, b in moved)
 
 
 # -- observed runs ------------------------------------------------------------------

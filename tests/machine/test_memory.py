@@ -61,6 +61,47 @@ def test_block_round_trip():
     assert m.read_block(49, 1) == [0]
 
 
+def _poked(limit, base, values):
+    """The words, counters and fault of writing ``values`` one poke at a
+    time, the reference for ``write_block``."""
+    m = Memory(limit=limit)
+    fault = None
+    address = base
+    try:
+        for value in values:
+            m.poke(address, value)
+            address += 1
+    except Exception as exc:  # noqa: BLE001 - the fault is the result
+        fault = (type(exc), str(exc))
+    return m.snapshot(), m.load_count, m.store_count, fault
+
+
+@pytest.mark.parametrize("base, values", [
+    (0, [1, 2.5, 3]),
+    (97, (4, 5, 6)),          # the span ends exactly at the limit
+    (98, [7, 8, 9]),          # runs past the limit after two words
+    (-2, [1, 2, 3]),          # starts below zero
+    (1.5, [1]),               # non-integer base
+    (True, [1]),              # bool base
+    (100, []),                # empty at the limit
+    (150, []),                # empty past the limit
+])
+def test_write_block_matches_word_by_word_pokes(base, values):
+    # the bulk path (a list or tuple) and the per-word path (any other
+    # iterable) must leave exactly what per-word pokes leave, partial
+    # writes before a fault included
+    reference = _poked(100, base, values)
+    for given in (values, iter(values)):
+        m = Memory(limit=100)
+        fault = None
+        try:
+            m.write_block(base, given)
+        except Exception as exc:  # noqa: BLE001 - the fault is the result
+            fault = (type(exc), str(exc))
+        assert (m.snapshot(), m.load_count, m.store_count,
+                fault) == reference
+
+
 def test_load_range_reads_and_counts():
     m = Memory()
     m.store(10, 1)

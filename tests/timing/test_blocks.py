@@ -9,14 +9,16 @@ of every set, and the predictor's counters, history and tallies.
 """
 
 import random
+from collections import OrderedDict
 
 import pytest
 
 from repro.isa.builder import ProgramBuilder
+from repro.machine import superblock
 from repro.machine.superblock import find_leaders
 from repro.timing import blocks
 from repro.timing.core import ENTRY
-from repro.timing.params import named_config
+from repro.timing.params import CoreParams, named_config
 from repro.timing.system import TimingSimulator
 
 from tests.timing.solo_diff import run_variants
@@ -117,3 +119,71 @@ def test_block_entries_are_leaders_with_a_block():
         last = body[-1]
         assert is_loop == (last.target == pc or (
             last.op != "jmp" and path[-1] + 1 == pc))
+
+
+def test_timed_code_never_crosses_machine_configurations(monkeypatch):
+    # the code of one block shape bakes in its configuration (issue
+    # width, single- or multi-core stores, L1 geometry, latencies): two
+    # configurations share it exactly when those values agree
+    monkeypatch.setattr(superblock, "_CODE_CACHE", OrderedDict())
+    program = stream_program(random.Random(0))
+
+    def bind_every_block(config):
+        sim = TimingSimulator(program, config)
+        hot = blocks.HotBlocks(sim, sim.cores[0])
+        superblock.reset_cache_stats()
+        for entry in hot.shapes:
+            hot.compile(entry)
+        return superblock.cache_stats()
+
+    first = bind_every_block(named_config("smt2"))
+    assert first["cache_misses"] >= 2
+    # a second core (stores invalidate through the hierarchy) or another
+    # issue width compiles its own code
+    for config in (named_config("cmp2"),
+                   named_config("smt2", core_params=CoreParams(
+                       issue_width=2))):
+        assert bind_every_block(config)["cache_misses"] == \
+            first["cache_misses"], config.name
+    # smt4 and serial differ from smt2 only in contexts per core
+    for name in ("smt2", "smt4", "serial"):
+        again = bind_every_block(named_config(name))
+        assert again["cache_misses"] == 0, name
+        assert again["cache_hits"] == first["blocks_compiled"]
+
+
+def test_one_timed_shape_at_two_entries_matches_the_general_loop(
+        monkeypatch):
+    # two copies of one loop at different PCs run one shared code object
+    # with per-entry exits and gshare indices
+    monkeypatch.setattr(superblock, "_CODE_CACHE", OrderedDict())
+    b = ProgramBuilder()
+    b.data("xs", list(range(64)))
+    with b.function("main"):
+        b.la(6, "xs")
+        for _copy in range(2):
+            b.li(4, 0)
+            b.li(5, 40)
+            top = b.fresh_label("loop")
+            b.label(top)
+            b.ldx(7, 6, 4)
+            b.add(8, 8, 7)
+            b.addi(4, 4, 1)
+            b.blt(4, 5, top)
+            b.nop()
+        b.out(8)
+        b.halt()
+    program = b.build()
+    sim = TimingSimulator(program, named_config("smt2"))
+    hot = blocks.HotBlocks(sim, sim.cores[0])
+    loops = sorted(pc for pc, (_, is_loop) in hot.shapes.items() if is_loop)
+    assert len(loops) == 2
+    superblock.reset_cache_stats()
+    functions = [hot.compile(entry) for entry in loops]
+    stats = superblock.cache_stats()
+    assert stats["cache_misses"] == stats["cache_hits"] == 1
+    assert functions[0].__code__.co_code == functions[1].__code__.co_code
+    assert [f.__name__ for f in functions] == [f"tb_{pc}" for pc in loops]
+    runs = run_variants(lambda: TimingSimulator(program, named_config("smt2")))
+    assert runs["compiled"][1] == runs["stepped"][1]
+    assert runs["shipped"][1] == runs["stepped"][1]
