@@ -668,9 +668,25 @@ def analyze_program(
 def analyze_build(build, config: Optional[DttConfig] = None,
                   include_lint: bool = True) -> List[Finding]:
     """Analyze a :class:`~repro.workloads.base.DttBuild` (program +
-    specs)."""
+    specs), or a bare baseline :class:`Program`."""
+    if isinstance(build, Program):
+        return analyze_program(build, config=config,
+                               include_lint=include_lint)
     return analyze_program(build.program, build.specs, config=config,
                            include_lint=include_lint)
+
+
+def _workload_build(workload, kind: str, seed: Optional[int],
+                    scale: Optional[int]):
+    from repro.workloads.suite import get_workload
+
+    if isinstance(workload, str):
+        workload = get_workload(workload)
+    build = workload.build(kind, workload.make_input(seed, scale))
+    if build is None:
+        raise DttError(
+            f"workload {workload.name!r} has no address-watched variant")
+    return build
 
 
 def analyze_workload(
@@ -682,23 +698,8 @@ def analyze_workload(
 ) -> List[Finding]:
     """Analyze one bundled workload's build of the given ``kind``
     (``baseline`` / ``dtt`` / ``dtt-watch``)."""
-    from repro.workloads.suite import get_workload
-
-    if isinstance(workload, str):
-        workload = get_workload(workload)
-    inp = workload.make_input(seed, scale)
-    if kind == "baseline":
-        return analyze_program(workload.build_baseline(inp), config=config)
-    if kind == "dtt":
-        return analyze_build(workload.build_dtt(inp), config=config)
-    if kind in ("dtt-watch", "dtt_watch"):
-        build = workload.build_dtt_watch(inp)
-        if build is None:
-            raise DttError(
-                f"workload {workload.name!r} has no address-watched variant")
-        return analyze_build(build, config=config)
-    raise DttError(f"unknown build kind {kind!r} "
-                   "(expected baseline, dtt, or dtt-watch)")
+    return analyze_build(_workload_build(workload, kind, seed, scale),
+                         config=config)
 
 
 def analysis_summary(findings: Sequence[Finding]) -> Dict:
@@ -718,6 +719,15 @@ def analysis_summary(findings: Sequence[Finding]) -> Dict:
     }
 
 
+def summarize_build(build, name: str, kind: str,
+                    config: Optional[DttConfig] = None) -> Dict:
+    """One manifest-ready summary row for a built workload."""
+    summary = analysis_summary(analyze_build(build, config=config))
+    summary["workload"] = name
+    summary["kind"] = kind
+    return summary
+
+
 def summarize_workload(
     name: str,
     kind: str = "dtt",
@@ -726,9 +736,5 @@ def summarize_workload(
     config: Optional[DttConfig] = None,
 ) -> Dict:
     """One manifest-ready summary row for a workload build."""
-    findings = analyze_workload(name, kind=kind, seed=seed, scale=scale,
-                                config=config)
-    summary = analysis_summary(findings)
-    summary["workload"] = name
-    summary["kind"] = kind
-    return summary
+    return summarize_build(_workload_build(name, kind, seed, scale), name,
+                           kind, config=config)

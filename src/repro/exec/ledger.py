@@ -92,15 +92,14 @@ def simulate(spec: RunSpec) -> Tuple[TimingSimulator, TimingResult]:
     """Run ``spec`` exactly as :meth:`SuiteRunner.timed` builds it; returns
     the finished simulator and its result."""
     workload = resolve_workload(spec.workload)
-    inp = workload.make_input(spec.seed, spec.scale)
-    system = named_config(spec.config_name)
-    if spec.build == "baseline":
-        simulator = TimingSimulator(workload.build_baseline(inp), system)
-    else:
-        build = (workload.build_dtt_watch(inp) if spec.build == "dtt-watch"
-                 else workload.build_dtt(inp))
+    build = workload.build(spec.build,
+                           workload.make_input(spec.seed, spec.scale))
+    program, engine = build, None
+    if spec.build != "baseline":
+        program = build.program
         engine = build.engine(config=spec.dtt_config(), deferred=True)
-        simulator = TimingSimulator(build.program, system, engine=engine)
+    simulator = TimingSimulator(program, named_config(spec.config_name),
+                                engine=engine)
     return simulator, simulator.run()
 
 

@@ -581,18 +581,14 @@ def _analysis_targets(args):
                   f"choose from {', '.join(SUITE)} or 'all'")
             raise SystemExit(2)
         workload = SUITE[name]
-        inp = workload.make_input(args.seed, args.scale)
+        build = workload.build(kind, workload.make_input(args.seed,
+                                                         args.scale))
+        if build is None:
+            continue  # no watch variant: nothing to analyze
         if kind == "baseline":
-            targets.append((f"{name}:baseline",
-                            workload.build_baseline(inp), None))
-            continue
-        if kind == "dtt-watch":
-            build = workload.build_dtt_watch(inp)
-            if build is None:
-                continue  # no watch variant: nothing to analyze
+            targets.append((f"{name}:baseline", build, None))
         else:
-            build = workload.build_dtt(inp)
-        targets.append((f"{name}:{kind}", build.program, build.specs))
+            targets.append((f"{name}:{kind}", build.program, build.specs))
     if not targets:
         print("nothing to check: pass an assembly file or --workload NAME")
         raise SystemExit(2)

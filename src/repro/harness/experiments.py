@@ -328,8 +328,7 @@ def run_e6_benchmark_table(
     runner = runner or SuiteRunner()
     rows = []
     for workload in runner.suite():
-        inp = workload.make_input(runner.seed, runner.scale)
-        build = workload.build_dtt(inp)
+        build = runner.build_for(workload, "dtt")
         static_tstores = sum(
             1 for instruction in build.program
             if is_triggering_store(instruction.op)

@@ -102,6 +102,11 @@ class SuiteRunner:
         self._traces: Dict[Tuple, EngineTrace] = {}
         self._autoconvert: List[Dict] = []
         self._history: List[Dict] = []
+        #: made once on first use: inputs by (workload, seed, scale),
+        #: builds and analysis rows by (workload, kind, seed, scale)
+        self._inputs: Dict[Tuple, object] = {}
+        self._builds: Dict[Tuple, object] = {}
+        self._analysis: Dict[Tuple, Dict] = {}
         self._phase_seconds: Dict[str, float] = {}
         self._hits = 0
         self._misses = 0
@@ -169,13 +174,20 @@ class SuiteRunner:
             "store_misses": self._store_misses,
             "timed_entries": len(self._timed),
             "profile_entries": len(self._profiles),
+            "inputs": len(self._inputs),
+            "builds": len(self._builds),
+            "analysis_rows": len(self._analysis),
             "keys": keys,
         }
 
     def clear(self) -> None:
-        """Drop every memoized run (counters and phase timings too)."""
+        """Drop every memoized run, input, build and analysis row
+        (counters and phase timings too)."""
         self._timed.clear()
         self._profiles.clear()
+        self._inputs.clear()
+        self._builds.clear()
+        self._analysis.clear()
         self._engines.clear()
         self._traces.clear()
         self._autoconvert.clear()
@@ -201,7 +213,7 @@ class SuiteRunner:
 
         One row per distinct ``(workload, kind)`` among the memoized timed
         runs with a DTT build (``dtt`` / ``dtt-watch``), produced by
-        :func:`repro.analysis.checks.summarize_workload` under the default
+        :func:`repro.analysis.checks.summarize_build` under the default
         :class:`~repro.core.config.DttConfig` — the analyzer's verdict is
         a property of the *build* (program + trigger specs), not of the
         machine configuration, so ablation variants of one build share a
@@ -210,23 +222,25 @@ class SuiteRunner:
 
         Only bundled (suite-registered) workloads are summarized: ad-hoc
         experiment workloads (e.g. E9's contention micro-workloads) are
-        not resolvable by name after the fact.
+        left out.
         """
-        from repro.analysis.checks import summarize_workload
+        from repro.analysis.checks import summarize_build
 
         seen = set()
         rows: List[Dict] = []
         for (workload, build, _config, _fields, seed, scale) in self._timed:
-            if build not in ("dtt", "dtt-watch") or (workload, build) in seen:
+            if (build not in ("dtt", "dtt-watch") or workload not in SUITE
+                    or (workload, build) in seen):
                 continue
-            if workload not in SUITE:
-                continue  # ad-hoc experiment workload, not in the registry
             seen.add((workload, build))
-            try:
-                rows.append(summarize_workload(workload, kind=build,
-                                               seed=seed, scale=scale))
-            except DttError:
-                continue  # e.g. a build kind the workload no longer has
+            key = (workload, build, seed, scale)
+            if key not in self._analysis:
+                made = self._build(SUITE[workload], build, seed, scale)
+                if made is None:
+                    continue  # no address-watched variant
+                self._analysis[key] = summarize_build(made, workload, build)
+            row = self._analysis[key]
+            rows.append(dict(row, codes=dict(row["codes"])))
         rows.sort(key=lambda row: (row["workload"], row["kind"]))
         return rows
 
@@ -471,6 +485,23 @@ class SuiteRunner:
             if self.store is not None:
                 self.store.record_timing(phase, seconds)
 
+    # -- shared inputs and builds ------------------------------------------------
+
+    def _build(self, workload: Workload, kind: str, seed, scale):
+        """The one ``kind`` build (:meth:`Workload.build`) and input per
+        key, made on first use; runs must not mutate them."""
+        key = (workload.name, kind, seed, scale)
+        if key not in self._builds:
+            made = (workload.name, seed, scale)
+            if made not in self._inputs:
+                self._inputs[made] = workload.make_input(seed, scale)
+            self._builds[key] = workload.build(kind, self._inputs[made])
+        return self._builds[key]
+
+    def build_for(self, workload: Workload, kind: str = "dtt"):
+        """The shared ``kind`` build at this runner's seed and scale."""
+        return self._build(workload, kind, self.seed, self.scale)
+
     # -- timed runs --------------------------------------------------------------
 
     def timed(
@@ -491,27 +522,20 @@ class SuiteRunner:
         if self._try_store(spec):
             return self._timed[key]
         self._record_miss()
-        inp = workload.make_input(self.seed, self.scale)
-        system = named_config(config_name)
-        if kind == "baseline":
-            simulator = TimingSimulator(workload.build_baseline(inp), system,
-                                        metrics=self.metrics)
-            engine = None
-        else:
-            build = (workload.build_dtt_watch(inp) if kind == "dtt-watch"
-                     else workload.build_dtt(inp))
-            if build is None:
-                raise CorrectnessError(
-                    f"{workload.name} has no {kind} build"
-                )
+        build = self.build_for(workload, kind)
+        if build is None:
+            raise CorrectnessError(f"{workload.name} has no {kind} build")
+        program, engine = build, None
+        if kind != "baseline":
+            program = build.program
             engine = build.engine(config=dtt_config, deferred=True)
             if self.trace_enabled:
                 spill = self._begin_spill(f"{key[0]}:{key[1]}:{key[2]}")
                 self._traces[key] = EngineTrace(
                     engine, max_events=self.trace_max_events,
                     keep=self.trace_keep, spill=spill)
-            simulator = TimingSimulator(build.program, system, engine=engine,
-                                        metrics=self.metrics)
+        simulator = TimingSimulator(program, named_config(config_name),
+                                    engine=engine, metrics=self.metrics)
         started = time.perf_counter()
         result = simulator.run()
         elapsed = time.perf_counter() - started
@@ -587,9 +611,9 @@ class SuiteRunner:
         if not sampled and self._try_store(spec):
             return self._profiles[key]
         self._record_miss()
-        inp = workload.make_input(self.seed, self.scale)
+        program = self.build_for(workload, "baseline")
         started = time.perf_counter()
-        report = profile_program(workload.build_baseline(inp), workload.name,
+        report = profile_program(program, workload.name,
                                  sample_rate=self.sample_rate,
                                  sample_seed=self.sample_seed)
         elapsed = time.perf_counter() - started

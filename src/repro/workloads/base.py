@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.engine import DttEngine
 from repro.core.registry import ThreadRegistry, TriggerSpec
-from repro.errors import CorrectnessError
+from repro.errors import CorrectnessError, DttError
 from repro.isa.program import Program
 from repro.machine.machine import Machine, run_to_completion
 
@@ -105,6 +105,19 @@ class Workload:
         """Address-watched variant of the DTT build (for the granularity
         ablation, E8b).  Workloads that don't support it return None."""
         return None
+
+    def build(self, kind: str, inp: WorkloadInput):
+        """The ``kind`` build of ``inp``: the baseline :class:`Program`,
+        or the ``dtt`` / ``dtt-watch`` :class:`DttBuild` (None when the
+        workload has no watch variant)."""
+        if kind == "baseline":
+            return self.build_baseline(inp)
+        if kind == "dtt":
+            return self.build_dtt(inp)
+        if kind == "dtt-watch":
+            return self.build_dtt_watch(inp)
+        raise DttError(f"unknown build kind {kind!r} "
+                       "(expected baseline, dtt, or dtt-watch)")
 
     def reference_output(self, inp: WorkloadInput) -> List[Number]:
         """Pure-Python model of the exact observable output stream."""

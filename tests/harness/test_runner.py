@@ -98,7 +98,8 @@ def test_clear_drops_memoized_runs():
     stats = runner.cache_stats()
     assert stats == {"hits": 0, "misses": 0, "store_hits": 0,
                      "store_misses": 0, "timed_entries": 0,
-                     "profile_entries": 0, "keys": []}
+                     "profile_entries": 0, "inputs": 0, "builds": 0,
+                     "analysis_rows": 0, "keys": []}
     assert runner.phase_seconds() == {}
     second = runner.timed(workload, "baseline")
     assert second is not first  # genuinely re-run
@@ -131,3 +132,60 @@ def test_runner_metrics_and_traces_opt_in():
     (label, trace), = runner.traces()
     assert label == "perlbmk:dtt:smt2"
     assert len(trace) > 0
+
+
+# -- one input, build and analysis row per key ---------------------------------
+
+SHARED = ("perlbmk", "mcf", "gzip")
+
+
+class _ReducedRunner(SuiteRunner):
+    def suite(self):
+        return [SUITE[name] for name in SHARED]
+
+
+def _count_calls(monkeypatch, workload, method, counts):
+    original = getattr(workload, method)
+
+    def counted(*args, **kwargs):
+        counts[(workload.name, method)] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(workload, method, counted)
+
+
+def test_runner_makes_each_input_build_and_row_once(monkeypatch):
+    from collections import Counter
+
+    from repro.analysis.checks import summarize_workload
+    from repro.harness.experiments import run_experiment
+
+    counts = Counter()
+    for name in SHARED:
+        for method in ("make_input", "build_baseline", "build_dtt",
+                       "build_dtt_watch"):
+            _count_calls(monkeypatch, SUITE[name], method, counts)
+    runner = _ReducedRunner()
+    experiments = ("E3", "E4", "E6", "E7")
+    results = [run_experiment(eid, runner) for eid in experiments]
+    assert counts == Counter({(name, method): 1 for name in SHARED
+                              for method in ("make_input", "build_baseline",
+                                             "build_dtt")})
+    stats = runner.cache_stats()
+    assert (stats["inputs"], stats["builds"], stats["analysis_rows"]) == \
+        (len(SHARED), 2 * len(SHARED), len(SHARED))
+    monkeypatch.undo()
+
+    fresh = [summarize_workload(name, "dtt") for name in sorted(SHARED)]
+    for result in results:
+        assert result.manifest.analysis == fresh
+    # rows are handed out as copies: editing one leaves the next intact
+    runner.analysis_summaries()[0]["codes"]["edited"] = 1
+    assert runner.analysis_summaries() == fresh
+
+    runner.clear()
+    again = [run_experiment(eid, runner) for eid in experiments]
+    assert runner.cache_stats()["builds"] == 2 * len(SHARED)
+    for first, second in zip(results, again):
+        assert second.rows == first.rows
+        assert second.manifest.analysis == fresh
