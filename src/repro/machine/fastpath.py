@@ -3,9 +3,10 @@
 ``build_thunks(machine)`` lowers the machine's (already finalized) program
 into one closure per PC.  A thunk takes the executing context, applies the
 instruction's complete architectural effect, and returns the next PC.
-``Machine.run`` runs compiled superblocks (:mod:`repro.machine.superblock`)
-at their entries and falls back to the thunks for guard failures,
-boundary opcodes, and uncompiled PCs, where its batch loop is::
+``Machine.run`` runs compiled blocks (:mod:`repro.machine.superblock`)
+at their entries and falls back to the thunks for the instructions a
+block hands back, boundary opcodes, and uncompiled PCs, where its batch
+loop is::
 
     pc = table[pc](ctx)
 

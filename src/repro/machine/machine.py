@@ -22,19 +22,20 @@ Execution has two drivers:
   or isinstance re-checks.  The debugger and the timing model's general
   issue loop drive it; the timing model's solo run-ahead calls the same
   pre-decoded handlers directly.
-* :meth:`Machine.run` — batch mode for functional runs.  Hot
-  straight-line runs are compiled into single Python functions
+* :meth:`Machine.run` — batch mode for functional runs.  Hot blocks
+  are compiled into single Python functions
   (:mod:`repro.machine.superblock`) that keep registers in locals and
-  batch memory counters per block.  Whenever a guard fails, and at
-  boundary opcodes and uncompiled PCs, the driver falls back to per-PC
-  closures ("thunks", :mod:`repro.machine.fastpath`) with operands,
-  memory, and the output buffer bound in.  Accounting (instruction
-  counters, the dynamic-instruction limit, the step budget) is
-  reconciled once per chunk of thousands of instructions.
+  batch memory counters per block.  For an instruction a block hands
+  back (a failed guard or a fault), and at boundary opcodes and
+  uncompiled PCs, the driver falls back to per-PC closures ("thunks",
+  :mod:`repro.machine.fastpath`) with operands, memory, and the output
+  buffer bound in.  Accounting (instruction counters, the
+  dynamic-instruction limit, the step budget) is reconciled once per
+  chunk of thousands of instructions.
 
 Both produce identical results — architectural state, counters, faults,
 and limits are byte-for-byte the same.  The step handlers, the thunks
-and the superblock bodies are all generated from one per-opcode template
+and the compiled blocks are all generated from one per-opcode template
 table (:mod:`repro.machine.semantics`); only the engine opcodes
 (:data:`ENGINE_OPCODES`) have hand-written handlers, here.  Observed
 runs (profilers and other machine observers attached) use the same batch
@@ -123,8 +124,7 @@ class Machine:
         ]
         # per-PC closures for the batch loop; compiled lazily by run()
         self._thunks = None
-        # compiled-block state: (block table, report cell, budget cell),
-        # installed lazily by the first run()
+        # the compiled-block table, installed lazily by the first run()
         self._superblocks = None
         #: True while step() executes a boundary opcode the batch loop
         #: handed it; a synchronous engine then batch-runs the support
@@ -216,14 +216,15 @@ class Machine:
         synchronous engine may retire further instructions on support
         contexts; those are counted in the machine totals as usual).
 
-        Compiled superblocks run at their entries; everything else (block
-        interiors after a side exit, boundary opcodes, uncompiled PCs)
-        runs on the closure thunks.  Compiled blocks report their retired
-        count through the shared cell, never exceed the chunk budget
-        passed in, and reconcile memory counters themselves on every exit
-        path.  Architectural results, counters, faults, and the dynamic
-        instruction limit behave exactly as an equivalent ``step()``
-        loop.
+        Compiled blocks run at their entries; everything else (boundary
+        opcodes, uncompiled PCs, and the instructions a block hands back
+        on a failed guard or a fault) runs on the closure thunks.  A
+        block takes the chunk budget left as an argument, never exceeds
+        it, reconciles the memory counters itself, and returns its
+        retired count with the next PC (see
+        :mod:`repro.machine.superblock`).  Architectural results,
+        counters, faults, and the dynamic instruction limit behave
+        exactly as an equivalent ``step()`` loop.
 
         With machine observers attached there are no compiled blocks:
         every PC runs on a thunk composed for them, which runs the
@@ -260,12 +261,10 @@ class Machine:
         table = self._thunks
         if table is None:
             table = self._thunks = build_thunks(self)
-        superblocks = self._superblocks
-        if superblocks is None:
-            superblocks = self._build_superblocks()
-        sb_table, cell, budget_cell = superblocks
+        sb_table = self._superblocks
+        if sb_table is None:
+            sb_table = self._build_superblocks()
         size = len(table)
-        running_main = ctx.role is ContextRole.MAIN
         budget = -1 if max_steps is None else max_steps
         total = 0
         pc = ctx.pc
@@ -288,58 +287,36 @@ class Machine:
                 while n < chunk:
                     fn = sb_table[pc]  # IndexError: ran off the end
                     if fn is not None:
-                        budget_cell[0] = chunk - n
-                        ret = fn(ctx)
-                        n += cell[0]
-                        if ret >= 0:
-                            pc = ret
-                            continue
-                        # side exit: rerun the guard-failing pc (which
-                        # may be the block entry itself) on its thunk
-                        pc = -2 - ret
+                        ret = fn(ctx, chunk - n)
+                        if ret is not None:
+                            retired, pc = ret
+                            n += retired
+                            if pc >= 0:
+                                continue
+                            # handed back: rerun that instruction on
+                            # its thunk, which faults if the block did
+                            pc = -2 - pc
                     n += 1
                     pc = table[pc](ctx)
                     if pc < 0:
                         n -= 1  # a boundary: stepped below, not run here
                         break
             except BaseException as exc:
-                off_end = False
-                if cell[1]:
-                    # fault inside a compiled block: it already wrote
-                    # registers back, reconciled the memory counters,
-                    # counted the faulting instruction, and set ctx.pc
-                    cell[1] = 0
-                    n += cell[0]
-                elif exc.__class__ is IndexError and pc >= size:
+                off_end = exc.__class__ is IndexError and pc >= size
+                if off_end:
                     n += 1  # the off-end attempt is counted, as in step()
-                    off_end = True
-                    ctx.pc = pc
-                else:
-                    # thunk fault: thunks never touch ctx.pc; resync it
-                    # to the faulting instruction (its attempt was
-                    # already counted before dispatch)
-                    ctx.pc = pc
-                self.instructions_executed += n
-                ctx.instruction_count += n
-                if running_main:
-                    self.main_instructions += n
-                else:
-                    self.support_instructions += n
+                # thunks never touch ctx.pc; resync it to the faulting
+                # instruction (its attempt was counted before dispatch)
+                ctx.pc = pc
                 # the last instruction counted did not complete
-                self._observe_retired(n - 1)
+                self._retire(ctx, n, n - 1)
                 if off_end:
                     raise ExecutionFault(
                         f"context {ctx.context_id} ran off the end of the "
                         f"program (pc={pc})"
                     ) from None
                 raise
-            self.instructions_executed += n
-            ctx.instruction_count += n
-            if running_main:
-                self.main_instructions += n
-            else:
-                self.support_instructions += n
-            self._observe_retired(n)
+            self._retire(ctx, n, n)
             total += n
             if pc >= 0:
                 continue  # chunk budget spent; reconcile and keep going
@@ -362,13 +339,20 @@ class Machine:
         ctx.pc = pc
         return total
 
-    def _observe_retired(self, n: int) -> None:
-        """Account ``n`` instructions a :meth:`run` chunk completed to the
-        observers that count instructions."""
+    def _retire(self, ctx: Context, n: int, completed: int) -> None:
+        """Count ``n`` instructions a batch ran on ``ctx``: in the machine
+        totals and ``ctx``'s count all of them, and the ``completed`` ones
+        for the observers that count instructions."""
+        self.instructions_executed += n
+        ctx.instruction_count += n
+        if ctx.role is ContextRole.MAIN:
+            self.main_instructions += n
+        else:
+            self.support_instructions += n
         for observer in self._counting:
-            observer.total_instructions += n
+            observer.total_instructions += completed
         if self._shadowed:
-            self.shadow_instructions += n
+            self.shadow_instructions += completed
 
     def _run_slow(self, ctx: Context, max_steps: Optional[int]) -> int:
         """Single-step the tail of a :meth:`run` near the dynamic
@@ -382,15 +366,15 @@ class Machine:
             executed += 1
         return executed
 
-    def _build_superblocks(self):
+    def _build_superblocks(self) -> list:
         if self._observers:
             # observed runs stay on the thunks, which call the hooks;
             # an empty block table sends every PC there
-            superblocks = ([None] * len(self._decoded), [0, 0], [0])
+            table = [None] * len(self._decoded)
         else:
-            superblocks = install(self)
-        self._superblocks = superblocks
-        return superblocks
+            table = install(self)
+        self._superblocks = table
+        return table
 
     # -- checkpointing -----------------------------------------------------------
 

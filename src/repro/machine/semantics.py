@@ -6,17 +6,16 @@ every form that executes an instruction is generated from it with
 (:data:`STEP_HANDLERS`, called by ``Machine.step`` and the timing model),
 the thunk factories of ``Machine.run`` (:func:`thunk_factories`: plain,
 or composed with the attached observers' hook calls and declared shadow
-transfers), the superblock bodies (:mod:`repro.machine.superblock`), the
-timed blocks (:mod:`repro.timing.blocks`), and the constant folding of
-the static analyses (:func:`evaluate`).  The :data:`ENGINE_OPCODES` have
+transfers), the compiled blocks of both ``Machine.run`` and the timing
+model (:mod:`repro.machine.superblock`), and the constant folding of the
+static analyses (:func:`evaluate`).  The :data:`ENGINE_OPCODES` have
 no entry.
 
-An entry is ``(kind, effect, faults, next)``.  For ``ALU`` the effect is
-the value written to register ``a``; for ``LOAD``/``STORE`` the word
+An entry is ``(kind, effect, next)``.  For ``ALU`` the effect is the
+value written to register ``a``; for ``LOAD``/``STORE`` the word
 address; for ``BRANCH`` the taken condition; for ``FLOW`` (``jmp``,
 ``call``, ``ret``, ``out``, ``nop``) zero or more statements, and
-``next`` is the next-PC expression.  ``faults`` says whether the op can
-raise on some register contents; the superblock compiler marks those.
+``next`` is the next-PC expression.
 
 Templates are :meth:`str.format` strings over the operand slots
 ``{a}``/``{b}``/``{c}`` (a register or an immediate, per the opcode's
@@ -49,7 +48,6 @@ class Semantics(NamedTuple):
 
     kind: str
     effect: str
-    faults: bool
     next: str = "{nxt}"
 
 
@@ -92,69 +90,68 @@ _S = Semantics
 
 #: every non-engine opcode's semantics, keyed like ``OPCODES``
 SEMANTICS: Dict[str, Semantics] = {
-    "li": _S(ALU, "{b}", False),
-    "mov": _S(ALU, "{b}", False),
-    # plain arithmetic still faults: a huge int meeting a float overflows
-    "add": _S(ALU, "{b} + {c}", True),
-    "sub": _S(ALU, "{b} - {c}", True),
-    "mul": _S(ALU, "{b} * {c}", True),
-    "idiv": _S(ALU, "_idiv({b:int}, {c:int})", True),
-    "imod": _S(ALU, "{b:int} - _idiv({b:int}, {c:int}) * {c:int}", True),
-    "and_": _S(ALU, "{b:int} & {c:int}", True),
-    "or_": _S(ALU, "{b:int} | {c:int}", True),
-    "xor": _S(ALU, "{b:int} ^ {c:int}", True),
-    "shl": _S(ALU, "{b:int} << {c:int}", True),
-    "shr": _S(ALU, "{b:int} >> {c:int}", True),
-    "slt": _S(ALU, "1 if {b} < {c} else 0", False),
-    "sle": _S(ALU, "1 if {b} <= {c} else 0", False),
-    "sgt": _S(ALU, "1 if {b} > {c} else 0", False),
-    "sge": _S(ALU, "1 if {b} >= {c} else 0", False),
-    "seq": _S(ALU, "1 if {b} == {c} else 0", False),
-    "sne": _S(ALU, "1 if {b} != {c} else 0", False),
-    "addi": _S(ALU, "{b} + {c}", True),
-    "subi": _S(ALU, "{b} - {c}", True),
-    "muli": _S(ALU, "{b} * {c}", True),
-    "andi": _S(ALU, "{b:int} & {c:int}", True),
-    "ori": _S(ALU, "{b:int} | {c:int}", True),
-    "xori": _S(ALU, "{b:int} ^ {c:int}", True),
-    "shli": _S(ALU, "{b:int} << {c:int}", True),
-    "shri": _S(ALU, "{b:int} >> {c:int}", True),
-    "slti": _S(ALU, "1 if {b} < {c} else 0", False),
-    "sgti": _S(ALU, "1 if {b} > {c} else 0", False),
-    "seqi": _S(ALU, "1 if {b} == {c} else 0", False),
-    "fadd": _S(ALU, "{b:float} + {c:float}", True),
-    "fsub": _S(ALU, "{b:float} - {c:float}", True),
-    "fmul": _S(ALU, "{b:float} * {c:float}", True),
-    "fdiv": _S(ALU, "_fdiv({b}, {c})", True),
-    "fsqrt": _S(ALU, "_fsqrt({b})", True),
-    "fabs": _S(ALU, "abs({b:float})", True),
-    "fneg": _S(ALU, "-{b:float}", True),
-    "itof": _S(ALU, "{b:float}", True),
-    "ftoi": _S(ALU, "{b:int}", True),
-    "ld": _S(LOAD, "{b} + {c}", True),
-    "ldx": _S(LOAD, "{b} + {c}", True),
-    "st": _S(STORE, "{b} + {c}", True),
-    "stx": _S(STORE, "{b} + {c}", True),
-    "beq": _S(BRANCH, "{a} == {b}", False),
-    "bne": _S(BRANCH, "{a} != {b}", False),
-    "blt": _S(BRANCH, "{a} < {b}", False),
-    "ble": _S(BRANCH, "{a} <= {b}", False),
-    "bgt": _S(BRANCH, "{a} > {b}", False),
-    "bge": _S(BRANCH, "{a} >= {b}", False),
-    "beqz": _S(BRANCH, "{a} == 0", False),
-    "bnez": _S(BRANCH, "{a} != 0", False),
-    "jmp": _S(FLOW, "", False, "{target}"),
+    "li": _S(ALU, "{b}"),
+    "mov": _S(ALU, "{b}"),
+    "add": _S(ALU, "{b} + {c}"),
+    "sub": _S(ALU, "{b} - {c}"),
+    "mul": _S(ALU, "{b} * {c}"),
+    "idiv": _S(ALU, "_idiv({b:int}, {c:int})"),
+    "imod": _S(ALU, "{b:int} - _idiv({b:int}, {c:int}) * {c:int}"),
+    "and_": _S(ALU, "{b:int} & {c:int}"),
+    "or_": _S(ALU, "{b:int} | {c:int}"),
+    "xor": _S(ALU, "{b:int} ^ {c:int}"),
+    "shl": _S(ALU, "{b:int} << {c:int}"),
+    "shr": _S(ALU, "{b:int} >> {c:int}"),
+    "slt": _S(ALU, "1 if {b} < {c} else 0"),
+    "sle": _S(ALU, "1 if {b} <= {c} else 0"),
+    "sgt": _S(ALU, "1 if {b} > {c} else 0"),
+    "sge": _S(ALU, "1 if {b} >= {c} else 0"),
+    "seq": _S(ALU, "1 if {b} == {c} else 0"),
+    "sne": _S(ALU, "1 if {b} != {c} else 0"),
+    "addi": _S(ALU, "{b} + {c}"),
+    "subi": _S(ALU, "{b} - {c}"),
+    "muli": _S(ALU, "{b} * {c}"),
+    "andi": _S(ALU, "{b:int} & {c:int}"),
+    "ori": _S(ALU, "{b:int} | {c:int}"),
+    "xori": _S(ALU, "{b:int} ^ {c:int}"),
+    "shli": _S(ALU, "{b:int} << {c:int}"),
+    "shri": _S(ALU, "{b:int} >> {c:int}"),
+    "slti": _S(ALU, "1 if {b} < {c} else 0"),
+    "sgti": _S(ALU, "1 if {b} > {c} else 0"),
+    "seqi": _S(ALU, "1 if {b} == {c} else 0"),
+    "fadd": _S(ALU, "{b:float} + {c:float}"),
+    "fsub": _S(ALU, "{b:float} - {c:float}"),
+    "fmul": _S(ALU, "{b:float} * {c:float}"),
+    "fdiv": _S(ALU, "_fdiv({b}, {c})"),
+    "fsqrt": _S(ALU, "_fsqrt({b})"),
+    "fabs": _S(ALU, "abs({b:float})"),
+    "fneg": _S(ALU, "-{b:float}"),
+    "itof": _S(ALU, "{b:float}"),
+    "ftoi": _S(ALU, "{b:int}"),
+    "ld": _S(LOAD, "{b} + {c}"),
+    "ldx": _S(LOAD, "{b} + {c}"),
+    "st": _S(STORE, "{b} + {c}"),
+    "stx": _S(STORE, "{b} + {c}"),
+    "beq": _S(BRANCH, "{a} == {b}"),
+    "bne": _S(BRANCH, "{a} != {b}"),
+    "blt": _S(BRANCH, "{a} < {b}"),
+    "ble": _S(BRANCH, "{a} <= {b}"),
+    "bgt": _S(BRANCH, "{a} > {b}"),
+    "bge": _S(BRANCH, "{a} >= {b}"),
+    "beqz": _S(BRANCH, "{a} == 0"),
+    "bnez": _S(BRANCH, "{a} != 0"),
+    "jmp": _S(FLOW, "", "{target}"),
     "call": _S(FLOW, "ctx.call_stack.append({nxt})\n"
                      "if len(ctx.call_stack) > 10_000:\n"
                      "    raise ExecutionFault("
                      "'call stack overflow (runaway recursion?)')",
-               True, "{target}"),
+               "{target}"),
     "ret": _S(FLOW, "if not ctx.call_stack:\n"
                     "    raise ExecutionFault("
                     "'ret with empty call stack at pc %d' % pc)",
-              True, "ctx.call_stack.pop()"),
-    "out": _S(FLOW, "{out}({a})", False),
-    "nop": _S(FLOW, "", False),
+              "ctx.call_stack.pop()"),
+    "out": _S(FLOW, "{out}({a})"),
+    "nop": _S(FLOW, ""),
 }
 
 # -- the shared memory access -------------------------------------------------

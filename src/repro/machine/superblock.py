@@ -1,77 +1,94 @@
-"""Superblock compiler: compiled straight-line runs for ``Machine.run``.
+"""Compiled blocks: one block former and one emitter for both tiers.
 
-``Machine.run`` dispatches these compiled blocks at their entries and
-falls back to the closure thunks (:mod:`repro.machine.fastpath`), which
-pay one Python call per instruction, everywhere else.  The compiler
-partitions the program into single-entry multi-exit *superblocks* and
-lowers each hot one into one Python function built with ``compile``.
-Inside a block, registers live in Python locals, ALU ops are inline
-expressions, and memory accesses go straight at the machine's words dict
-behind the same in-range-exact-``int`` guard the closure thunks use —
-with load/store counters batched per block instead of per access.  Each
-instruction's source comes from its template in
-:mod:`repro.machine.semantics`, as the thunks' and step handlers' does;
-this module adds only block formation and the exit and fault
-accounting.
+``Machine.run`` and the timing simulator's solo run-ahead
+(:meth:`TimingSimulator._solo_body
+<repro.timing.system.TimingSimulator._solo_body>`) run hot code as
+*compiled blocks*: one Python function per block, built with ``compile``
+from the instruction templates of :mod:`repro.machine.semantics`, with
+registers in locals, ALU ops as inline expressions and memory accesses
+straight at the machine's words dict behind the thunks' in-range
+exact-``int`` guard.  Both tiers form the same blocks and emit them with
+one generator (:class:`Block`); the timed tier composes its *timing
+aspect* (:mod:`repro.timing.blocks`) onto the emitter's hooks.  What a
+block does not run stays on the cold path: the closure thunks
+(:mod:`repro.machine.fastpath`) in ``Machine.run``, the per-instruction
+loop in the run-ahead.
 
 Block formation
 ---------------
-A superblock starts at every *leader* — the program entry, every resolved
+A block starts at every *leader* — the program entry, every resolved
 control-flow target, every label, every support-thread entry, and the
-instruction after any boundary opcode — and extends as far as codegen can
-take it (blocks from different leaders may overlap; the compiled function
-is only ever entered at its own top).  Extension stops at a ``jmp``
-(compiled as the block's final edge), at a *boundary* opcode that must
-stay on the thunk path — ``call``/``ret`` (call-stack effects), the
-engine opcodes ``tst``/``tstx``/``tcheck``/``treturn``, and ``halt``
-(context state) — or at :data:`MAX_BLOCK_LENGTH`.
+instruction after any branch, ``jmp`` or boundary opcode — and covers a
+contiguous range of PCs (blocks may overlap; a function is only entered
+at its own top).  The range stops at a backward, self or unresolved
+``jmp``, before a *boundary* opcode that must stay cold — ``call``/``ret``
+(call-stack effects), the engine opcodes ``tst``/``tstx``/``tcheck``/
+``treturn`` and ``halt`` (context state) — or at :data:`MAX_LENGTH`
+instructions; shorter ranges than :data:`MIN_BLOCK_LENGTH`
+(:data:`MIN_LOOP_LENGTH` for a loop) stay cold.  Inside the range a
+forward edge to a position inside the current arm is if-converted (the
+skipped positions become the ``else`` arm); one past the arm's join but
+inside the block duplicates the block's tail on that edge, within a
+source budget; an edge to the entry makes a *loop block*, which iterates
+while another iteration fits the budget its caller passes in; any other
+taken edge leaves the block.
 
-Conditional branches do **not** end a block:
+Exits
+-----
+Every exit sets ``_e``, an index into the block's static exit table of
+``(kind, positions complete in the iteration, next pc)`` (kinds:
+:data:`EXIT_KINDS`), and breaks to one shared epilogue.  The
+epilogue writes registers back and adds what the block retired to each
+count — instructions, loads, stores, and in the timed tier op classes,
+L1 hits and predictor lookups — as ``_n`` iterations times the
+per-iteration total plus a static prefix table indexed by the exit
+position, minus what the taken skips left out: each skipped range has a
+counter ``_s<i>``, subtracted times the range's static counts.  Exit
+``j`` of the first ``length`` is the *hand-back* of position ``j``: on a
+failed memory guard (*guard*) or an ``Exception`` (*fault*, its position
+found from the traceback's line number, so no instruction pays for a
+marker) the block returns with that instruction not run, and its caller
+reruns it on its thunk or step handler, which takes the checked path or
+raises the same exception.  An interrupt propagates without the block's
+write-back.
 
-* a branch whose target lies *forward inside* the block is if-converted —
-  the skipped range becomes a nested ``else`` suite and a ``_skip``
-  accumulator keeps the retired-instruction count exact;
-* a branch (or the final ``jmp``) targeting the block's own *entry* makes
-  a *loop block*: iterations run inside the function, bounded by the
-  chunk budget the driver passes in, so tight kernels never leave
-  compiled code;
-* any other taken branch is a normal *block exit*: registers are written
-  back, counters reconciled, and the target PC returned.
+A functional block ``sb(ctx, budget)`` returns ``None``, having run
+nothing, when fewer than one block length of instructions is left under
+``budget``; else ``(retired, next)``, where ``next`` is the next PC or
+``-2 - pc`` of an instruction handed back.  A timed block
+``tb(ctx, now, busy, k, retired, it, iss, budget)`` returns the
+run-ahead's own loop state ``(now, busy, k, retired, iterations,
+issuing, exit kind)`` with ``ctx.pc`` on the next instruction or the one
+handed back, or ``None`` likewise.
 
-Blocks compile lazily: :func:`install` fills the block table with stubs
-that side-exit until a block's :data:`LOOP_REACHES`-th or
-:data:`LINE_REACHES`-th reach, then bind it in their place and run it.
+Timing aspect
+-------------
+After each instruction a timed block does what the run-ahead does, in
+the same order: take an issue slot, end the cycle at the width or on a
+latency above one, check the cycle limit, take the stall, check the
+limit again.  The slot count is ``_we``, the position that takes the
+cycle's last slot, so an instruction that does not end the cycle costs
+one comparison; a skip of ``span`` positions adds ``span`` to it.  Loads
+probe the core's L1 inline (the LRU move-to-end of ``Cache.access``), as
+do stores on a single core; a miss, and every store on several cores
+(which must invalidate the other L1s), calls ``CacheHierarchy.access``.
+The gshare update is inline on both edges of a branch, with the history
+in a local.  The epilogue also undoes a stall the cycle limit cut short.
 
-Side exits and faults
----------------------
-The contract with :meth:`Machine.run` (mirroring the thunk contract):
-
-* return ``>= 0`` — the block retired ``cell[0]`` instructions and the
-  return value is the next PC;
-* return ``<= -2`` — a *side exit* encoding ``-2 - pc``: ``cell[0]``
-  instructions retired, then the guard at ``pc`` failed (out-of-range or
-  non-``int`` address, or no budget headroom); the driver dispatches the
-  closure thunk at ``pc``, which reruns the full handler with exact
-  fault/engine semantics;
-* an exception with ``cell[1]`` set — a fault inside the block.  The
-  except path has already written registers back, reconciled the batched
-  memory counters, stored the retired count (including the faulting
-  instruction, as in ``step()``) in ``cell[0]``, and left ``ctx.pc`` at
-  the faulting instruction.
-
-The except path finds the faulting position from the traceback's line
-number through a static line-to-position table, so no instruction pays
-for a marker.
-
-Code cache
-----------
-Code is relocatable: the entry PC is the function's ``_E`` argument,
-and static tables and non-literal immediates are argument defaults.  So
-a block's code depends only on its *shape* — opcodes, operands and
-targets relative to the entry — and one process-wide LRU cache
-(:func:`shared_code`), which the timed tier shares, compiles each shape
-once.  Each entry binds it over its machine's globals, renamed
-``sb_<entry_pc>`` for profiles; :func:`cache_stats` counts the work.
+Lazy compile and the code cache
+-------------------------------
+:func:`lazy_table` puts a countdown stub at each block entry, which
+returns ``None`` (run cold) until the entry's :func:`compile_reach`-th
+reach, then binds the block in its place and runs it.  Code is
+relocatable: static tables, non-literal immediates, the exit table
+(absolute PCs) and each timed branch's gshare index base are argument
+defaults, bound per entry.  So a block's code depends only on its
+*shape* — opcodes, operands and targets relative to the entry, plus in
+the timed tier the latencies, op classes and configuration it bakes in
+— and one process-wide LRU cache (:func:`shared_code`) compiles each
+shape once for both tiers.  Each entry binds it over its machine's or
+run's globals, renamed ``sb_<entry_pc>`` or ``tb_<entry_pc>`` for
+profiles; :func:`cache_stats` counts the work.
 """
 
 from __future__ import annotations
@@ -80,8 +97,9 @@ import builtins
 import math
 import time
 from collections import OrderedDict
+from itertools import accumulate
 from types import CodeType, FunctionType
-from typing import Callable, Dict, List, NamedTuple, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.isa.instructions import operand_roles
 from repro.isa.program import Program
@@ -89,35 +107,30 @@ from repro.machine.semantics import (ALU, BRANCH, ENGINE_OPCODES, HELPERS,
                                      LOAD, SEMANTICS, STORE, ExactInt, Src,
                                      access, operands)
 
-#: conditional branches (compiled as block exits, internal diamonds, or
-#: loop back-edges) and ``jmp`` (a block's final edge)
+#: conditional branches and ``jmp``: the edges a block if-converts,
+#: duplicates a tail on, loops on or leaves by
 TERMINATOR_OPCODES = frozenset(
     op for op, sem in SEMANTICS.items() if sem.kind == BRANCH) | {"jmp"}
 
-#: ops that never enter a block: they stay on the closure-thunk path
-#: because they touch the call stack, the DTT engine, or context state
+#: ops that never enter a block: they stay on the cold path because they
+#: touch the call stack, the DTT engine, or context state
 BOUNDARY_OPCODES = frozenset(["call", "ret"]) | ENGINE_OPCODES
 
-#: synthetic filename of the compiled code; profiler frames from
-#: compiled blocks show as (SB_FILENAME, line, "sb_<entry_pc>")
+#: synthetic filename of functional blocks; profiler frames show as
+#: (SB_FILENAME, line, "sb_<entry_pc>")
 SB_FILENAME = "<superblock>"
 
-#: function-name prefix of compiled blocks (flame folding keys off it)
+#: function-name prefix of functional blocks (flame folding keys off it)
 SB_PREFIX = "sb_"
 
-#: straight-line blocks shorter than this stay on the thunk path (the
-#: per-call spill/fill overhead would eat the win); loop blocks amortize
-#: that overhead over iterations, so any 2-instruction loop qualifies
+#: straight-line blocks shorter than this stay cold (the per-call
+#: spill/fill overhead would eat the win); loop blocks amortize that
+#: overhead over iterations, so any 2-instruction loop qualifies
 MIN_BLOCK_LENGTH = 3
 MIN_LOOP_LENGTH = 2
 
-#: codegen stops extending a block past this many instructions
-MAX_BLOCK_LENGTH = 256
-
-#: the reach of its entry that compiles a loop / straight-line block
-#: (earlier reaches run on the thunks, cheaper for a block run rarely)
-LOOP_REACHES = 1
-LINE_REACHES = 16
+#: a block stops growing after this many instructions
+MAX_LENGTH = 64
 
 #: block shapes the code cache keeps; the least recently used goes first
 CACHE_SHAPES = 32
@@ -125,10 +138,23 @@ CACHE_SHAPES = 32
 #: everything the code generator can lower (anything else bounds a block)
 COMPILABLE_OPCODES = frozenset(SEMANTICS) - BOUNDARY_OPCODES
 
-#: compilable ops that can never raise on int/float operands; a block
-#: of only these needs no fault-reconciliation path
-_SAFE_OPCODES = frozenset(
-    op for op in COMPILABLE_OPCODES if not SEMANTICS[op].faults)
+#: exit kinds, the first field of an exit-table row.  Kinds below
+#: ``GUARD`` go on at the row's next pc; ``GUARD``/``FAULT`` hand the
+#: instruction at it back.  ``ENGINE`` (a timed exit into an engine
+#: opcode) and ``CYCLE_LIMIT`` occur in the timed tier only.
+FALL_THROUGH, TAKEN, HEADROOM, ENGINE, GUARD, FAULT, CYCLE_LIMIT = range(7)
+EXIT_KINDS = ("fall-through", "taken", "headroom", "engine", "guard",
+              "fault", "cycle-limit")
+
+
+def compile_reach(timed: bool, is_loop: bool) -> int:
+    """The reach of its entry at which a block compiles: a timed block's
+    256th, a functional loop block's first, a straight-line one's 16th.
+    Earlier reaches run cold, which is cheaper for a block run rarely."""
+    if timed:
+        return 256
+    return 1 if is_loop else 16
+
 
 # -- process-wide code cache ---------------------------------------------------
 
@@ -232,44 +258,33 @@ def shape(instructions, pcs, entry: int) -> tuple:
 
 
 def find_leaders(program: Program) -> set:
-    """PCs where a superblock may begin."""
+    """PCs where a block may begin."""
     size = len(program.instructions)
     leaders = {program.entry_pc}
-    for pc in program.labels.values():
+    for pc in program.labels.values():  # support-thread entries too
         if pc < size:
             leaders.add(pc)
-    for name in program.threads:
-        leaders.add(program.thread_entry_pc(name))
     for pc, ins in enumerate(program.instructions):
         if ins.target is not None and ins.target < size:
             leaders.add(ins.target)
         op = ins.op
-        if (op in TERMINATOR_OPCODES or op in BOUNDARY_OPCODES
-                or op not in COMPILABLE_OPCODES):
+        if op in TERMINATOR_OPCODES or op not in COMPILABLE_OPCODES:
             if pc + 1 < size:
                 leaders.add(pc + 1)
     return leaders
 
 
 def form_blocks(program: Program) -> List[Tuple[int, int, bool]]:
-    """Superblocks as ``(entry_pc, length, is_loop)``.
-
-    One maximal block per leader; blocks may overlap (each is a compiled
-    fast path for entry at its own top only).  Only blocks worth
-    compiling are returned (``MIN_BLOCK_LENGTH``, or ``MIN_LOOP_LENGTH``
-    when a back-edge targets the entry); every other PC runs on the
-    closure-thunk path.
-    """
+    """The blocks worth compiling, as ``(entry_pc, length, is_loop)``:
+    one contiguous range per leader (see the module docstring)."""
     instructions = program.instructions
     size = len(instructions)
     blocks: List[Tuple[int, int, bool]] = []
     for leader in sorted(find_leaders(program)):
-        if leader >= size:
-            continue
         length = 0
         is_loop = False
         pc = leader
-        while pc < size and length < MAX_BLOCK_LENGTH:
+        while pc < size and length < MAX_LENGTH:
             ins = instructions[pc]
             op = ins.op
             if op not in COMPILABLE_OPCODES:
@@ -277,21 +292,41 @@ def form_blocks(program: Program) -> List[Tuple[int, int, bool]]:
             length += 1
             if op in TERMINATOR_OPCODES and ins.target == leader:
                 is_loop = True
-            if op == "jmp":
-                # scan through forward jmps (codegen lowers them to an
-                # unconditional skip, keeping diamonds like
-                # ``beqz L1; ...; jmp L2; L1: ...; L2:`` inside one
-                # block); a backward, self, or unresolved jmp ends it
-                if ins.target is None or ins.target <= pc:
-                    break
+            if op == "jmp" and (ins.target is None or ins.target <= pc):
+                break
             pc += 1
-        minimum = MIN_LOOP_LENGTH if is_loop else MIN_BLOCK_LENGTH
-        if length >= minimum:
+        if length >= (MIN_LOOP_LENGTH if is_loop else MIN_BLOCK_LENGTH):
             blocks.append((leader, length, is_loop))
     return blocks
 
 
-# -- code generation -----------------------------------------------------------
+def lazy_table(program: Program, timed: bool,
+               compile_block: Callable) -> list:
+    """A per-PC table: ``None`` off block entries, and at each entry of
+    :func:`form_blocks` a countdown stub.  The stub returns ``None`` (run
+    cold) until the entry's :func:`compile_reach`-th reach; then it puts
+    ``compile_block(entry, length, is_loop)`` in its place and returns
+    what that returns for its own arguments."""
+    table: list = [None] * len(program.instructions)
+
+    def stub(entry: int, length: int, is_loop: bool):
+        left = compile_reach(timed, is_loop)
+
+        def countdown(*args):
+            nonlocal left
+            left -= 1
+            if left > 0:
+                return None
+            block = table[entry] = compile_block(entry, length, is_loop)
+            return block(*args)
+        return countdown
+
+    for entry, length, is_loop in form_blocks(program):
+        table[entry] = stub(entry, length, is_loop)
+    return table
+
+
+# -- the emitter ---------------------------------------------------------------
 
 
 def block_operands(ins, statics: Dict[str, object]) -> Dict[str, Src]:
@@ -309,62 +344,51 @@ def block_operands(ins, statics: Dict[str, object]) -> Dict[str, Src]:
                     immediate)
 
 
-def block_registers(body) -> Tuple[List[int], List[int]]:
-    """The registers ``body`` reads or writes, and those it writes."""
-    read, written = set(), set()
-    for ins in body:
-        dest, sources = operand_roles(ins.op)
-        read.update(getattr(ins, slot) for slot in sources)
-        if dest is not None:
-            written.add(getattr(ins, dest))
-    return sorted(read | written), sorted(written)
+def _indent(lines: List[str]) -> List[str]:
+    return ["    " + line for line in lines]
 
 
-def prefix(flags) -> tuple:
-    """Running totals: entry ``d`` counts the flags of positions < d."""
-    totals = [0]
-    for flag in flags:
-        totals.append(totals[-1] + flag)
-    return tuple(totals)
+class Block:
+    """The source of one block's function, relative to its entry.
 
+    This is the functional form; the timing aspect
+    (:class:`repro.timing.blocks.TimedBlock`) overrides the hooks marked
+    as such to add what the run-ahead does around each instruction.
+    """
 
-class _BlockGen:
-    """Source generator for one superblock, relative to its entry."""
+    #: the function's name and its parameters before the exit table
+    NAME, PARAMS = "sb", "ctx, budget"
 
-    def __init__(self, body, entry: int, is_loop: bool):
-        self.body = body
-        self.length = length = len(body)
+    def __init__(self, instructions, entry: int, length: int,
+                 is_loop: bool):
+        self.body = body = instructions[entry:entry + length]
+        self.length = length
         self.is_loop = is_loop
         #: each position's control-flow target, relative to the entry
         self.targets = [None if ins.target is None else ins.target - entry
                         for ins in body]
+        read, written = set(), set()
+        for ins in body:
+            dest, sources = operand_roles(ins.op)
+            read.update(getattr(ins, slot) for slot in sources)
+            if dest is not None:
+                written.add(getattr(ins, dest))
+        self.regs, self.written = sorted(read | written), sorted(written)
         #: arguments bound as defaults: static tables and constants
         self.statics: Dict[str, object] = {}
-        self.regs, self.written = block_registers(body)
-        #: loads/stores at positions < j, assuming the straight-line path
-        self.loads_before = prefix(ins.op in ("ld", "ldx") for ins in body)
-        self.stores_before = prefix(ins.op in ("st", "stx") for ins in body)
-        self.marked = any(ins.op not in _SAFE_OPCODES for ins in self.body)
+        #: ``(kind, positions complete, next pc offset)`` -> index, one
+        #: per exit; exit ``j < length`` hands back position ``j``
+        self.exits = {(FAULT, j, j): j for j in range(length)}
+        #: skipped range ``(lo, hi)`` -> the index of its counter
+        self.skips: Dict[Tuple[int, int], int] = {}
+        #: the body's source lines and the position each belongs to
+        self.out: List[str] = []
+        self.where: List[int] = []
+        #: positions with a value bound per entry as ``_b<i>`` after the
+        #: exit table (the timing aspect's gshare index bases)
+        self.bound: List[int] = []
         #: source-size budget for tail duplication (positions, not lines)
         self._dup_budget = 8 * length
-        # which skip accumulators the block needs: every edge that can
-        # skip a straight-line range [lo, hi) (if-converted diamonds and
-        # loop-continue back-edges)
-        skips = [(j + 1, length if target == 0 else target)
-                 for j, target in enumerate(self.targets)
-                 if body[j].op in TERMINATOR_OPCODES
-                 and (target == 0 or j < target <= length)]
-        skips = [(lo, hi) for lo, hi in skips if hi > lo]
-        self.has_skip = bool(skips)
-        self.has_skip_loads = any(self.loads_before[hi] > self.loads_before[lo]
-                                  for lo, hi in skips)
-        self.has_skip_stores = any(
-            self.stores_before[hi] > self.stores_before[lo]
-            for lo, hi in skips)
-        #: the function's source lines (the header is filled in last)
-        #: and, per line number, the position its code belongs to
-        self.out: List[str] = [""]
-        self.where: List[int] = [0, 0]
 
     def _put(self, indent: str, lines: List[str], j: int) -> None:
         """Append ``lines`` at ``indent``, as code of position ``j``."""
@@ -372,233 +396,204 @@ class _BlockGen:
             self.out.append(indent + line)
             self.where.append(j)
 
-    # -- accounting expressions ---------------------------------------------
+    # -- exits and edges -----------------------------------------------------
 
-    def _retired(self, k) -> str:
-        """Instructions retired once ``k`` positions of the current
-        iteration are complete (``k``: int or a runtime expression)."""
-        terms = []
-        if self.is_loop:
-            terms.append(f"_n * {self.length}")
-        if isinstance(k, int):
-            if k:
-                terms.append(str(k))
+    def _exit(self, kind: int, d: int, pc: int) -> str:
+        """Leave through the epilogue after ``d`` positions, for ``pc``."""
+        index = self.exits.setdefault((kind, d, pc), len(self.exits))
+        return f"_e = {index}; break"
+
+    def _skip(self, lo: int, hi: int) -> List[str]:
+        """Skip positions [lo, hi) (timing aspect hook)."""
+        if hi <= lo:
+            return []
+        index = self.skips.setdefault((lo, hi), len(self.skips))
+        return [f"_s{index} += 1"]
+
+    def _back_edge(self) -> List[str]:
+        """Start the next iteration, or leave at the entry when another
+        would not fit the budget (timing aspect hook)."""
+        return ["_n += 1", "if _n < _maxn: continue",
+                self._exit(HEADROOM, 0, 0)]
+
+    def _leave(self, indent: str, j: int, target: int, hi: int) -> None:
+        """Take the edge from position ``j`` to ``target``, which does
+        not merge into the range ending at ``hi``: loop, duplicate the
+        block's tail, or exit."""
+        length = self.length
+        if target == 0 and self.is_loop:
+            self._put(indent, self._skip(j + 1, length) + self._back_edge(),
+                      j)
+        elif hi < target <= length \
+                and self._dup_budget >= length - target:
+            self._dup_budget -= length - target
+            self._put(indent, self._skip(j + 1, target), j)
+            self._range(indent, target, length)
         else:
-            terms.append(k)
-        expr = " + ".join(terms) if terms else "0"
-        if self.has_skip:
-            expr += " - _skip"
-        return expr
+            self._put(indent, [self._exit(TAKEN, j + 1, target)], j)
 
-    def _counter_line(self, counter: str, per_iter: int, upto,
-                      skipped: bool) -> str:
-        """``_mem.<counter> += ...`` for the cutoff ``upto``, or ''."""
-        before = self.loads_before if counter == "load_count" \
-            else self.stores_before
-        terms = []
-        if self.is_loop and per_iter:
-            terms.append(f"_n * {per_iter}" if per_iter != 1 else "_n")
-        if isinstance(upto, int):
-            if before[upto]:
-                terms.append(str(before[upto]))
-        else:
-            terms.append(upto)
-        if not terms and not skipped:
-            return ""
-        expr = " + ".join(terms) if terms else "0"
-        if skipped:
-            accumulator = "_skl" if counter == "load_count" else "_sks"
-            expr += f" - {accumulator}"
-        return f"_mem.{counter} = _mem.{counter} + {expr}"
+    # -- instructions (timing aspect hooks) ----------------------------------
 
-    def _exit_lines(self, k, next_expr) -> List[str]:
-        """Write back, reconcile counters, report, and leave the block.
-
-        ``k`` — positions of the current iteration complete at the exit
-        (int, or a runtime expression for the fault path); ``next_expr``
-        — the return value (a PC, or the ``-2 - pc`` side-exit code), or
-        ``None`` on the fault path where the exception propagates.
-        """
-        lines = [f"regs[{r}] = r{r}" for r in self.written]
-        if isinstance(k, int):
-            upto_loads = upto_stores = k
-        else:
-            # fault path: index the per-position prefix tables by _k
-            # (exclusive — a faulting instruction never reached memory)
-            self.statics.update(_LB=self.loads_before,
-                                _SB=self.stores_before)
-            upto_loads = self.loads_before[-1] and "_LB[_k]"
-            upto_stores = self.stores_before[-1] and "_SB[_k]"
-        loads = self._counter_line(
-            "load_count", self.loads_before[self.length],
-            upto_loads, self.has_skip_loads)
-        stores = self._counter_line(
-            "store_count", self.stores_before[self.length],
-            upto_stores, self.has_skip_stores)
-        if loads:
-            lines.append(loads)
-        if stores:
-            lines.append(stores)
-        lines.append(f"_cell[0] = {self._retired(k)}")
-        if next_expr is not None:
-            lines.append(f"return {next_expr}")
-        return lines
-
-    def _skip_lines(self, lo: int, hi: int) -> List[str]:
-        """Account for not executing straight-line positions [lo, hi)."""
-        lines = []
-        span = hi - lo
-        if not span or not self.has_skip:
-            return lines
-        lines.append(f"_skip = _skip + {span}")
-        loads = self.loads_before[hi] - self.loads_before[lo]
-        stores = self.stores_before[hi] - self.stores_before[lo]
-        if loads and self.has_skip_loads:
-            lines.append(f"_skl = _skl + {loads}")
-        if stores and self.has_skip_stores:
-            lines.append(f"_sks = _sks + {stores}")
-        return lines
-
-    def _continue_lines(self) -> List[str]:
-        """Take a back-edge to the entry (next iteration or block exit)."""
-        lines = ["_n = _n + 1"]
-        lines.append("if _n < _maxn:")
-        lines.append("    continue")
-        lines.extend(self._exit_lines(0, "_E"))
-        return lines
-
-    # -- per-instruction emitters --------------------------------------------
-
-    def _emit_plain(self, j: int, ins) -> List[str]:
+    def _instruction(self, j: int, ins) -> List[str]:
+        """Lines of the instruction at position ``j``, not a branch (a
+        ``jmp``'s come before its edge)."""
         sem = SEMANTICS[ins.op]
         ops = block_operands(ins, self.statics)
         if sem.kind == ALU:
             return [f"{ops['a']} = {sem.effect.format(**ops)}"]
         if sem.kind == LOAD or sem.kind == STORE:
-            # memory counters are batched per block: the fast path does
-            # not count, and a failed guard side-exits to the thunk
-            side_exit = self._exit_lines(j, f"{-2 - j} - _E")
-            return access(sem, ops, side_exit, counted=False)
-        # out, nop
+            # memory counters are batched per block; a failed guard hands
+            # the instruction back
+            return access(sem, ops, [self._exit(GUARD, j, j)], counted=False)
         return sem.effect.format(out="_out", **ops).splitlines()
 
-    def _emit_range(self, indent: str, lo: int, hi: int) -> None:
-        """Emit positions [lo, hi); ends with an exit unless it merges
-        back into the enclosing range."""
+    def _branch(self, j: int, ins) -> Tuple[List[str], str, List[str],
+                                            List[str]]:
+        """``(lines, condition, taken lines, fall-through lines)`` of
+        the branch at position ``j``."""
+        ops = block_operands(ins, self.statics)
+        return [], SEMANTICS[ins.op].effect.format(**ops), [], []
+
+    # -- the body ------------------------------------------------------------
+
+    def _range(self, indent: str, lo: int, hi: int) -> None:
+        """Emit positions [lo, hi); ends in an exit or a back-edge unless
+        it merges back at ``hi`` < length."""
         length = self.length
         j = lo
         while j < hi:
             ins = self.body[j]
-            op = ins.op
             target = self.targets[j]
-            if op == "jmp":
-                if target == 0 and self.is_loop:
-                    self._put(indent, self._continue_lines(), j)
+            if ins.op == "jmp":
+                self._put(indent, self._instruction(j, ins), j)
+                if not j < target <= hi:
+                    self._leave(indent, j, target, hi)
                     return
-                if j < target <= hi:
-                    # forward jmp inside this range: an unconditional
-                    # skip straight to its target
-                    self._put(indent, self._skip_lines(j + 1, target), j)
-                    j = target
-                    continue
-                if hi < target <= length \
-                        and self._dup_budget >= length - target:
-                    # forward jmp past this range's merge point but
-                    # still inside the block: duplicate the tail so
-                    # this path reaches the block's back-edge/exit
-                    # without leaving compiled code
-                    self._dup_budget -= length - target
-                    self._put(indent, self._skip_lines(j + 1, target), j)
-                    self._emit_range(indent, target, length)
-                    return
-                # backward or out-of-reach: leave the block (anything
-                # after this position is unreachable along this path)
-                self._put(indent, self._exit_lines(j + 1, f"_E + {target}"),
-                          j)
-                return
-            if op in TERMINATOR_OPCODES:
-                cond = SEMANTICS[op].effect.format(
-                    **block_operands(ins, self.statics))
+                self._put(indent, self._skip(j + 1, target), j)
+                j = target
+            elif ins.op in TERMINATOR_OPCODES:
+                lines, cond, taken, fall = self._branch(j, ins)
+                self._put(indent, lines, j)
                 inner = indent + "    "
-                if target == 0 and self.is_loop:
+                if not j < target <= hi:
                     self._put(indent, [f"if {cond}:"], j)
-                    self._put(inner, self._skip_lines(j + 1, length), j)
-                    self._put(inner, self._continue_lines(), j)
-                elif j < target <= hi:
-                    # forward branch inside this range: if-convert it.
-                    # A branch to the very next instruction is a no-op
-                    # (taken or not, execution continues at j + 1).
-                    if target > j + 1:
-                        skip = self._skip_lines(j + 1, target)
-                        self._put(indent, [f"if {cond}:"], j)
-                        self._put(inner, skip or ["pass"], j)
-                        self._put(indent, ["else:"], j)
-                        emitted = len(self.out)
-                        self._emit_range(inner, j + 1, target)
-                        if len(self.out) == emitted:  # skipped only nops
-                            self._put(inner, ["pass"], j)
-                    j = target
+                    self._put(inner, taken, j)
+                    self._leave(inner, j, target, hi)
+                    self._put(indent, fall, j)
+                    j += 1
                     continue
-                elif hi < target <= length \
-                        and self._dup_budget >= length - target:
-                    # taken edge lands past this range's merge point but
-                    # inside the block: duplicate the tail on that edge
-                    self._dup_budget -= length - target
+                # a forward edge inside the range: if-convert it
+                if target > j + 1 or taken or fall:
                     self._put(indent, [f"if {cond}:"], j)
-                    self._put(inner, self._skip_lines(j + 1, target), j)
-                    self._emit_range(inner, target, length)
-                else:
-                    self._put(indent, [f"if {cond}:"], j)
-                    self._put(inner,
-                              self._exit_lines(j + 1, f"_E + {target}"), j)
+                    self._put(inner, taken + self._skip(j + 1, target)
+                              or ["pass"], j)
+                    self._put(indent, ["else:"], j)
+                    emitted = len(self.out)
+                    self._put(inner, fall, j)
+                    self._range(inner, j + 1, target)
+                    if len(self.out) == emitted:  # skipped only nops
+                        self._put(inner, ["pass"], j)
+                j = target
+            else:
+                self._put(indent, self._instruction(j, ins), j)
                 j += 1
-                continue
-            self._put(indent, self._emit_plain(j, ins), j)
-            j += 1
         if hi == length:
-            # fell off the block's end: continue at the next instruction
-            self._put(indent, self._exit_lines(length, f"_E + {length}"),
+            self._put(indent, [self._exit(FALL_THROUGH, length, length)],
                       length - 1)
 
-    # -- whole-function assembly ----------------------------------------------
+    # -- prologue and epilogue (timing aspect hooks) -------------------------
 
-    def generate(self) -> Tuple[List[str], tuple, None]:
-        """``(source lines, static defaults, None)`` for
-        :func:`shared_code`: one function ``sb(ctx, _E, *statics)``."""
+    def _prologue(self, room: str = "budget") -> List[str]:
+        """Enter with ``room`` instructions left under the budget."""
         length = self.length
-        skips = [name for name, used in (("_skip", self.has_skip),
-                                         ("_skl", self.has_skip_loads),
-                                         ("_sks", self.has_skip_stores))
-                 if used]
-        self._put("    ", ["_b = _bc[0]", f"if _b < {length}:",
-                           "    _cell[0] = 0", "    return -2 - _E",
-                           "regs = ctx.regs"]
-                  + [f"r{r} = regs[{r}]" for r in self.regs]
-                  + [f"_maxn = _b // {length}", "_n = 0"] * self.is_loop
-                  + [f"{name} = 0" for name in skips]
-                  + ["try:"] * self.marked, 0)
-        indent = "    " + ("    " if self.marked else "")
+        lines = [f"if {room} < {length}: return None"]
         if self.is_loop:
-            self._put(indent, ["while 1:"], 0)
-            self._emit_range(indent + "    ", 0, length)
-        else:
-            self._emit_range(indent, 0, length)
-        if self.marked:
-            self._put("    ", ["except BaseException as _f:"], 0)
-            self._put("        ", ["_k = _P[_f.__traceback__.tb_lineno]"]
-                      + self._exit_lines("_k + 1", None)
-                      + ["_cell[1] = 1", "ctx.pc = _E + _k", "raise"], 0)
-            self.statics["_P"] = tuple(self.where)
-        self.out[0] = "def sb(ctx, _E, {}):".format(", ".join(self.statics))
-        return self.out, tuple(self.statics.values()), None
+            # an iteration that loops retires at most ``period``; the last
+            # may run on to the block's end
+            period = 1 + max(j for j, target in enumerate(self.targets)
+                             if target == 0
+                             and self.body[j].op in TERMINATOR_OPCODES)
+            tail = f" - {length - period}" if period < length else ""
+            lines.append(f"_maxn = ({room}{tail}) // {period}; _n = 0")
+        if self.regs:
+            lines.append("regs = ctx.regs; " + "; ".join(
+                f"r{r} = regs[{r}]" for r in self.regs))
+        if self.skips:
+            lines.append(" = ".join(f"_s{i}" for i in self.skips.values())
+                         + " = 0")
+        return lines
+
+    def _total(self, flags) -> str:
+        """The flagged positions the block completed, as an expression
+        of ``_n``, the exit's ``_d`` and the skip counters ('' if no
+        position is flagged)."""
+        flags = list(flags)
+        per = sum(flags)
+        if not per:
+            return ""
+        terms = [f"_n * {per}"] if self.is_loop else []
+        if per == self.length:
+            terms.append("_d")
+        else:  # a prefix table, bound as a default argument: as a source
+            # literal it would cost the parser far more
+            table = f"_t{len(self.statics)}"
+            self.statics[table] = tuple(accumulate(flags, initial=0))
+            terms.append(f"{table}[_d]")
+        expr = " + ".join(terms)
+        for (lo, hi), index in self.skips.items():
+            skipped = sum(flags[lo:hi])
+            if skipped:
+                expr += f" - _s{index}" + (f" * {skipped}" if skipped > 1
+                                           else "")
+        return expr
+
+    def _counts(self) -> List[Tuple[str, list, str]]:
+        """``(target, flag per position, suffix)`` of each count the
+        epilogue adds to."""
+        kinds = [SEMANTICS[ins.op].kind for ins in self.body]
+        return [("_mem.load_count", [kind == LOAD for kind in kinds], ""),
+                ("_mem.store_count", [kind == STORE for kind in kinds], "")]
+
+    def _finish(self) -> List[str]:
+        """The epilogue's last lines, after write-back and counts."""
+        return [f"return {self._total([True] * self.length)}, _pc"]
+
+    def generate(self) -> Tuple[List[str], tuple, tuple]:
+        """``(source lines, static defaults, (relative exit table, bound
+        positions))`` for :func:`shared_code`: one function
+        ``NAME(PARAMS, _X, _b0, ..., *statics)``."""
+        self._range("            ", 0, self.length)
+        head = _indent(self._prologue()) + ["    try:", "        while 1:"]
+        lines = ([""] + head + self.out
+                 + ["    except Exception as _f:",
+                    "        _e = _P[_f.__traceback__.tb_lineno]"])
+        self.statics["_P"] = (0,) * (1 + len(head) + 1) + tuple(self.where)
+        epilogue = ["_x, _d, _pc = _X[_e]"]
+        if self.written:
+            epilogue.append("; ".join(f"regs[{r}] = r{r}"
+                                      for r in self.written))
+        for target, flags, suffix in self._counts():
+            total = self._total(flags)
+            if total:
+                epilogue.append(f"{target} += {total}{suffix}")
+        lines += _indent(epilogue + self._finish())
+        lines[0] = "def {}({}):".format(self.NAME, ", ".join(
+            [self.PARAMS, "_X"] + [f"_b{i}" for i in range(len(self.bound))]
+            + list(self.statics)))
+        return (lines, tuple(self.statics.values()),
+                (tuple(self.exits), tuple(self.bound)))
 
 
-def _block_code(instructions, entry: int, length: int, is_loop: bool):
-    """The shared code and static defaults of the block at ``entry``."""
+# -- the functional tier -------------------------------------------------------
+
+
+def block_code(instructions, entry: int, length: int, is_loop: bool):
+    """The shared ``(code, statics, exits)`` of the functional block of
+    ``length`` instructions at ``entry``."""
     pcs = range(entry, entry + length)
     return shared_code((SB_PREFIX, is_loop, shape(instructions, pcs, entry)),
-                       lambda: _BlockGen(instructions[entry:entry + length],
-                                         entry, is_loop).generate(),
+                       lambda: Block(instructions, entry, length,
+                                     is_loop).generate(),
                        SB_FILENAME)
 
 
@@ -610,55 +605,20 @@ def block_namespace(machine, **bound) -> dict:
                 _limit=memory.limit, _out=machine.output.append, **bound)
 
 
-#: a program's ``(entry_pc, length)`` blocks and code object per entry
-CompiledBlocks = NamedTuple("CompiledBlocks",
-                            [("blocks", list), ("codes", dict)])
-
-
-def compile_blocks(program: Program) -> CompiledBlocks:
-    """Compile every block of ``program`` now (unlike :func:`install`)."""
-    blocks = form_blocks(program)
-    return CompiledBlocks(
-        [(entry, length) for entry, length, _ in blocks],
-        {entry: _block_code(program.instructions, entry, length,
-                            is_loop)[0]
-         for entry, length, is_loop in blocks})
-
-
-# -- per-machine installation --------------------------------------------------
-
-
-def install(machine):
-    """Bind a machine to its program's blocks, compiled as they get hot.
-
-    Returns ``(table, cell, budget_cell)``: a per-PC table holding a
-    countdown stub at each block entry (``None`` elsewhere), the
-    ``[retired, fault_flag]`` cell every block reports through, and the
-    one-element chunk-budget cell the driver refreshes before each call.
-    Blocks bind memory, output buffer and cells by identity, which
-    ``Machine.restore`` preserves.
-    """
+def install(machine) -> list:
+    """The block table of ``machine`` for ``Machine.run``: a
+    :func:`lazy_table` of functional blocks.  Blocks bind the machine's
+    memory and output buffer by identity, which ``Machine.restore``
+    preserves."""
     instructions = machine.program.instructions
-    cell, budget_cell = [0, 0], [0]
-    namespace = block_namespace(machine, _cell=cell, _bc=budget_cell)
-    table = [None] * len(instructions)
+    namespace = block_namespace(machine)
 
-    def stub(entry: int, length: int, is_loop: bool):
-        reaches = LOOP_REACHES if is_loop else LINE_REACHES
+    def compile_block(entry: int, length: int, is_loop: bool):
+        code, statics, (exits, _) = block_code(instructions, entry, length,
+                                               is_loop)
+        exits = tuple((kind, d, -2 - entry - pc if kind >= GUARD
+                       else entry + pc) for kind, d, pc in exits)
+        return bind(code, f"{SB_PREFIX}{entry}", namespace,
+                    (exits,) + statics)
 
-        def countdown(ctx):
-            nonlocal reaches
-            reaches -= 1
-            if reaches > 0:
-                cell[0] = 0
-                return -2 - entry
-            code, statics, _ = _block_code(instructions, entry, length,
-                                           is_loop)
-            block = table[entry] = bind(code, f"{SB_PREFIX}{entry}",
-                                        namespace, (entry,) + statics)
-            return block(ctx)
-        return countdown
-
-    for entry, length, is_loop in form_blocks(machine.program):
-        table[entry] = stub(entry, length, is_loop)
-    return table, cell, budget_cell
+    return lazy_table(machine.program, False, compile_block)

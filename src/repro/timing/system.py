@@ -28,7 +28,7 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.core.engine import DttEngine
 from repro.errors import ExecutionFault, ExecutionLimitExceeded, MachineError
 from repro.isa.program import Program
-from repro.machine.context import ContextRole, ContextState
+from repro.machine.context import ContextState
 from repro.machine.machine import Machine
 from repro.timing import blocks
 from repro.timing.branch import BranchPredictor
@@ -208,12 +208,7 @@ class TimingSimulator:
 
         # -- reconcile ---------------------------------------------------
         counted = retired + (reason is _FAULT or reason is _OFF_END)
-        machine.instructions_executed += counted
-        ctx.instruction_count += counted
-        if ctx.role is ContextRole.MAIN:
-            machine.main_instructions += counted
-        else:
-            machine.support_instructions += counted
+        machine._retire(ctx, counted, counted)  # no observers run solo
         core.instructions_issued += retired
         core.busy_cycles += issuing
         ctx.busy_until = busy_until
@@ -255,9 +250,9 @@ class TimingSimulator:
         Runs whole iterations until an engine opcode (``_SIDE_EXIT``,
         leaving the cycle unfinished), the cycle limit, a fault, or too
         little instruction headroom for another full-width cycle.  At a
-        block entry it has reached ``blocks.HOT_THRESHOLD`` times, it
-        binds the block's code and from then on calls it, which advances
-        this loop's own state (see :mod:`repro.timing.blocks`).  It
+        block entry it calls the entry's lazily compiled block, which
+        advances this loop's own state, or returns None to run the
+        instructions here (see :mod:`repro.timing.blocks`).  It
         touches architectural state, the cache hierarchy, the predictor
         and the core's class tally; everything else it returns for
         :meth:`_run_solo` to reconcile::
@@ -273,7 +268,6 @@ class TimingSimulator:
                 blocks.HotBlocks(self, core)
         table = hot_blocks.table
         hot = hot_blocks.hot
-        compile_block = hot_blocks.compile
         cold = core.table
         tally = core.class_tally
         access = self.hierarchy.access
@@ -318,29 +312,21 @@ class TimingSimulator:
                         if kind != ENTRY:
                             reason = _SIDE_EXIT
                             break
-                        block = hot[pc]
-                        if block.__class__ is int:
-                            if block > 1:
-                                hot[pc] = block - 1
-                                block = None
-                            else:
-                                block = hot[pc] = compile_block(pc)
-                        if block is not None:
-                            state = block(ctx, now, busy, k, retired,
-                                          iterations, issuing, budget)
-                            if state is not None:
-                                before = retired + k
-                                (now, busy, k, retired, iterations, issuing,
-                                 exit_kind) = state
-                                compiled += retired + k - before
-                                if exit_kind < blocks.GUARD:
-                                    continue
-                                if exit_kind == blocks.CYCLE_LIMIT:
-                                    reason = _CYCLE_LIMIT
-                                    break
-                                # a failed guard or a fault: the block
-                                # hands the instruction back to its handler
-                                pc = ctx.pc
+                        state = hot[pc](ctx, now, busy, k, retired,
+                                        iterations, issuing, budget)
+                        if state is not None:
+                            before = retired + k
+                            (now, busy, k, retired, iterations, issuing,
+                             exit_kind) = state
+                            compiled += retired + k - before
+                            if exit_kind < blocks.GUARD:
+                                continue
+                            if exit_kind == blocks.CYCLE_LIMIT:
+                                reason = _CYCLE_LIMIT
+                                break
+                            # a failed guard or a fault: the block hands
+                            # the instruction back to its handler
+                            pc = ctx.pc
                         kind, latency, class_index, handler, ins = cold[pc]
                     address, taken = handler(machine, ctx, ins, pc)
                     tally[class_index] += 1

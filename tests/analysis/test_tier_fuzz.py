@@ -145,6 +145,17 @@ def _lower_body(b, body, depth):
             b.jmp(over)
             _lower_body(b, item[1], depth)
             b.label(over)
+        elif kind == "ifelse":
+            # a diamond: the first body when the register is nonzero,
+            # else the second; the first ends in a jmp past the second
+            other = b.fresh_label("fuzzelse")
+            join = b.fresh_label("fuzzjoin")
+            b.beqz(item[1], other)
+            _lower_body(b, item[2], depth)
+            b.jmp(join)
+            b.label(other)
+            _lower_body(b, item[3], depth)
+            b.label(join)
         else:  # pragma: no cover - malformed corpus entry
             raise AssertionError(f"unknown plan item {item!r}")
 

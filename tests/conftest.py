@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.engine import DttEngine
@@ -122,28 +124,41 @@ def dtt_sum_machine():
     return factory
 
 
+def compile_at(patch: pytest.MonkeyPatch, reach) -> None:
+    """Test fake: make every block, of both tiers, compile at its
+    ``reach``-th reach (``math.inf``: never), through ``patch``.  This is
+    the one patch point of the lazy compile
+    (:func:`repro.machine.superblock.compile_reach`)."""
+    patch.setattr(superblock, "compile_reach", lambda timed, is_loop: reach)
+
+
+def _rebuilt(machine: Machine, reach) -> Machine:
+    """Reinstall ``machine``'s block table with :func:`compile_at`
+    ``reach``."""
+    with pytest.MonkeyPatch.context() as patch:
+        compile_at(patch, reach)
+        machine._build_superblocks()
+    return machine
+
+
 def thunks_only(machine: Machine) -> Machine:
-    """Test fake: empty ``machine``'s compiled-block table.
+    """Test fake: install ``machine``'s block table with blocks that
+    never compile.
 
     ``Machine.run`` then takes its closure-thunk fallback for every
     instruction, so the thunks are checked on their own rather than only
-    where a compiled block side-exits.  Apply it after ``attach_engine``,
-    which discards the table.
+    where a compiled block hands an instruction back.  Apply it after
+    ``attach_engine``, which discards the table.
     """
-    size = len(machine.program.instructions)
-    machine._superblocks = ([None] * size, [0, 0], [0])
-    return machine
+    return _rebuilt(machine, math.inf)
 
 
 def every_block_compiled(machine: Machine) -> Machine:
-    """Test fake: install ``machine``'s compiled-block table with every
-    block compiling at its first reach (``LINE_REACHES`` patched to 1),
-    so compiled code runs even where no block gets hot as shipped.
-    Apply it after ``attach_engine``, which discards the table."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(superblock, "LINE_REACHES", 1)
-        machine._build_superblocks()
-    return machine
+    """Test fake: install ``machine``'s block table with every block
+    compiling at its first reach, so compiled code runs even where no
+    block gets hot as shipped.  Apply it after ``attach_engine``, which
+    discards the table."""
+    return _rebuilt(machine, 1)
 
 
 #: the three ``Machine.run`` paths the equivalence tests compare against

@@ -16,7 +16,8 @@ from repro.exec.ledger import (EventDigest, diff_entries, entry_of,
                                profile_specs, run_functional, simulate)
 from repro.exec.plan import RunSpec
 from repro.machine import superblock
-from repro.timing import blocks
+
+from tests.conftest import compile_at
 
 LEDGER = json.loads((Path(__file__).resolve().parents[2] / "results"
                      / "cycle_ledger.json").read_text())
@@ -81,7 +82,7 @@ def test_representative_functional_runs_match_the_ledger(name):
 @pytest.mark.parametrize("name", FUNCTIONAL_SLICE)
 def test_functional_runs_match_the_ledger_with_every_block_compiled(
         name, monkeypatch):
-    monkeypatch.setattr(superblock, "LINE_REACHES", 1)
+    compile_at(monkeypatch, 1)
     expected = LEDGER["functional"][name]
     before = superblock.cache_stats()["blocks_compiled"]
     machine, digest = run_functional(functional_runs()[name])
@@ -118,7 +119,7 @@ def test_representative_runs_match_the_ledger(spec):
 
 @pytest.mark.parametrize("spec", SLICE, ids=RunSpec.canonical)
 def test_runs_match_the_ledger_with_every_block_compiled(spec, monkeypatch):
-    monkeypatch.setattr(blocks, "HOT_THRESHOLD", 1)
+    compile_at(monkeypatch, 1)
     expected = LEDGER["runs"][spec.canonical()]
     simulator, result = simulate(spec)
     assert simulator.compiled_instructions > 0

@@ -916,3 +916,66 @@ def test_synchronous_mcf_steps_only_engine_opcodes(monkeypatch):
     assert set(stepped) <= ENGINE_OPCODES
     assert "treturn" in stepped
     assert len(runs) == 1
+
+
+# -- an instruction a compiled block hands back ---------------------------------
+
+
+def _arm_fault_program():
+    """A loop block that loads and stores every iteration, with an
+    if-converted arm on odd counts that divides by ``i - 3`` and stores
+    the quotient: the arm faults on the sixth iteration, mid-loop."""
+    b = ProgramBuilder()
+    b.data("xs", [7, 0])
+    with b.function("main"):
+        with b.scratch(7) as (i, zero, base, acc, v, t, q):
+            b.la(base, "xs")
+            b.li(i, 8)
+            b.li(zero, 0)
+            b.li(acc, 0)
+            b.label("loop")
+            b.ld(v, base, 0)
+            b.add(acc, acc, v)
+            b.andi(t, i, 1)
+            b.beqz(t, "skip")
+            b.subi(t, i, 3)
+            b.idiv(q, acc, t)       # faults when i reaches 3
+            b.st(q, base, 1)
+            b.label("skip")
+            b.subi(i, i, 1)
+            b.bgt(i, zero, "loop")
+        b.halt()
+    return b.build()
+
+
+@pytest.mark.parametrize("path", ["compiled", "superblock"])
+def test_fault_in_an_if_converted_arm_matches_step(path):
+    # the block hands the idiv back and its thunk raises: the fault, pc,
+    # counters and registers must be the step() loop's
+    from repro.machine.superblock import SB_PREFIX
+
+    program = _arm_fault_program()
+
+    def fault_state(machine, drive):
+        with pytest.raises(ExecutionFault) as caught:
+            drive(machine)
+        main = machine.main_context
+        return {"fault": (type(caught.value).__name__, str(caught.value)),
+                "pc": main.pc,
+                "counters": (machine.instructions_executed,
+                             machine.main_instructions,
+                             main.instruction_count),
+                "loads": machine.memory.load_count,
+                "stores": machine.memory.store_count,
+                "regs": [_norm(v) for v in main.regs]}
+
+    expected = fault_state(Machine(program), _run_steps)
+    machine = Machine(program)
+    actual = fault_state(machine, RUNNERS[path])
+    assert actual == expected
+    assert expected["fault"] == ("ExecutionFault", "integer division by zero")
+    assert program.instructions[expected["pc"]].op == "idiv"
+    assert expected["counters"][0] > 30  # faulted mid-loop, not at entry
+    # the loop ran compiled, so the fault was handed back
+    assert machine._superblocks[program.labels["loop"]].__name__ == \
+        f"{SB_PREFIX}{program.labels['loop']}"

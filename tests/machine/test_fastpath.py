@@ -270,6 +270,16 @@ def test_equivalence_survives_interleaved_tiers():
 # -- superblock specifics ----------------------------------------------------------
 
 
+def _codes(program):
+    """The shared code object of each functional block of ``program``,
+    by entry."""
+    from repro.machine.superblock import block_code, form_blocks
+
+    return {entry: block_code(program.instructions, entry, length,
+                              is_loop)[0]
+            for entry, length, is_loop in form_blocks(program)}
+
+
 def _guard_side_exit_program(limit):
     """A loop block whose ``ldx`` address walks below zero mid-run."""
     b = ProgramBuilder()
@@ -326,7 +336,7 @@ def test_one_shape_faulting_at_two_entries_matches_step():
     # the same loop shape at two entry PCs runs one shared code object;
     # its fault must leave each machine's pc, registers and counters
     # exactly where step() leaves them
-    from repro.machine.superblock import compile_blocks, form_blocks
+    from repro.machine.superblock import form_blocks
 
     entries = []
     for pad in (0, 3):
@@ -338,7 +348,7 @@ def test_one_shape_faulting_at_two_entries_matches_step():
         assert fp["instructions_executed"] > pad + 4  # mid-loop
     (first, a), (second, b) = entries
     assert a != b
-    assert compile_blocks(first).codes[a] is compile_blocks(second).codes[b]
+    assert _codes(first)[a] is _codes(second)[b]
 
 
 @pytest.mark.parametrize("copies", [
@@ -349,7 +359,7 @@ def test_one_shape_faulting_at_two_entries_matches_step():
 def test_blocks_of_different_shapes_do_not_share_code(copies):
     # two blocks alike but for one branch target or immediate: each is
     # part of the shape, or the second block would run the first's code
-    from repro.machine.superblock import compile_blocks, form_blocks
+    from repro.machine.superblock import form_blocks
 
     b = ProgramBuilder()
     with b.function("main"):
@@ -375,7 +385,7 @@ def test_blocks_of_different_shapes_do_not_share_code(copies):
     first, second = (program.labels[f"copy{copy}"] for copy in (0, 1))
     lengths = {entry: n for entry, n, _ in form_blocks(program)}
     assert lengths[first] == lengths[second] == 5
-    codes = compile_blocks(program).codes
+    codes = _codes(program)
     assert codes[first] is not codes[second]
     reference = Machine(program)
     drive_legacy(reference)
@@ -410,7 +420,7 @@ def test_loop_block_entered_once_runs_compiled():
         (lambda ctx, thunk=thunk: thunk_calls.append(1) or thunk(ctx))
         for thunk in build_thunks(machine)]
     run_to_completion(machine)
-    assert machine._superblocks[0][entry].__name__ == f"{SB_PREFIX}{entry}"
+    assert machine._superblocks[entry].__name__ == f"{SB_PREFIX}{entry}"
     assert machine.instructions_executed > 3000
     assert len(thunk_calls) < 10  # the loop ran compiled, not on thunks
     reference = Machine(program)
@@ -419,15 +429,14 @@ def test_loop_block_entered_once_runs_compiled():
 
 
 def test_superblock_formation_covers_suite():
-    from repro.machine.superblock import compile_blocks, form_blocks
+    from repro.machine.superblock import form_blocks
 
     for name in sorted(SUITE):
         workload = SUITE[name]
         program = workload.build_baseline(workload.make_input())
         blocks = form_blocks(program)
         assert blocks, f"{name}: no superblocks formed"
-        compiled = compile_blocks(program)
-        assert len(compiled.blocks) == len(blocks)
+        assert len(_codes(program)) == len(blocks)
     # the paper's headline workload must compile its hot loop as a loop
     # block, or the 3x run() target is unreachable
     mcf = SUITE["mcf"]
@@ -462,7 +471,7 @@ def test_superblock_code_cache_shares_compiles_across_machines():
 def test_baseline_and_dtt_builds_share_block_shapes():
     # the DTT build moves the baseline's loops to other PCs; relocatable
     # code lets both builds run one compile of each shared shape
-    from repro.machine.superblock import compile_blocks, form_blocks, shape
+    from repro.machine.superblock import form_blocks, shape
 
     workload = SUITE["mcf"]
     inp = workload.make_input()
@@ -473,7 +482,7 @@ def test_baseline_and_dtt_builds_share_block_shapes():
              for key in shapes[0].keys() & shapes[1].keys()
              if shapes[0][key] != shapes[1][key]]
     assert moved
-    baseline, dtt = (compile_blocks(p).codes for p in builds)
+    baseline, dtt = (_codes(p) for p in builds)
     assert all(baseline[a] is dtt[b] for a, b in moved)
 
 

@@ -104,13 +104,21 @@ def test_fold_superblock_frames_names_entry_pcs():
 
 def test_fold_superblock_frames_matches_real_compiled_code():
     # the fold must track the real filename/name scheme the compiler uses
-    from repro.machine.superblock import SB_FILENAME, SB_PREFIX, compile_blocks
+    from repro.machine.machine import Machine, run_to_completion
+    from repro.machine.superblock import SB_FILENAME
     from repro.workloads.suite import SUITE
 
+    from tests.conftest import every_block_compiled
+
     workload = SUITE["mcf"]
-    compiled = compile_blocks(workload.build_baseline(workload.make_input()))
-    entry = compiled.blocks[0][0]
-    label = f"{SB_FILENAME}:7({SB_PREFIX}{entry})"
+    machine = every_block_compiled(
+        Machine(workload.build_baseline(workload.make_input())))
+    run_to_completion(machine)
+    entry, block = next((pc, block)
+                        for pc, block in enumerate(machine._superblocks)
+                        if block is not None
+                        and block.__code__.co_filename == SB_FILENAME)
+    label = f"{block.__code__.co_filename}:7({block.__name__})"
     assert fold_superblock_frames(label) == f"sb:{entry}"
 
 

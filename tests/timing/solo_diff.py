@@ -1,10 +1,10 @@
 """Differential oracle for the timing simulator's solo run-ahead.
 
 :func:`run_variants` runs one simulation three ways: as shipped; with
-``blocks.HOT_THRESHOLD`` patched to 1, so the run-ahead compiles every
-block entry the first time it reaches it ("compiled"); and with
-``TimingSimulator._solo_context`` patched to never find a solo context,
-so every iteration takes the general issue loop ("stepped").  The solo
+every block compiling at its first reach (``tests.conftest.compile_at``)
+("compiled"); and with ``TimingSimulator._solo_context`` patched to
+never find a solo context, so every iteration takes the general issue
+loop ("stepped").  The solo
 run-ahead and its compiled blocks are cycle-exact only if the three
 snapshots are equal: every ``TimingResult`` field, the machine's
 counters and architectural state, each core's issue counters and
@@ -16,10 +16,13 @@ import collections
 
 import pytest
 
+from repro.machine.superblock import lazy_table
 from repro.timing import blocks
 from repro.timing.params import SystemConfig, named_config
 from repro.timing.stats import TimingResult
 from repro.timing.system import TimingSimulator
+
+from tests.conftest import compile_at
 
 #: every named configuration, plus two SMT cores, so that a core after
 #: the solo context's core also has a rotation to keep
@@ -90,7 +93,7 @@ def run_variants(make_sim, hook=None):
     "stepped" (see the module docstring)."""
     runs = {"shipped": run_once(make_sim, hook)}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(blocks, "HOT_THRESHOLD", 1)
+        compile_at(patch, 1)
         runs["compiled"] = run_once(make_sim, hook)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(TimingSimulator, "_solo_context", lambda self: None)
@@ -118,9 +121,9 @@ def record_exits(sim):
     for core in sim.cores:
         hot = sim._hot_blocks[core.core_id] = blocks.HotBlocks(sim, core)
 
-        def traced_compile(entry, hot=hot, compile_block=hot.compile):
-            function = compile_block(entry)
-            length = len(hot.shapes[entry][0])
+        def traced_compile(entry, length, is_loop,
+                           compile_block=hot.compile):
+            function = compile_block(entry, length, is_loop)
 
             def traced(ctx, now, busy, k, retired, *rest):
                 state = function(ctx, now, busy, k, retired, *rest)
@@ -131,4 +134,4 @@ def record_exits(sim):
                 return state
             return traced
 
-        hot.compile = traced_compile
+        hot.hot = lazy_table(sim.machine.program, True, traced_compile)

@@ -15,7 +15,7 @@ import pytest
 
 from repro.isa.builder import ProgramBuilder
 from repro.machine import superblock
-from repro.machine.superblock import find_leaders
+from repro.machine.superblock import find_leaders, form_blocks
 from repro.timing import blocks
 from repro.timing.core import ENTRY
 from repro.timing.params import CoreParams, named_config
@@ -105,20 +105,21 @@ def test_block_entries_are_leaders_with_a_block():
     sim = TimingSimulator(program, named_config("smt2"))
     hot = blocks.HotBlocks(sim, sim.cores[0])
     entries = {pc for pc, row in enumerate(hot.table) if row[0] == ENTRY}
-    assert entries == set(hot.shapes) <= find_leaders(program)
-    for pc, (path, is_loop) in hot.shapes.items():
-        body = [program.instructions[step] for step in path]
-        # a block holds each instruction once and no boundary opcode; it
-        # follows fall-through edges and jmps, and only its last
-        # instruction may jump or fall through back to its entry
-        assert path[0] == pc and len(set(path)) == len(path)
-        assert not any(ins.op in blocks.BOUNDARY_OPCODES for ins in body)
-        for ins, step, following in zip(body, path, path[1:]):
-            assert following == (ins.target if ins.op == "jmp" else step + 1)
-        assert all(ins.target != pc for ins in body[:-1])
-        last = body[-1]
-        assert is_loop == (last.target == pc or (
-            last.op != "jmp" and path[-1] + 1 == pc))
+    formed = form_blocks(program)
+    assert entries == {pc for pc, block in enumerate(hot.hot)
+                       if block is not None}
+    assert entries == {pc for pc, _, _ in formed} <= find_leaders(program)
+    for pc, length, is_loop in formed:
+        body = program.instructions[pc:pc + length]
+        # a block is the contiguous range the functional tier forms: no
+        # boundary opcode, only its last instruction may jmp backward,
+        # and it loops exactly when an edge in it targets its entry
+        assert not any(ins.op in superblock.BOUNDARY_OPCODES
+                       for ins in body)
+        assert all(ins.target > pc + j for j, ins in enumerate(body[:-1])
+                   if ins.op == "jmp")
+        assert is_loop == any(ins.target == pc for ins in body
+                              if ins.op in superblock.TERMINATOR_OPCODES)
 
 
 def test_timed_code_never_crosses_machine_configurations(monkeypatch):
@@ -132,8 +133,8 @@ def test_timed_code_never_crosses_machine_configurations(monkeypatch):
         sim = TimingSimulator(program, config)
         hot = blocks.HotBlocks(sim, sim.cores[0])
         superblock.reset_cache_stats()
-        for entry in hot.shapes:
-            hot.compile(entry)
+        for block in form_blocks(program):
+            hot.compile(*block)
         return superblock.cache_stats()
 
     first = bind_every_block(named_config("smt2"))
@@ -155,7 +156,8 @@ def test_timed_code_never_crosses_machine_configurations(monkeypatch):
 def test_one_timed_shape_at_two_entries_matches_the_general_loop(
         monkeypatch):
     # two copies of one loop at different PCs run one shared code object
-    # with per-entry exits and gshare indices
+    # with per-entry exits and gshare indices (a call ends each copy's
+    # block, so the first does not run on into the second)
     monkeypatch.setattr(superblock, "_CODE_CACHE", OrderedDict())
     b = ProgramBuilder()
     b.data("xs", list(range(64)))
@@ -171,19 +173,24 @@ def test_one_timed_shape_at_two_entries_matches_the_general_loop(
             b.addi(4, 4, 1)
             b.blt(4, 5, top)
             b.nop()
+            b.call("noop")
         b.out(8)
         b.halt()
+    with b.function("noop"):
+        b.ret()
     program = b.build()
     sim = TimingSimulator(program, named_config("smt2"))
     hot = blocks.HotBlocks(sim, sim.cores[0])
-    loops = sorted(pc for pc, (_, is_loop) in hot.shapes.items() if is_loop)
+    loops = sorted((pc, length, is_loop)
+                   for pc, length, is_loop in form_blocks(program) if is_loop)
     assert len(loops) == 2
     superblock.reset_cache_stats()
-    functions = [hot.compile(entry) for entry in loops]
+    functions = [hot.compile(*block) for block in loops]
     stats = superblock.cache_stats()
     assert stats["cache_misses"] == stats["cache_hits"] == 1
     assert functions[0].__code__.co_code == functions[1].__code__.co_code
-    assert [f.__name__ for f in functions] == [f"tb_{pc}" for pc in loops]
+    assert [f.__name__ for f in functions] == [f"tb_{pc}"
+                                               for pc, _, _ in loops]
     runs = run_variants(lambda: TimingSimulator(program, named_config("smt2")))
     assert runs["compiled"][1] == runs["stepped"][1]
     assert runs["shipped"][1] == runs["stepped"][1]

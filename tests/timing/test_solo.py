@@ -17,8 +17,8 @@ from repro.core.registry import ThreadRegistry, TriggerSpec
 from repro.isa.builder import ProgramBuilder
 from repro.machine.events import MachineObserver
 from repro.machine.machine import ENGINE_OPCODES
+from repro.machine.superblock import form_blocks
 from repro.obs.metrics import MetricsRegistry
-from repro.timing import blocks
 from repro.timing.core import EXIT
 from repro.timing.params import named_config
 from repro.timing.system import TimingSimulator
@@ -335,7 +335,8 @@ def test_max_instructions_hit_inside_a_compiled_loop(config):
 def mispredict_program():
     """A loop with a branch on the low bit of its counter: the gshare
     counters start weakly taken, so its fall-through path mispredicts
-    mid-block, and its taken path leaves the block."""
+    mid-block, and its taken path skips the if-converted arm inside the
+    block."""
     b = ProgramBuilder()
     with b.function("main"):
         b.li(5, 40)
@@ -360,13 +361,14 @@ def test_mispredict_ends_a_cycle_mid_block(config):
     sim, snap = compiled_exact(baseline_sim(mispredict_program(), config))
     assert snap["error"] is None
     assert sim.predictor.mispredicts > 0
-    assert sim.exits["taken"] and sim.exits["fall-through"]
+    # the loop's block runs every iteration: the only taken exit is the
+    # entry block's branch into the loop
+    assert sim.exits["taken"] == 1 and sim.exits["back-edge"]
 
 
 def while_program():
-    """A top-tested loop with a diamond: its hottest block starts after
-    the diamond's branch, follows both ``jmp``s, and loops by falling
-    through into its own entry."""
+    """A top-tested loop with a diamond whose arms end in forward
+    ``jmp``s, closed by a ``jmp`` back to the loop's test."""
     b = ProgramBuilder()
     b.zeros("buf", 64)
     with b.function("main"):
@@ -402,10 +404,12 @@ def test_a_path_through_jmps_loops_into_its_own_entry(config):
     sim, snap = compiled_exact(baseline_sim(program, config))
     assert snap["error"] is None
     assert sim.exits["back-edge"] and sim.exits["taken"]
-    loops = [path for path, is_loop in
-             blocks.HotBlocks(sim, sim.cores[0]).shapes.values()
-             if is_loop and program.instructions[path[-1]].op != "jmp"]
-    assert loops  # some loop closes by falling through into its entry
+    # the loop is one block from its test to the closing jmp, with the
+    # diamond if-converted inside it
+    loops = [(pc, length) for pc, length, is_loop in form_blocks(program)
+             if is_loop]
+    assert [program.instructions[pc + length - 1].op
+            for pc, length in loops] == ["jmp"]
 
 
 def invalidating_program():
