@@ -87,16 +87,6 @@ class ExperimentResult:
             payload["manifest"] = self.manifest.as_dict()
         return payload
 
-    def stable_dict(self) -> Dict:
-        """``as_dict`` minus the manifest — every field left is a pure
-        function of the simulated runs, so two invocations that executed
-        the same work compare equal regardless of wall clock, cache
-        temperature, or parallelism (the parallel-determinism tests and
-        ``compare`` rely on this)."""
-        payload = self.as_dict()
-        payload.pop("manifest", None)
-        return payload
-
     def to_json(self, indent: int = 2) -> str:
         """The result as a JSON string."""
         return json.dumps(self.as_dict(), indent=indent)

@@ -1,8 +1,8 @@
 """Compiled blocks: one block former and one emitter for both tiers.
 
 ``Machine.run`` and the timing simulator's solo run-ahead
-(:meth:`TimingSimulator._solo_body
-<repro.timing.system.TimingSimulator._solo_body>`) run hot code as
+(:meth:`TimingSimulator._solo_loop
+<repro.timing.system.TimingSimulator._solo_loop>`) run hot code as
 *compiled blocks*: one Python function per block, built with ``compile``
 from the instruction templates of :mod:`repro.machine.semantics`, with
 registers in locals, ALU ops as inline expressions and memory accesses
@@ -56,7 +56,7 @@ A functional block ``sb(ctx, budget)`` returns ``None``, having run
 nothing, when fewer than one block length of instructions is left under
 ``budget``; else ``(retired, next)``, where ``next`` is the next PC or
 ``-2 - pc`` of an instruction handed back.  A timed block
-``tb(ctx, now, busy, k, retired, it, iss, budget)`` returns the
+``tb(ctx, now, busy, k, retired, it, iss, budget, limit)`` returns the
 run-ahead's own loop state ``(now, busy, k, retired, iterations,
 issuing, exit kind)`` with ``ctx.pc`` on the next instruction or the one
 handed back, or ``None`` likewise.

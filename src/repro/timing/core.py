@@ -20,8 +20,8 @@ favored — the ICOUNT-lite fairness that an SMT fetch policy provides.
 Per-instruction costs come from a per-PC issue table built once per core
 (:func:`issue_table`): the issue kind, static latency, and op class of
 every instruction, plus its pre-decoded handler, so neither the general
-issue path nor the solo run-ahead in :mod:`repro.timing.system` looks up
-an opcode at run time.
+issue path nor the run-aheads in :mod:`repro.timing.system` look up an
+opcode at run time.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from repro.timing.params import CoreParams
 #: issue kinds of the per-PC table (:attr:`SmtCore.table`): what an
 #: instruction costs beyond its static latency.  Kinds at or above
 #: ``EXIT`` are the :data:`~repro.machine.machine.ENGINE_OPCODES`, on
-#: which the solo run-ahead hands the cycle back to the general scan.
+#: which the run-aheads hand the cycle back to the general scan.
 #: ``ENTRY`` marks a hot-block entry; it appears only in the solo
 #: run-ahead's copy of the table (:class:`repro.timing.blocks.HotBlocks`).
 PLAIN, LOAD, BRANCH, STORE, EXIT, EXIT_STORE, ENTRY = range(7)
@@ -126,8 +126,9 @@ class SmtCore:
         used or ``count`` consecutive contexts were not ready.  Readiness
         changes only when something issues, so ``count`` misses in a row
         mean no context can issue again this cycle.  Returns the slots
-        used, ``issued`` included.  The solo run-ahead resumes this same
-        scan at the solo context when it meets an engine opcode mid-cycle.
+        used, ``issued`` included.  A run-ahead resumes this same scan at
+        the stopping context when it meets an engine opcode mid-cycle; the
+        multi-context run-ahead runs it inline.
         """
         contexts = self.contexts
         count = len(contexts)

@@ -93,19 +93,22 @@ def test_architecture_documents_superblock_tier():
 
 
 def test_architecture_documents_solo_run_ahead():
-    """The solo run-ahead subsection must name every side-exit opcode,
-    every hot-block exit kind, and the coverage and compile gauges, so
-    none can drift undocumented."""
+    """The solo and multi-context run-ahead subsections must name every
+    side-exit opcode, every hot-block exit kind, and the coverage and
+    compile gauges, so none can drift undocumented."""
     from repro.machine.machine import ENGINE_OPCODES
     from repro.timing.blocks import EXIT_KINDS
 
     text = (DOCS / "architecture.md").read_text()
     assert "### Solo run-ahead" in text
+    assert "### Multi-context run-ahead" in text
     section = text.split("### Solo run-ahead", 1)[1].split("\n## ", 1)[0]
     missing = [op for op in sorted(ENGINE_OPCODES)
                if f"`{op}`" not in section]
     missing += [gauge for gauge in ("timing.solo_cycles",
                                     "timing.solo_instructions",
+                                    "timing.multi_cycles",
+                                    "timing.multi_instructions",
                                     "timing.compiled_blocks",
                                     "timing.compile_seconds",
                                     "timing.compiled_instructions")

@@ -487,3 +487,53 @@ def test_solo_gauges_cover_a_baseline_run():
     solo = registry.get("timing.solo_instructions").value
     assert solo == result.instructions
     assert registry.get("timing.solo_cycles").value == result.cycles
+
+
+def overlap_program():
+    """main triggers ``worker`` and keeps looping while it runs."""
+    b = ProgramBuilder()
+    b.data("xs", [1])
+    b.zeros("ys", 1)
+    with b.thread("worker"):
+        b.li(4, 30)
+        top = b.fresh_label("w")
+        b.label(top)
+        b.muli(5, 4, 3)
+        b.subi(4, 4, 1)
+        b.bnez(4, top)
+        b.la(6, "ys")
+        b.st(5, 6, 0)
+        b.treturn()
+    with b.function("main"):
+        b.la(6, "xs")
+        b.li(4, 99)
+        tst_pc = b.tst(4, 6, 0)
+        b.li(4, 40)
+        top = b.fresh_label("m")
+        b.label(top)
+        b.addi(9, 9, 1)
+        b.subi(4, 4, 1)
+        b.bnez(4, top)
+        b.tcheck_thread("worker")
+        b.la(7, "ys")
+        b.ld(4, 7, 0)
+        b.out(4)
+        b.halt()
+    return b.build(), TriggerSpec("worker", store_pcs=[tst_pc])
+
+
+def test_multi_gauges_cover_the_overlapping_iterations():
+    registry = MetricsRegistry()
+    program, spec = overlap_program()
+    for config in ("smt2", "cmp2"):
+        sim = TimingSimulator(
+            program, named_config(config),
+            engine=DttEngine(ThreadRegistry([spec]), deferred=True),
+            metrics=registry)
+        result = sim.run()
+        multi = registry.get("timing.multi_instructions").value
+        assert multi == sim.multi_instructions > 0
+        assert registry.get("timing.multi_cycles").value == sim.multi_cycles
+        assert sim.solo_cycles + sim.multi_cycles <= result.cycles
+    for config in CONFIGS:
+        assert_solo_exact(dtt_sim(program, spec, config), label=config)

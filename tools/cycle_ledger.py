@@ -2,20 +2,22 @@
 """Regenerate or check ``results/cycle_ledger.json``.
 
 The ledger pins the timing model's exact output for every timed run of
-the E1–E9 plan, both redundancy analyses of every E1/E2 profile run, and
-the functional DTT run of every suite workload with its engine's event
-order (see :mod:`repro.exec.ledger`).  From the repository root::
+the E1–E9 plan (with the engine's event order on DTT builds), both
+redundancy analyses of every E1/E2 profile run, and the functional DTT
+run of every suite workload with its engine's event order (see
+:mod:`repro.exec.ledger`).  From the repository root::
 
     PYTHONPATH=src python3 tools/cycle_ledger.py           # rewrite it
     PYTHONPATH=src python3 tools/cycle_ledger.py --check   # exit 1 on drift
 
 ``--only SUBSTRING`` restricts a check to the entries whose canonical
 name contains the substring.  A check also prints the share of
-the solo run-ahead's instructions that compiled blocks retired, and the
-share of the profiled instructions whose analysis ran as inline shadow
-transfers, and fails when either share is zero: a change that silently
-falls back to the step loop or to hook calls cannot pass on a matching
-ledger.
+the run-aheads' instructions that compiled blocks retired, the
+share of the other timed instructions that the multi-context run-ahead
+retired, and the share of the profiled instructions whose analysis ran
+as inline shadow transfers, and fails when any share is zero: a change
+that silently falls back to the general issue loop, the step loop or
+hook calls cannot pass on a matching ledger.
 """
 
 from __future__ import annotations
@@ -82,10 +84,15 @@ def main(argv=None) -> int:
     print(f"{matched}/{sum(map(len, names.values()))} runs, profiles and "
           f"functional runs match the ledger")
     solo = coverage.get("solo_instructions", 0)
+    multi = coverage.get("multi_instructions", 0)
     compiled = coverage.get("compiled_instructions", 0)
-    share = compiled / solo if solo else 0.0
-    print(f"compiled blocks retired {compiled}/{solo} solo instructions "
-          f"({share:.1%})")
+    share = compiled / (solo + multi) if solo + multi else 0.0
+    print(f"compiled blocks retired {compiled}/{solo + multi} run-ahead "
+          f"instructions ({share:.1%})")
+    others = coverage.get("instructions", 0) - solo
+    share = multi / others if others else 0.0
+    print(f"the multi-context run-ahead retired {multi}/{others} non-solo "
+          f"instructions ({share:.1%})")
     profiled = coverage.get("profiled_instructions", 0)
     shadowed = coverage.get("shadow_instructions", 0)
     share = shadowed / profiled if profiled else 0.0
@@ -94,6 +101,9 @@ def main(argv=None) -> int:
     failed = False
     if fresh["runs"] and not compiled:
         print("FAIL the compiled path retired no instructions")
+        failed = True
+    if others and not multi:
+        print("FAIL the multi-context run-ahead retired no instructions")
         failed = True
     if fresh["profiles"] and not shadowed:
         print("FAIL no profiled instruction ran on a shadow thunk")
