@@ -31,6 +31,18 @@ main context via a call-like PC redirection, with the register file saved
 and restored around the body.  The skip benefit survives; the concurrency
 benefit does not.
 
+**State.**  The paper's three structures hold every fact once: the
+:class:`~repro.core.registry.ThreadRegistry`, the
+:class:`~repro.core.queue.ThreadQueue` (with its enqueue, duplicate and
+overflow counters) and the :class:`~repro.core.status.ThreadStatusTable`,
+whose rows are the engine's only live counts (plus
+``unmatched_tstores``).  Each in-flight activation is one record, found
+by its dedupe key and by the context it runs on; ``_start`` and ``_stop``
+are the only places that count, record and forget one.  Metrics are
+published from :meth:`DttEngine.summary` once a timed run finishes
+(``TimingSimulator._publish_metrics``); the engine itself meters nothing
+but the dispatch latencies that summary cannot hold.
+
 Support threads must be idempotent (cancel-and-restart re-runs them) and,
 unless cascading is enabled, their triggering stores behave as plain
 stores.
@@ -38,7 +50,7 @@ stores.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional
 
 from repro.core import trace as T
 from repro.core.config import DttConfig
@@ -54,77 +66,28 @@ from repro.isa.registers import (
 from repro.machine.context import Context, ContextRole, ContextState
 
 
-class _EngineInstruments:
-    """The engine's registered metric instruments (one bundle per engine).
+class _Activation:
+    """One in-flight support-thread execution.
 
-    Held behind one attribute so every hot-path metrics update costs a
-    single ``is not None`` check when metrics are not attached.
+    A dispatched activation runs on a support context of its own; an
+    inline one runs call-style on the context that started it and also
+    holds where that context resumes (``resume_pc``), whether the resume
+    re-executes a ``tcheck`` (``retcheck``) and the registers it restores
+    (``saved_regs``, None for a dispatched activation).
     """
 
-    __slots__ = (
-        "tstores", "same_value", "fired", "duplicates", "cancels",
-        "started", "completed", "overflow_runs", "clean_consumes",
-        "wait_consumes", "unmatched", "queue_depth", "queue_high_water",
-        "dispatch_latency",
-    )
+    __slots__ = ("key", "thread", "activation_id", "ctx", "resume_pc",
+                 "retcheck", "saved_regs")
 
-    def __init__(self, registry):
-        counter = registry.counter
-        self.tstores = counter(
-            "engine.triggering_stores",
-            "dynamic triggering stores that matched a registered spec")
-        self.same_value = counter(
-            "engine.same_value_suppressed",
-            "triggering stores filtered because the value did not change")
-        self.fired = counter(
-            "engine.triggers_fired",
-            "triggers that survived the same-value filter")
-        self.duplicates = counter(
-            "engine.duplicates_suppressed",
-            "fired triggers suppressed by a pending same-key activation")
-        self.cancels = counter(
-            "engine.cancels", "executing activations canceled by a re-trigger")
-        self.started = counter(
-            "engine.executions_started", "support-thread executions started")
-        self.completed = counter(
-            "engine.executions_completed",
-            "support-thread executions run to completion")
-        self.overflow_runs = counter(
-            "engine.overflow_inline_runs",
-            "triggers run immediately as a call on queue overflow")
-        self.clean_consumes = counter(
-            "engine.clean_consumes",
-            "consume points that skipped the computation entirely")
-        self.wait_consumes = counter(
-            "engine.wait_consumes",
-            "consume points that waited for pending executions")
-        self.unmatched = counter(
-            "engine.unmatched_tstores",
-            "dynamic triggering stores matching no registered spec")
-        self.queue_depth = registry.gauge(
-            "queue.depth", "thread-queue entries currently pending")
-        self.queue_high_water = registry.gauge(
-            "queue.depth_high_water", "peak thread-queue depth this run")
-        self.dispatch_latency = registry.histogram(
-            "engine.dispatch_latency_cycles",
-            "cycles between trigger enqueue and dispatch onto a context",
-            buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096))
-
-
-class _InlineFrame:
-    """Bookkeeping for one inline (call-like) support-thread execution."""
-
-    __slots__ = ("key", "thread", "resume_pc", "retcheck", "saved_regs",
-                 "activation_id")
-
-    def __init__(self, key, thread, resume_pc, retcheck, saved_regs,
-                 activation_id=0):
+    def __init__(self, key, thread, activation_id, ctx, resume_pc=None,
+                 retcheck=False, saved_regs=None):
         self.key = key
         self.thread = thread
+        self.activation_id = activation_id
+        self.ctx = ctx
         self.resume_pc = resume_pc
         self.retcheck = retcheck
         self.saved_regs = saved_regs
-        self.activation_id = activation_id
 
 
 class DttEngine:
@@ -146,12 +109,10 @@ class DttEngine:
         self.unmatched_tstores = 0
         self._entry_pcs: Dict[str, int] = {}
         self._tids: List[str] = []
-        # key -> ("ctx" | "inline", Context) for in-flight activations
-        self._executing: Dict[Hashable, Tuple[str, Context]] = {}
-        # context_id -> key, for support-role executions
-        self._ctx_exec: Dict[int, Hashable] = {}
-        # context_id -> stack of inline frames
-        self._inline: Dict[int, List[_InlineFrame]] = {}
+        # in-flight activations by dedupe key, and per context id the
+        # stack of those running on it (inline runs push onto it)
+        self._running: Dict[Hashable, _Activation] = {}
+        self._on_ctx: Dict[int, List[_Activation]] = {}
         # contexts whose next tcheck is a re-entry after an inline run
         self._resumed_tcheck: set = set()
         self._sequence = 0
@@ -160,19 +121,17 @@ class DttEngine:
         #: triggers have ids too — the lineage can name what they were
         #: absorbed into.  Ids start at 1; 0 means "never assigned".
         self._next_activation = 0
-        # context_id -> activation id, for support-role executions
-        self._ctx_activation: Dict[int, int] = {}
-        #: attached metrics registry (None = unmetered; see attach_metrics)
-        self.metrics = None
-        self._m: Optional[_EngineInstruments] = None
         #: attached trace sink (None = untraced; see attach_trace)
         self._trace = None
         #: cached may-trigger index over the registry (rebuilt whenever the
         #: registry version or the configured granularity moves)
         self._prefilter = None
         #: callable returning the current simulated cycle; set by the
-        #: timing simulator so dispatch latency can be metered in cycles
+        #: timing simulator so events and dispatch latency are in cycles
         self.cycle_source = None
+        #: cycles each queued activation waited between enqueue and
+        #: dispatch onto a context (kept only when a cycle source is wired)
+        self.dispatch_latencies: List[int] = []
 
     # -- wiring ------------------------------------------------------------------
 
@@ -193,18 +152,6 @@ class DttEngine:
         }
         self.machine = machine
 
-    def attach_metrics(self, registry) -> None:
-        """Meter this engine on a :class:`~repro.obs.metrics.MetricsRegistry`.
-
-        Idempotent for the same registry; attaching a second, different
-        registry replaces the first.  Unattached engines skip every
-        metrics update (one ``is None`` test per hook).
-        """
-        if registry is self.metrics:
-            return
-        self.metrics = registry
-        self._m = _EngineInstruments(registry)
-
     def attach_trace(self, trace) -> None:
         """Attach an :class:`~repro.core.trace.EngineTrace` sink.
 
@@ -216,10 +163,6 @@ class DttEngine:
     @property
     def activations_minted(self) -> int:
         """How many activation ids this engine has assigned so far."""
-        return self._next_activation
-
-    def _mint_activation(self) -> int:
-        self._next_activation += 1
         return self._next_activation
 
     def _now(self) -> Optional[int]:
@@ -258,7 +201,6 @@ class DttEngine:
                         "with cascading disabled (strict mode)"
                     )
                 return  # behaves as a plain store
-        m = self._m
         t = self._trace
         if t is not None and not t.enabled:
             t = None  # disabled sink: skip building event details entirely
@@ -280,58 +222,49 @@ class DttEngine:
                     break
             if not hit:
                 self.unmatched_tstores += 1
-                if m is not None:
-                    m.unmatched.inc()
                 return
         specs = self.registry.matches(pc, address, granularity)
         if not specs:
             self.unmatched_tstores += 1
-            if m is not None:
-                m.unmatched.inc()
             return
         for spec in specs:
             row = self.status[spec.thread]
             row.triggering_stores += 1
-            if m is not None:
-                m.tstores.inc()
             if t is not None:
                 t.record(T.TSTORE, spec.thread, address,
                          f"{old_value!r}->{new_value!r}", pc=pc,
                          cycle=self._now())
             if self.config.same_value_filter and old_value == new_value:
                 row.same_value_suppressed += 1
-                if m is not None:
-                    m.same_value.inc()
                 if t is not None:
                     t.record(T.SUPPRESSED, spec.thread, address, pc=pc,
                              cycle=self._now())
                 continue
             row.triggers_fired += 1
-            if m is not None:
-                m.fired.inc()
-            activation_id = self._mint_activation()
+            self._next_activation += 1
+            activation_id = self._next_activation
             if t is not None:
                 t.record(T.FIRED, spec.thread, address,
                          f"{old_value!r}->{new_value!r}", pc=pc,
                          activation_id=activation_id, cycle=self._now())
             key = self._dedupe_key(spec, address)
-            in_flight = self._executing.get(key)
-            if in_flight is not None:
-                kind, victim = in_flight
-                if kind == "ctx":
-                    self._cancel(key, victim, cause_id=activation_id)
+            victim = self._running.get(key)
+            if victim is not None:
+                if victim.saved_regs is None:
+                    # cancel-and-restart: the execution may have read data
+                    # that just changed
+                    self._stop(victim, T.CANCELED, cause_id=activation_id)
+                    victim.ctx.finish_support()
                 else:
                     # the activation is running inline on some context; it
                     # cannot be canceled mid-call — suppress as a duplicate
                     # (it reads current memory, which already holds new_value)
                     row.duplicates_suppressed += 1
-                    if m is not None:
-                        m.duplicates.inc()
                     if t is not None:
                         t.record(T.DUPLICATE, spec.thread, address,
                                  "absorbed by executing inline activation",
                                  pc=pc, activation_id=activation_id,
-                                 cause_id=self._inline_activation(victim, key),
+                                 cause_id=victim.activation_id,
                                  cycle=self._now())
                     continue
             self._sequence += 1
@@ -342,8 +275,6 @@ class DttEngine:
             result = self.queue.try_enqueue(key, entry)
             if result is EnqueueResult.DUPLICATE:
                 row.duplicates_suppressed += 1
-                if m is not None:
-                    m.duplicates.inc()
                 if t is not None:
                     pending = self.queue.entry_for(key)
                     t.record(T.DUPLICATE, spec.thread, address,
@@ -354,57 +285,16 @@ class DttEngine:
                              cycle=self._now())
             elif result is EnqueueResult.OVERFLOW:
                 row.overflow_inline_runs += 1
-                if m is not None:
-                    m.overflow_runs.inc()
                 # ctx.pc already points at the instruction after the store
-                self._start_inline(ctx, key, entry, resume_pc=ctx.pc,
-                                   retcheck=False)
-            else:
-                if t is not None:
-                    t.record(T.ENQUEUED, spec.thread, address,
-                             f"pos={len(self.queue)}",
-                             activation_id=activation_id,
-                             cycle=self._now())
-                if m is not None:
-                    depth = len(self.queue)
-                    m.queue_depth.set(depth)
-                    m.queue_high_water.set_max(depth)
-
-    def _inline_activation(self, ctx, key) -> Optional[int]:
-        """The activation id of the inline frame executing ``key``."""
-        for frame in self._inline.get(ctx.context_id, ()):
-            if frame.key == key:
-                return frame.activation_id
-        return None
-
-    def _cancel(self, key: Hashable, victim: Context,
-                cause_id: Optional[int] = None) -> None:
-        """Cancel-and-restart: abort an executing activation.
-
-        ``cause_id`` names the fresh activation whose trigger forced the
-        cancel; the trace records it so lineage can answer "what killed
-        this execution".
-        """
-        row = self.status[victim.thread_name]
-        row.cancels += 1
-        row.executing -= 1
-        if self._m is not None:
-            self._m.cancels.inc()
-        victim_activation = self._ctx_activation.pop(victim.context_id, None)
-        if self._trace is not None:
-            self._trace.record(T.CANCELED, victim.thread_name,
-                               detail=f"context {victim.context_id}",
-                               activation_id=victim_activation,
-                               cause_id=cause_id, cycle=self._now())
-        self._executing.pop(key, None)
-        self._ctx_exec.pop(victim.context_id, None)
-        victim.finish_support()
+                self._start(ctx, key, entry, resume_pc=ctx.pc)
+            elif t is not None:
+                t.record(T.ENQUEUED, spec.thread, address,
+                         f"pos={len(self.queue)}",
+                         activation_id=activation_id, cycle=self._now())
 
     def _is_support_execution(self, ctx) -> bool:
-        if ctx.role is ContextRole.SUPPORT:
-            return True
-        frames = self._inline.get(ctx.context_id)
-        return bool(frames)
+        return (ctx.role is ContextRole.SUPPORT
+                or bool(self._on_ctx.get(ctx.context_id)))
 
     # -- consume points -------------------------------------------------------------------
 
@@ -418,8 +308,6 @@ class DttEngine:
             if not resumed:
                 row.consumes += 1
                 row.clean_consumes += 1
-                if self._m is not None:
-                    self._m.clean_consumes.inc()
                 if self._trace is not None:
                     self._trace.record(T.CONSUME_CLEAN, name,
                                        cycle=self._now())
@@ -427,8 +315,6 @@ class DttEngine:
         if not resumed:
             row.consumes += 1
             row.wait_consumes += 1
-            if self._m is not None:
-                self._m.wait_consumes.inc()
             if self._trace is not None:
                 self._trace.record(T.CONSUME_WAIT, name, cycle=self._now())
         if self.deferred:
@@ -449,7 +335,7 @@ class DttEngine:
                 "machine outside an inline frame (engine state corrupted)"
             )
         key, entry = popped
-        self._start_inline(ctx, key, entry, resume_pc=ctx.pc - 1, retcheck=True)
+        self._start(ctx, key, entry, resume_pc=ctx.pc - 1, retcheck=True)
 
     def _tcheck_synchronous(self, ctx, name: str) -> None:
         while True:
@@ -462,8 +348,8 @@ class DttEngine:
                 self._run_synchronous(idle[0], key, entry)
             else:
                 # single-context machine: inline-call, tcheck re-executes
-                self._start_inline(ctx, key, entry, resume_pc=ctx.pc - 1,
-                                   retcheck=True)
+                self._start(ctx, key, entry, resume_pc=ctx.pc - 1,
+                            retcheck=True)
                 return
         if self.status[name].executing:
             raise DttError(
@@ -472,6 +358,72 @@ class DttEngine:
             )
 
     # -- execution mechanics ------------------------------------------------------------
+
+    def _start(self, ctx: Context, key, entry: QueueEntry,
+               resume_pc: Optional[int] = None, retcheck: bool = False) -> None:
+        """Start one activation on ``ctx``: counts it, records it by key
+        and by context, and emits its DISPATCHED event.
+
+        Without ``resume_pc`` the idle support context ``ctx`` takes the
+        activation.  With it the activation runs inline: ``ctx`` saves its
+        registers and jumps into the thread body call-style; its
+        ``treturn`` restores them and resumes at ``resume_pc``
+        (re-executing a ``tcheck`` there when ``retcheck``).
+        """
+        row = self.status[entry.thread]
+        row.executions_started += 1
+        row.executing += 1
+        cid = ctx.context_id
+        inline = resume_pc is not None
+        activation = _Activation(key, entry.thread, entry.activation_id, ctx,
+                                 resume_pc, retcheck,
+                                 list(ctx.regs) if inline else None)
+        self._running[key] = activation
+        self._on_ctx.setdefault(cid, []).append(activation)
+        if self._trace is not None:
+            self._trace.record(T.DISPATCHED, entry.thread, entry.address,
+                               f"inline on context {cid}" if inline
+                               else f"context {cid}" if self.deferred
+                               else f"context {cid} (sync)",
+                               activation_id=entry.activation_id,
+                               cycle=self._now())
+        entry_pc = self._entry_pcs[entry.thread]
+        if not inline:
+            ctx.start_support(entry_pc, entry.thread, entry.address,
+                              entry.new_value, entry.old_value)
+            return
+        ctx.regs[TRIGGER_ADDR_REG] = entry.address
+        ctx.regs[TRIGGER_VALUE_REG] = entry.new_value
+        ctx.regs[TRIGGER_OLD_VALUE_REG] = entry.old_value
+        ctx.pc = entry_pc
+
+    def _stop(self, activation: _Activation, kind: str,
+              cause_id: Optional[int] = None) -> None:
+        """End one in-flight activation as ``kind`` (COMPLETED or
+        CANCELED): counts it, forgets it and emits the event.
+
+        ``cause_id`` names the fresh activation whose trigger forced a
+        cancel; the trace records it so lineage can answer "what killed
+        this execution".
+        """
+        row = self.status[activation.thread]
+        if kind == T.CANCELED:
+            row.cancels += 1
+        else:
+            row.executions_completed += 1
+        row.executing -= 1
+        cid = activation.ctx.context_id
+        self._running.pop(activation.key, None)
+        stack = self._on_ctx[cid]
+        stack.remove(activation)
+        if not stack:
+            del self._on_ctx[cid]
+        if self._trace is not None:
+            self._trace.record(kind, activation.thread,
+                               detail=f"context {cid}"
+                               if kind == T.CANCELED else "",
+                               activation_id=activation.activation_id,
+                               cause_id=cause_id, cycle=self._now())
 
     def _run_synchronous(self, support_ctx: Context, key, entry: QueueEntry) -> None:
         """Run one activation to completion on an idle support context.
@@ -483,54 +435,13 @@ class DttEngine:
         reference.  Both retire the same instructions with the same
         effects, counters, faults and engine events.
         """
-        row = self.status[entry.thread]
-        row.executions_started += 1
-        row.executing += 1
-        if self._m is not None:
-            self._m.started.inc()
-        self._executing[key] = ("ctx", support_ctx)
-        self._ctx_exec[support_ctx.context_id] = key
-        self._ctx_activation[support_ctx.context_id] = entry.activation_id
-        if self._trace is not None:
-            self._trace.record(T.DISPATCHED, entry.thread, entry.address,
-                               f"context {support_ctx.context_id} (sync)",
-                               activation_id=entry.activation_id,
-                               cycle=self._now())
-        support_ctx.start_support(
-            self._entry_pcs[entry.thread],
-            entry.thread,
-            entry.address,
-            entry.new_value,
-            entry.old_value,
-        )
+        self._start(support_ctx, key, entry)
         machine = self.machine
         if machine._batching:
             machine._drive(support_ctx)
         else:
             while support_ctx.state is ContextState.RUNNING:
                 machine.step(support_ctx)
-
-    def _start_inline(self, ctx, key, entry: QueueEntry, resume_pc: int,
-                      retcheck: bool) -> None:
-        """Redirect ``ctx`` into the thread body, call-style."""
-        row = self.status[entry.thread]
-        row.executions_started += 1
-        row.executing += 1
-        if self._m is not None:
-            self._m.started.inc()
-        self._executing[key] = ("inline", ctx)
-        frame = _InlineFrame(key, entry.thread, resume_pc, retcheck,
-                             list(ctx.regs), entry.activation_id)
-        self._inline.setdefault(ctx.context_id, []).append(frame)
-        if self._trace is not None:
-            self._trace.record(T.DISPATCHED, entry.thread, entry.address,
-                               f"inline on context {ctx.context_id}",
-                               activation_id=entry.activation_id,
-                               cycle=self._now())
-        ctx.regs[TRIGGER_ADDR_REG] = entry.address
-        ctx.regs[TRIGGER_VALUE_REG] = entry.new_value
-        ctx.regs[TRIGGER_OLD_VALUE_REG] = entry.old_value
-        ctx.pc = self._entry_pcs[entry.thread]
 
     def dispatch_pending(self, on_dispatch=None) -> int:
         """Deferred mode: start queued activations on idle contexts.
@@ -542,35 +453,14 @@ class DttEngine:
         if not self.queue:
             return 0  # fast exit: skip the idle-context scan every cycle
         dispatched = 0
-        m = self._m
         idle = self.machine.idle_contexts()
         while idle and self.queue:
             key, entry = self.queue.pop()
             support_ctx = idle.pop()
-            row = self.status[entry.thread]
-            row.executions_started += 1
-            row.executing += 1
-            if m is not None:
-                m.started.inc()
-                m.queue_depth.set(len(self.queue))
-                if self.cycle_source is not None:
-                    m.dispatch_latency.observe(
-                        max(self.cycle_source() - entry.enqueue_cycle, 0))
-            if self._trace is not None:
-                self._trace.record(T.DISPATCHED, entry.thread, entry.address,
-                                   f"context {support_ctx.context_id}",
-                                   activation_id=entry.activation_id,
-                                   cycle=self._now())
-            self._executing[key] = ("ctx", support_ctx)
-            self._ctx_exec[support_ctx.context_id] = key
-            self._ctx_activation[support_ctx.context_id] = entry.activation_id
-            support_ctx.start_support(
-                self._entry_pcs[entry.thread],
-                entry.thread,
-                entry.address,
-                entry.new_value,
-                entry.old_value,
-            )
+            if self.cycle_source is not None:
+                self.dispatch_latencies.append(
+                    max(self.cycle_source() - entry.enqueue_cycle, 0))
+            self._start(support_ctx, key, entry)
             if on_dispatch is not None:
                 on_dispatch(support_ctx)
             dispatched += 1
@@ -580,43 +470,20 @@ class DttEngine:
 
     def on_treturn(self, ctx) -> None:
         """Hook called by the machine for every executed ``treturn``."""
-        frames = self._inline.get(ctx.context_id)
-        if frames:
-            frame = frames.pop()
-            if not frames:
-                del self._inline[ctx.context_id]
-            row = self.status[frame.thread]
-            row.executions_completed += 1
-            row.executing -= 1
-            if self._m is not None:
-                self._m.completed.inc()
-            if self._trace is not None:
-                self._trace.record(T.COMPLETED, frame.thread,
-                                   activation_id=frame.activation_id,
-                                   cycle=self._now())
-            self._executing.pop(frame.key, None)
-            ctx.regs[:] = frame.saved_regs
-            ctx.pc = frame.resume_pc
-            if frame.retcheck:
-                self._resumed_tcheck.add(ctx.context_id)
-            return
-        if ctx.role is not ContextRole.SUPPORT:
+        stack = self._on_ctx.get(ctx.context_id)
+        if not stack:
             raise DttError(
                 f"treturn on context {ctx.context_id} with no support thread "
                 "and no inline frame"
             )
-        key = self._ctx_exec.pop(ctx.context_id)
-        self._executing.pop(key, None)
-        row = self.status[ctx.thread_name]
-        row.executions_completed += 1
-        row.executing -= 1
-        if self._m is not None:
-            self._m.completed.inc()
-        activation_id = self._ctx_activation.pop(ctx.context_id, None)
-        if self._trace is not None:
-            self._trace.record(T.COMPLETED, ctx.thread_name,
-                               activation_id=activation_id,
-                               cycle=self._now())
+        activation = stack[-1]
+        self._stop(activation, T.COMPLETED)
+        if activation.saved_regs is not None:
+            ctx.regs[:] = activation.saved_regs
+            ctx.pc = activation.resume_pc
+            if activation.retcheck:
+                self._resumed_tcheck.add(ctx.context_id)
+            return
         ctx.finish_support()
         self._unblock_waiters()
 

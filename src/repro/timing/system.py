@@ -54,6 +54,26 @@ _FAULT = "fault"
 _WAKE = "wake"
 _ENGINE_START = "engine-start"
 
+#: the engine summary fields published as ``engine.<field>`` counters
+_ENGINE_COUNTERS = {
+    "triggering_stores":
+        "dynamic triggering stores that matched a registered spec",
+    "same_value_suppressed":
+        "triggering stores filtered because the value did not change",
+    "triggers_fired": "triggers that survived the same-value filter",
+    "duplicates_suppressed":
+        "fired triggers suppressed by a pending same-key activation",
+    "cancels": "executing activations canceled by a re-trigger",
+    "executions_started": "support-thread executions started",
+    "executions_completed": "support-thread executions run to completion",
+    "overflow_inline_runs":
+        "triggers run immediately as a call on queue overflow",
+    "clean_consumes": "consume points that skipped the computation entirely",
+    "wait_consumes": "consume points that waited for pending executions",
+    "unmatched_tstores":
+        "dynamic triggering stores matching no registered spec",
+}
+
 
 class TimingSimulator:
     """One timed run of one program on one machine configuration."""
@@ -67,8 +87,8 @@ class TimingSimulator:
         metrics=None,
     ):
         self.config = config or SystemConfig()
-        #: optional MetricsRegistry; cycle-breakdown gauges are published
-        #: into it when the run finishes (and live engine metrics during)
+        #: optional MetricsRegistry; the cycle breakdown and the engine's
+        #: counts are published into it when the run finishes
         self.metrics = metrics
         self.machine = Machine(
             program,
@@ -85,8 +105,6 @@ class TimingSimulator:
                 )
             self.machine.attach_engine(engine)
             engine.cycle_source = lambda: self.now
-            if metrics is not None:
-                engine.attach_metrics(metrics)
         self.hierarchy = CacheHierarchy(
             self.config.num_cores, self.config.hierarchy_params
         )
@@ -633,7 +651,8 @@ class TimingSimulator:
     # -- results ------------------------------------------------------------------------
 
     def _publish_metrics(self, energy: float) -> None:
-        """Cycle-breakdown gauges for the finished run (last run wins)."""
+        """Cycle-breakdown gauges for the finished run (last run wins),
+        plus its engine's counts, added to those of earlier runs."""
         registry = self.metrics
         machine = self.machine
         registry.counter("timing.runs", "timed runs completed").inc()
@@ -685,6 +704,24 @@ class TimingSimulator:
                     f"timing.cache.{level}.{field}",
                     f"{level} {field} of the last run",
                 ).set(value)
+        engine = self.engine
+        if engine is None:
+            return
+        summary = engine.summary()
+        for field, help_text in _ENGINE_COUNTERS.items():
+            registry.counter(f"engine.{field}", help_text).inc(summary[field])
+        registry.gauge("queue.depth",
+                       "thread-queue entries pending at the end of the last "
+                       "run").set(len(engine.queue))
+        registry.gauge("queue.depth_high_water",
+                       "peak thread-queue depth of any run").set_max(
+                           summary["queue_depth_high_water"])
+        latency = registry.histogram(
+            "engine.dispatch_latency_cycles",
+            "cycles between trigger enqueue and dispatch onto a context",
+            buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096))
+        for cycles in engine.dispatch_latencies:
+            latency.observe(cycles)
 
     def _result(self) -> TimingResult:
         machine = self.machine

@@ -4,7 +4,8 @@ both as shipped and with every hot block compiled on first reach; its
 profiles and functional DTT runs likewise.  Timed and functional DTT
 entries carry a digest of the engine's ordered events, so the slice
 compares dispatch order and cycle stamps, not only totals.  Each sliced
-timed run also keeps the timing oracle's conservation laws."""
+timed run also keeps the timing oracle's conservation laws, and each
+sliced functional run the engine's."""
 
 import json
 from pathlib import Path
@@ -21,7 +22,7 @@ from repro.exec.plan import RunSpec
 from repro.machine import superblock
 
 from tests.conftest import compile_at
-from tests.timing.solo_diff import assert_conserved
+from tests.timing.solo_diff import assert_conserved, assert_engine_conserved
 
 LEDGER = json.loads((Path(__file__).resolve().parents[2] / "results"
                      / "cycle_ledger.json").read_text())
@@ -88,6 +89,7 @@ def test_representative_functional_runs_match_the_ledger(name):
     expected = LEDGER["functional"][name]
     machine, digest = run_functional(functional_runs()[name])
     assert machine.support_instructions > 0
+    assert_engine_conserved(machine.dtt_engine, synchronous=True)
     actual = functional_entry_of(machine, digest)
     assert actual == expected, diff_entries(expected, actual)
 
@@ -100,6 +102,7 @@ def test_functional_runs_match_the_ledger_with_every_block_compiled(
     before = superblock.cache_stats()["blocks_compiled"]
     machine, digest = run_functional(functional_runs()[name])
     assert superblock.cache_stats()["blocks_compiled"] > before
+    assert_engine_conserved(machine.dtt_engine, synchronous=True)
     actual = functional_entry_of(machine, digest)
     assert actual == expected, diff_entries(expected, actual)
 

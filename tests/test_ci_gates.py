@@ -89,3 +89,43 @@ def test_heartbeat_gate_needs_every_run_completed(tmp_path):
     assert ci_gates.main(
         ["heartbeat", write_json(tmp_path, "s.json", status)]) == 0
 
+
+
+def engine_metrics(**overrides):
+    counts = {"triggering_stores": 10, "same_value_suppressed": 4,
+              "triggers_fired": 6, "duplicates_suppressed": 1,
+              "overflow_inline_runs": 1, "executions_started": 5,
+              "executions_completed": 3, "cancels": 2}
+    counts.update(overrides)
+    return {f"engine.{name}": {"type": "counter", "value": value}
+            for name, value in counts.items()}
+
+
+@pytest.mark.parametrize("overrides, reason", [
+    ({}, None),
+    ({"same_value_suppressed": 3}, "not filtered + fired"),
+    ({"executions_started": 6}, "starts are not between"),
+    ({"overflow_inline_runs": 6}, "starts are not between"),
+    ({"cancels": 3}, "more executions ended than started"),
+    ({"triggering_stores": 0, "same_value_suppressed": 0,
+      "triggers_fired": 0, "duplicates_suppressed": 0,
+      "overflow_inline_runs": 0, "executions_started": 0,
+      "executions_completed": 0, "cancels": 0}, "no trigger fired"),
+])
+def test_trace_gate_checks_the_engine_counting_laws(
+        tmp_path, capsys, overrides, reason):
+    trace = write_json(tmp_path, "trace.json",
+                       {"traceEvents": [{"ts": 1}, {"ts": 2}]})
+    metrics = write_json(tmp_path, "m9.json", engine_metrics(**overrides))
+    assert ci_gates.main(["trace", trace, metrics]) == (reason is not None)
+    if reason is not None:
+        assert reason in capsys.readouterr().err
+
+
+def test_trace_gate_needs_every_engine_counter(tmp_path, capsys):
+    trace = write_json(tmp_path, "trace.json", {"traceEvents": [{"ts": 1}]})
+    metrics = engine_metrics()
+    del metrics["engine.cancels"]
+    assert ci_gates.main(
+        ["trace", trace, write_json(tmp_path, "m9.json", metrics)]) == 1
+    assert "engine.cancels" in capsys.readouterr().err

@@ -59,7 +59,8 @@ def assert_conserved(sim, error=None):
       issue width, the cycle a fault or limit left unfinished included;
     - the machine retires at most every core's width per cycle, that
       unfinished cycle included;
-    - the run-aheads drove at most every cycle.
+    - the run-aheads drove at most every cycle;
+    - a DTT run's engine keeps :func:`assert_engine_conserved`.
     """
     machine = sim.machine
     cycles = sim.now
@@ -84,6 +85,54 @@ def assert_conserved(sim, error=None):
     assert executed <= (cycles + unfinished) * widths, (executed, cycles)
     assert sim.solo_cycles + sim.multi_cycles <= cycles, (
         sim.solo_cycles, sim.multi_cycles, cycles)
+    if sim.engine is not None:
+        assert_engine_conserved(sim.engine)
+
+
+def assert_engine_conserved(engine, synchronous=False):
+    """The counting laws of a DTT engine's status rows and summary.
+
+    Per status row:
+
+    - ``triggering_stores = same_value_suppressed + triggers_fired``: a
+      store that matched the thread's spec either left the value
+      unchanged under the same-value filter or fired;
+    - ``consumes = clean_consumes + wait_consumes``: a counted consume
+      point found the thread quiescent or waited (the ``tcheck`` an
+      inline run re-executes counts as neither);
+    - ``executions_started = executions_completed + cancels +
+      executing``: starting an activation adds one to ``executing``, and
+      only its ``treturn`` or its cancel takes that one away again.
+
+    Per summary:
+
+    - ``triggers_fired = duplicates_suppressed + queue_enqueued +
+      queue_overflows``: a fired trigger is absorbed by a pending or an
+      inline-running activation of its key, enters the queue, or finds
+      the queue full (a cancel only clears the way for the enqueue);
+    - ``overflow_inline_runs = queue_overflows``: every overflow runs
+      inline on the triggering context at once;
+    - with ``synchronous`` (a synchronous run that halted cleanly),
+      ``executions_started = executions_completed + cancels``: every
+      consume point runs its thread's activations to their ``treturn``
+      before the main thread goes on, so none is left executing.
+    """
+    for row in engine.status:
+        assert row.executing >= 0, row
+        assert (row.triggering_stores
+                == row.same_value_suppressed + row.triggers_fired), row
+        assert row.consumes == row.clean_consumes + row.wait_consumes, row
+        assert (row.executions_started == row.executions_completed
+                + row.cancels + row.executing), row
+    summary = engine.summary()
+    assert summary["triggers_fired"] == (
+        summary["duplicates_suppressed"] + summary["queue_enqueued"]
+        + summary["queue_overflows"]), summary
+    assert summary["overflow_inline_runs"] == summary["queue_overflows"], (
+        summary)
+    if synchronous:
+        assert summary["executions_started"] == (
+            summary["executions_completed"] + summary["cancels"]), summary
 
 
 def snapshot(sim, error=None):

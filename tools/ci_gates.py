@@ -114,14 +114,44 @@ def gate_json_parses(args) -> str:
 
 
 def gate_trace(args) -> str:
-    """Chrome trace sorted by ts; metrics carry the engine counters."""
+    """Chrome trace sorted by ts; the engine counters keep their laws.
+
+    Each finished timed run adds its engine summary to the ``engine.*``
+    counters, so the summary laws hold over the totals in the forms the
+    counters can state (they carry no enqueue count, and a timed run may
+    end with activations queued or executing):
+
+    - every matched triggering store was filtered as same-value or fired;
+    - ``triggers_fired = duplicates_suppressed + queue_enqueued +
+      overflow_inline_runs`` and each start either pops an enqueued
+      activation or is an overflow run, so ``overflow_inline_runs <=
+      executions_started <= triggers_fired - duplicates_suppressed``;
+    - every completed or canceled execution was started.
+    """
     trace = load_json(args.trace)
     ts = [event["ts"] for event in trace["traceEvents"]]
     require(ts and ts == sorted(ts), "trace events must be sorted by ts")
     metrics = load_json(args.metrics)
-    require("engine.triggers_fired" in metrics,
-            "metrics lack engine.triggers_fired")
-    return "trace + metrics smoke ok"
+    names = ("triggering_stores", "same_value_suppressed", "triggers_fired",
+             "duplicates_suppressed", "overflow_inline_runs",
+             "executions_started", "executions_completed", "cancels")
+    missing = [f"engine.{name}" for name in names
+               if f"engine.{name}" not in metrics]
+    require(not missing, f"metrics lack {missing}")
+    n = {name: metrics[f"engine.{name}"]["value"] for name in names}
+    require(n["triggers_fired"] > 0, "no trigger fired")
+    require(n["triggering_stores"]
+            == n["same_value_suppressed"] + n["triggers_fired"],
+            f"triggering stores are not filtered + fired: {n}")
+    require(n["overflow_inline_runs"] <= n["executions_started"]
+            <= n["triggers_fired"] - n["duplicates_suppressed"],
+            f"starts are not between the overflow runs and the fired "
+            f"triggers no duplicate absorbed: {n}")
+    require(n["executions_completed"] + n["cancels"]
+            <= n["executions_started"],
+            f"more executions ended than started: {n}")
+    return (f"trace + metrics ok: {n['triggers_fired']} fired, "
+            f"{n['executions_started']} started")
 
 
 def gate_store_compare(args) -> str:
