@@ -13,9 +13,11 @@ per-instruction stepping, on three workload classes:
 Each row also times an **observed** run: the same program with both
 redundancy observers attached (``RedundantLoadProfiler`` and
 ``RedundancyTaintAnalyzer``, as E1/E2 profile it), under ``Machine.run``
-and under the ``step()`` loop.  The two must agree on the fingerprint and
-on both observers' summaries; ``observed_seconds`` is the ``run`` time
-and ``observed_speedup`` its rate over stepping.
+(compiled blocks and thunks, both running the observers' shadow
+transfers inline) and under the ``step()`` loop (hook calls).  The two
+must agree on the fingerprint and on both observers' summaries;
+``observed_seconds`` is the ``run`` time and ``observed_speedup`` its
+rate over stepping.
 
 Each measurement runs the workload's *baseline* program to completion on
 a fresh machine per attempt (the program object is reused, so the

@@ -26,16 +26,18 @@ compiles its thunk table, so attach observers with
 shadow machine (per-register and per-word state updated at each
 instruction) can declare it as a :class:`Shadow`: per instruction kind,
 the source of the update its hooks make.  ``Machine.run`` then generates
-that update inline into each thunk (:mod:`repro.machine.semantics`), so
-the instruction and its shadow update are one call and the observer's
-hooks are not called there.  The hooks still fire everywhere ``step()``
-executes: the engine opcodes (``tst``/``tstx``/``tcheck``/``treturn``/
-``halt``, which ``run`` hands to ``step()``), the single-stepped tail of
-a ``run`` near the dynamic-instruction limit, the timing model's issue
-loop and the debugger.  A declared observer's hooks and transfers must
-therefore update the same state identically; the transfers are tested
-against the hooks.  An observer that declares nothing gets its hooks
-called from the thunks, in ``step()``'s order.
+that update inline into each thunk and, when every attached observer
+declares one, into each compiled block (:mod:`repro.machine.semantics`,
+:mod:`repro.machine.superblock`), so the instruction and its shadow
+update run in one call and the observer's hooks are not called there.
+The hooks still fire everywhere ``step()`` executes: the engine opcodes
+(``tst``/``tstx``/``tcheck``/``treturn``/``halt``, which ``run`` hands
+to ``step()``), the single-stepped tail of a ``run`` near the
+dynamic-instruction limit, the timing model's issue loop and the
+debugger.  A declared observer's hooks and transfers must therefore
+update the same state identically; the transfers are tested against the
+hooks.  An observer that declares nothing gets its hooks called from the
+thunks, in ``step()``'s order, and keeps the whole run on thunks.
 
 **Instruction totals.**  An observer with ``counts_instructions`` set
 keeps a ``total_instructions`` counter that the machine maintains: ``run``
@@ -70,18 +72,33 @@ class Shadow(NamedTuple):
     * ``{first}`` / ``{second}`` the first and last register source's
       index (alu, branch; a single source is both);
     * ``{op_class}`` the opcode's :class:`~repro.isa.instructions.OpClass`
-      value, as a string literal.
+      value, as a string literal;
+    * ``{pc}`` the instruction's PC.
 
+    A register slot formatted with the name of one of ``registers`` is
+    that register's entry in the register file: ``{dest:taint} = True``.
     Every other ``{name}`` is the observer's own: one of ``state`` (bound
     from :meth:`MachineObserver.shadow_state` when the table is built),
-    one of ``cells`` (a per-instruction closure variable, ``None`` until
-    that instruction first runs, assignable from the template), or a
-    local.  Each name is renamed per observer, so two observers' sources
-    never collide.  ``pc`` and ``ctx`` are in scope as well.
+    one of ``cells`` (a per-instruction variable, ``None`` until that
+    instruction first runs, assignable from the template), or a local.
+    Each name is renamed per observer, so two observers' sources never
+    collide.  ``ctx`` is in scope as well.
+
+    ``registers`` names per-context register files: ``shadow_state()``
+    maps each to a mapping from context id to a list indexed by
+    register, created on first use.  A thunk looks the executing
+    context's list up each time; a compiled block keeps the entries it
+    touches in locals, as it keeps registers, and writes back the ones
+    it wrote through ``{dest:<file>}`` when it ends, so a template
+    writes a register file only through ``dest``.  A block hands an
+    instruction back (a failed memory guard, a fault) before its
+    transfer; an exception raised by a transfer itself propagates out
+    of the block without its write-back, as an interrupt does.
     """
 
     state: Tuple[str, ...] = ()
     cells: Tuple[str, ...] = ()
+    registers: Tuple[str, ...] = ()
     load: str = ""
     store: str = ""
     alu: str = ""
@@ -93,14 +110,16 @@ class MachineObserver:
     """Base observer; every hook is a no-op.  Subclass what you need."""
 
     #: the observer's shadow transfer, generated into ``Machine.run``'s
-    #: thunks in place of its hooks; ``None`` to get hook calls there
+    #: thunks and compiled blocks in place of its hooks; ``None`` to get
+    #: hook calls there
     shadow: Optional[Shadow] = None
 
     #: set when the machine maintains ``total_instructions`` for it
     counts_instructions = False
 
     def shadow_state(self) -> dict:
-        """``{name: object}`` for each name in ``shadow.state``."""
+        """``{name: object}`` for each name in ``shadow.state`` and
+        ``shadow.registers``."""
         return {}
 
     def on_instruction(self, ctx, pc: int, instruction) -> None:

@@ -48,15 +48,20 @@ called.  An instruction that neither calls a hook nor runs a transfer
 (a ``jmp`` under the redundancy profilers, say) gets the plain thunk.
 Boundary opcodes run under ``Machine.step``, which calls every
 observer's hooks itself.  ``Machine.add_observer`` / ``remove_observer``
-drop the compiled table.
+drop the compiled table.  When every observer declares a shadow, the
+compiled blocks run the same transfers
+(:class:`~repro.machine.superblock.ShadowBlock`), so the thunks serve
+only what blocks do not run.
 
 The memory thunks' checked fallback runs through the machine.  An
 observed table binds a ``weakref.proxy`` of the machine, never the
 machine itself: the machine owns its table, and a table that owned the
 machine back would keep each finished profiled machine (and its memory)
-alive until a full garbage collection.  Unobserved tables keep the plain
-reference; on the ``verify`` sweep, freeing those machines on their last
-reference instead measured a higher peak RSS.
+alive until a full garbage collection; an observed block table is
+cleared when its machine is freed, for the same reason
+(:func:`~repro.machine.superblock.install`).  Unobserved tables keep the
+plain reference; on the ``verify`` sweep, freeing those machines on their
+last reference instead measured a higher peak RSS.
 """
 
 from __future__ import annotations
@@ -66,7 +71,8 @@ from typing import Callable, List, Tuple
 
 from repro.machine.context import Context
 from repro.machine.events import MachineObserver
-from repro.machine.semantics import ENGINE_OPCODES, HOOKS, thunk_factories
+from repro.machine.semantics import (ENGINE_OPCODES, HOOKS, shadow_names,
+                                     thunk_factories)
 
 Thunk = Callable[[Context], int]
 
@@ -115,7 +121,8 @@ def build_thunks(machine) -> List[Thunk]:
                                if name in names)
     for observer in declared:
         state = observer.shadow_state()
-        observed_env += tuple(state[name] for name in observer.shadow.state)
+        observed_env += tuple(state[name]
+                              for name in shadow_names(observer.shadow))
     plain = thunk_factories()
     observed = thunk_factories(names, shadows) if names or shadows else {}
     table: List[Thunk] = []

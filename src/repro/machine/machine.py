@@ -39,10 +39,13 @@ and the compiled blocks are all generated from one per-opcode template
 table (:mod:`repro.machine.semantics`); only the engine opcodes
 (:data:`ENGINE_OPCODES`) have hand-written handlers, here.  Observed
 runs (profilers and other machine observers attached) use the same batch
-loop without compiled blocks, on thunks composed for the observers: an
-observer that declares a shadow transfer has it generated inline, and
-every other observer gets the hooks ``step()`` would call, with the same
-arguments and in the same order (see :mod:`repro.machine.events`).
+loop, on thunks composed for the observers: an observer that declares a
+shadow transfer has it generated inline, and every other observer gets
+the hooks ``step()`` would call, with the same arguments and in the same
+order (see :mod:`repro.machine.events`).  When every attached observer
+declares a shadow transfer, as the two redundancy analyses do, the
+compiled blocks run the transfers too; otherwise there are no compiled
+blocks.
 
 A synchronous DTT engine runs support threads nested inside the
 ``tcheck`` that consumes them.  When ``run`` handed that ``tcheck`` to
@@ -110,11 +113,13 @@ class Machine:
         self._observers: List = []
         # the observers whose ``total_instructions`` the machine keeps
         self._counting: List = []
-        # does some observer declare a shadow transfer?
-        self._shadowed = False
+        # how many observers declare a shadow transfer
+        self._shadowed = 0
         #: instructions ``run`` retired on a table with shadow transfers
         #: inline (those observers' hooks were not called for them)
         self.shadow_instructions = 0
+        #: instructions ``run`` retired inside compiled blocks
+        self.compiled_instructions = 0
         self._instructions = program.instructions  # hot-path alias
         # pre-decode: one (handler, instruction) pair per PC, so step() is
         # a list index + one call with no per-step dict lookup on the op
@@ -158,7 +163,7 @@ class Machine:
     def _rewire_observers(self) -> None:
         observers = self._observers
         self._counting = [o for o in observers if o.counts_instructions]
-        self._shadowed = any(o.shadow is not None for o in observers)
+        self._shadowed = sum(o.shadow is not None for o in observers)
         self._drop_compiled()
 
     def _drop_compiled(self) -> None:
@@ -226,11 +231,14 @@ class Machine:
         counters, faults, and the dynamic instruction limit behave
         exactly as an equivalent ``step()`` loop.
 
-        With machine observers attached there are no compiled blocks:
-        every PC runs on a thunk composed for them, which runs the
-        declared shadow transfers inline and calls the other observers'
-        hooks with the same arguments as ``step()``.  Each chunk's
-        retired count goes to the observers that count instructions.
+        With machine observers attached, every thunk is composed for
+        them: it runs the declared shadow transfers inline and calls the
+        other observers' hooks with the same arguments as ``step()``.
+        Compiled blocks run the transfers as well, but only when every
+        observer declares one; one that declares none leaves no compiled
+        blocks.  Each chunk's retired count goes to the observers that
+        count instructions, and what blocks retired to
+        ``compiled_instructions``.
         Inside this loop ``ctx.pc`` and the instruction counters are
         reconciled per chunk, so hooks must rely on their ``pc``
         argument (see :mod:`repro.machine.events`).
@@ -268,6 +276,7 @@ class Machine:
         budget = -1 if max_steps is None else max_steps
         total = 0
         pc = ctx.pc
+        compiled = 0  # retired inside blocks, counted per block call
         while True:
             if budget >= 0 and total >= budget:
                 break
@@ -291,6 +300,7 @@ class Machine:
                         if ret is not None:
                             retired, pc = ret
                             n += retired
+                            compiled += retired
                             if pc >= 0:
                                 continue
                             # handed back: rerun that instruction on
@@ -309,14 +319,15 @@ class Machine:
                 # instruction (its attempt was counted before dispatch)
                 ctx.pc = pc
                 # the last instruction counted did not complete
-                self._retire(ctx, n, n - 1)
+                self._retire(ctx, n, n - 1, compiled)
                 if off_end:
                     raise ExecutionFault(
                         f"context {ctx.context_id} ran off the end of the "
                         f"program (pc={pc})"
                     ) from None
                 raise
-            self._retire(ctx, n, n)
+            self._retire(ctx, n, n, compiled)
+            compiled = 0
             total += n
             if pc >= 0:
                 continue  # chunk budget spent; reconcile and keep going
@@ -339,11 +350,14 @@ class Machine:
         ctx.pc = pc
         return total
 
-    def _retire(self, ctx: Context, n: int, completed: int) -> None:
+    def _retire(self, ctx: Context, n: int, completed: int,
+                compiled: int = 0) -> None:
         """Count ``n`` instructions a batch ran on ``ctx``: in the machine
-        totals and ``ctx``'s count all of them, and the ``completed`` ones
-        for the observers that count instructions."""
+        totals and ``ctx``'s count all of them, the ``completed`` ones
+        for the observers that count instructions, and the ``compiled``
+        ones that blocks retired."""
         self.instructions_executed += n
+        self.compiled_instructions += compiled
         ctx.instruction_count += n
         if ctx.role is ContextRole.MAIN:
             self.main_instructions += n
@@ -367,9 +381,10 @@ class Machine:
         return executed
 
     def _build_superblocks(self) -> list:
-        if self._observers:
-            # observed runs stay on the thunks, which call the hooks;
-            # an empty block table sends every PC there
+        if self._shadowed < len(self._observers):
+            # an observer without a shadow transfer needs its hooks
+            # called, which only the thunks do; an empty block table
+            # sends every PC there
             table = [None] * len(self._decoded)
         else:
             table = install(self)

@@ -9,7 +9,8 @@ or composed with the attached observers' hook calls and declared shadow
 transfers), the compiled blocks of both ``Machine.run`` and the timing
 model (:mod:`repro.machine.superblock`), and the constant folding of the
 static analyses (:func:`evaluate`).  The :data:`ENGINE_OPCODES` have
-no entry.
+no entry.  The observers' shadow transfers have one renderer,
+:func:`transfer`, for the thunks and the compiled blocks alike.
 
 An entry is ``(kind, effect, next)``.  For ``ALU`` the effect is the
 value written to register ``a``; for ``LOAD``/``STORE`` the word
@@ -238,6 +239,13 @@ _ENV = ("m", "_mem", "_limit", "_get", "_words", "_out")
 CONST = "const"
 
 
+def shadow_names(shadow) -> Tuple[str, ...]:
+    """The names of ``shadow``'s objects that thunk factories and
+    compiled blocks bind from the observer's ``shadow_state()``, in
+    order."""
+    return shadow.state + shadow.registers
+
+
 def _shadow_kind(op: str):
     """Which :class:`~repro.machine.events.Shadow` entry applies to
     ``op``: ``"load"``, ``"store"``, ``"alu"``, ``"const"``,
@@ -248,32 +256,104 @@ def _shadow_kind(op: str):
     return kind if kind != FLOW else None
 
 
-class _Renamed(dict):
-    """Template slots: the operand slots given, and every other name
-    renamed into observer ``index``'s namespace."""
+#: per opcode: its shadow kind, its register roles and its op class
+#: literal, looked up once per transfer rendered
+_SHADOW_OPS = {op: (_shadow_kind(op), operand_roles(op),
+                    repr(OPCODES[op].op_class.value)) for op in SEMANTICS}
 
-    def __init__(self, index: int, **slots):
+
+class _Register(Src):
+    """A register-index slot of a shadow template.  Formatted with the
+    name of a register file (``{dest:taint}``) it renders that file's
+    entry for the register, through ``entry(file, written)``; ``written``
+    is set for the destination slot."""
+
+    def __new__(cls, source: str, entry: Callable, written: bool = False):
+        slot = super().__new__(cls, source)
+        slot.entry, slot.written = entry, written
+        return slot
+
+    def __format__(self, spec: str) -> str:
+        if spec in ("", "int", "float"):
+            return Src.__format__(self, spec)
+        return self.entry(spec, self.written)
+
+
+class _Renamed(dict):
+    """Template slots: the operand slots given, ``pc`` rendered by
+    ``pc()``, each of ``cells`` by ``cell(renamed name)``, and every
+    other name renamed into observer ``index``'s namespace.  ``pc`` and
+    the cells render on first use, so a form binds only what a template
+    uses."""
+
+    def __init__(self, index: int, cells, cell: Callable, pc: Callable,
+                 **slots):
         super().__init__(slots)
-        self.index = index
+        self.index, self.cells, self.cell, self.pc = index, cells, cell, pc
 
     def __missing__(self, name: str) -> str:
-        return f"_{self.index}_{name}"
+        if name == "pc":
+            return self.pc()
+        renamed = f"_{self.index}_{name}"
+        return self.cell(renamed) if name in self.cells else renamed
 
 
-def _transfer(op: str, index: int, shadow) -> List[str]:
-    """Observer ``index``'s rendered shadow transfer for ``op``."""
-    kind = _shadow_kind(op)
+def transfer(op: str, index: int, shadow, value: str,
+             register: Callable[[str], str], pc: Callable[[], str],
+             entry: Callable[[str, str, bool], str],
+             cell: Callable[[str], str]) -> List[str]:
+    """Observer ``index``'s shadow transfer for ``op``, rendered: the
+    one renderer of the thunks and the compiled blocks.
+
+    The form says what differs: ``value`` is the loaded or stored
+    register, ``register(slot)`` the index of operand ``slot``, ``pc()``
+    the instruction's PC, ``entry(file, register, written)`` that
+    register's entry in register file ``file`` (renamed; ``written`` for
+    the destination), and ``cell(name)`` the instruction's cell ``name``
+    (renamed).
+    """
+    kind, (dest, sources), op_class = _SHADOW_OPS[op]
     template = getattr(shadow, kind) if kind else ""
     if not template:
         return []
-    dest, sources = operand_roles(op)
-    slots = _Renamed(index, address="_a", value="regs[a]", old="_old",
-                     src="a", op_class=repr(OPCODES[op].op_class.value))
+
+    def slot(name: str) -> _Register:
+        source = register(name)
+        return _Register(source, lambda file, written: entry(
+            f"_{index}_{file}", source, written), name == dest)
+
+    slots = _Renamed(index, shadow.cells, cell, pc, address="_a",
+                     old="_old", value=value, op_class=op_class)
+    if kind == STORE:
+        slots["src"] = slot("a")
     if dest:
-        slots["dest"] = dest
+        slots["dest"] = slot(dest)
     if sources:
-        slots.update(first=sources[0], second=sources[-1])
+        slots.update(first=slot(sources[0]), second=slot(sources[-1]))
     return template.format_map(slots).splitlines()
+
+
+def _thunk_transfers(op: str, shadows) -> Tuple[List[str], List[str]]:
+    """``(lines, cells)`` of ``op``'s thunk: each register file the
+    transfers touch fetched for the executing context, then each of
+    ``shadows``' transfer in order; and the closure cells they use."""
+    files: Dict[str, None] = {}
+    cells: List[str] = []
+
+    def entry(file, register, written):
+        files[file] = None
+        return f"_{file}[{register}]"
+
+    def cell(name):
+        if name not in cells:
+            cells.append(name)
+        return name
+
+    body = [line for index, shadow in enumerate(shadows)
+            for line in transfer(op, index, shadow, "regs[a]", str,
+                                 lambda: "pc", entry, cell)]
+    return ([f"_{file} = {file}[ctx.context_id]" for file in files] + body,
+            cells)
 
 
 def _body(op: str, form: str, calls: List[str] = (),
@@ -362,7 +442,8 @@ def thunk_factories(hooks: FrozenSet[str] = frozenset(),
     the checked memory fallback goes through), its memory, the memory's
     limit, its words dict's ``get``, the words dict, the output buffer's
     ``append``, the hook tuple of each name in ``hooks`` (in
-    :data:`HOOKS` order), then each shadow's ``state`` objects.  A thunk
+    :data:`HOOKS` order), then each shadow's objects named by
+    :func:`shadow_names`.  A thunk
     calls its kind's hooks with ``step()``'s arguments, then runs the
     shadow transfers of its kind in ``shadows`` order, then calls the
     ``on_instruction`` hooks.  With neither hooks nor shadows the thunks
@@ -373,15 +454,10 @@ def thunk_factories(hooks: FrozenSet[str] = frozenset(),
     form = "observed" if hooks or shadows else "plain"
     params = list(_ENV) + [name for name in HOOKS if name in hooks] + [
         f"_{index}_{name}" for index, shadow in enumerate(shadows)
-        for name in shadow.state]
+        for name in shadow_names(shadow)]
     sources = {}
     for op in SEMANTICS:
-        transfers, cells = [], []
-        for index, shadow in enumerate(shadows):
-            lines = _transfer(op, index, shadow)
-            if lines:
-                transfers += lines
-                cells += [f"_{index}_{name}" for name in shadow.cells]
+        transfers, cells = _thunk_transfers(op, shadows)
         calls = [name for name in (KIND_HOOKS.get(SEMANTICS[op].kind),
                                    "on_instruction") if name in hooks]
         if form == "observed" and not (calls or transfers):

@@ -9,7 +9,8 @@ registers in locals, ALU ops as inline expressions and memory accesses
 straight at the machine's words dict behind the thunks' in-range
 exact-``int`` guard.  Both tiers form the same blocks and emit them with
 one generator (:class:`Block`); the timed tier composes its *timing
-aspect* (:mod:`repro.timing.blocks`) onto the emitter's hooks.  What a
+aspect* (:mod:`repro.timing.blocks`) onto the emitter's hooks, and an
+observed ``Machine.run`` its *shadow aspect* (:class:`ShadowBlock`).  What a
 block does not run stays on the cold path: the closure thunks
 (:mod:`repro.machine.fastpath`) in ``Machine.run``, the per-instruction
 loop in the run-ahead.
@@ -75,6 +76,22 @@ do stores on a single core; a miss, and every store on several cores
 The gshare update is inline on both edges of a branch, with the history
 in a local.  The epilogue also undoes a stall the cycle limit cut short.
 
+Shadow aspect
+-------------
+When every observer attached to a machine declares a
+:class:`~repro.machine.events.Shadow`, its functional blocks run each
+transfer right after the instruction's effect, rendered by the same
+:func:`~repro.machine.semantics.transfer` as the observed thunks.  A
+hand-back happens before the handed-back instruction's transfer, and a
+transfer line never maps to a hand-back position: an exception raised
+in one propagates, as an interrupt does.  Register-file entries (the
+taint analysis's per-register taint) are locals, fetched for the
+context in the prologue and written back in the epilogue, as registers
+are; each per-instruction cell is an entry of a list bound per block
+entry, and each PC a transfer names a value bound per entry.  Stores
+keep the word they overwrite.  The shadows are part of the block's
+code-cache key; without them the emitter's source is unchanged.
+
 Lazy compile and the code cache
 -------------------------------
 :func:`lazy_table` puts a countdown stub at each block entry, which
@@ -96,16 +113,18 @@ from __future__ import annotations
 import builtins
 import math
 import time
+import weakref
 from collections import OrderedDict
 from itertools import accumulate
 from types import CodeType, FunctionType
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.instructions import operand_roles
 from repro.isa.program import Program
 from repro.machine.semantics import (ALU, BRANCH, ENGINE_OPCODES, HELPERS,
                                      LOAD, SEMANTICS, STORE, ExactInt, Src,
-                                     access, operands)
+                                     access, operands, shadow_names,
+                                     transfer)
 
 #: conditional branches and ``jmp``: the edges a block if-converts,
 #: duplicates a tail on, loops on or leaves by
@@ -359,6 +378,9 @@ class Block:
     #: the function's name and its parameters before the exit table
     NAME, PARAMS = "sb", "ctx, budget"
 
+    #: do stores keep the word they overwrite in ``_old``? (shadow aspect)
+    KEEP_OLD = False
+
     def __init__(self, instructions, entry: int, length: int,
                  is_loop: bool):
         self.body = body = instructions[entry:entry + length]
@@ -382,15 +404,17 @@ class Block:
         #: skipped range ``(lo, hi)`` -> the index of its counter
         self.skips: Dict[Tuple[int, int], int] = {}
         #: the body's source lines and the position each belongs to
+        #: (``None``: a transfer line, which hands nothing back)
         self.out: List[str] = []
-        self.where: List[int] = []
+        self.where: List[Optional[int]] = []
         #: positions with a value bound per entry as ``_b<i>`` after the
         #: exit table (the timing aspect's gshare index bases)
         self.bound: List[int] = []
         #: source-size budget for tail duplication (positions, not lines)
         self._dup_budget = 8 * length
 
-    def _put(self, indent: str, lines: List[str], j: int) -> None:
+    def _put(self, indent: str, lines: Sequence[str],
+             j: Optional[int]) -> None:
         """Append ``lines`` at ``indent``, as code of position ``j``."""
         for line in lines:
             self.out.append(indent + line)
@@ -444,8 +468,14 @@ class Block:
         if sem.kind == LOAD or sem.kind == STORE:
             # memory counters are batched per block; a failed guard hands
             # the instruction back
-            return access(sem, ops, [self._exit(GUARD, j, j)], counted=False)
+            return access(sem, ops, [self._exit(GUARD, j, j)], counted=False,
+                          old=self.KEEP_OLD and sem.kind == STORE)
         return sem.effect.format(out="_out", **ops).splitlines()
+
+    def _transfer(self, j: int, ins) -> Tuple[str, ...]:
+        """Lines run right after the effect of the instruction at
+        position ``j``, which never hand it back (shadow aspect hook)."""
+        return ()
 
     def _branch(self, j: int, ins) -> Tuple[List[str], str, List[str],
                                             List[str]]:
@@ -474,6 +504,7 @@ class Block:
             elif ins.op in TERMINATOR_OPCODES:
                 lines, cond, taken, fall = self._branch(j, ins)
                 self._put(indent, lines, j)
+                self._put(indent, self._transfer(j, ins), None)
                 inner = indent + "    "
                 if not j < target <= hi:
                     self._put(indent, [f"if {cond}:"], j)
@@ -496,6 +527,7 @@ class Block:
                 j = target
             else:
                 self._put(indent, self._instruction(j, ins), j)
+                self._put(indent, self._transfer(j, ins), None)
                 j += 1
         if hi == length:
             self._put(indent, [self._exit(FALL_THROUGH, length, length)],
@@ -567,6 +599,8 @@ class Block:
         lines = ([""] + head + self.out
                  + ["    except Exception as _f:",
                     "        _e = _P[_f.__traceback__.tb_lineno]"])
+        if None in self.where:  # a transfer raised: nothing to hand back
+            lines.append("        if _e is None: raise")
         self.statics["_P"] = (0,) * (1 + len(head) + 1) + tuple(self.where)
         epilogue = ["_x, _d, _pc = _X[_e]"]
         if self.written:
@@ -584,17 +618,95 @@ class Block:
                 (tuple(self.exits), tuple(self.bound)))
 
 
+class ShadowBlock(Block):
+    """The shadow aspect composed onto :class:`Block`: each observer's
+    declared :class:`~repro.machine.events.Shadow` transfer, rendered by
+    :func:`~repro.machine.semantics.transfer`, runs right after each
+    instruction's effect.
+
+    The observers' state objects are parameters after ``_K``, bound per
+    block entry, so the transfers read them as locals.  Register-file
+    entries the transfers touch are locals too, fetched for ``ctx`` in
+    the prologue and written back (the ones written) in the epilogue, as
+    registers are.  Cells are the entries of ``_K``, a list bound per
+    block entry; each PC a transfer uses is a ``_b`` value bound per
+    entry.
+    """
+
+    KEEP_OLD = True
+
+    def __init__(self, instructions, entry: int, length: int,
+                 is_loop: bool, shadows: tuple):
+        super().__init__(instructions, entry, length, is_loop)
+        self.shadows = shadows
+        self.PARAMS = ", ".join(["ctx, budget, _K"] + [
+            f"_{index}_{name}" for index, shadow in enumerate(shadows)
+            for name in shadow_names(shadow)])
+        #: ``(position, cell)`` -> its ``_K`` entry
+        self.cells: Dict[Tuple[int, str], str] = {}
+        #: register file -> {register: written by some transfer}
+        self.files: Dict[str, Dict[int, bool]] = {}
+
+    def _transfer(self, j: int, ins) -> Tuple[str, ...]:
+        files, cells = self.files, self.cells
+
+        def pc() -> str:
+            if j not in self.bound:
+                self.bound.append(j)
+            return f"_b{self.bound.index(j)}"
+
+        def entry(file: str, register: str, written: bool) -> str:
+            touched = files.setdefault(file, {})
+            index = int(register)
+            touched[index] = touched.get(index, False) or written
+            return f"_{file}_{register}"
+
+        def cell(name: str) -> str:
+            return cells.setdefault((j, name), f"_K[{len(cells)}]")
+
+        return tuple(line for index, shadow in enumerate(self.shadows)
+                     for line in transfer(ins.op, index, shadow, f"r{ins.a}",
+                                          lambda slot: str(getattr(ins, slot)),
+                                          pc, entry, cell))
+
+    def _prologue(self, room: str = "budget") -> List[str]:
+        return super()._prologue(room) + [
+            f"_{file} = {file}[ctx.context_id]; " + "; ".join(
+                f"_{file}_{r} = _{file}[{r}]" for r in sorted(touched))
+            for file, touched in self.files.items()]
+
+    def _finish(self) -> List[str]:
+        written = [[r for r in sorted(touched) if touched[r]]
+                   for touched in self.files.values()]
+        return ["; ".join(f"_{file}[{r}] = _{file}_{r}" for r in registers)
+                for file, registers in zip(self.files, written)
+                if registers] + super()._finish()
+
+    def generate(self) -> Tuple[List[str], tuple, tuple]:
+        """As :meth:`Block.generate`, with the number of cells last in
+        the data: ``(exit table, bound positions, cells)``."""
+        lines, statics, data = super().generate()
+        return lines, statics, data + (len(self.cells),)
+
+
 # -- the functional tier -------------------------------------------------------
 
 
-def block_code(instructions, entry: int, length: int, is_loop: bool):
-    """The shared ``(code, statics, exits)`` of the functional block of
-    ``length`` instructions at ``entry``."""
+def block_code(instructions, entry: int, length: int, is_loop: bool,
+               shadows: tuple = ()):
+    """The shared ``(code, statics, data)`` of the functional block of
+    ``length`` instructions at ``entry``, running ``shadows``' transfers
+    if any (:class:`ShadowBlock`)."""
     pcs = range(entry, entry + length)
-    return shared_code((SB_PREFIX, is_loop, shape(instructions, pcs, entry)),
-                       lambda: Block(instructions, entry, length,
-                                     is_loop).generate(),
-                       SB_FILENAME)
+
+    def generate():
+        if shadows:
+            return ShadowBlock(instructions, entry, length, is_loop,
+                               shadows).generate()
+        return Block(instructions, entry, length, is_loop).generate()
+
+    return shared_code((SB_PREFIX, is_loop, shape(instructions, pcs, entry),
+                        shadows), generate, SB_FILENAME)
 
 
 def block_namespace(machine, **bound) -> dict:
@@ -609,16 +721,37 @@ def install(machine) -> list:
     """The block table of ``machine`` for ``Machine.run``: a
     :func:`lazy_table` of functional blocks.  Blocks bind the machine's
     memory and output buffer by identity, which ``Machine.restore``
-    preserves."""
+    preserves.
+
+    With observers attached, every one of which must declare a
+    :class:`~repro.machine.events.Shadow`, the blocks run their
+    transfers (:class:`ShadowBlock`) over each observer's
+    ``shadow_state()``, bound per entry.  Such a table is
+    cleared when the machine is freed: its countdown stubs and the table
+    refer to each other, and the cycle would otherwise keep the
+    machine's memory and the observers' state until a full garbage
+    collection."""
     instructions = machine.program.instructions
+    observers = machine._observers
+    shadows = tuple(observer.shadow for observer in observers)
+    state: list = []
+    for observer in observers:
+        objects = observer.shadow_state()
+        state += [objects[name] for name in shadow_names(observer.shadow)]
     namespace = block_namespace(machine)
 
     def compile_block(entry: int, length: int, is_loop: bool):
-        code, statics, (exits, _) = block_code(instructions, entry, length,
-                                               is_loop)
+        code, statics, data = block_code(instructions, entry, length,
+                                         is_loop, shadows)
         exits = tuple((kind, d, -2 - entry - pc if kind >= GUARD
-                       else entry + pc) for kind, d, pc in exits)
-        return bind(code, f"{SB_PREFIX}{entry}", namespace,
-                    (exits,) + statics)
+                       else entry + pc) for kind, d, pc in data[0])
+        defaults = (exits,) + statics
+        if shadows:  # cells, state, exits, pcs, statics
+            defaults = ([None] * data[2], *state, exits,
+                        *[entry + j for j in data[1]], *statics)
+        return bind(code, f"{SB_PREFIX}{entry}", namespace, defaults)
 
-    return lazy_table(machine.program, False, compile_block)
+    table = lazy_table(machine.program, False, compile_block)
+    if shadows:
+        weakref.finalize(machine, table.clear)
+    return table

@@ -14,10 +14,13 @@ Two analyses, both implemented as machine observers:
   of *all* dynamic instructions that constitute redundant computation
   (the computation DTT can skip).
 
-Attached to a machine, both run under ``Machine.run``'s batch loop: each
-PC's observed thunk calls their hooks directly, and the taint analyzer
-decodes each static instruction once, so a profiled functional run costs
-a few hook calls per instruction rather than a full ``Machine.step``.
+Attached to a machine, both run under ``Machine.run``'s batch loop and
+its compiled blocks.  Each declares its analysis as a shadow transfer
+(:class:`~repro.machine.events.Shadow`), which the machine generates
+inline after every instruction's effect, in the per-PC thunks and in the
+compiled blocks alike, so a profiled functional run calls no hook there:
+only the instructions ``step()`` runs (the engine opcodes, the tail near
+the instruction limit) call the hooks, which make the same update.
 """
 
 from repro.profiling.redundancy import (

@@ -86,34 +86,32 @@ class RedundantLoadProfiler(MachineObserver):
     """Observer computing redundant-load / silent-store statistics.
 
     Its hooks and its declared shadow transfer make the same update:
-    ``Machine.run`` generates the transfer into its thunks, and
-    ``step()`` calls the hooks (see :mod:`repro.machine.events`).  Each
-    thunk holds its site's stats in a closure cell from the site's first
-    execution on, so sites enter the site maps in first-execution order
-    on every path.  The totals are sums over the sites, and the machine
-    keeps ``total_instructions``.
+    ``Machine.run`` generates the transfer into its thunks and compiled
+    blocks, and ``step()`` calls the hooks (see
+    :mod:`repro.machine.events`).  Each thunk, and each compiled block
+    entry per position, holds its site's stats in a cell from the
+    site's first execution there on, and a site is made on the first
+    execution of its PC on any path, so sites enter the site maps in
+    first-execution order on every path.  The totals are sums over the
+    sites, and the machine keeps ``total_instructions``.
     """
 
     counts_instructions = True
     shadow = Shadow(
-        state=("last", "last_get", "load_site", "store_site", "NEVER"),
+        state=("last", "last_get", "load_site", "store_site"),
         cells=("site",),
+        # a word never loaded reads None, which equals no value
         load="""\
-{seen} = {last_get}({address}, {NEVER})
-{last}[{address}] = {value}
 {s} = {site}
-if {s} is None:
-    {s} = {site} = {load_site}(pc)
+if {s} is None: {s} = {site} = {load_site}({pc})
 {s}.dynamic += 1
-if {seen} == {value} and {seen} is not {NEVER}:
-    {s}.redundant += 1""",
+if {last_get}({address}) == {value}: {s}.redundant += 1
+{last}[{address}] = {value}""",
         store="""\
 {s} = {site}
-if {s} is None:
-    {s} = {site} = {store_site}(pc, False)
+if {s} is None: {s} = {site} = {store_site}({pc}, False)
 {s}.dynamic += 1
-if {old} == {value}:
-    {s}.silent += 1""")
+if {old} == {value}: {s}.silent += 1""")
 
     def __init__(self) -> None:
         self._loads: Dict[int, LoadSiteStats] = {}
@@ -124,8 +122,7 @@ if {old} == {value}:
 
     def shadow_state(self) -> dict:
         return {"last": self._last_loaded, "last_get": self._last_loaded.get,
-                "load_site": self._load_site, "store_site": self._store_site,
-                "NEVER": _NEVER}
+                "load_site": self._load_site, "store_site": self._store_site}
 
     def _load_site(self, pc) -> LoadSiteStats:
         site = self._loads.get(pc)

@@ -22,20 +22,23 @@ class RedundancyReport:
 
     ``shadow_instructions`` counts the instructions whose analysis ran
     as inline shadow transfers rather than hook calls
-    (``Machine.shadow_instructions``).
+    (``Machine.shadow_instructions``), and ``compiled_instructions``
+    those retired inside compiled blocks
+    (``Machine.compiled_instructions``).
     """
 
     __slots__ = ("name", "loads", "slices", "output", "instructions",
-                 "shadow_instructions")
+                 "shadow_instructions", "compiled_instructions")
 
     def __init__(self, name, loads, slices, output, instructions,
-                 shadow_instructions=0):
+                 shadow_instructions=0, compiled_instructions=0):
         self.name = name
         self.loads = loads
         self.slices = slices
         self.output = output
         self.instructions = instructions
         self.shadow_instructions = shadow_instructions
+        self.compiled_instructions = compiled_instructions
 
     @property
     def redundant_load_fraction(self) -> float:
@@ -109,6 +112,7 @@ def profile_program(
         output=output,
         instructions=machine.instructions_executed,
         shadow_instructions=machine.shadow_instructions,
+        compiled_instructions=machine.compiled_instructions,
     )
 
 

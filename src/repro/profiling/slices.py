@@ -51,39 +51,32 @@ class RedundancyTaintAnalyzer(MachineObserver):
     """Observer measuring the redundant-computation fraction.
 
     Its hooks and its declared shadow transfer make the same update:
-    ``Machine.run`` generates the transfer into its thunks, and
-    ``step()`` calls the hooks (see :mod:`repro.machine.events`).  The
-    machine keeps ``total_instructions``.
+    ``Machine.run`` generates the transfer into its thunks and compiled
+    blocks, and ``step()`` calls the hooks (see
+    :mod:`repro.machine.events`).  The register taint is the transfer's
+    register file, which compiled blocks keep in locals.  The machine
+    keeps ``total_instructions``.
     """
 
     counts_instructions = True
     shadow = Shadow(
-        state=("taint", "mem", "mem_get", "last", "last_get", "counts",
-               "NEVER"),
+        state=("mem", "mem_get", "last", "last_get", "counts"),
+        registers=("taint",),
+        # a word never loaded reads None, which equals no value; taint
+        # values are bools, so ``and``/``or`` keep them bools
         load="""\
-{seen} = {last_get}({address}, {NEVER})
-{last}[{address}] = {value}
-if {seen} == {value} and {seen} is not {NEVER} or {mem_get}({address}, False):
-    {taint}[ctx.context_id][{dest}] = True
-    {counts}[{op_class}] += 1
-else:
-    {taint}[ctx.context_id][{dest}] = False""",
+{dest:taint} = {last_get}({address}) == {value} or {mem_get}({address}, False)
+if {dest:taint}: {counts}[{op_class}] += 1
+{last}[{address}] = {value}""",
         store="""\
-{r} = {mem}[{address}] = {taint}[ctx.context_id][{src}]
-if {r}:
-    {counts}[{op_class}] += 1""",
+{mem}[{address}] = {src:taint}
+if {src:taint}: {counts}[{op_class}] += 1""",
         alu="""\
-{t} = {taint}[ctx.context_id]
-if {t}[{first}] and {t}[{second}]:
-    {t}[{dest}] = True
-    {counts}[{op_class}] += 1
-else:
-    {t}[{dest}] = False""",
-        const="{taint}[ctx.context_id][{dest}] = False",
+{dest:taint} = {first:taint} and {second:taint}
+if {dest:taint}: {counts}[{op_class}] += 1""",
+        const="{dest:taint} = False",
         branch="""\
-{t} = {taint}[ctx.context_id]
-if {t}[{first}] and {t}[{second}]:
-    {counts}[{op_class}] += 1""")
+if {first:taint} and {second:taint}: {counts}[{op_class}] += 1""")
 
     def __init__(self) -> None:
         # per-context register taint, created lazily by context id
@@ -104,8 +97,7 @@ if {t}[{first}] and {t}[{second}]:
     def shadow_state(self) -> dict:
         return {"taint": self._reg_taint, "mem": self._mem_taint,
                 "mem_get": self._mem_taint.get, "last": self._last,
-                "last_get": self._last.get, "counts": self._redundant,
-                "NEVER": _NEVER}
+                "last_get": self._last.get, "counts": self._redundant}
 
     def _taint_of(self, ctx) -> List[bool]:
         return self._reg_taint[ctx.context_id]

@@ -12,7 +12,11 @@ reconciliation may not be observable.
 The same plans also run *observed*: with a recording observer attached,
 ``Machine.run`` takes its observed thunks, and the observer must see the
 identical hook stream (kind, context, pc, arguments) as under the
-``step()`` loop, with the identical end state and fault.
+``step()`` loop, with the identical end state and fault.  The recorder
+declares no shadow transfer, so that run stays on thunks; the corpus
+also runs under the two redundancy analyses, whose transfers compiled
+blocks run, on every ``Machine.run`` path against the ``step()`` loop
+(``tests.machine.test_differential.assert_analyses_match_step``).
 
 Counterexamples found by hypothesis are committed to
 ``tier_fuzz_corpus.json`` (one named plan per historical divergence,
@@ -57,6 +61,7 @@ from repro.machine.machine import Machine, run_to_completion
 from repro.timing.system import TimingSimulator
 
 from tests.conftest import RUN_PATHS, HookRecorder, build_dtt_sum
+from tests.machine.test_differential import assert_analyses_match_step
 from tests.timing.solo_diff import (CONFIGS, assert_solo_exact, make_config,
                                    record_exits, record_multi_exits)
 
@@ -188,7 +193,11 @@ def _run_path(program, path, observed=False):
     except Exception as exc:  # noqa: BLE001 - fault identity is the point
         fault = (type(exc).__name__, str(exc))
     main = machine.main_context
+    # a recorder declares no shadow transfer, so no block may run
+    compiled = {"compiled_instructions": machine.compiled_instructions
+                } if observed else {}
     return {
+        **compiled,
         "fault": fault,
         "regs": [_norm(v) for v in main.regs],
         "memory": {k: _norm(v)
@@ -297,6 +306,12 @@ def test_random_programs_observed_run_matches_step(plan):
 def test_corpus_case_observed_run_matches_step(name):
     reference = assert_observed_run_agrees(CORPUS[name])
     assert reference["hooks"]  # the observer really was attached
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_corpus_case_analyses_match_step(name):
+    assert_analyses_match_step(lower(CORPUS[name]),
+                               max_instructions=MAX_INSTRUCTIONS)
 
 
 def test_corpus_exercises_fault_and_loop_paths():

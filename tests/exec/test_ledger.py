@@ -1,9 +1,10 @@
 """The committed cycle ledger: complete over the plan, and exact on a
 representative slice (``tools/cycle_ledger.py --check`` runs all of it),
 both as shipped and with every hot block compiled on first reach; its
-profiles and functional DTT runs likewise.  Timed and functional DTT
-entries carry a digest of the engine's ordered events, so the slice
-compares dispatch order and cycle stamps, not only totals.  Each sliced
+profiles (site order included) and functional DTT runs likewise.  Timed
+and functional DTT entries carry a digest of the engine's ordered
+events, so the slice compares dispatch order and cycle stamps, not only
+totals.  Each sliced
 timed run also keeps the timing oracle's conservation laws, and each
 sliced functional run the engine's."""
 
@@ -123,6 +124,18 @@ def test_event_digest_is_order_sensitive():
 def test_representative_profiles_match_the_ledger(spec):
     expected = LEDGER["profiles"][spec.canonical()]
     actual = profile_entry_of(profile(spec))
+    assert actual == expected, diff_entries(expected, actual)
+
+
+@pytest.mark.parametrize("spec", PROFILE_SLICE, ids=RunSpec.canonical)
+def test_profiles_match_the_ledger_with_every_block_compiled(spec,
+                                                             monkeypatch):
+    # observed blocks as well: the site maps keep first-execution order
+    compile_at(monkeypatch, 1)
+    expected = LEDGER["profiles"][spec.canonical()]
+    report = profile(spec)
+    assert report.compiled_instructions > 0
+    actual = profile_entry_of(report)
     assert actual == expected, diff_entries(expected, actual)
 
 

@@ -13,9 +13,11 @@ output, the load/store and instruction counters, and any fault (its
 type) must match the oracle.
 
 The same programs also run under both redundancy analyses, whose
-analysis ``run`` generates into its thunks as shadow transfers while
-``step()`` calls their hooks: every analysis result and every piece of
-shadow state must equal the ``step()`` loop's.  Directed cases add what
+analysis ``run`` generates into its thunks and compiled blocks as shadow
+transfers while ``step()`` calls their hooks: on every ``Machine.run``
+path of ``RUN_PATHS``, every analysis result and every piece of shadow
+state must equal the ``step()`` loop's, guard and fault hand-backs
+inside compiled blocks included.  Directed cases add what
 random single-context programs lack: the DTT engine, the limit's
 single-stepped tail, an observer without a transfer, and detaching one.
 
@@ -54,6 +56,7 @@ from repro.errors import (AlignmentFault, CascadeError, ExecutionFault,
                           ExecutionLimitExceeded, MemoryFault)
 from repro.isa.builder import ProgramBuilder
 from repro.isa.instructions import OPCODES
+from repro.machine import superblock
 from repro.machine.context import ContextState
 from repro.machine.events import TraceObserver
 from repro.machine.machine import ENGINE_OPCODES, Machine, run_to_completion
@@ -504,15 +507,44 @@ def _run(machine, _loads, _slices):
 
 
 def assert_analyses_match_step(program, step=_steps, run=_run, **kwargs):
-    """``run`` under both analyses must end where the ``step()`` loop
-    does, on transfers: returns the ``run`` machine and the fault."""
+    """``run`` under both analyses, on each ``Machine.run`` path of
+    ``RUN_PATHS``, must end where the ``step()`` loop does, on
+    transfers: returns ``({path: run machine}, fault)``."""
     stepped, expected, fault = _analysed(program, step, **kwargs)
-    machine, actual, run_fault = _analysed(program, run, **kwargs)
-    assert (actual, run_fault) == (expected, fault)
-    assert machine.instructions_executed == stepped.instructions_executed
     assert stepped.shadow_instructions == 0
-    assert machine.shadow_instructions > 0
-    return machine, fault
+    machines = {}
+    for path, prepare in RUN_PATHS.items():
+        machine, actual, run_fault = _analysed(
+            program, lambda m, loads, slices: run(prepare(m), loads, slices),
+            **kwargs)
+        assert (actual, run_fault) == (expected, fault), path
+        assert machine.instructions_executed == stepped.instructions_executed
+        assert machine.shadow_instructions > 0
+        assert machine.compiled_instructions <= machine.shadow_instructions
+        if path == "closure":
+            assert machine.compiled_instructions == 0
+        machines[path] = machine
+    return machines, fault
+
+
+def record_hand_backs(patch: pytest.MonkeyPatch) -> list:
+    """Test fake: every functional block bound from now on appends the
+    PC of each instruction it hands back to the returned list."""
+    handed = []
+    bind = superblock.bind
+
+    def recording(code, name, namespace, defaults):
+        block = bind(code, name, namespace, defaults)
+
+        def call(ctx, budget):
+            result = block(ctx, budget)
+            if result is not None and result[1] < 0:
+                handed.append(-2 - result[1])
+            return result
+        return call
+
+    patch.setattr(superblock, "bind", recording)
+    return handed
 
 
 @given(plans())
@@ -521,16 +553,24 @@ def test_analyses_on_run_match_step(plan):
     assert_analyses_match_step(lower(plan))
 
 
-def test_seeded_sweep_analyses_match_step():
+def test_seeded_sweep_analyses_match_step(monkeypatch):
     """200 seeded programs: every shadow kind, wild indexed addresses on
-    the checked memory path, and faults mid-run."""
+    the checked memory path, and faults mid-run, also where a compiled
+    block hands the faulting instruction back to its thunk."""
     rng = random.Random(0x5AD0)
-    faults = set()
+    handed = record_hand_backs(monkeypatch)
+    faults, in_blocks = set(), set()
     for _ in range(200):
-        _machine, fault = assert_analyses_match_step(
+        del handed[:]
+        machines, fault = assert_analyses_match_step(
             lower(compose_plan(rng.choice)))
         faults.add(fault)
+        if handed and handed[-1] == machines["compiled"].main_context.pc:
+            in_blocks.add(fault)  # the last hand-back was the fault
     assert {"MemoryFault", "ExecutionFault", None} <= faults
+    # failed guards (a wild or a float address) and an exception inside
+    # a block, each handed back to the thunk that raised it
+    assert {"MemoryFault", "AlignmentFault", "ExecutionFault"} <= in_blocks
 
 
 @pytest.mark.parametrize("source", ["dtt-sum", "mcf"])
@@ -545,11 +585,13 @@ def test_analyses_of_a_dtt_run_match_step(source):
         program, spec = build_dtt_sum([3, 1, 4, 1, 5], [0, 2, 4, 2],
                                       [9, 8, 7, 8])
         specs = [spec]
-    machine, fault = assert_analyses_match_step(program, num_contexts=2,
-                                                specs=specs)
+    machines, fault = assert_analyses_match_step(program, num_contexts=2,
+                                                 specs=specs)
+    machine = machines["superblock"]
     assert fault is None
     assert machine.support_instructions > 0
     assert machine.shadow_instructions < machine.instructions_executed
+    assert machines["compiled"].compiled_instructions > 0
 
 
 def _spin_loads():
@@ -570,10 +612,11 @@ def _spin_loads():
 
 def test_analyses_near_the_instruction_limit_match_step():
     # two chunks, then run() single-steps the tail up to the limit
-    machine, fault = assert_analyses_match_step(_spin_loads(),
-                                                max_instructions=40_000)
+    machines, fault = assert_analyses_match_step(_spin_loads(),
+                                                 max_instructions=40_000)
     assert fault == ExecutionLimitExceeded.__name__
-    assert machine.shadow_instructions < 40_000
+    assert machines["superblock"].shadow_instructions < 40_000
+    assert machines["superblock"].compiled_instructions > 0
 
 
 def test_undeclared_observer_sees_steps_hook_stream():

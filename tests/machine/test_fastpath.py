@@ -677,18 +677,34 @@ def test_declared_transfers_replace_hook_calls():
     assert thunks["jmp"].__name__ == "plain_jmp"
 
 
-def test_profiled_machine_is_freed_without_the_cycle_collector():
-    # the observed thunk table must not hold the machine that owns it, or
-    # every finished profiled machine lives on until a full collection
+@pytest.mark.parametrize("observers", [
+    pytest.param(lambda: [_CountingObserver()], id="hooks"),
+    pytest.param(lambda: [RedundantLoadProfiler(), RedundancyTaintAnalyzer()],
+                 id="shadows"),
+])
+def test_profiled_machine_is_freed_without_the_cycle_collector(observers):
+    # neither the observed thunk table nor the observed block table may
+    # hold the machine that owns it, nor keep its memory once it is freed,
+    # or every finished profiled machine lives on until a full collection
     program = _mcf_program()
     gc.disable()
     try:
         machine = Machine(program)
-        machine.add_observer(_CountingObserver())
+        attached = observers()
+        for observer in attached:
+            machine.add_observer(observer)
         run_to_completion(machine)
         assert machine._thunks is not None
+        # only observers that all declare a shadow transfer run blocks
+        shadowed = all(o.shadow is not None for o in attached)
+        assert (machine.compiled_instructions > 0) == shadowed
+        # a thunk, and a block or its countdown stub: each holds memory
+        tables = [machine._thunks, [entry for entry in machine._superblocks
+                                    if entry is not None][:1]]
+        held = [weakref.ref(table[0]) for table in tables if table]
         ref = weakref.ref(machine)
-        del machine
+        del machine, tables
         assert ref() is None
+        assert [entry() for entry in held] == [None] * len(held)
     finally:
         gc.enable()
