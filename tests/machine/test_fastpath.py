@@ -677,12 +677,7 @@ def test_declared_transfers_replace_hook_calls():
     assert thunks["jmp"].__name__ == "plain_jmp"
 
 
-@pytest.mark.parametrize("observers", [
-    pytest.param(lambda: [_CountingObserver()], id="hooks"),
-    pytest.param(lambda: [RedundantLoadProfiler(), RedundancyTaintAnalyzer()],
-                 id="shadows"),
-])
-def test_profiled_machine_is_freed_without_the_cycle_collector(observers):
+def _assert_freed_without_the_cycle_collector(observers):
     # neither the observed thunk table nor the observed block table may
     # hold the machine that owns it, nor keep its memory once it is freed,
     # or every finished profiled machine lives on until a full collection
@@ -708,3 +703,14 @@ def test_profiled_machine_is_freed_without_the_cycle_collector(observers):
         assert [entry() for entry in held] == [None] * len(held)
     finally:
         gc.enable()
+
+
+def test_profiled_machine_is_freed_without_the_cycle_collector():
+    # a hook observer runs on per-instruction thunks
+    _assert_freed_without_the_cycle_collector(lambda: [_CountingObserver()])
+
+
+def test_shadowed_machine_is_freed_without_the_cycle_collector():
+    # observers that all declare a shadow transfer run on compiled blocks
+    _assert_freed_without_the_cycle_collector(
+        lambda: [RedundantLoadProfiler(), RedundancyTaintAnalyzer()])
