@@ -65,16 +65,18 @@ handed back, or ``None`` likewise.
 Timing aspect
 -------------
 After each instruction a timed block does what the run-ahead does, in
-the same order: take an issue slot, end the cycle at the width or on a
-latency above one, check the cycle limit, take the stall, check the
-limit again.  The slot count is ``_we``, the position that takes the
-cycle's last slot, so an instruction that does not end the cycle costs
-one comparison; a skip of ``span`` positions adds ``span`` to it.  Loads
-probe the core's L1 inline (the LRU move-to-end of ``Cache.access``), as
-do stores on a single core; a miss, and every store on several cores
-(which must invalidate the other L1s), calls ``CacheHierarchy.access``.
-The gshare update is inline on both edges of a branch, with the history
-in a local.  The epilogue also undoes a stall the cycle limit cut short.
+the same order: take an issue slot, end the cycle at the width or where
+the issue template (:data:`repro.timing.core.ISSUE`, folded where its
+inputs are known at emit time) says, check the cycle limit, take the
+stall, check the limit again.  The slot count is ``_we``, the position
+that takes the cycle's last slot, so an instruction that does not end
+the cycle costs one comparison; a skip of ``span`` positions adds
+``span`` to it.  Loads probe the core's L1 inline (the LRU move-to-end
+of ``Cache.access``), as do stores on a single core; a miss, and every
+store on several cores (which must invalidate the other L1s), calls
+``CacheHierarchy.access``.  The gshare update is inline on both edges of
+a branch, with the history in a local.  The epilogue also undoes a stall
+the cycle limit cut short.
 
 Shadow aspect
 -------------

@@ -10,12 +10,12 @@ import time
 from collections import namedtuple
 from typing import List
 
-from repro.machine.semantics import BRANCH, LOAD, SEMANTICS, STORE
-from repro.machine.superblock import (  # noqa: F401 - kinds re-exported
-    CYCLE_LIMIT, ENGINE, EXIT_KINDS, GUARD, TAKEN, Block, _indent, bind,
-    block_namespace, lazy_table, shape, shared_code)
+from repro.machine.superblock import (CYCLE_LIMIT, ENGINE, TAKEN, Block,
+                                      _indent, bind, block_namespace,
+                                      lazy_table, shape, shared_code)
 from repro.timing.branch import HISTORY_BITS, TABLE_BITS
-from repro.timing.core import ENTRY
+from repro.timing.core import (BRANCH, ENDS_CYCLE, ENTRY, ISSUE, LOAD, STORE,
+                               folded_latency)
 
 #: synthetic filename of timed blocks; profiler frames show as
 #: (FILENAME, line, "tb_<entry_pc>")
@@ -30,9 +30,9 @@ _AFTER_TAKEN = (1, 2, 3, 3)
 _AFTER_NOT_TAKEN = (0, 0, 1, 2)
 
 #: every configuration value timed code bakes in (part of its cache
-#: key): a latency above ``hide`` ends the cycle (loads: above the load
-#: hide latency too), and ``slow_miss`` says every L1 miss does.  The
-#: cycle limit is not baked in: each call passes it as ``limit``.
+#: key): ``slow_miss`` says every L1 miss ends the cycle on its own
+#: latency.  The cycle limit is not baked in: each call passes it as
+#: ``limit``.
 Config = namedtuple("Config", "width hide penalty core_id single_core "
                     "l1_latency slow_miss line_shift set_mask tag_shift")
 
@@ -43,8 +43,9 @@ class HotBlocks:
     ``table`` is the core's issue table with every block entry's kind
     replaced by :data:`~repro.timing.core.ENTRY`; ``hot[pc]`` is the
     :func:`~repro.machine.superblock.lazy_table` entry there.  The
-    namespace binds this run's memory, L1, hierarchy, predictor and class
-    tally; :meth:`release` drops it when the run ends.
+    namespace binds this run's memory, L1, hierarchy, predictor, class
+    tally and the load hide latency the template's rule reads;
+    :meth:`release` drops it when the run ends.
     """
 
     def __init__(self, sim, core):
@@ -57,17 +58,20 @@ class HotBlocks:
         params, hierarchy = core.params, sim.hierarchy
         l1 = hierarchy.l1[core.core_id]
         l1_latency = hierarchy.params.l1_latency
-        hide = max(params.load_hide_latency, 1)
+        hide, penalty = params.load_hide_latency, params.mispredict_penalty
+        # the load rule is monotone: if the least miss latency (an L2
+        # hit) ends the cycle unchanged, so does every miss
+        least = l1_latency + hierarchy.params.l2_latency
         line_shift = l1._line_words.bit_length() - 1
         self.config = Config(
-            params.issue_width, hide, params.mispredict_penalty,
-            core.core_id, hierarchy.num_cores == 1,
-            l1_latency, l1_latency + hierarchy.params.l2_latency > hide,
+            params.issue_width, hide, penalty, core.core_id,
+            hierarchy.num_cores == 1, l1_latency,
+            folded_latency(LOAD, least, hide, penalty) == least,
             line_shift, l1._set_mask, line_shift + l1._tag_shift)
         self.namespace = block_namespace(
             machine, _S=l1._sets, _L1=l1.stats, _acc=hierarchy.access,
             _PR=sim.predictor, _C=sim.predictor._counters, _UP=_AFTER_TAKEN,
-            _DN=_AFTER_NOT_TAKEN, _T=core.class_tally)
+            _DN=_AFTER_NOT_TAKEN, _T=core.class_tally, hide=hide)
         self.hot = lazy_table(program, True, self.compile)
         self.table = [row if self.hot[pc] is None else (ENTRY,) + row[1:]
                       for pc, row in enumerate(core.table)]
@@ -140,12 +144,13 @@ class TimedBlock(Block):
                 f"if now > limit: _L = {latency}; "
                 + self._exit(CYCLE_LIMIT, *after)]
 
-    def _timing(self, latency: int, after, hide: int = 1) -> List[str]:
-        """A latency above ``hide`` ends the cycle (loads below the hide
-        latency are pipelined)."""
-        if latency > hide:
-            return self._stall(latency, after)
-        return self._width(after)
+    def _issue(self, kind: int, latency: int, after,
+               correct: bool = True) -> List[str]:
+        """The issue template folded for ``kind`` at a ``latency`` known at
+        emit time (and a branch's outcome ``correct``): stall, or a slot."""
+        cfg = self.cfg
+        stall = folded_latency(kind, latency, cfg.hide, cfg.penalty, correct)
+        return self._stall(stall, after) if stall else self._width(after)
 
     def _probe(self) -> str:
         cfg = self.cfg
@@ -164,19 +169,18 @@ class TimedBlock(Block):
     def _instruction(self, j: int, ins) -> List[str]:
         cfg = self.cfg
         lines = super()._instruction(j, ins)
-        kind = SEMANTICS[ins.op].kind
+        kind, latency = self.rows[j][:2]
         after = (j + 1, self.targets[j] if ins.op == "jmp" else j + 1)
         if kind == LOAD:
+            # a hit folds the template; a miss runs its load rule, or stalls
             lines += [self._probe() + "; _v = _w.pop(_g, None)",
                       "if _v is None:",
-                      f"    _m += 1; L = _acc({cfg.core_id}, _a, False)"]
-            if cfg.slow_miss:
-                miss = self._stall("L", after)
-            else:
-                miss = ([f"if L > {cfg.hide}:"]
-                        + _indent(self._stall("L", after))
+                      f"    _m += 1; latency = _acc({cfg.core_id}, _a, False)"]
+            miss = self._stall("latency", after)
+            if not cfg.slow_miss:
+                miss = ([ISSUE[LOAD][1], f"if {ENDS_CYCLE}:"] + _indent(miss)
                         + ["else:"] + _indent(self._width(after)))
-            hit = self._timing(cfg.l1_latency, after, cfg.hide)
+            hit = self._issue(LOAD, cfg.l1_latency, after)
             return (lines + _indent(miss) + ["else:", "    _w[_g] = _v"]
                     + _indent(hit))
         if kind == STORE:
@@ -187,24 +191,24 @@ class TimedBlock(Block):
                           "_w[_g] = True"]
             else:
                 lines.append(f"_acc({cfg.core_id}, _a, True)")
-        return lines + self._timing(self.rows[j][1], after)
+        return lines + self._issue(kind, latency, after)
 
     def _branch(self, j: int, ins):
         """The inline gshare update, then the taken and fall-through
-        timing (a misprediction adds the penalty)."""
+        timing, each folded for a wrong and a right prediction."""
         lines, cond, _, _ = super()._branch(j, ins)
         index = f"_b{len(self.bound)} ^ _hi"
         self.bound.append(j)
         if _HISTORY_MASK & ~_TABLE_MASK:
             index = f"({index}) & {_TABLE_MASK}"
         latency = self.rows[j][1]
-        wrong = latency + self.cfg.penalty
 
         def edge(history, update, test, after):
             return ([f"_hi = {history} & {_HISTORY_MASK}; "
                      f"_C[_i] = {update}[_v]", f"if {test}:", "    _q += 1"]
-                    + _indent(self._timing(wrong, after))
-                    + ["else:"] + _indent(self._timing(latency, after)))
+                    + _indent(self._issue(BRANCH, latency, after, False))
+                    + ["else:"]
+                    + _indent(self._issue(BRANCH, latency, after)))
 
         return (lines + [f"_i = {index}; _v = _C[_i]"], cond,
                 edge("(_hi << 1 | 1)", "_UP", "_v < 2",
@@ -219,7 +223,7 @@ class TimedBlock(Block):
                         "s = sl = _m = _q = 0"]
 
     def _counts(self):
-        kinds = [SEMANTICS[ins.op].kind for ins in self.body]
+        kinds = [row[0] for row in self.rows]
         classes = [row[2] for row in self.rows]
         single = self.cfg.single_core
         return ([(f"_T[{index}]", [cls == index for cls in classes], "")

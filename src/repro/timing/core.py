@@ -22,10 +22,17 @@ Per-instruction costs come from a per-PC issue table built once per core
 every instruction, plus its pre-decoded handler, so neither the general
 issue path nor the run-aheads in :mod:`repro.timing.system` look up an
 opcode at run time.
+
+What issuing costs is written once, as the per-kind template
+:data:`ISSUE`, and every run-ahead copy is generated from it (by
+:func:`issue_lines`, or folded by :func:`folded_latency` in compiled
+blocks).  :meth:`SmtCore.scan` and :meth:`SmtCore._issue` stay
+hand-written: the timing oracle checks every run-ahead against them.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List
 
 from repro.cache.hierarchy import CacheHierarchy
@@ -42,6 +49,50 @@ from repro.timing.params import CoreParams
 #: ``ENTRY`` marks a hot-block entry; it appears only in the solo
 #: run-ahead's copy of the table (:class:`repro.timing.blocks.HotBlocks`).
 PLAIN, LOAD, BRANCH, STORE, EXIT, EXIT_STORE, ENTRY = range(7)
+
+#: The timing effect of issuing one instruction, after its handler ran:
+#: per issue kind, ``(access, rule)`` — the access to the hierarchy or
+#: the predictor, then the rule that turns the row's static ``latency``
+#: into the instruction's.  A latency for which :data:`ENDS_CYCLE` holds
+#: ends the cycle and keeps the context busy until ``now + latency``.
+#: The source reads the run-ahead's locals ``access``, ``predict``,
+#: ``core_id``, ``address``, ``pc``, ``taken``, ``hide`` and ``penalty``.
+ISSUE = {
+    PLAIN: ("", ""),
+    LOAD: ("latency = access(core_id, address, False)",
+           "if latency <= hide: latency = 1"),
+    BRANCH: ("correct = predict(pc, taken)",
+             "if not correct: latency += penalty"),
+    STORE: ("access(core_id, address, True)", ""),
+}
+ENDS_CYCLE = "latency > 1"
+
+
+def issue_lines(stall: str) -> List[str]:
+    """:data:`ISSUE` as the statements an interpreted run-ahead runs after
+    the handler of a non-engine row of ``kind``: the class tally, the
+    kind's access and rule, then ``stall`` if the latency ends the cycle."""
+    lines = ["tally[class_index] += 1", "if kind:"]
+    test = "if"
+    for kind in (LOAD, BRANCH, STORE):
+        lines.append(f"    {test} kind == {kind}:" if kind != STORE
+                     else "    else:")
+        lines += [f"        {line}" for line in ISSUE[kind] if line]
+        test = "elif"
+    return lines + [f"if {ENDS_CYCLE}: {stall}"]
+
+
+@functools.lru_cache(maxsize=None)
+def folded_latency(kind: int, latency: int, hide: int, penalty: int,
+                   correct: bool = True) -> int:
+    """What :data:`ISSUE`'s rule makes of ``kind``'s ``latency`` when
+    every input is known at emit time: the latency if it ends the cycle,
+    else 0.  ``correct`` is a branch's prediction outcome."""
+    names = dict(latency=latency, hide=hide, penalty=penalty,
+                 correct=correct)
+    exec(f"{ISSUE[kind][1]}\nends = {ENDS_CYCLE}", names)
+    return names["latency"] if names["ends"] else 0
+
 
 #: op classes in ``class_counts`` order
 OP_CLASSES = tuple(OpClass)

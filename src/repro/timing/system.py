@@ -10,26 +10,27 @@ Orchestration per cycle:
    in one step), with a deadlock check when no context can ever run again.
 
 Until an engine opcode, nothing is dispatchable and the set of RUNNING
-contexts is fixed, so two run-aheads drive whole iterations of that loop
-without :meth:`SmtCore.cycle` or :meth:`Machine.step`, then reconcile
-every counter the loop would have changed (:meth:`TimingSimulator.
-_drive_ahead`).  While exactly one context is RUNNING, an iteration is a
-pure function of its instruction latencies, and the *solo run-ahead*
-(:meth:`TimingSimulator._solo_loop`) runs it, with compiled hot blocks
-(:mod:`repro.timing.blocks`) for code it reaches often.  With two or
-more RUNNING contexts, the *multi-context run-ahead*
-(:meth:`TimingSimulator._multi_body`) runs each core's round-robin scan
-inline, and hands a lone ready context to the solo loop until the
-others wake.  Both hand the cycle back to the general loop on the
-opcodes that touch the DTT engine
-(:data:`~repro.machine.machine.ENGINE_OPCODES`);
-:meth:`TimingSimulator._run_ahead` is the one place that chooses
-between them and the general loop.  Results are identical either way.
+contexts is fixed, so the *run-ahead* drives whole iterations of that
+loop without :meth:`SmtCore.cycle` or :meth:`Machine.step`, then
+reconciles every counter the loop would have changed
+(:meth:`TimingSimulator._drive_ahead`).  Its scan
+(:meth:`TimingSimulator._multi_body`) hands a lone ready context to the
+*solo loop* (:meth:`TimingSimulator._solo_loop`), the one path into
+compiled hot blocks (:mod:`repro.timing.blocks`), until another context
+wakes.  Both are generated from the issue template
+(:data:`repro.timing.core.ISSUE`); the general loop's
+:meth:`SmtCore.scan` and :meth:`SmtCore._issue` are the hand-written
+reference they are checked against.  The run-ahead hands the cycle back
+on the opcodes that touch the DTT engine
+(:data:`~repro.machine.machine.ENGINE_OPCODES`), and
+:meth:`TimingSimulator._run_ahead` is the one place that chooses it.
+Results are identical either way.
 """
 
 from __future__ import annotations
 
 import math
+import textwrap
 from typing import Optional
 
 from repro.cache.hierarchy import CacheHierarchy
@@ -38,9 +39,10 @@ from repro.errors import ExecutionFault, ExecutionLimitExceeded, MachineError
 from repro.isa.program import Program
 from repro.machine.context import ContextState
 from repro.machine.machine import ENGINE_OPCODES, Machine
+from repro.machine.superblock import CYCLE_LIMIT, GUARD
 from repro.timing import blocks
 from repro.timing.branch import BranchPredictor
-from repro.timing.core import BRANCH, ENTRY, EXIT, LOAD, SmtCore
+from repro.timing.core import ENTRY, EXIT, SmtCore, issue_lines
 from repro.timing.params import SystemConfig
 from repro.timing.stats import EnergyModel, TimingResult
 
@@ -49,10 +51,26 @@ from repro.timing.stats import EnergyModel, TimingResult
 _HEADROOM = "headroom"
 _SIDE_EXIT = "side-exit"
 _CYCLE_LIMIT = "cycle-limit"
-_OFF_END = "off-end"
 _FAULT = "fault"
 _WAKE = "wake"
 _ENGINE_START = "engine-start"
+
+
+def _run_ahead_method(source: str):
+    """The method ``source`` defines, compiled over this module's globals
+    as file ``<run-ahead>``, with each ``ISSUE: <stall>`` line replaced by
+    the issue template (:func:`~repro.timing.core.issue_lines`)."""
+    lines = []
+    for line in textwrap.dedent(source).splitlines():
+        indent, marker, stall = line.partition("ISSUE: ")
+        lines += ([indent + issue for issue in issue_lines(stall)]
+                  if marker else [line])
+    namespace = {}
+    exec(compile("\n".join(lines) + "\n", "<run-ahead>", "exec"),
+         globals(), namespace)
+    method, = namespace.values()
+    return method
+
 
 #: the engine summary fields published as ``engine.<field>`` counters
 _ENGINE_COUNTERS = {
@@ -122,22 +140,18 @@ class TimingSimulator:
             for core_id in range(self.config.num_cores)
         ]
         self.now = 0
-        #: simulated cycles and instructions of the iterations the solo
-        #: run-ahead drove (see _solo_body)
+        #: simulated cycles and instructions of the iterations the
+        #: run-ahead drove with one RUNNING context (solo) and with
+        #: several (multi-context; see _drive_ahead)
         self.solo_cycles = 0
         self.solo_instructions = 0
-        #: simulated cycles and instructions of the iterations the
-        #: multi-context run-ahead drove (see _multi_body)
         self.multi_cycles = 0
         self.multi_instructions = 0
-        #: instructions one iteration can issue machine-wide
-        self._total_width = sum(core.params.issue_width
-                                for core in self.cores)
         #: PCs of engine opcodes, where no run-ahead starts an iteration
         self._engine_pcs = frozenset(
             pc for pc, ins in enumerate(program.instructions)
             if ins.op in ENGINE_OPCODES)
-        #: hot-block state per core id, for this run only (see _solo_body)
+        #: hot-block state per core id, for this run only (see _solo_loop)
         self._hot_blocks = {}
         #: blocks bound to compiled code, seconds spent binding (and on a
         #: cache miss compiling) them, and instructions retired inside them
@@ -199,74 +213,62 @@ class TimingSimulator:
     # -- run-aheads ------------------------------------------------------------------
 
     def _run_ahead(self):
-        """The RUNNING contexts a run-ahead may drive from this iteration
-        on, or None to run the iteration on :meth:`SmtCore.cycle`.
+        """The RUNNING contexts the run-ahead may drive from this
+        iteration on, or None to run the iteration on
+        :meth:`SmtCore.cycle`, the reference path.
 
-        A run-ahead needs at least one RUNNING context, no machine
-        observer wanting per-instruction callbacks, and instruction
-        headroom for one more full iteration before the dynamic limit:
-        the solo context's issue width, or with several RUNNING
-        contexts the sum of every core's width.  With several, an
-        iteration in which a ready context is about to issue an engine
-        opcode stays on :meth:`SmtCore.cycle`, the reference path.
+        One rule for any number of RUNNING contexts: there is one, no
+        machine observer wants per-instruction callbacks, no ready one is
+        about to issue an engine opcode, and one more full iteration
+        (:meth:`_width`) fits before the dynamic instruction limit.  The
+        engine needs no condition of its own: ``dispatch_pending`` has
+        just run, so its queue is empty or no context is idle, and only
+        an engine opcode — a side exit — can change either, or change
+        which contexts are RUNNING.
 
-        The engine needs no condition of its own: ``dispatch_pending``
-        has just run, so its queue is empty or no context is idle, and
-        only an engine opcode — a side exit — can change either, or
-        change which contexts are RUNNING.  Every iteration a run-ahead
-        drives would have dispatched nothing.
-
-        This is the one place that chooses a run-ahead; patching it to
+        This is the one place that chooses the run-ahead; patching it to
         return None runs every iteration on :meth:`SmtCore.cycle`.
         """
         machine = self.machine
         if machine._observers:
             return None
-        running = [ctx for ctx in machine.contexts
-                   if ctx.state is ContextState.RUNNING]
-        if not running:
-            return None
+        running = []
+        for ctx in machine.contexts:
+            if ctx.state is ContextState.RUNNING:
+                if ctx.busy_until <= self.now and ctx.pc in self._engine_pcs:
+                    return None
+                running.append(ctx)
         headroom = machine.max_instructions - machine.instructions_executed
-        if len(running) == 1:
-            width = self.cores[running[0].core_id].params.issue_width
-            return running if headroom >= width else None
-        if headroom < self._total_width:
+        if not running or headroom < self._width(running):
             return None
-        now = self.now
-        engine_pcs = self._engine_pcs
-        for ctx in running:
-            if ctx.busy_until <= now and ctx.pc in engine_pcs:
-                return None
         return running
 
-    def _drive_ahead(self, running) -> None:
-        """Drive whole iterations of :meth:`run` with the run-ahead for
-        ``running``, then reconcile and finish.
+    def _width(self, running) -> int:
+        """The issue width of every core with a context in ``running``."""
+        return (self.config.core_params.issue_width
+                * len({ctx.core_id for ctx in running}))
 
-        :meth:`_solo_body` drives one RUNNING context and
-        :meth:`_multi_body` several.  Both touch architectural state,
-        the cache hierarchy, the predictor, the cores' class tallies and
-        the contexts' ``busy_until``, and return the rest for this method
-        to reconcile::
+    def _drive_ahead(self, running) -> None:
+        """Drive iterations of :meth:`run` with :meth:`_multi_body` for
+        ``running``, reconcile what it returns, and finish::
 
             (reason, now, iterations, [(context, instructions retired)],
              issuing cycles per core, stop, the exception of a fault or
              None)
 
-        ``stop`` is None after whole iterations, else ``(core, scan
-        position, slots used)`` where a side exit or a fault left the
-        last iteration unfinished.  After reconciling, a side exit
-        finishes that iteration as the general loop would: the core
-        resumes its issue scan at the stopping context with the slots
+        ``stop`` is ``(core, scan position, slots used)`` where a side
+        exit or a fault left the last iteration unfinished, else None.  A
+        side exit finishes that iteration as the general loop would: the
+        core resumes its scan at the stopping context with the slots
         already used, and later cores run their whole cycle.  A fault or
-        a limit re-raises.
+        a limit re-raises.  The drive counts as solo when one context is
+        RUNNING, else as multi-context.
         """
         machine = self.machine
         start_now = self.now
         start_instructions = machine.instructions_executed
-        solo = len(running) == 1
-        body = self._solo_body if solo else self._multi_body
-        reason, now, iterations, retired, issuing, stop, error = body(running)
+        reason, now, iterations, retired, issuing, stop, error = \
+            self._multi_body(running)
 
         # -- reconcile ---------------------------------------------------
         cores = self.cores
@@ -295,68 +297,42 @@ class TimingSimulator:
                 raise ExecutionLimitExceeded(
                     f"exceeded {self.config.max_cycles} simulated cycles"
                 )
-            elif reason is _OFF_END or reason is _FAULT:
-                # the machine counts a faulting instruction; its core does not
+            elif reason is _FAULT:
+                # the machine counts a faulting instruction; its core does
+                # not.  An IndexError past the table ran off the program.
                 core, index, _ = stop
                 ctx = core.contexts[index]
                 machine._retire(ctx, 1, 1)
-                if reason is _FAULT:
-                    raise error
-                raise ExecutionFault(
-                    f"context {ctx.context_id} ran off the end of the "
-                    f"program (pc={ctx.pc})"
-                )
+                if (error.__class__ is IndexError
+                        and ctx.pc >= len(core.table)):
+                    raise ExecutionFault(
+                        f"context {ctx.context_id} ran off the end of the "
+                        f"program (pc={ctx.pc})")
+                raise error
         finally:
             cycles = self.now - start_now
             instructions = machine.instructions_executed - start_instructions
-            if solo:
+            if len(running) == 1:
                 self.solo_cycles += cycles
                 self.solo_instructions += instructions
             else:
                 self.multi_cycles += cycles
                 self.multi_instructions += instructions
 
-    def _solo_body(self, running):
-        """The solo run-ahead: :meth:`_solo_loop` on the one RUNNING
-        context until it stops; returns what :meth:`_drive_ahead`
-        reconciles."""
-        ctx, = running
-        core = self.cores[ctx.core_id]
-        machine = self.machine
-        # largest retired count after which a full-width cycle still fits
-        # under the dynamic-instruction limit
-        budget = (machine.max_instructions - machine.instructions_executed
-                  - core.params.issue_width)
-        reason, now, iterations, issuing, retired, k, error = \
-            self._solo_loop(ctx, core, self.now, budget, math.inf)
-        stop = None
-        if reason is _SIDE_EXIT or reason is _OFF_END or reason is _FAULT:
-            stop = (core, core.contexts.index(ctx), k)
-        counts = [0] * len(self.cores)
-        counts[core.core_id] = issuing
-        return (reason, now, iterations, [(ctx, retired)], counts, stop,
-                error)
-
+    _solo_loop = _run_ahead_method('''
     def _solo_loop(self, ctx, core, now, budget, wake):
-        """The per-instruction loop of one context running alone.
+        """The per-instruction loop of one context issuing alone.
 
-        With one context ready and nothing to dispatch, an iteration is
-        a pure function of per-instruction latencies: the context issues
-        up to the width, a latency above 1 ends the cycle, and a stalled
-        iteration plus its fast-forward is ``now = max(now + 1, busy)``.
         Other RUNNING contexts may exist only if none is ready before
-        cycle ``wake``: each then misses in the scan, and a fast-forward
-        stops at ``wake``.
-
-        Runs whole iterations from cycle ``now`` until an engine opcode
-        (``_SIDE_EXIT``, leaving the cycle unfinished), the cycle limit,
-        cycle ``wake`` (``_WAKE``), a fault, or a retired count above
-        ``budget`` at the start of an iteration (``_HEADROOM``).  At a
+        cycle ``wake``.  The context issues up to the width, a latency
+        above 1 ends the cycle, and a stall plus its fast-forward is
+        ``now = max(now + 1, busy)``.  Runs whole iterations from cycle
+        ``now`` until an engine opcode (``_SIDE_EXIT``, leaving the cycle
+        unfinished), the cycle limit, cycle ``wake`` (``_WAKE``), a
+        fault, or a retired count above ``budget`` (``_HEADROOM``).  At a
         block entry it calls the entry's lazily compiled block, which
-        advances this loop's own state, or returns None to run the
-        instructions here (see :mod:`repro.timing.blocks`).  It updates
-        architectural state, the cache hierarchy, the predictor, the
-        core's class tally and ``ctx.busy_until``, and returns::
+        advances this loop's state, or returns None to run the
+        instructions here (:mod:`repro.timing.blocks`).  Returns::
 
             (reason, now, iterations, issuing cycles, instructions
              retired, instructions of the unfinished cycle, the
@@ -365,8 +341,8 @@ class TimingSimulator:
         machine = self.machine
         hot_blocks = self._hot_blocks.get(core.core_id)
         if hot_blocks is None:
-            hot_blocks = self._hot_blocks[core.core_id] = \
-                blocks.HotBlocks(self, core)
+            hot_blocks = self._hot_blocks[core.core_id] = (
+                blocks.HotBlocks(self, core))
         table = hot_blocks.table
         hot = hot_blocks.hot
         cold = core.table
@@ -375,9 +351,8 @@ class TimingSimulator:
         predict = self.predictor.predict_and_update
         core_id = core.core_id
         params = core.params
-        width = params.issue_width
-        hide = params.load_hide_latency
-        penalty = params.mispredict_penalty
+        width, hide, penalty = (params.issue_width, params.load_hide_latency,
+                                params.mispredict_penalty)
         max_cycles = self.config.max_cycles
         # the last cycle this loop may start: one before ``wake`` or the
         # cycle limit, whichever comes first
@@ -403,11 +378,7 @@ class TimingSimulator:
                     break
                 while k < width:
                     pc = ctx.pc
-                    try:
-                        kind, latency, class_index, handler, ins = table[pc]
-                    except IndexError:
-                        reason = _OFF_END
-                        break
+                    kind, latency, class_index, handler, ins = table[pc]
                     if kind >= EXIT:
                         if kind != ENTRY:
                             reason = _SIDE_EXIT
@@ -419,9 +390,9 @@ class TimingSimulator:
                             (now, busy, k, retired, iterations, issuing,
                              exit_kind) = state
                             compiled += retired + k - before
-                            if exit_kind < blocks.GUARD:
+                            if exit_kind < GUARD:
                                 continue
-                            if exit_kind == blocks.CYCLE_LIMIT:
+                            if exit_kind == CYCLE_LIMIT:
                                 reason = _CYCLE_LIMIT
                                 break
                             # a failed guard or a fault: the block hands
@@ -429,21 +400,8 @@ class TimingSimulator:
                             pc = ctx.pc
                         kind, latency, class_index, handler, ins = cold[pc]
                     address, taken = handler(machine, ctx, ins, pc)
-                    tally[class_index] += 1
                     k += 1
-                    if kind:  # not PLAIN
-                        if kind == LOAD:
-                            latency = access(core_id, address, False)
-                            if latency <= hide:
-                                continue
-                        elif kind == BRANCH:
-                            if not predict(pc, taken):
-                                latency += penalty
-                        else:  # STORE
-                            access(core_id, address, True)
-                    if latency > 1:
-                        busy = now + latency
-                        break
+                    ISSUE: busy = now + latency; break
                 if reason is not _HEADROOM:
                     break
                 retired += k
@@ -466,51 +424,43 @@ class TimingSimulator:
         self.compiled_instructions += compiled
         ctx.busy_until = busy
         return reason, now, iterations, issuing, retired + k, k, error
+    ''')
 
+    _multi_body = _run_ahead_method('''
     def _multi_body(self, running):
-        """The inline issue loop of the multi-context run-ahead.
+        """The run-ahead's issue loop, for one RUNNING context or several.
 
-        Runs whole iterations of :meth:`run` with the RUNNING contexts of
-        ``running``, as ``SmtCore.cycle`` runs them core by core: each
-        core advances its rotation and scans its contexts cyclically from
-        there, issuing from every ready one until the width is used or
-        ``count`` contexts in a row were not ready, core 0 before core 1,
-        so cache and predictor calls keep their order.  An iteration in
-        which no context is ready issues nothing and fast-forwards to the
-        earliest ``busy_until``.  While exactly one context is ready and
-        every other stays busy past the next cycle, the others only miss
-        in the scan, so :meth:`_solo_loop` runs that context, compiled
-        blocks included, until the earliest wake-up.
+        Runs whole iterations of :meth:`run` as ``SmtCore.cycle`` runs
+        them, core 0 first, so cache and predictor calls keep their
+        order: each core advances its rotation and scans its contexts
+        from there, issuing from every ready one until the width is used
+        or ``count`` contexts in a row were not ready.  An iteration with
+        no ready context fast-forwards to the earliest ``busy_until``.
+        While one context is ready and every other stays busy past the
+        next cycle (always, when it runs alone), the others can only
+        miss, so :meth:`_solo_loop` runs it until the earliest wake-up.
 
-        Stops on an engine opcode: mid-cycle (``_SIDE_EXIT``, with the
-        cycle unfinished), or before an iteration in which a ready context
-        is about to issue one (``_ENGINE_START``: that iteration stays on
-        :meth:`SmtCore.cycle`, as :meth:`_run_ahead` decides).  Also stops
-        on the cycle limit, a fault, or too little headroom for another
-        iteration of every core's width.  Returns what :meth:`_drive_ahead`
-        reconciles.
+        Stops on an engine opcode: mid-cycle (``_SIDE_EXIT``), or before
+        an iteration in which a ready context is about to issue one
+        (``_ENGINE_START``: it stays on :meth:`SmtCore.cycle`, as
+        :meth:`_run_ahead` decides).  Also stops on the cycle limit, a
+        fault, or too little headroom for another iteration.  Returns
+        what :meth:`_drive_ahead` reconciles.
         """
         machine = self.machine
         cores = self.cores
         access = self.hierarchy.access
         predict = self.predictor.predict_and_update
+        params = self.config.core_params  # every core's
+        width, hide, penalty = (params.issue_width, params.load_hide_latency,
+                                params.mispredict_penalty)
         max_cycles = self.config.max_cycles
         running_state = ContextState.RUNNING
-        # per core: its contexts (None where not RUNNING, which stays so
-        # until an engine opcode) and its constants
-        scans = []
-        for core in cores:
-            params = core.params
-            slots = [ctx if ctx.state is running_state else None
-                     for ctx in core.contexts]
-            scans.append((core.core_id, slots, len(slots), core._rotation,
-                          params.issue_width, params.load_hide_latency,
-                          params.mispredict_penalty, core.table,
-                          core.class_tally))
+        scans = None  # made at the first inline scan
         done = dict.fromkeys(running, 0)  # instructions retired per context
         issuing = [0] * len(cores)
         budget = (machine.max_instructions - machine.instructions_executed
-                  - self._total_width)
+                  - self._width(running))
         engine_pcs = self._engine_pcs
         now = self.now
         iterations = retired = 0
@@ -559,42 +509,33 @@ class TimingSimulator:
                     stop = (core, core.contexts.index(ready), used)
                     return (reason, now, iterations, list(done.items()),
                             issuing, stop, error)
+                if scans is None:
+                    # per core: its contexts (None where not RUNNING, until
+                    # an engine opcode), rotation, table and class tally
+                    scans = [(core.core_id,
+                              [ctx if ctx.state is running_state else None
+                               for ctx in core.contexts],
+                              len(core.contexts), core._rotation, core.table,
+                              core.class_tally) for core in cores]
                 cycle_issued = 0
                 for scan in scans:
-                    (core_id, slots, count, rotation, width, hide, penalty,
-                     table, tally) = scan
+                    core_id, slots, count, rotation, table, tally = scan
                     index = (rotation + iterations + 1) % count
                     issued = misses = 0
                     while issued < width and misses < count:
                         ctx = slots[index]
                         if ctx is not None and ctx.busy_until <= now:
                             pc = ctx.pc
-                            try:
-                                kind, latency, class_index, handler, ins = \
-                                    table[pc]
-                            except IndexError:
-                                reason = _OFF_END
-                                break
+                            kind, latency, class_index, handler, ins = \\
+                                table[pc]
                             if kind >= EXIT:
                                 reason = _SIDE_EXIT
                                 break
                             address, taken = handler(machine, ctx, ins, pc)
-                            tally[class_index] += 1
                             done[ctx] += 1
                             issued += 1
                             misses = 0
-                            if kind:  # not PLAIN
-                                if kind == LOAD:
-                                    latency = access(core_id, address, False)
-                                    if latency <= hide:
-                                        latency = 1
-                                elif kind == BRANCH:
-                                    if not predict(pc, taken):
-                                        latency += penalty
-                                else:  # STORE
-                                    access(core_id, address, True)
-                            if latency > 1:
-                                ctx.busy_until = now + latency
+                            ISSUE: ctx.busy_until = now + latency
                         else:
                             misses += 1
                         index += 1
@@ -616,10 +557,11 @@ class TimingSimulator:
         except Exception as exc:  # the faulting instruction is not retired
             reason = _FAULT
             error = exc
-        if reason is _SIDE_EXIT or reason is _OFF_END or reason is _FAULT:
+        if reason is _SIDE_EXIT or reason is _FAULT:
             stop = (cores[scan[0]], index, issued)
         return (reason, now, iterations, list(done.items()), issuing, stop,
                 error)
+    ''')
 
     def _fast_forward(self) -> None:
         """Skip ahead to the next cycle where some context is ready."""

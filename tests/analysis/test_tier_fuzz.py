@@ -58,6 +58,7 @@ from repro.isa.builder import ProgramBuilder
 from repro.isa.instructions import OPCODES, OpClass
 from repro.machine.context import ContextState
 from repro.machine.machine import Machine, run_to_completion
+from repro.timing.params import CoreParams
 from repro.timing.system import TimingSimulator
 
 from tests.conftest import RUN_PATHS, HookRecorder, build_dtt_sum
@@ -693,14 +694,17 @@ TIMING_CORPUS = json.loads(TIMING_CORPUS_PATH.read_text())
 def assert_timing_solo_exact(program, specs=(), hook=None,
                              variant="shipped",
                              max_instructions=MAX_INSTRUCTIONS,
-                             max_cycles=None):
+                             max_cycles=None, core_params=None):
     """Time ``program`` three ways under every configuration, with a
     deferred engine when ``specs`` (one trigger spec or a list) is
-    given; returns the ``variant`` simulators in :data:`CONFIGS` order."""
+    given, and ``core_params`` in place of the default ones if given;
+    returns the ``variant`` simulators in :data:`CONFIGS` order."""
     if isinstance(specs, TriggerSpec):
         specs = [specs]
     sims = []
     overrides = {} if max_cycles is None else {"max_cycles": max_cycles}
+    if core_params is not None:
+        overrides["core_params"] = core_params
     for config in CONFIGS:
         def make_sim(config=config):
             engine = (DttEngine(ThreadRegistry(specs), deferred=True)
@@ -764,6 +768,31 @@ def test_timing_solo_sweep_is_exact():
         assert_timing_solo_exact(*lower_dtt(plan))
 
 
+#: core parameters off the defaults: every L1 hit stalls (load hide
+#: latency 0) and a mispredict costs nothing; or every L2 hit is hidden
+#: (hide 20, above L1 + L2 latency) at issue width 1.  Compiled blocks
+#: fold the issue template differently under each.
+OFF_DEFAULT_CORE_PARAMS = {
+    "hide0-penalty0": CoreParams(load_hide_latency=0, mispredict_penalty=0),
+    "hide20-width1": CoreParams(load_hide_latency=20, issue_width=1),
+}
+
+
+@pytest.mark.parametrize("params", sorted(OFF_DEFAULT_CORE_PARAMS))
+def test_timing_sweep_is_exact_at_off_default_core_parameters(params):
+    """Seeded sweep: 8 padded DTT programs under five configurations
+    with core parameters off the defaults, compiled blocks included."""
+    rng = random.Random(0x5011)
+    compiled = 0
+    for _ in range(8):
+        plan = _compose_timing_plan(rng.choice, lambda: rng.random() < 0.5)
+        sims = assert_timing_solo_exact(
+            *lower_dtt(plan), variant="compiled",
+            core_params=OFF_DEFAULT_CORE_PARAMS[params])
+        compiled += sum(sim.compiled_instructions for sim in sims)
+    assert compiled
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_corpus_case_times_identically_with_solo_run_ahead(name):
     assert_timing_solo_exact(lower(CORPUS[name]))
@@ -778,7 +807,7 @@ def test_timing_corpus_covers_every_block_exit():
     """Each case takes the exit it is named for in a compiled block, and
     together the cases take every exit kind (a looping call counts as a
     ``back-edge``)."""
-    from repro.timing.blocks import EXIT_KINDS
+    from repro.machine.superblock import EXIT_KINDS
 
     seen = set()
     for name, case in sorted(TIMING_CORPUS.items()):

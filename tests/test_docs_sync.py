@@ -97,7 +97,7 @@ def test_architecture_documents_solo_run_ahead():
     side-exit opcode, every hot-block exit kind, and the coverage and
     compile gauges, so none can drift undocumented."""
     from repro.machine.machine import ENGINE_OPCODES
-    from repro.timing.blocks import EXIT_KINDS
+    from repro.machine.superblock import EXIT_KINDS
 
     text = (DOCS / "architecture.md").read_text()
     assert "### Solo run-ahead" in text

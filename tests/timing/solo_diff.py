@@ -18,7 +18,7 @@ import math
 
 import pytest
 
-from repro.machine.superblock import lazy_table
+from repro.machine.superblock import EXIT_KINDS, lazy_table
 from repro.timing import blocks
 from repro.timing.params import SystemConfig, named_config
 from repro.timing.stats import TimingResult
@@ -207,8 +207,9 @@ def assert_solo_exact(make_sim, hook=None, label="", variant="shipped"):
 def record_exits(sim):
     """Hook: count, on ``sim.exits``, how each compiled block call ended.
 
-    Keys are :data:`blocks.EXIT_KINDS`, plus ``"back-edge"`` for a call
-    that looped, retiring more than one block length.
+    Keys are :data:`~repro.machine.superblock.EXIT_KINDS`, plus
+    ``"back-edge"`` for a call that looped, retiring more than one block
+    length.
     """
     sim.exits = exits = collections.Counter()
     for core in sim.cores:
@@ -221,7 +222,7 @@ def record_exits(sim):
             def traced(ctx, now, busy, k, retired, *rest):
                 state = function(ctx, now, busy, k, retired, *rest)
                 if state is not None:
-                    exits[blocks.EXIT_KINDS[state[-1]]] += 1
+                    exits[EXIT_KINDS[state[-1]]] += 1
                     if state[3] + state[2] - retired - k > length:
                         exits["back-edge"] += 1
                 return state
@@ -232,7 +233,9 @@ def record_exits(sim):
 
 def record_multi_exits(sim):
     """Hook: collect, in the set ``sim.multi_exits``, how each call of
-    the multi-context run-ahead ended and which paths it took.
+    the multi-context run-ahead ended and which paths it took: each
+    ``_multi_body`` call with two or more RUNNING contexts (the calls
+    that drive one context alone are solo, and not collected).
 
     An exit that leaves the iteration unfinished is named
     ``<reason>@core<c>``, plus ``side-exit@position<p>`` for a side exit
@@ -250,6 +253,8 @@ def record_multi_exits(sim):
     def traced_multi(running):
         rotations = [core._rotation for core in sim.cores]
         state = multi_body(running)
+        if len(running) == 1:
+            return state
         reason, _, iterations, _, issuing, stop, _ = state
         exits.add(reason)
         if stop is not None:
