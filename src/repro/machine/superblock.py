@@ -21,30 +21,54 @@ A block starts at every *leader* — the program entry, every resolved
 control-flow target, every label, every support-thread entry, and the
 instruction after any branch, ``jmp`` or boundary opcode — and covers a
 contiguous range of PCs (blocks may overlap; a function is only entered
-at its own top).  The range stops at a backward, self or unresolved
-``jmp``, before a *boundary* opcode that must stay cold — ``call``/``ret``
-(call-stack effects), the engine opcodes ``tst``/``tstx``/``tcheck``/
-``treturn`` and ``halt`` (context state) — or at :data:`MAX_LENGTH`
-instructions; shorter ranges than :data:`MIN_BLOCK_LENGTH`
-(:data:`MIN_LOOP_LENGTH` for a loop) stay cold.  Inside the range a
-forward edge to a position inside the current arm is if-converted (the
-skipped positions become the ``else`` arm); one past the arm's join but
-inside the block duplicates the block's tail on that edge, within a
-source budget; an edge to the entry makes a *loop block*, which iterates
-while another iteration fits the budget its caller passes in; any other
-taken edge leaves the block.
+at its own top).  The range stops at a self or unresolved ``jmp``, a
+backward ``jmp`` to the entry or before it, before a *boundary* opcode
+that must stay cold — ``call``/``ret`` (call-stack effects), the engine
+opcodes ``tst``/``tstx``/``tcheck``/``treturn`` and ``halt`` (context
+state) — or at :data:`MAX_LENGTH` instructions.  It runs on past a
+backward ``jmp`` to a head inside it if its loops are *well nested*
+(:func:`loop_nest`): an edge back to a head after the entry makes an
+inner loop from the head to its last back-edge, and two inner loops are
+nested or disjoint, each entered only at its head.  Any other range
+stops at its first backward ``jmp``.  Shorter ranges than
+:data:`MIN_BLOCK_LENGTH` (:data:`MIN_LOOP_LENGTH` for a loop) stay cold.
+
+Inside the range a forward edge to a position inside the current arm is
+if-converted (the skipped positions become the ``else`` arm).  An inner
+loop is a nested ``while`` with its own back-edges; in it, an edge to
+the position just past the loop leaves the ``while``, and an edge to any
+other target outside the arm leaves the block, the entry included.
+Outside the inner loops, an edge past the arm's join but inside the
+block duplicates the block's tail on that edge, within a source budget;
+an edge to the entry makes a *loop block*; any other taken edge leaves
+the block.  Every loop level iterates while another pass fits the budget
+its caller passes in.
 
 Exits
 -----
 Every exit sets ``_e``, an index into the block's static exit table of
 ``(kind, positions complete in the iteration, next pc)`` (kinds:
-:data:`EXIT_KINDS`), and breaks to one shared epilogue.  The
-epilogue writes registers back and adds what the block retired to each
-count — instructions, loads, stores, and in the timed tier op classes,
-L1 hits and predictor lookups — as ``_n`` iterations times the
-per-iteration total plus a static prefix table indexed by the exit
-position, minus what the taken skips left out: each skipped range has a
-counter ``_s<i>``, subtracted times the range's static counts.  Exit
+:data:`EXIT_KINDS`), and breaks to one shared epilogue; inside an inner
+loop it breaks out through each level (``if _e is not None: break``
+after each nested ``while``).  The epilogue writes registers back and
+adds what the block retired to each count — instructions, loads, stores,
+and in the timed tier op classes, L1 hits and predictor lookups — as
+``_n`` iterations times the per-iteration total plus a static prefix
+table indexed by the exit position, minus what the taken skips left out:
+each skipped range has a counter ``_s<i>``, subtracted times the range's
+static counts.  Each inner loop has a *rerun* counter ``_r<i>``, the
+mirror of a skip counter: a back-edge to its head adds one (and skips
+the rest of the loop's range), and the epilogue adds it times the static
+counts of the loop's range.
+
+One budget countdown serves every loop level: ``_room`` starts at the
+budget less the block length, each back-edge takes its loop's span (an
+inner loop's range; for the entry, up to its last back-edge), and a
+back-edge that finds ``_room`` negative leaves by a *headroom* exit at
+its loop's head.  So every pass but the last retires at most its span,
+the last at most the block length, and the block never exceeds the
+budget.  ``_n`` is derived from ``_room`` and the rerun counters at the
+exit.  Exit
 ``j`` of the first ``length`` is the *hand-back* of position ``j``: on a
 failed memory guard (*guard*) or an ``Exception`` (*fault*, its position
 found from the traceback's line number, so no instruction pays for a
@@ -71,12 +95,12 @@ inputs are known at emit time) says, check the cycle limit, take the
 stall, check the limit again.  The slot count is ``_we``, the position
 that takes the cycle's last slot, so an instruction that does not end
 the cycle costs one comparison; a skip of ``span`` positions adds
-``span`` to it.  Loads probe the core's L1 inline (the LRU move-to-end
-of ``Cache.access``), as do stores on a single core; a miss, and every
-store on several cores (which must invalidate the other L1s), calls
-``CacheHierarchy.access``.  The gshare update is inline on both edges of
-a branch, with the history in a local.  The epilogue also undoes a stall
-the cycle limit cut short.
+``span`` to it, and a back-edge takes its loop's range from it.  Loads
+probe the core's L1 inline (the LRU move-to-end of ``Cache.access``), as
+do stores on a single core; a miss, and every store on several cores
+(which must invalidate the other L1s), calls ``CacheHierarchy.access``.
+The gshare update is inline on both edges of a branch, with the history
+in a local.  The epilogue also undoes a stall the cycle limit cut short.
 
 Shadow aspect
 -------------
@@ -91,8 +115,9 @@ taint analysis's per-register taint) are locals, fetched for the
 context in the prologue and written back in the epilogue, as registers
 are; each per-instruction cell is an entry of a list bound per block
 entry, and each PC a transfer names a value bound per entry.  Stores
-keep the word they overwrite.  The shadows are part of the block's
-code-cache key; without them the emitter's source is unchanged.
+keep the word they overwrite.  Without shadows the emitter's source is
+unchanged.  Observed blocks are compiled afresh, not kept in the code
+cache, since observed shapes seldom recur.
 
 Lazy compile and the code cache
 -------------------------------
@@ -105,9 +130,9 @@ defaults, bound per entry.  So a block's code depends only on its
 *shape* — opcodes, operands and targets relative to the entry, plus in
 the timed tier the latencies, op classes and configuration it bakes in
 — and one process-wide LRU cache (:func:`shared_code`) compiles each
-shape once for both tiers.  Each entry binds it over its machine's or
-run's globals, renamed ``sb_<entry_pc>`` or ``tb_<entry_pc>`` for
-profiles; :func:`cache_stats` counts the work.
+unobserved shape once for both tiers.  Each entry binds it over its
+machine's or run's globals, renamed ``sb_<entry_pc>`` or
+``tb_<entry_pc>`` for profiles; :func:`cache_stats` counts the work.
 """
 
 from __future__ import annotations
@@ -170,10 +195,10 @@ EXIT_KINDS = ("fall-through", "taken", "headroom", "engine", "guard",
 
 def compile_reach(timed: bool, is_loop: bool) -> int:
     """The reach of its entry at which a block compiles: a timed block's
-    256th, a functional loop block's first, a straight-line one's 16th.
+    128th, a functional loop block's first, a straight-line one's 16th.
     Earlier reaches run cold, which is cheaper for a block run rarely."""
     if timed:
-        return 256
+        return 128
     return 1 if is_loop else 16
 
 
@@ -221,11 +246,12 @@ def publish_metrics(registry) -> None:
         registry.gauge(f"superblock.{key}", help_text).set(stats[key])
 
 
-def shared_code(key: tuple, generate: Callable[[], tuple],
+def shared_code(key: Optional[tuple], generate: Callable[[], tuple],
                 filename: str) -> tuple:
     """The cached ``(code, statics, data)`` of the block shape ``key``;
     on a miss ``generate()`` returns ``(source lines of one function
-    whose trailing parameters default to statics, statics, data)``."""
+    whose trailing parameters default to statics, statics, data)``.  A
+    ``key`` of ``None`` compiles without caching, counted as a miss."""
     cached = _CODE_CACHE.get(key)
     if cached is not None:
         _STATS["cache_hits"] += 1
@@ -236,9 +262,11 @@ def shared_code(key: tuple, generate: Callable[[], tuple],
     module = compile("\n".join(lines) + "\n", filename, "exec")
     code = next(const for const in module.co_consts
                 if const.__class__ is CodeType)
-    cached = _CODE_CACHE[key] = (code, statics, data)
-    if len(_CODE_CACHE) > CACHE_SHAPES:
-        _CODE_CACHE.popitem(last=False)
+    cached = (code, statics, data)
+    if key is not None:
+        _CODE_CACHE[key] = cached
+        if len(_CODE_CACHE) > CACHE_SHAPES:
+            _CODE_CACHE.popitem(last=False)
     _STATS["cache_misses"] += 1
     _STATS["build_seconds"] += time.perf_counter() - started
     return cached
@@ -295,6 +323,39 @@ def find_leaders(program: Program) -> set:
     return leaders
 
 
+def loop_nest(instructions, entry: int,
+              length: int) -> Optional[Dict[int, int]]:
+    """The inner loops of the range of ``length`` instructions at
+    ``entry``, as ``{head: end}`` positions relative to the entry: an
+    edge from a position at or past a head ``0 < head`` back to it makes
+    ``head`` a loop, whose range ``[head, end)`` runs to its last such
+    back-edge.  ``None`` if the range is not well nested: two loops
+    cross, or an edge enters a loop past its head."""
+    targets = [ins.target - entry if ins.op in TERMINATOR_OPCODES
+               and ins.target is not None else None
+               for ins in instructions[entry:entry + length]]
+    loops: Dict[int, int] = {}
+    for j, target in enumerate(targets):
+        if target is not None and 0 < target <= j:
+            loops[target] = j + 1
+    for head, end in loops.items():
+        if any(head < other < end < loops[other] for other in loops):
+            return None
+        if any(target is not None and head < target < end
+               and not head <= j < end for j, target in enumerate(targets)):
+            return None
+    return loops
+
+
+def _outer_back_edges(instructions, entry: int, length: int,
+                      loops: Dict[int, int]) -> List[int]:
+    """Positions whose edge returns to the entry from outside every inner
+    loop: the back-edges of a loop block."""
+    return [j for j, ins in enumerate(instructions[entry:entry + length])
+            if ins.op in TERMINATOR_OPCODES and ins.target == entry
+            and not any(head <= j < end for head, end in loops.items())]
+
+
 def form_blocks(program: Program) -> List[Tuple[int, int, bool]]:
     """The blocks worth compiling, as ``(entry_pc, length, is_loop)``:
     one contiguous range per leader (see the module docstring)."""
@@ -303,7 +364,7 @@ def form_blocks(program: Program) -> List[Tuple[int, int, bool]]:
     blocks: List[Tuple[int, int, bool]] = []
     for leader in sorted(find_leaders(program)):
         length = 0
-        is_loop = False
+        cut = None  # the length up to the first backward jmp
         pc = leader
         while pc < size and length < MAX_LENGTH:
             ins = instructions[pc]
@@ -311,11 +372,17 @@ def form_blocks(program: Program) -> List[Tuple[int, int, bool]]:
             if op not in COMPILABLE_OPCODES:
                 break
             length += 1
-            if op in TERMINATOR_OPCODES and ins.target == leader:
-                is_loop = True
             if op == "jmp" and (ins.target is None or ins.target <= pc):
-                break
+                cut = cut or length
+                if ins.target is None or not leader < ins.target < pc:
+                    break
             pc += 1
+        loops = loop_nest(instructions, leader, length)
+        if loops is None and cut is not None:
+            length = cut
+            loops = loop_nest(instructions, leader, length)
+        is_loop = bool(_outer_back_edges(instructions, leader, length,
+                                         loops or {}))
         if length >= (MIN_LOOP_LENGTH if is_loop else MIN_BLOCK_LENGTH):
             blocks.append((leader, length, is_loop))
     return blocks
@@ -380,6 +447,9 @@ class Block:
     #: the function's name and its parameters before the exit table
     NAME, PARAMS = "sb", "ctx, budget"
 
+    #: the instructions the caller lets the block retire, on entry
+    ROOM = "budget"
+
     #: do stores keep the word they overwrite in ``_old``? (shadow aspect)
     KEEP_OLD = False
 
@@ -391,6 +461,17 @@ class Block:
         #: each position's control-flow target, relative to the entry
         self.targets = [None if ins.target is None else ins.target - entry
                         for ins in body]
+        #: inner loop head -> its end; the index of its rerun counter
+        #: ``_r<i>`` is its rank
+        self.loops = loop_nest(instructions, entry, length) or {}
+        self.reruns = {head: index
+                       for index, head in enumerate(sorted(self.loops))}
+        #: the inner loop being emitted, as ``(head, end)``
+        self._loop: Optional[Tuple[int, int]] = None
+        #: positions an iteration of a loop block retires at most: up to
+        #: its last back-edge
+        self.period = 1 + max(_outer_back_edges(
+            instructions, entry, length, self.loops)) if is_loop else 0
         read, written = set(), set()
         for ins in body:
             dest, sources = operand_roles(ins.op)
@@ -436,20 +517,36 @@ class Block:
         index = self.skips.setdefault((lo, hi), len(self.skips))
         return [f"_s{index} += 1"]
 
-    def _back_edge(self) -> List[str]:
-        """Start the next iteration, or leave at the entry when another
-        would not fit the budget (timing aspect hook)."""
-        return ["_n += 1", "if _n < _maxn: continue",
-                self._exit(HEADROOM, 0, 0)]
+    def _back_edge(self, head: int, end: int) -> List[str]:
+        """Start the next pass of the loop over [head, end), or leave at
+        its head when another would not fit the budget (timing aspect
+        hook).  An inner loop counts its reruns; a loop block's
+        iterations are derived from ``_room`` in the epilogue."""
+        if head:
+            span = end - head
+            lines = [f"_r{self.reruns[head]} += 1; _room -= {span}"]
+        else:
+            lines = [f"_room -= {self.period}"]
+        return lines + ["if _room >= 0: continue",
+                        self._exit(HEADROOM, head, head)]
 
     def _leave(self, indent: str, j: int, target: int, hi: int) -> None:
         """Take the edge from position ``j`` to ``target``, which does
-        not merge into the range ending at ``hi``: loop, duplicate the
-        block's tail, or exit."""
+        not merge into the range ending at ``hi``: loop, leave an inner
+        loop, duplicate the block's tail, or exit."""
         length = self.length
-        if target == 0 and self.is_loop:
-            self._put(indent, self._skip(j + 1, length) + self._back_edge(),
-                      j)
+        if self._loop is not None:
+            head, end = self._loop
+            if target == head:
+                self._put(indent, self._skip(j + 1, end)
+                          + self._back_edge(head, end), j)
+            elif target == end:
+                self._put(indent, self._skip(j + 1, end) + ["break"], j)
+            else:
+                self._put(indent, [self._exit(TAKEN, j + 1, target)], j)
+        elif target == 0 and self.is_loop:
+            self._put(indent, self._skip(j + 1, length)
+                      + self._back_edge(0, length), j)
         elif hi < target <= length \
                 and self._dup_budget >= length - target:
             self._dup_budget -= length - target
@@ -488,19 +585,36 @@ class Block:
 
     # -- the body ------------------------------------------------------------
 
-    def _range(self, indent: str, lo: int, hi: int) -> None:
+    def _inner_loop(self, indent: str, head: int) -> int:
+        """Emit the inner loop at ``head`` as a nested ``while``; an exit
+        inside it breaks out through each level.  Returns its end."""
+        end = self.loops[head]
+        outer, self._loop = self._loop, (head, end)
+        self._put(indent, ["while 1:"], head)
+        if self._range(indent + "    ", head, end):
+            self._put(indent + "    ", ["break"], end - 1)
+        self._loop = outer
+        self._put(indent, ["if _e is not None: break"], end - 1)
+        return end
+
+    def _range(self, indent: str, lo: int, hi: int) -> bool:
         """Emit positions [lo, hi); ends in an exit or a back-edge unless
-        it merges back at ``hi`` < length."""
+        it merges back at ``hi`` < length, or ends an inner loop's pass.
+        Returns whether control may reach ``hi``."""
         length = self.length
         j = lo
         while j < hi:
+            if j in self.loops and (self._loop is None
+                                    or self._loop[0] != j):
+                j = self._inner_loop(indent, j)
+                continue
             ins = self.body[j]
             target = self.targets[j]
             if ins.op == "jmp":
                 self._put(indent, self._instruction(j, ins), j)
                 if not j < target <= hi:
                     self._leave(indent, j, target, hi)
-                    return
+                    return False
                 self._put(indent, self._skip(j + 1, target), j)
                 j = target
             elif ins.op in TERMINATOR_OPCODES:
@@ -531,30 +645,29 @@ class Block:
                 self._put(indent, self._instruction(j, ins), j)
                 self._put(indent, self._transfer(j, ins), None)
                 j += 1
-        if hi == length:
+        if hi == length and self._loop is None:
             self._put(indent, [self._exit(FALL_THROUGH, length, length)],
                       length - 1)
+        return True
 
     # -- prologue and epilogue (timing aspect hooks) -------------------------
 
-    def _prologue(self, room: str = "budget") -> List[str]:
-        """Enter with ``room`` instructions left under the budget."""
+    def _prologue(self) -> List[str]:
+        """Enter with ``ROOM`` instructions left under the budget."""
         length = self.length
-        lines = [f"if {room} < {length}: return None"]
-        if self.is_loop:
-            # an iteration that loops retires at most ``period``; the last
-            # may run on to the block's end
-            period = 1 + max(j for j, target in enumerate(self.targets)
-                             if target == 0
-                             and self.body[j].op in TERMINATOR_OPCODES)
-            tail = f" - {length - period}" if period < length else ""
-            lines.append(f"_maxn = ({room}{tail}) // {period}; _n = 0")
+        lines = [f"if {self.ROOM} < {length}: return None"]
+        if self.is_loop or self.loops:
+            # one countdown for every loop level: each back-edge takes
+            # its span, and the last pass may run on to the block's end
+            lines.append(f"_room = {self.ROOM} - {length}"
+                         + ("; _e = None" if self.loops else ""))
         if self.regs:
             lines.append("regs = ctx.regs; " + "; ".join(
                 f"r{r} = regs[{r}]" for r in self.regs))
-        if self.skips:
-            lines.append(" = ".join(f"_s{i}" for i in self.skips.values())
-                         + " = 0")
+        if self.skips or self.loops:
+            lines.append(" = ".join(
+                [f"_s{i}" for i in self.skips.values()]
+                + [f"_r{i}" for i in self.reruns.values()]) + " = 0")
         return lines
 
     def _total(self, flags) -> str:
@@ -574,6 +687,11 @@ class Block:
             self.statics[table] = tuple(accumulate(flags, initial=0))
             terms.append(f"{table}[_d]")
         expr = " + ".join(terms)
+        for head, index in self.reruns.items():
+            rerun = sum(flags[head:self.loops[head]])
+            if rerun:
+                expr += f" + _r{index}" + (f" * {rerun}" if rerun > 1
+                                           else "")
         for (lo, hi), index in self.skips.items():
             skipped = sum(flags[lo:hi])
             if skipped:
@@ -605,6 +723,12 @@ class Block:
             lines.append("        if _e is None: raise")
         self.statics["_P"] = (0,) * (1 + len(head) + 1) + tuple(self.where)
         epilogue = ["_x, _d, _pc = _X[_e]"]
+        if self.is_loop:  # the iterations, from what the back-edges took
+            epilogue.append(f"_n = ({self.ROOM} - {self.length} - _room"
+                            + "".join(f" - _r{self.reruns[head]} * "
+                                      f"{end - head}"
+                                      for head, end in self.loops.items())
+                            + f") // {self.period}")
         if self.written:
             epilogue.append("; ".join(f"regs[{r}] = r{r}"
                                       for r in self.written))
@@ -671,8 +795,8 @@ class ShadowBlock(Block):
                                           lambda slot: str(getattr(ins, slot)),
                                           pc, entry, cell))
 
-    def _prologue(self, room: str = "budget") -> List[str]:
-        return super()._prologue(room) + [
+    def _prologue(self) -> List[str]:
+        return super()._prologue() + [
             f"_{file} = {file}[ctx.context_id]; " + "; ".join(
                 f"_{file}_{r} = _{file}[{r}]" for r in sorted(touched))
             for file, touched in self.files.items()]
@@ -696,19 +820,19 @@ class ShadowBlock(Block):
 
 def block_code(instructions, entry: int, length: int, is_loop: bool,
                shadows: tuple = ()):
-    """The shared ``(code, statics, data)`` of the functional block of
-    ``length`` instructions at ``entry``, running ``shadows``' transfers
-    if any (:class:`ShadowBlock`)."""
+    """The ``(code, statics, data)`` of the functional block of
+    ``length`` instructions at ``entry``, shared by shape; with
+    ``shadows``, running their transfers (:class:`ShadowBlock`) and
+    compiled afresh, since observed shapes seldom recur."""
+    if shadows:
+        return shared_code(None, ShadowBlock(
+            instructions, entry, length, is_loop, shadows).generate,
+            SB_FILENAME)
     pcs = range(entry, entry + length)
-
-    def generate():
-        if shadows:
-            return ShadowBlock(instructions, entry, length, is_loop,
-                               shadows).generate()
-        return Block(instructions, entry, length, is_loop).generate()
-
-    return shared_code((SB_PREFIX, is_loop, shape(instructions, pcs, entry),
-                        shadows), generate, SB_FILENAME)
+    return shared_code(
+        (SB_PREFIX, is_loop, shape(instructions, pcs, entry)),
+        lambda: Block(instructions, entry, length, is_loop).generate(),
+        SB_FILENAME)
 
 
 def block_namespace(machine, **bound) -> dict:

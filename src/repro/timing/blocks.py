@@ -109,6 +109,7 @@ class TimedBlock(Block):
     Block`: the source of one timed block, relative to its entry."""
 
     NAME, PARAMS = "tb", "ctx, now, busy, k, retired, it, iss, budget, limit"
+    ROOM = "budget - _t"
 
     def __init__(self, hb: HotBlocks, entry: int, length: int,
                  is_loop: bool):
@@ -163,8 +164,8 @@ class TimedBlock(Block):
         lines = super()._skip(lo, hi)
         return [f"{line}; _we += {hi - lo}" for line in lines]
 
-    def _back_edge(self) -> List[str]:
-        return [f"_we -= {self.length}"] + super()._back_edge()
+    def _back_edge(self, head: int, end: int) -> List[str]:
+        return [f"_we -= {end - head}"] + super()._back_edge(head, end)
 
     def _instruction(self, j: int, ins) -> List[str]:
         cfg = self.cfg
@@ -215,8 +216,8 @@ class TimedBlock(Block):
                      (j + 1, self.targets[j])),
                 edge("_hi << 1", "_DN", "_v > 1", (j + 1, j + 1)))
 
-    def _prologue(self, room: str = "budget") -> List[str]:
-        lines = (["_t = retired + k"] + super()._prologue("budget - _t"))
+    def _prologue(self) -> List[str]:
+        lines = ["_t = retired + k"] + super()._prologue()
         if self.bound:
             lines.append("_hi = _PR._history")
         return lines + [f"_we = {self.cfg.width - 1} - k; now0 = now",

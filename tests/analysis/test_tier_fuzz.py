@@ -75,6 +75,8 @@ REGS = [4, 5, 6, 7, 8]
 LOOP_REGS = [9, 10, 11]
 ARRAY = 16  # words of in-bounds scratch
 BASE_REG = 12  # holds the scratch base address
+#: the corpus-only ``restart`` item's count and its scratch
+RESTARTS, RESTART_TMP = 13, 14
 MAX_INSTRUCTIONS = 50_000
 
 _MEMORY = (OpClass.LOAD, OpClass.STORE, OpClass.TSTORE)
@@ -104,11 +106,14 @@ def lower(plan):
     with b.function("main"):
         b.program.add_symbol_patch(b.li(BASE_REG, 0), "b", "scratch")
         _lower_body(b, plan, 0)
+        b.label("fuzzdone")
         b.halt()
     return b.build()
 
 
-def _lower_body(b, body, depth):
+def _lower_body(b, body, depth, heads=()):
+    """Lower ``body`` at loop ``depth``; ``heads`` are the labels of the
+    enclosing loops' heads, outermost first."""
     for item in body:
         kind = item[0]
         if kind == "li":
@@ -134,24 +139,49 @@ def _lower_body(b, body, depth):
             top = b.fresh_label("fuzzloop")
             b.li(counter, item[1])
             b.label(top)
-            _lower_body(b, item[2], depth + 1)
+            _lower_body(b, item[2], depth + 1, (*heads, top))
             b.subi(counter, counter, 1)
             b.bnez(counter, top)
+        elif kind == "loopmid":
+            # corpus only: a loop of ``item[1]`` passes that goes back to
+            # its head mid-body when the register is nonzero, leaves by
+            # a branch to its end, and closes with a backward ``jmp``
+            counter = LOOP_REGS[depth]
+            top = b.fresh_label("fuzzloop")
+            out = b.fresh_label("fuzzout")
+            b.li(counter, item[1])
+            b.label(top)
+            _lower_body(b, item[3], depth + 1, (*heads, top))
+            b.subi(counter, counter, 1)
+            b.beqz(counter, out)
+            b.bnez(item[2], top)
+            _lower_body(b, item[4], depth + 1, (*heads, top))
+            b.jmp(top)
+            b.label(out)
+        elif kind == "restart":
+            # corpus only: the first ``item[2]`` times, go back to the
+            # head of the enclosing loop at depth ``item[1]``
+            b.addi(RESTARTS, RESTARTS, 1)
+            b.slti(RESTART_TMP, RESTARTS, item[2] + 1)
+            b.bnez(RESTART_TMP, heads[item[1]])
+        elif kind == "done":
+            # corpus only: leave for the program's halt when nonzero
+            b.bnez(item[1], "fuzzdone")
         elif kind == "if":
             skip = b.fresh_label("fuzzskip")
             b.beqz(item[1], skip)
-            _lower_body(b, item[2], depth)
+            _lower_body(b, item[2], depth, heads)
             b.label(skip)
         elif kind == "ifcmp":
             # skip the body when a two-register branch is taken
             skip = b.fresh_label("fuzzskip")
             b.emit(item[1], item[2], item[3], label=skip)
-            _lower_body(b, item[4], depth)
+            _lower_body(b, item[4], depth, heads)
             b.label(skip)
         elif kind == "jmpfwd":
             over = b.fresh_label("fuzzjmp")
             b.jmp(over)
-            _lower_body(b, item[1], depth)
+            _lower_body(b, item[1], depth, heads)
             b.label(over)
         elif kind == "ifelse":
             # a diamond: the first body when the register is nonzero,
@@ -159,10 +189,10 @@ def _lower_body(b, body, depth):
             other = b.fresh_label("fuzzelse")
             join = b.fresh_label("fuzzjoin")
             b.beqz(item[1], other)
-            _lower_body(b, item[2], depth)
+            _lower_body(b, item[2], depth, heads)
             b.jmp(join)
             b.label(other)
-            _lower_body(b, item[3], depth)
+            _lower_body(b, item[3], depth, heads)
             b.label(join)
         else:  # pragma: no cover - malformed corpus entry
             raise AssertionError(f"unknown plan item {item!r}")
@@ -803,23 +833,33 @@ def test_timing_corpus_case_is_exact_with_every_block_compiled(name):
     replay_timing_case(TIMING_CORPUS[name])
 
 
+#: the block exits the corpus takes from inside an inner loop: every
+#: kind but the fall-through, which only the block's end takes, and a
+#: cycle-limit exit at another context's wake-up
+INNER_EXITS = {f"{kind}@inner" for kind in (
+    "taken", "headroom", "engine", "guard", "fault", "cycle-limit", "wake")}
+
+
 def test_timing_corpus_covers_every_block_exit():
-    """Each case takes the exit it is named for in a compiled block, and
-    together the cases take every exit kind (a looping call counts as a
-    ``back-edge``)."""
+    """Each case takes the block exit it is named for (``block_exit``,
+    else ``exit`` unless a multi case) in a compiled block, and together
+    the cases take every exit kind (a looping call counts as a
+    ``back-edge``), each of :data:`INNER_EXITS` included."""
     from repro.machine.superblock import EXIT_KINDS
 
     seen = set()
     for name, case in sorted(TIMING_CORPUS.items()):
-        if "multi" in case:
+        named = case.get("block_exit",
+                         None if "multi" in case else case["exit"])
+        if named is None:
             continue
         exits = set()
         for sim in replay_timing_case(case, hook=record_exits,
                                       variant="compiled"):
             exits.update(kind for kind, count in sim.exits.items() if count)
-        assert case["exit"] in exits, (name, sorted(exits))
+        assert named in exits, (name, sorted(exits))
         seen |= exits
-    assert seen == set(EXIT_KINDS) | {"back-edge"}
+    assert seen == set(EXIT_KINDS) | {"back-edge", "wake"} | INNER_EXITS
 
 
 # -- multi-context run-ahead vs the general issue loop (timing) ----------------

@@ -428,6 +428,73 @@ def test_loop_block_entered_once_runs_compiled():
     assert fingerprint(machine) == fingerprint(reference)
 
 
+def _ill_nested_program(crossing):
+    """A range whose ``jmp`` back to an interior head closes a loop that
+    another loop crosses (``crossing``), or that a forward branch enters
+    past its head; the code after the ``jmp`` runs on to the halt."""
+    b = ProgramBuilder()
+    with b.function("main"):
+        b.li(4, 3)
+        if crossing:
+            b.label("first")
+            b.addi(5, 5, 1)
+            b.label("middle")
+            b.subi(4, 4, 1)
+            b.bgt(4, 0, "first")    # loop [first, here]
+            b.addi(6, 6, 1)
+            b.slti(7, 6, 3)
+            b.beqz(7, "out")
+            b.jmp("middle")         # loop [middle, here]: crosses it
+        else:
+            b.beqz(8, "middle")     # enters the loop past its head
+            b.label("second")
+            b.addi(5, 5, 1)
+            b.label("middle")
+            b.subi(4, 4, 1)
+            b.beqz(4, "out")
+            b.jmp("second")
+        b.label("out")
+        b.out(5)
+        b.out(6)
+        b.halt()
+    return b.build()
+
+
+@pytest.mark.parametrize("crossing", [True, False],
+                         ids=["crossing-loops", "entered-past-its-head"])
+def test_an_ill_nested_range_stops_at_its_first_backward_jmp(crossing):
+    from repro.machine.superblock import form_blocks, loop_nest
+
+    program = _ill_nested_program(crossing)
+    jmp = next(pc for pc, ins in enumerate(program.instructions)
+               if ins.op == "jmp")
+    halt = len(program.instructions) - 1
+    assert program.instructions[jmp].target < jmp < halt - 2
+    # the range would run on to the halt, but its loops are ill nested
+    assert loop_nest(program.instructions, 0, halt) is None
+    assert (0, jmp + 1, False) in form_blocks(program)
+    reference = Machine(program)
+    drive_legacy(reference)
+    for prepare in RUN_PATHS.values():
+        machine = prepare(Machine(program))
+        run_to_completion(machine)
+        assert fingerprint(machine) == fingerprint(reference)
+
+
+def test_equake_row_loop_nest_is_one_loop_block():
+    # the sparse row loop (PCs 49-67) with its inner loop (57-65) is one
+    # block: the inner loop's backward jmp does not end it
+    from repro.machine.superblock import form_blocks, loop_nest
+
+    equake = SUITE["equake"]
+    program = equake.build_baseline(equake.make_input())
+    ops = [ins.op for ins in program.instructions]
+    assert (ops[65], program.instructions[65].target) == ("jmp", 57)
+    assert (ops[67], program.instructions[67].target) == ("jmp", 49)
+    assert (49, 19, True) in form_blocks(program)
+    assert loop_nest(program.instructions, 49, 19) == {8: 17}
+
+
 def test_superblock_formation_covers_suite():
     from repro.machine.superblock import form_blocks
 
@@ -466,6 +533,31 @@ def test_superblock_code_cache_shares_compiles_across_machines():
     assert stats["cache_hits"] == stats["blocks_compiled"] == bound
     assert stats["hit_rate"] == 1.0
     assert first.output == second.output
+
+
+def test_observed_block_shapes_compile_afresh_outside_the_code_cache():
+    # observed shapes seldom recur: a second observed machine on the same
+    # program compiles every block again, and neither run adds a shape to
+    # the code cache, though each compile counts as a miss
+    from repro.machine import superblock
+
+    workload = SUITE["gap"]
+    program = workload.build_baseline(workload.make_input(scale=4))
+    cached = dict(superblock._CODE_CACHE)
+    outputs = []
+    for _ in range(2):
+        superblock.reset_cache_stats()
+        machine = Machine(program)
+        machine.add_observer(RedundantLoadProfiler())
+        machine.add_observer(RedundancyTaintAnalyzer())
+        run_to_completion(machine)
+        stats = superblock.cache_stats()
+        assert machine.compiled_instructions > 0
+        assert stats["cache_hits"] == 0
+        assert stats["cache_misses"] == stats["blocks_compiled"] >= 1
+        assert dict(superblock._CODE_CACHE) == cached
+        outputs.append(machine.output)
+    assert outputs[0] == outputs[1]
 
 
 def test_baseline_and_dtt_builds_share_block_shapes():

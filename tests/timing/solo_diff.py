@@ -18,7 +18,8 @@ import math
 
 import pytest
 
-from repro.machine.superblock import EXIT_KINDS, lazy_table
+from repro.machine.superblock import (EXIT_KINDS, GUARD, HEADROOM,
+                                      lazy_table, loop_nest)
 from repro.timing import blocks
 from repro.timing.params import SystemConfig, named_config
 from repro.timing.stats import TimingResult
@@ -204,27 +205,63 @@ def assert_solo_exact(make_sim, hook=None, label="", variant="shipped"):
     return runs[variant]
 
 
+class _Exit(int):
+    """An exit kind that knows where its exit-table row leaves: ``inner``
+    when inside an inner loop of the block.  Being an ``int``, it runs
+    the block's epilogue and the run-ahead unchanged."""
+
+
+def _tag_exits(function, length, loops):
+    """Rebind the exit table of ``function``, a block of ``length``
+    positions with inner ``loops``, with :class:`_Exit` kinds."""
+    rows = []
+    for kind, d, pc in function.__defaults__[0]:
+        # hand-backs and headroom leave at position d, the rest after it;
+        # an exit at the block's end leaves after every loop
+        position = d if kind >= GUARD or kind == HEADROOM else d - 1
+        tagged = _Exit(kind)
+        tagged.inner = d < length and any(
+            head <= position < end for head, end in loops.items())
+        rows.append((tagged, d, pc))
+    function.__defaults__ = (tuple(rows),) + function.__defaults__[1:]
+
+
 def record_exits(sim):
     """Hook: count, on ``sim.exits``, how each compiled block call ended.
 
     Keys are :data:`~repro.machine.superblock.EXIT_KINDS`, plus
     ``"back-edge"`` for a call that looped, retiring more than one block
-    length.
+    length, and ``"wake"`` for a cycle-limit exit at the wake-up of
+    another context (the call's limit below the configuration's).  An
+    exit from inside an inner loop of the block also counts as
+    ``"<key>@inner"``.
     """
     sim.exits = exits = collections.Counter()
+    instructions = sim.machine.program.instructions
+    max_cycles = sim.config.max_cycles
     for core in sim.cores:
         hot = sim._hot_blocks[core.core_id] = blocks.HotBlocks(sim, core)
 
         def traced_compile(entry, length, is_loop,
                            compile_block=hot.compile):
             function = compile_block(entry, length, is_loop)
+            _tag_exits(function, length,
+                       loop_nest(instructions, entry, length) or {})
 
             def traced(ctx, now, busy, k, retired, *rest):
                 state = function(ctx, now, busy, k, retired, *rest)
                 if state is not None:
-                    exits[EXIT_KINDS[state[-1]]] += 1
+                    kind = state[-1]
+                    keys = [EXIT_KINDS[kind]]
+                    if EXIT_KINDS[kind] == "cycle-limit" \
+                            and rest[-1] < max_cycles:
+                        keys.append("wake")
                     if state[3] + state[2] - retired - k > length:
-                        exits["back-edge"] += 1
+                        keys.append("back-edge")
+                    for key in keys:
+                        exits[key] += 1
+                        if kind.inner and key != "back-edge":
+                            exits[f"{key}@inner"] += 1
                 return state
             return traced
 

@@ -361,9 +361,13 @@ def test_mispredict_ends_a_cycle_mid_block(config):
     sim, snap = compiled_exact(baseline_sim(mispredict_program(), config))
     assert snap["error"] is None
     assert sim.predictor.mispredicts > 0
-    # the loop's block runs every iteration: the only taken exit is the
-    # entry block's branch into the loop
-    assert sim.exits["taken"] == 1 and sim.exits["back-edge"]
+    # the loop is an inner loop of the entry's block, which runs every
+    # iteration in one call: no taken exit, one call that loops and
+    # leaves at the halt, and every instruction but the halt compiled
+    assert sim.exits["taken"] == 0 and sim.exits["back-edge"] == 1
+    assert sim.exits["engine"] == sim.exits["engine@inner"] + 1 == 1
+    assert sim.compiled_instructions == \
+        sim.machine.instructions_executed - 1
 
 
 def while_program():
