@@ -227,10 +227,10 @@ def build_ledger(specs: Optional[Iterable[RunSpec]] = None,
     ``solo_instructions``, ``multi_instructions`` and
     ``compiled_instructions`` (instructions retired in all, by the solo
     and the multi-context run-ahead, and inside compiled blocks), and the
-    profiles' ``profiled_instructions``, ``shadow_instructions`` and
-    ``compiled_profiled_instructions`` (instructions profiled, those of
-    them analysed by inline shadow transfers instead of hook calls, and
-    those retired inside compiled blocks).
+    profiles' ``profiled_instructions`` and
+    ``compiled_profiled_instructions`` (instructions profiled, and those
+    of them retired inside compiled blocks, analysed by inline shadow
+    transfers).
     """
     runs = {}
     for spec in (ledger_specs() if specs is None else specs):
@@ -253,8 +253,6 @@ def build_ledger(specs: Optional[Iterable[RunSpec]] = None,
         pinned[spec.canonical()] = profile_entry_of(report)
         if coverage is not None:
             for key, count in (("profiled_instructions", report.instructions),
-                               ("shadow_instructions",
-                                report.shadow_instructions),
                                ("compiled_profiled_instructions",
                                 report.compiled_instructions)):
                 coverage[key] = coverage.get(key, 0) + count

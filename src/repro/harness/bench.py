@@ -1,9 +1,9 @@
 """Interpreter benchmark: instructions/sec of the batch driver.
 
 ``dtt-harness bench`` (and ``benchmarks/bench_interpreter.py``) measure
-:meth:`~repro.machine.machine.Machine.run` — exec-compiled superblocks
-with the per-PC closure thunks as fallback — against legacy
-per-instruction stepping, on three workload classes:
+:meth:`~repro.machine.machine.Machine.run` — exec-compiled superblocks,
+with the pre-decoded step handlers for what they do not run — against
+legacy per-instruction stepping, on three workload classes:
 
 * ``mcf`` — pointer-chasing integer code, the paper's headline workload
   and the worst case for per-instruction interpreter overhead;
@@ -13,8 +13,9 @@ per-instruction stepping, on three workload classes:
 Each row also times an **observed** run: the same program with both
 redundancy observers attached (``RedundantLoadProfiler`` and
 ``RedundancyTaintAnalyzer``, as E1/E2 profile it), under ``Machine.run``
-(compiled blocks and thunks, both running the observers' shadow
-transfers inline) and under the ``step()`` loop (hook calls).  The two
+(compiled blocks running the observers' shadow transfers inline, and
+hook calls from the step handlers for the rest) and under the
+``step()`` loop (hook calls).  The two
 must agree on the fingerprint and on both observers' summaries;
 ``observed_seconds`` is the ``run`` time and ``observed_speedup`` its
 rate over stepping.

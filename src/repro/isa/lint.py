@@ -41,7 +41,7 @@ callers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.cfg import reachable_pcs, thread_regions
 from repro.analysis.findings import (ERROR, WARNING, Finding, Severity,
@@ -78,29 +78,13 @@ CODES: Dict[str, Tuple[Severity, str]] = {
 }
 
 
-def _thread_regions(program: Program) -> Dict[str, range]:
-    """Thread name -> PC range (see :func:`repro.analysis.cfg.thread_regions`,
-    which absorbed this helper; the alias keeps old imports working)."""
-    return thread_regions(program)
-
-
-def _reachable(program: Program) -> Set[int]:
-    """PCs reachable from the entry point or any thread entry.
-
-    Delegates to the CFG layer's precise reachability: ``ret`` flows only
-    to the return sites of calls that actually reach it, and a ``call``'s
-    fallthrough is live only if its callee can return.
-    """
-    return reachable_pcs(program)
-
-
 def lint_program(program: Program) -> List[Finding]:
     """Run every check; returns findings sorted errors-first, then by pc."""
     if not program.finalized:
         raise ProgramValidationError("lint requires a finalized program")
     findings: List[Finding] = []
     instructions = program.instructions
-    regions = _thread_regions(program)
+    regions = thread_regions(program)
     num_threads = len(program.threads)
 
     if not any(i.op == "halt" for i in instructions):
@@ -152,7 +136,7 @@ def lint_program(program: Program) -> List[Finding]:
                 f"{num_threads} thread(s)",
             ))
 
-    reachable = _reachable(program)
+    reachable = reachable_pcs(program)
     for pc in range(len(instructions)):
         if pc not in reachable:
             findings.append(Finding(

@@ -18,26 +18,28 @@ Hooks must take the instruction's PC from their ``pc`` argument and must
 not read ``ctx.pc`` or the instruction counters (``ctx.instruction_count``,
 ``Machine.instructions_executed`` and the main/support split): observed
 runs go through ``Machine.run``'s batch loop, which reconciles those only
-once per chunk of instructions.  Hooks are bound when the machine
-compiles its thunk table, so attach observers with
-``Machine.add_observer`` rather than patching hook methods during a run.
+once per chunk of instructions.  Compiled blocks bind the observers'
+shadow state when the machine builds its block table, so attach
+observers with ``Machine.add_observer`` rather than swapping state
+during a run.
 
 **Declared shadow transfers.**  An observer whose analysis is a small
 shadow machine (per-register and per-word state updated at each
 instruction) can declare it as a :class:`Shadow`: per instruction kind,
-the source of the update its hooks make.  ``Machine.run`` then generates
-that update inline into each thunk and, when every attached observer
-declares one, into each compiled block (:mod:`repro.machine.semantics`,
+the source of the update its hooks make.  When every attached observer
+declares one, ``Machine.run`` generates those updates inline into each
+compiled block (:mod:`repro.machine.semantics`,
 :mod:`repro.machine.superblock`), so the instruction and its shadow
-update run in one call and the observer's hooks are not called there.
-The hooks still fire everywhere ``step()`` executes: the engine opcodes
+update run in one call and the observers' hooks are not called there.
+The hooks still fire wherever a step handler executes: the instructions
+no compiled block retires (uncompiled PCs and hand-backs, on
+``Machine.run``'s cold path), the engine opcodes
 (``tst``/``tstx``/``tcheck``/``treturn``/``halt``, which ``run`` hands
-to ``step()``), the single-stepped tail of a ``run`` near the
-dynamic-instruction limit, the timing model's issue loop and the
-debugger.  A declared observer's hooks and transfers must therefore
-update the same state identically; the transfers are tested against the
-hooks.  An observer that declares nothing gets its hooks called from the
-thunks, in ``step()``'s order, and keeps the whole run on thunks.
+to ``step()``), the timing model and the debugger.  A declared
+observer's hooks and transfers must therefore update the same state
+identically; the hooks are the reference the transfers are tested
+against.  An observer that declares nothing keeps the whole run on the
+step handlers, which call its hooks in ``step()``'s order.
 
 **Instruction totals.**  An observer with ``counts_instructions`` set
 keeps a ``total_instructions`` counter that the machine maintains: ``run``
@@ -86,10 +88,9 @@ class Shadow(NamedTuple):
 
     ``registers`` names per-context register files: ``shadow_state()``
     maps each to a mapping from context id to a list indexed by
-    register, created on first use.  A thunk looks the executing
-    context's list up each time; a compiled block keeps the entries it
-    touches in locals, as it keeps registers, and writes back the ones
-    it wrote through ``{dest:<file>}`` when it ends, so a template
+    register, created on first use.  A compiled block keeps the entries
+    it touches in locals, as it keeps registers, and writes back the
+    ones it wrote through ``{dest:<file>}`` when it ends, so a template
     writes a register file only through ``dest``.  A block hands an
     instruction back (a failed memory guard, a fault) before its
     transfer; an exception raised by a transfer itself propagates out
@@ -110,8 +111,8 @@ class MachineObserver:
     """Base observer; every hook is a no-op.  Subclass what you need."""
 
     #: the observer's shadow transfer, generated into ``Machine.run``'s
-    #: thunks and compiled blocks in place of its hooks; ``None`` to get
-    #: hook calls there
+    #: compiled blocks in place of its hooks; ``None`` to keep the run
+    #: on the step handlers, which call the hooks
     shadow: Optional[Shadow] = None
 
     #: set when the machine maintains ``total_instructions`` for it

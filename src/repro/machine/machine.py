@@ -25,27 +25,25 @@ Execution has two drivers:
 * :meth:`Machine.run` — batch mode for functional runs.  Hot blocks
   are compiled into single Python functions
   (:mod:`repro.machine.superblock`) that keep registers in locals and
-  batch memory counters per block.  For an instruction a block hands
-  back (a failed guard or a fault), and at boundary opcodes and
-  uncompiled PCs, the driver falls back to per-PC closures ("thunks",
-  :mod:`repro.machine.fastpath`) with operands, memory, and the output
-  buffer bound in.  Accounting (instruction counters, the
-  dynamic-instruction limit, the step budget) is reconciled once per
-  chunk of thousands of instructions.
+  batch memory counters per block.  An instruction a block hands back
+  (a failed guard or a fault) and an uncompiled PC run on the same
+  pre-decoded step handlers as ``step()``, the one cold path it shares
+  with the timing model's run-aheads; engine opcodes go to ``step()``
+  itself.  Accounting (instruction counters, the dynamic-instruction
+  limit, the step budget) is reconciled once per chunk of thousands of
+  instructions.
 
 Both produce identical results — architectural state, counters, faults,
-and limits are byte-for-byte the same.  The step handlers, the thunks
-and the compiled blocks are all generated from one per-opcode template
-table (:mod:`repro.machine.semantics`); only the engine opcodes
+and limits are byte-for-byte the same.  The step handlers and the
+compiled blocks are both generated from one per-opcode template table
+(:mod:`repro.machine.semantics`); only the engine opcodes
 (:data:`ENGINE_OPCODES`) have hand-written handlers, here.  Observed
 runs (profilers and other machine observers attached) use the same batch
-loop, on thunks composed for the observers: an observer that declares a
-shadow transfer has it generated inline, and every other observer gets
-the hooks ``step()`` would call, with the same arguments and in the same
-order (see :mod:`repro.machine.events`).  When every attached observer
-declares a shadow transfer, as the two redundancy analyses do, the
-compiled blocks run the transfers too; otherwise there are no compiled
-blocks.
+loop.  When every attached observer declares a shadow transfer, as the
+redundancy analyses do, the compiled blocks run the transfers inline;
+otherwise there are no compiled blocks.  Cold instructions call the
+observers' hooks, as ``step()`` does, with the same arguments and in
+the same order (see :mod:`repro.machine.events`).
 
 A synchronous DTT engine runs support threads nested inside the
 ``tcheck`` that consumes them.  When ``run`` handed that ``tcheck`` to
@@ -66,7 +64,6 @@ from repro.errors import (
 from repro.isa.instructions import Instruction
 from repro.isa.program import Program
 from repro.machine.context import Context, ContextRole, ContextState
-from repro.machine.fastpath import build_thunks
 from repro.machine.loader import load_program
 from repro.machine.memory import Memory
 from repro.machine.semantics import ENGINE_OPCODES, STEP_HANDLERS
@@ -113,22 +110,14 @@ class Machine:
         self._observers: List = []
         # the observers whose ``total_instructions`` the machine keeps
         self._counting: List = []
-        # how many observers declare a shadow transfer
-        self._shadowed = 0
-        #: instructions ``run`` retired on a table with shadow transfers
-        #: inline (those observers' hooks were not called for them)
-        self.shadow_instructions = 0
         #: instructions ``run`` retired inside compiled blocks
         self.compiled_instructions = 0
-        self._instructions = program.instructions  # hot-path alias
         # pre-decode: one (handler, instruction) pair per PC, so step() is
         # a list index + one call with no per-step dict lookup on the op
         dispatch = _DISPATCH
         self._decoded = [
             (dispatch[ins.op], ins) for ins in program.instructions
         ]
-        # per-PC closures for the batch loop; compiled lazily by run()
-        self._thunks = None
         # the compiled-block table, installed lazily by the first run()
         self._superblocks = None
         #: True while step() executes a boundary opcode the batch loop
@@ -163,14 +152,12 @@ class Machine:
     def _rewire_observers(self) -> None:
         observers = self._observers
         self._counting = [o for o in observers if o.counts_instructions]
-        self._shadowed = sum(o.shadow is not None for o in observers)
         self._drop_compiled()
 
     def _drop_compiled(self) -> None:
-        # thunks and superblocks bind the engine and the observers' hooks
-        # at compile time; recompile after any rewiring so the batch loop
-        # can never run against stale state
-        self._thunks = None
+        # blocks bind the observers' shadow state at compile time;
+        # recompile after any rewiring so the batch loop can never run
+        # against stale state
         self._superblocks = None
 
     def idle_contexts(self) -> List[Context]:
@@ -221,9 +208,9 @@ class Machine:
         synchronous engine may retire further instructions on support
         contexts; those are counted in the machine totals as usual).
 
-        Compiled blocks run at their entries; everything else (boundary
-        opcodes, uncompiled PCs, and the instructions a block hands back
-        on a failed guard or a fault) runs on the closure thunks.  A
+        Compiled blocks run at their entries; uncompiled PCs and the
+        instructions a block hands back on a failed guard or a fault run
+        on their step handlers, and engine opcodes under ``step()``.  A
         block takes the chunk budget left as an argument, never exceeds
         it, reconciles the memory counters itself, and returns its
         retired count with the next PC (see
@@ -231,14 +218,13 @@ class Machine:
         counters, faults, and the dynamic instruction limit behave
         exactly as an equivalent ``step()`` loop.
 
-        With machine observers attached, every thunk is composed for
-        them: it runs the declared shadow transfers inline and calls the
-        other observers' hooks with the same arguments as ``step()``.
-        Compiled blocks run the transfers as well, but only when every
-        observer declares one; one that declares none leaves no compiled
-        blocks.  Each chunk's retired count goes to the observers that
-        count instructions, and what blocks retired to
-        ``compiled_instructions``.
+        With machine observers attached, compiled blocks run their
+        declared shadow transfers, but only when every observer declares
+        one; one that declares none leaves no compiled blocks.  A step
+        handler calls the observers' hooks, and the loop then calls each
+        ``on_instruction``, as ``step()`` does.  Each chunk's retired
+        count goes to the observers that count instructions, and what
+        blocks retired to ``compiled_instructions``.
         Inside this loop ``ctx.pc`` and the instruction counters are
         reconciled per chunk, so hooks must rely on their ``pc``
         argument (see :mod:`repro.machine.events`).
@@ -266,32 +252,25 @@ class Machine:
         do not re-enter the public :meth:`run`: each ``run`` call is one
         driver's run of one context.
         """
-        table = self._thunks
-        if table is None:
-            table = self._thunks = build_thunks(self)
         sb_table = self._superblocks
         if sb_table is None:
             sb_table = self._build_superblocks()
-        size = len(table)
+        decoded = self._decoded
+        observers = self._observers
+        size = len(decoded)
         budget = -1 if max_steps is None else max_steps
         total = 0
         pc = ctx.pc
-        compiled = 0  # retired inside blocks, counted per block call
         while True:
             if budget >= 0 and total >= budget:
                 break
-            headroom = self.max_instructions - self.instructions_executed
-            if headroom <= _CHUNK:
-                # near the dynamic-instruction limit: single-step the rest
-                # so ExecutionLimitExceeded fires on exactly the same
-                # instruction as the legacy loop
-                ctx.pc = pc
-                remaining = None if budget < 0 else budget - total
-                return total + self._run_slow(ctx, remaining)
-            chunk = _CHUNK
+            # a chunk never runs past the dynamic-instruction limit; at
+            # the limit, step() raises on exactly the next instruction
+            chunk = min(_CHUNK, self.max_instructions
+                        - self.instructions_executed)
             if budget >= 0 and budget - total < chunk:
                 chunk = budget - total
-            n = 0
+            n = compiled = 0  # compiled: retired inside blocks
             try:
                 while n < chunk:
                     fn = sb_table[pc]  # IndexError: ran off the end
@@ -303,20 +282,24 @@ class Machine:
                             compiled += retired
                             if pc >= 0:
                                 continue
-                            # handed back: rerun that instruction on
-                            # its thunk, which faults if the block did
+                            # handed back: rerun that instruction on its
+                            # step handler, which faults if the block did
                             pc = -2 - pc
+                    handler, ins = decoded[pc]
+                    if ins.op in ENGINE_OPCODES:
+                        break  # stepped below, not run here
                     n += 1
-                    pc = table[pc](ctx)
-                    if pc < 0:
-                        n -= 1  # a boundary: stepped below, not run here
-                        break
+                    handler(self, ctx, ins, pc)
+                    for observer in observers:
+                        observer.on_instruction(ctx, pc, ins)
+                    pc = ctx.pc
             except BaseException as exc:
                 off_end = exc.__class__ is IndexError and pc >= size
                 if off_end:
                     n += 1  # the off-end attempt is counted, as in step()
-                # thunks never touch ctx.pc; resync it to the faulting
-                # instruction (its attempt was counted before dispatch)
+                # blocks leave ctx.pc behind and a handler sets it last;
+                # resync it to the faulting instruction (its attempt was
+                # counted before dispatch)
                 ctx.pc = pc
                 # the last instruction counted did not complete
                 self._retire(ctx, n, n - 1, compiled)
@@ -327,16 +310,15 @@ class Machine:
                     ) from None
                 raise
             self._retire(ctx, n, n, compiled)
-            compiled = 0
             total += n
-            if pc >= 0:
-                continue  # chunk budget spent; reconcile and keep going
-            # a boundary opcode (engine hook, halt): step it with the
-            # counters reconciled, so nested synchronous execution and
-            # the dynamic-instruction limit see exactly what a step()
-            # loop shows them, then re-budget.  The flag is saved and
-            # restored because nested support threads come back here.
-            pc = ctx.pc = -2 - pc
+            if 0 < chunk <= n:
+                continue  # chunk spent; reconcile and keep going
+            # an engine opcode, or no headroom left: step it with the
+            # counters reconciled, so nested synchronous execution and the
+            # dynamic-instruction limit see exactly what a step() loop
+            # shows them, then re-budget.  The flag is saved and restored
+            # because nested support threads come back here.
+            ctx.pc = pc
             batching = self._batching
             self._batching = True
             try:
@@ -365,26 +347,12 @@ class Machine:
             self.support_instructions += n
         for observer in self._counting:
             observer.total_instructions += completed
-        if self._shadowed:
-            self.shadow_instructions += completed
-
-    def _run_slow(self, ctx: Context, max_steps: Optional[int]) -> int:
-        """Single-step the tail of a :meth:`run` near the dynamic
-        instruction limit, so the limit fires on the exact instruction."""
-        executed = 0
-        step = self.step
-        while ctx.state is ContextState.RUNNING and (
-            max_steps is None or executed < max_steps
-        ):
-            step(ctx)
-            executed += 1
-        return executed
 
     def _build_superblocks(self) -> list:
-        if self._shadowed < len(self._observers):
+        if any(o.shadow is None for o in self._observers):
             # an observer without a shadow transfer needs its hooks
-            # called, which only the thunks do; an empty block table
-            # sends every PC there
+            # called, which only the step handlers do; an empty block
+            # table sends every PC there
             table = [None] * len(self._decoded)
         else:
             table = install(self)

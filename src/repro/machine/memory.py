@@ -116,7 +116,7 @@ class Memory:
     def restore(self, snapshot: Dict[int, Number]) -> None:
         """Replace contents with a snapshot taken earlier.
 
-        In place: the fast-path thunks close over the words dict, so the
+        In place: compiled blocks bind the words dict, so the
         dict object's identity must survive a restore.
         """
         words = self._words

@@ -3,14 +3,13 @@
 :data:`SEMANTICS` holds one source template per non-engine opcode, and
 every form that executes an instruction is generated from it with
 ``compile``/``exec``, once per process: the step handlers
-(:data:`STEP_HANDLERS`, called by ``Machine.step`` and the timing model),
-the thunk factories of ``Machine.run`` (:func:`thunk_factories`: plain,
-or composed with the attached observers' hook calls and declared shadow
-transfers), the compiled blocks of both ``Machine.run`` and the timing
-model (:mod:`repro.machine.superblock`), and the constant folding of the
+(:data:`STEP_HANDLERS`: ``Machine.step``, and the cold path of
+``Machine.run`` and of the timing model's run-aheads), the compiled
+blocks of both ``Machine.run`` and the timing model
+(:mod:`repro.machine.superblock`), and the constant folding of the
 static analyses (:func:`evaluate`).  The :data:`ENGINE_OPCODES` have
-no entry.  The observers' shadow transfers have one renderer,
-:func:`transfer`, for the thunks and the compiled blocks alike.
+no entry.  The observers' shadow transfers are rendered into compiled
+blocks by :func:`transfer`.
 
 An entry is ``(kind, effect, next)``.  For ``ALU`` the effect is the
 value written to register ``a``; for ``LOAD``/``STORE`` the word
@@ -23,7 +22,7 @@ Templates are :meth:`str.format` strings over the operand slots
 signature; ``{b:int}``/``{b:float}`` coerce), the fall-through PC
 ``{nxt}``, the branch target ``{target}`` and the output buffer's
 ``{out}``.  Each form renders them in its own terms: ``regs[i.b]`` in a
-step handler, ``regs[b]`` in a thunk, the local ``r5`` in a superblock.
+step handler, the local ``r5`` in a superblock.
 Loads and stores share one memory guard, :data:`GUARD`; an address it
 rejects takes the checked :class:`~repro.machine.memory.Memory` method,
 which raises the fault.
@@ -32,15 +31,15 @@ which raises the fault.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from repro.errors import ExecutionFault
 from repro.isa.instructions import OPCODES, operand_roles
 
 ALU, LOAD, STORE, BRANCH, FLOW = "alu", "load", "store", "branch", "flow"
 
-#: synthetic filename of the generated handlers and thunks; profiler
-#: frames show as (FILENAME, line, "<form>_<opcode>")
+#: synthetic filename of the generated handlers; profiler frames show as
+#: (FILENAME, line, "<form>_<opcode>")
 FILENAME = "<semantics>"
 
 
@@ -222,9 +221,6 @@ def operands(op: str, register: Callable[[str], str],
 #: (ALU and FLOW ops have none)
 KIND_HOOKS = {LOAD: "on_load", STORE: "on_store", BRANCH: "on_branch"}
 
-#: the hooks a thunk may call, in the order a thunk factory binds them
-HOOKS = ("on_load", "on_store", "on_branch", "on_instruction")
-
 #: per kind: (hook arguments after ``ctx, pc``, step result)
 _HOOK_ARGS = {
     LOAD: ("_a, {a}", "(_a, None)"),
@@ -232,17 +228,13 @@ _HOOK_ARGS = {
     BRANCH: ("_t, _n", "(None, _t)"),
 }
 
-#: what every thunk factory binds besides the instruction and its pc
-_ENV = ("m", "_mem", "_limit", "_get", "_words", "_out")
-
 #: shadow kind of an ALU op without register sources
 CONST = "const"
 
 
 def shadow_names(shadow) -> Tuple[str, ...]:
-    """The names of ``shadow``'s objects that thunk factories and
-    compiled blocks bind from the observer's ``shadow_state()``, in
-    order."""
+    """The names of ``shadow``'s objects that compiled blocks bind from
+    the observer's ``shadow_state()``, in order."""
     return shadow.state + shadow.registers
 
 
@@ -302,10 +294,10 @@ def transfer(op: str, index: int, shadow, value: str,
              register: Callable[[str], str], pc: Callable[[], str],
              entry: Callable[[str, str, bool], str],
              cell: Callable[[str], str]) -> List[str]:
-    """Observer ``index``'s shadow transfer for ``op``, rendered: the
-    one renderer of the thunks and the compiled blocks.
+    """Observer ``index``'s shadow transfer for ``op``, rendered for a
+    compiled block.
 
-    The form says what differs: ``value`` is the loaded or stored
+    The block says what differs: ``value`` is the loaded or stored
     register, ``register(slot)`` the index of operand ``slot``, ``pc()``
     the instruction's PC, ``entry(file, register, written)`` that
     register's entry in register file ``file`` (renamed; ``written`` for
@@ -333,54 +325,20 @@ def transfer(op: str, index: int, shadow, value: str,
     return template.format_map(slots).splitlines()
 
 
-def _thunk_transfers(op: str, shadows) -> Tuple[List[str], List[str]]:
-    """``(lines, cells)`` of ``op``'s thunk: each register file the
-    transfers touch fetched for the executing context, then each of
-    ``shadows``' transfer in order; and the closure cells they use."""
-    files: Dict[str, None] = {}
-    cells: List[str] = []
-
-    def entry(file, register, written):
-        files[file] = None
-        return f"_{file}[{register}]"
-
-    def cell(name):
-        if name not in cells:
-            cells.append(name)
-        return name
-
-    body = [line for index, shadow in enumerate(shadows)
-            for line in transfer(op, index, shadow, "regs[a]", str,
-                                 lambda: "pc", entry, cell)]
-    return ([f"_{file} = {file}[ctx.context_id]" for file in files] + body,
-            cells)
-
-
-def _body(op: str, form: str, calls: List[str] = (),
-          transfers: List[str] = ()) -> List[str]:
-    """The statements of one opcode's ``form``: ``"step"`` (a handler)
-    or ``"thunk"``; a thunk calls the hooks named in ``calls`` (its
-    kind's and ``on_instruction``), and runs the rendered shadow
-    ``transfers`` after the effect."""
+def _body(op: str) -> List[str]:
+    """The statements of ``op``'s step handler."""
     sem = SEMANTICS[op]
     kind = sem.kind
-    if form == "step":
-        ops = operands(op, lambda s: f"regs[i.{s}]", lambda s: Src(f"i.{s}"))
-        env = dict(ops, nxt="pc + 1", target="i.target",
-                   out="m.output.append")
-    else:
-        ops = operands(op, lambda s: f"regs[{s}]", Src)
-        env = dict(ops, nxt="nxt", target="target", out="_out")
+    ops = operands(op, lambda s: f"regs[i.{s}]", lambda s: Src(f"i.{s}"))
+    env = dict(ops, nxt="pc + 1", target="i.target", out="m.output.append")
     hook = KIND_HOOKS.get(kind)
-    observed = form == "step" or bool(calls or transfers)
     args, result = _HOOK_ARGS.get(kind, ("", "(None, None)"))
     lines = ["regs = ctx.regs"] if "R" in OPCODES[op].signature else []
     if kind in (LOAD, STORE):
-        if form == "step":
-            lines += ["_mem = m.memory", "_limit = _mem.limit",
-                      "_words = _mem._words", "_get = _words.get"]
+        lines += ["_mem = m.memory", "_limit = _mem.limit",
+                  "_words = _mem._words", "_get = _words.get"]
         checked = [line.format(**ops) for line in _CHECKED[kind]]
-        lines += access(sem, ops, checked, old=kind == STORE and observed)
+        lines += access(sem, ops, checked, old=kind == STORE)
     elif kind == ALU:
         lines.append(f"{ops['a']} = {sem.effect.format(**env)}")
     elif kind == BRANCH:
@@ -390,26 +348,15 @@ def _body(op: str, form: str, calls: List[str] = (),
     nxt = sem.next.format(**env) if kind != BRANCH else \
         "{target} if _t else {nxt}".format(**env)
     args = args.format(**ops)
-    if form == "step" and "_n" in args or calls:
-        # the next pc before any hook runs (``ret`` pops the call stack)
+    if "_n" in args:
+        # the next pc before any hook runs
         lines.append(f"_n = {nxt}")
         nxt = "_n"
-    if form == "step":
-        lines.append(f"ctx.pc = {nxt}")
-        if hook:
-            lines += ["if m._observers:", "    for _o in m._observers:",
-                      f"        _o.{hook}(ctx, pc, {args})"]
-        return lines + [f"return {result}"]
-    if hook in calls:
-        lines += [f"for _h in {hook}:", f"    _h(ctx, pc, {args})"]
-    lines += transfers
-    if "on_instruction" in calls:
-        lines += ["for _h in on_instruction:", "    _h(ctx, pc, i)"]
-    return lines + [f"return {nxt}"]
-
-
-def _indent(lines: List[str], depth: int = 1) -> List[str]:
-    return ["    " * depth + line for line in lines]
+    lines.append(f"ctx.pc = {nxt}")
+    if hook:
+        lines += ["if m._observers:", "    for _o in m._observers:",
+                  f"        _o.{hook}(ctx, pc, {args})"]
+    return lines + [f"return {result}"]
 
 
 def _generate(prefix: str, sources: Dict[str, List[str]]
@@ -425,52 +372,9 @@ def _generate(prefix: str, sources: Dict[str, List[str]]
 #: including its PC update and observer notification, and returns
 #: ``(memory address or None, branch taken or None)``
 STEP_HANDLERS = _generate("step_", {
-    op: [f"def step_{op}(m, ctx, i, pc):"] + _indent(_body(op, "step"))
+    op: [f"def step_{op}(m, ctx, i, pc):"]
+    + ["    " + line for line in _body(op)]
     for op in SEMANTICS})
-
-
-@functools.lru_cache(maxsize=None)
-def thunk_factories(hooks: FrozenSet[str] = frozenset(),
-                    shadows: Tuple = ()) -> Dict[str, Callable]:
-    """``{opcode: factory}`` of the thunks that call ``hooks`` (names
-    from :data:`HOOKS`) and run each of ``shadows``' transfers
-    (:class:`~repro.machine.events.Shadow`), compiled on first use.
-
-    ``factory(instruction, pc, *env)`` returns the instruction's thunk:
-    ``thunk(ctx)`` applies the effect and returns the next PC, never
-    touching ``ctx.pc``.  ``env`` binds, in order, the machine (which
-    the checked memory fallback goes through), its memory, the memory's
-    limit, its words dict's ``get``, the words dict, the output buffer's
-    ``append``, the hook tuple of each name in ``hooks`` (in
-    :data:`HOOKS` order), then each shadow's objects named by
-    :func:`shadow_names`.  A thunk
-    calls its kind's hooks with ``step()``'s arguments, then runs the
-    shadow transfers of its kind in ``shadows`` order, then calls the
-    ``on_instruction`` hooks.  With neither hooks nor shadows the thunks
-    are the plain form, which only executes; otherwise only the opcodes
-    whose thunks call a hook or run a transfer have a factory, and the
-    plain form serves the rest.
-    """
-    form = "observed" if hooks or shadows else "plain"
-    params = list(_ENV) + [name for name in HOOKS if name in hooks] + [
-        f"_{index}_{name}" for index, shadow in enumerate(shadows)
-        for name in shadow_names(shadow)]
-    sources = {}
-    for op in SEMANTICS:
-        transfers, cells = _thunk_transfers(op, shadows)
-        calls = [name for name in (KIND_HOOKS.get(SEMANTICS[op].kind),
-                                   "on_instruction") if name in hooks]
-        if form == "observed" and not (calls or transfers):
-            continue
-        sources[op] = [
-            f"def make_{form}_{op}(i, pc, {', '.join(params)}):",
-            "    a, b, c, target, nxt = i.a, i.b, i.c, i.target, pc + 1",
-            *[f"    {cell} = None" for cell in cells],
-            f"    def {form}_{op}(ctx):",
-            *([f"        nonlocal {', '.join(cells)}"] if cells else []),
-            *_indent(_body(op, "thunk", calls, transfers), 2),
-            f"    return {form}_{op}"]
-    return _generate(f"make_{form}_", sources)
 
 
 @functools.lru_cache(maxsize=None)

@@ -6,14 +6,13 @@
 *compiled blocks*: one Python function per block, built with ``compile``
 from the instruction templates of :mod:`repro.machine.semantics`, with
 registers in locals, ALU ops as inline expressions and memory accesses
-straight at the machine's words dict behind the thunks' in-range
+straight at the machine's words dict behind the step handlers' in-range
 exact-``int`` guard.  Both tiers form the same blocks and emit them with
 one generator (:class:`Block`); the timed tier composes its *timing
 aspect* (:mod:`repro.timing.blocks`) onto the emitter's hooks, and an
 observed ``Machine.run`` its *shadow aspect* (:class:`ShadowBlock`).  What a
-block does not run stays on the cold path: the closure thunks
-(:mod:`repro.machine.fastpath`) in ``Machine.run``, the per-instruction
-loop in the run-ahead.
+block does not run stays on the one cold path of both tiers: the
+pre-decoded step handlers.
 
 Block formation
 ---------------
@@ -73,8 +72,8 @@ exit.  Exit
 failed memory guard (*guard*) or an ``Exception`` (*fault*, its position
 found from the traceback's line number, so no instruction pays for a
 marker) the block returns with that instruction not run, and its caller
-reruns it on its thunk or step handler, which takes the checked path or
-raises the same exception.  An interrupt propagates without the block's
+reruns it on its step handler, which takes the checked path or raises
+the same exception.  An interrupt propagates without the block's
 write-back.
 
 A functional block ``sb(ctx, budget)`` returns ``None``, having run
@@ -106,11 +105,11 @@ Shadow aspect
 -------------
 When every observer attached to a machine declares a
 :class:`~repro.machine.events.Shadow`, its functional blocks run each
-transfer right after the instruction's effect, rendered by the same
-:func:`~repro.machine.semantics.transfer` as the observed thunks.  A
-hand-back happens before the handed-back instruction's transfer, and a
-transfer line never maps to a hand-back position: an exception raised
-in one propagates, as an interrupt does.  Register-file entries (the
+transfer right after the instruction's effect, rendered by
+:func:`~repro.machine.semantics.transfer`.  A hand-back happens before
+the handed-back instruction's transfer, and a transfer line never maps
+to a hand-back position: an exception raised in one propagates, as an
+interrupt does.  Register-file entries (the
 taint analysis's per-register taint) are locals, fetched for the
 context in the prologue and written back in the epilogue, as registers
 are; each per-instruction cell is an entry of a list bound per block
@@ -282,7 +281,7 @@ def bind(code: CodeType, name: str, namespace: dict,
 
 def _literal(value) -> bool:
     """Whether ``repr`` writes ``value`` exactly; anything else (``inf``,
-    ``nan``, numeric subclasses) is bound by reference, as the thunks do."""
+    ``nan``, numeric subclasses) is bound by reference."""
     cls = value.__class__
     return cls is int or cls is bool or (cls is float and math.isfinite(value))
 
@@ -852,11 +851,12 @@ def install(machine) -> list:
     With observers attached, every one of which must declare a
     :class:`~repro.machine.events.Shadow`, the blocks run their
     transfers (:class:`ShadowBlock`) over each observer's
-    ``shadow_state()``, bound per entry.  Such a table is
-    cleared when the machine is freed: its countdown stubs and the table
-    refer to each other, and the cycle would otherwise keep the
-    machine's memory and the observers' state until a full garbage
-    collection."""
+    ``shadow_state()``, bound per entry.
+
+    The table is cleared when the machine is freed: its countdown stubs
+    and the table refer to each other, and the cycle would otherwise
+    keep the machine's memory (and the observers' state) until a full
+    garbage collection."""
     instructions = machine.program.instructions
     observers = machine._observers
     shadows = tuple(observer.shadow for observer in observers)
@@ -878,6 +878,5 @@ def install(machine) -> list:
         return bind(code, f"{SB_PREFIX}{entry}", namespace, defaults)
 
     table = lazy_table(machine.program, False, compile_block)
-    if shadows:
-        weakref.finalize(machine, table.clear)
+    weakref.finalize(machine, table.clear)
     return table

@@ -48,7 +48,7 @@ from repro.obs.causality import (OUTCOME_CANCELED, OUTCOME_COMPLETED,
 #: or its module-level frame
 _GENERATED_FRAME = re.compile(
     r"<(superblock|timed|semantics)>:\d+\("
-    r"(?:sb_|tb_|(?:make_)?(?:step|plain|observed|value)_)?([^)]+)\)")
+    r"(?:sb_|tb_|(?:step|value)_)?([^)]+)\)")
 _FOLDED_PREFIX = {"superblock": "sb", "timed": "tb", "semantics": "op"}
 
 
@@ -57,11 +57,11 @@ def fold_superblock_frames(text: str) -> str:
 
     ``cProfile`` labels generated code with its synthetic filename and
     generated names — ``<superblock>:41(sb_18)``,
-    ``<semantics>:90(plain_add)`` — which reads as opaque exec'd code.
+    ``<semantics>:90(step_add)`` — which reads as opaque exec'd code.
     Fold a superblock to the program-level site name ``sb:<entry_pc>``
     (same vocabulary as ``form_blocks``/``cache_stats``), a timed hot
     block of :mod:`repro.timing.blocks` to ``tb:<entry_pc>``, and a step
-    handler or thunk of :mod:`repro.machine.semantics` to its opcode,
+    handler of :mod:`repro.machine.semantics` to its opcode,
     ``op:<opcode>``, so the ops do not pool into one row per source
     line.  Module-level exec frames fold to ``sb:<module>`` /
     ``op:<module>``.

@@ -15,12 +15,15 @@ Two analyses, both implemented as machine observers:
   (the computation DTT can skip).
 
 Attached to a machine, both run under ``Machine.run``'s batch loop and
-its compiled blocks.  Each declares its analysis as a shadow transfer
+its compiled blocks, and so does the bounded-memory
+:class:`~repro.profiling.redundancy.SampledRedundantLoadProfiler`.  Each
+declares its analysis as a shadow transfer
 (:class:`~repro.machine.events.Shadow`), which the machine generates
-inline after every instruction's effect, in the per-PC thunks and in the
-compiled blocks alike, so a profiled functional run calls no hook there:
-only the instructions ``step()`` runs (the engine opcodes, the tail near
-the instruction limit) call the hooks, which make the same update.
+inline after every instruction's effect in the compiled blocks, so a
+profiled functional run calls no hook there: only the instructions no
+block retires (uncompiled PCs, hand-backs and the engine opcodes) run on
+the step handlers, which call the hooks, and the hooks make the same
+update.
 """
 
 from repro.profiling.redundancy import (

@@ -86,14 +86,13 @@ class RedundantLoadProfiler(MachineObserver):
     """Observer computing redundant-load / silent-store statistics.
 
     Its hooks and its declared shadow transfer make the same update:
-    ``Machine.run`` generates the transfer into its thunks and compiled
-    blocks, and ``step()`` calls the hooks (see
-    :mod:`repro.machine.events`).  Each thunk, and each compiled block
-    entry per position, holds its site's stats in a cell from the
-    site's first execution there on, and a site is made on the first
-    execution of its PC on any path, so sites enter the site maps in
-    first-execution order on every path.  The totals are sums over the
-    sites, and the machine keeps ``total_instructions``.
+    ``Machine.run`` generates the transfer into its compiled blocks, and
+    the step handlers call the hooks (see :mod:`repro.machine.events`).
+    Each compiled block entry holds, per position, its site's stats in a
+    cell from the site's first execution there on, and a site is made on
+    the first execution of its PC on any path, so sites enter the site
+    maps in first-execution order on every path.  The totals are sums
+    over the sites, and the machine keeps ``total_instructions``.
     """
 
     counts_instructions = True
@@ -409,9 +408,30 @@ class SampledRedundantLoadProfiler(MachineObserver):
     :func:`~repro.autoconvert.candidates.rank_candidates` and
     :meth:`~repro.obs.causality.CausalGraph.site_attribution` consume
     either profiler unchanged.
+
+    Like the exact profiler it declares its analysis as a shadow
+    transfer, and ``step()`` calls the hooks, which make the same
+    update: each site's exact ``dynamic`` count, then, for a sampled
+    address only, :meth:`note_load` / :meth:`note_store`.  Sites are
+    cells made on first execution as in the exact profiler, and the
+    totals are sums over the sites.
     """
 
     counts_instructions = True
+    shadow = Shadow(
+        state=("sampled", "note_load", "note_store", "load_site",
+               "store_site"),
+        cells=("site",),
+        load="""\
+{s} = {site}
+if {s} is None: {s} = {site} = {load_site}({pc})
+{s}.dynamic += 1
+if {sampled}({address}): {note_load}({s}, {address}, {value})""",
+        store="""\
+{s} = {site}
+if {s} is None: {s} = {site} = {store_site}({pc}, False)
+{s}.dynamic += 1
+if {sampled}({address}): {note_store}({s}, {address}, {old}, {value})""")
 
     def __init__(self, sample_rate: int = 64, seed: int = 0,
                  max_tracked_addresses: int = 1 << 20) -> None:
@@ -421,8 +441,6 @@ class SampledRedundantLoadProfiler(MachineObserver):
         self._stores: Dict[int, SampledStoreSiteStats] = {}
         # last-loaded value, sampled addresses only (the memory budget)
         self._last_loaded: Dict[int, Number] = {}
-        self.total_loads = 0
-        self.total_stores = 0
         self.total_instructions = 0
         self.sampled_loads = 0
         self.sampled_redundant = 0
@@ -435,16 +453,28 @@ class SampledRedundantLoadProfiler(MachineObserver):
         #: sampled addresses refused because the budget was full
         self.tracked_addresses_capped = 0
 
-    # -- observer hooks ---------------------------------------------------------
+    def shadow_state(self) -> dict:
+        return {"sampled": self.sampler.sampled, "note_load": self.note_load,
+                "note_store": self.note_store, "load_site": self._load_site,
+                "store_site": self._store_site}
 
-    def on_load(self, ctx, pc, address, value) -> None:
+    def _load_site(self, pc) -> SampledLoadSiteStats:
         site = self._loads.get(pc)
         if site is None:
-            site = self._loads[pc] = SampledLoadSiteStats(pc, self.sample_rate)
-        site.dynamic += 1
-        self.total_loads += 1
-        if not self.sampler.sampled(address):
-            return
+            site = self._loads[pc] = SampledLoadSiteStats(
+                pc, self.sample_rate)
+        return site
+
+    def _store_site(self, pc, triggering) -> SampledStoreSiteStats:
+        site = self._stores.get(pc)
+        if site is None:
+            site = self._stores[pc] = SampledStoreSiteStats(
+                pc, triggering, self.sample_rate)
+        return site
+
+    def note_load(self, site: SampledLoadSiteStats, address: int,
+                  value: Number) -> None:
+        """Classify one load of a sampled ``address`` at ``site``."""
         last_loaded = self._last_loaded
         last = last_loaded.get(address, _NEVER)
         if last is _NEVER and len(last_loaded) >= self.max_tracked_addresses:
@@ -458,16 +488,9 @@ class SampledRedundantLoadProfiler(MachineObserver):
             self.sampled_redundant += 1
         last_loaded[address] = value
 
-    def on_store(self, ctx, pc, address, old_value, new_value,
-                 triggering) -> None:
-        site = self._stores.get(pc)
-        if site is None:
-            site = self._stores[pc] = SampledStoreSiteStats(
-                pc, triggering, self.sample_rate)
-        site.dynamic += 1
-        self.total_stores += 1
-        if not self.sampler.sampled(address):
-            return
+    def note_store(self, site: SampledStoreSiteStats, address: int,
+                   old_value: Number, new_value: Number) -> None:
+        """Classify one store to a sampled ``address`` at ``site``."""
         store_counts = self._store_counts
         if (address not in store_counts
                 and len(store_counts) >= self.max_tracked_addresses):
@@ -480,11 +503,34 @@ class SampledRedundantLoadProfiler(MachineObserver):
         if silent:
             self.sampled_silent += 1
 
+    # -- observer hooks ---------------------------------------------------------
+
+    def on_load(self, ctx, pc, address, value) -> None:
+        site = self._load_site(pc)
+        site.dynamic += 1
+        if self.sampler.sampled(address):
+            self.note_load(site, address, value)
+
+    def on_store(self, ctx, pc, address, old_value, new_value,
+                 triggering) -> None:
+        site = self._store_site(pc, triggering)
+        site.dynamic += 1
+        if self.sampler.sampled(address):
+            self.note_store(site, address, old_value, new_value)
+
     # -- reporting ------------------------------------------------------------------
 
     @property
     def sample_rate(self) -> int:
         return self.sampler.rate
+
+    @property
+    def total_loads(self) -> int:
+        return sum(site.dynamic for site in self._loads.values())
+
+    @property
+    def total_stores(self) -> int:
+        return sum(site.dynamic for site in self._stores.values())
 
     @property
     def seed(self) -> int:

@@ -20,24 +20,21 @@ from repro.profiling.slices import RedundancyTaintAnalyzer
 class RedundancyReport:
     """Both analyses of one run, plus the run's output for checking.
 
-    ``shadow_instructions`` counts the instructions whose analysis ran
-    as inline shadow transfers rather than hook calls
-    (``Machine.shadow_instructions``), and ``compiled_instructions``
-    those retired inside compiled blocks
+    ``compiled_instructions`` counts the instructions retired inside
+    compiled blocks, whose analyses ran as inline shadow transfers
     (``Machine.compiled_instructions``).
     """
 
     __slots__ = ("name", "loads", "slices", "output", "instructions",
-                 "shadow_instructions", "compiled_instructions")
+                 "compiled_instructions")
 
     def __init__(self, name, loads, slices, output, instructions,
-                 shadow_instructions=0, compiled_instructions=0):
+                 compiled_instructions=0):
         self.name = name
         self.loads = loads
         self.slices = slices
         self.output = output
         self.instructions = instructions
-        self.shadow_instructions = shadow_instructions
         self.compiled_instructions = compiled_instructions
 
     @property
@@ -111,7 +108,6 @@ def profile_program(
         slices=slices,
         output=output,
         instructions=machine.instructions_executed,
-        shadow_instructions=machine.shadow_instructions,
         compiled_instructions=machine.compiled_instructions,
     )
 

@@ -51,11 +51,10 @@ class RedundancyTaintAnalyzer(MachineObserver):
     """Observer measuring the redundant-computation fraction.
 
     Its hooks and its declared shadow transfer make the same update:
-    ``Machine.run`` generates the transfer into its thunks and compiled
-    blocks, and ``step()`` calls the hooks (see
-    :mod:`repro.machine.events`).  The register taint is the transfer's
-    register file, which compiled blocks keep in locals.  The machine
-    keeps ``total_instructions``.
+    ``Machine.run`` generates the transfer into its compiled blocks, and
+    the step handlers call the hooks (see :mod:`repro.machine.events`).
+    The register taint is the transfer's register file, which compiled
+    blocks keep in locals.  The machine keeps ``total_instructions``.
     """
 
     counts_instructions = True

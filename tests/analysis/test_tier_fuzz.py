@@ -1,21 +1,23 @@
-"""Property-based driver equivalence: step() / thunks / superblocks.
+"""Property-based driver equivalence: step() / superblocks.
 
 Random well-formed DTIR programs — nested bounded loops, if-diamonds,
 forward jumps, integer/float ALU traffic, and wild computed addresses —
 are executed by the ``step()`` loop, by ``Machine.run``, and by
-``Machine.run`` on the closure thunks alone (an emptied block table).
+``Machine.run`` with blocks that never compile (every instruction on its
+cold path, the step handlers).
 Registers, memory, output, counters, final pc/state, and any fault (type
 and message) must be identical; the superblock compiler's
 if-conversion, tail duplication, side exits, and mid-block fault
 reconciliation may not be observable.
 
 The same plans also run *observed*: with a recording observer attached,
-``Machine.run`` takes its observed thunks, and the observer must see the
-identical hook stream (kind, context, pc, arguments) as under the
-``step()`` loop, with the identical end state and fault.  The recorder
-declares no shadow transfer, so that run stays on thunks; the corpus
-also runs under the two redundancy analyses, whose transfers compiled
-blocks run, on every ``Machine.run`` path against the ``step()`` loop
+``Machine.run`` calls its hooks from the step handlers, and the observer
+must see the identical hook stream (kind, context, pc, arguments) as
+under the ``step()`` loop, with the identical end state and fault.  The
+recorder declares no shadow transfer, so that run compiles no block;
+the corpus also runs under the two redundancy analyses, whose transfers
+compiled blocks run, on every ``Machine.run`` path against the
+``step()`` loop
 (``tests.machine.test_differential.assert_analyses_match_step``).
 
 Counterexamples found by hypothesis are committed to
@@ -167,6 +169,11 @@ def _lower_body(b, body, depth, heads=()):
         elif kind == "done":
             # corpus only: leave for the program's halt when nonzero
             b.bnez(item[1], "fuzzdone")
+        elif kind == "nops":
+            # corpus only: ``item[1]`` nops; past ``MAX_LENGTH`` of them
+            # the code after them starts a block of its own
+            for _ in range(item[1]):
+                b.nop()
         elif kind == "if":
             skip = b.fresh_label("fuzzskip")
             b.beqz(item[1], skip)
@@ -844,7 +851,8 @@ def test_timing_corpus_covers_every_block_exit():
     """Each case takes the block exit it is named for (``block_exit``,
     else ``exit`` unless a multi case) in a compiled block, and together
     the cases take every exit kind (a looping call counts as a
-    ``back-edge``), each of :data:`INNER_EXITS` included."""
+    ``back-edge``) from outside every inner loop, and each of
+    :data:`INNER_EXITS` from inside one."""
     from repro.machine.superblock import EXIT_KINDS
 
     seen = set()

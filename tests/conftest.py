@@ -141,12 +141,12 @@ def _rebuilt(machine: Machine, reach) -> Machine:
     return machine
 
 
-def thunks_only(machine: Machine) -> Machine:
+def never_compiled(machine: Machine) -> Machine:
     """Test fake: install ``machine``'s block table with blocks that
     never compile.
 
-    ``Machine.run`` then takes its closure-thunk fallback for every
-    instruction, so the thunks are checked on their own rather than only
+    ``Machine.run`` then runs every instruction on its cold path, the
+    step handlers, so that path is checked on its own rather than only
     where a compiled block hands an instruction back.  Apply it after
     ``attach_engine``, which discards the table.
     """
@@ -164,10 +164,10 @@ def every_block_compiled(machine: Machine) -> Machine:
 #: the three ``Machine.run`` paths the equivalence tests compare against
 #: the ``step()`` loop: "superblock" is ``run`` as shipped, "compiled" is
 #: ``run`` with every block compiled at its first reach (see
-#: :func:`every_block_compiled`), "closure" is ``run`` on the closure
-#: thunks alone (see :func:`thunks_only`)
+#: :func:`every_block_compiled`), "closure" is ``run`` with blocks that
+#: never compile (see :func:`never_compiled`)
 RUN_PATHS = {
-    "closure": thunks_only,
+    "closure": never_compiled,
     "compiled": every_block_compiled,
     "superblock": lambda machine: machine,
 }

@@ -7,19 +7,20 @@ addresses), all eight conditional branches as forward skips, forward
 re-evaluates them with a pure-Python oracle written from the ISA
 description, not from the machine's code.  Every program runs on every
 execution path: the ``step()`` loop, each ``Machine.run`` path of
-``tests.conftest.RUN_PATHS``, an observed ``run`` (observed thunks), and
+``tests.conftest.RUN_PATHS``, an observed ``run`` (hook calls from the
+step handlers), and
 a timed run (the timing simulator's solo run-ahead).  Registers, memory,
 output, the load/store and instruction counters, and any fault (its
 type) must match the oracle.
 
 The same programs also run under both redundancy analyses, whose
-analysis ``run`` generates into its thunks and compiled blocks as shadow
-transfers while ``step()`` calls their hooks: on every ``Machine.run``
+analysis ``run`` generates into its compiled blocks as shadow transfers
+while the step handlers call their hooks: on every ``Machine.run``
 path of ``RUN_PATHS``, every analysis result and every piece of shadow
 state must equal the ``step()`` loop's, guard and fault hand-backs
 inside compiled blocks included.  Directed cases add what
-random single-context programs lack: the DTT engine, the limit's
-single-stepped tail, an observer without a transfer, and detaching one.
+random single-context programs lack: the DTT engine, the instruction
+limit, an observer without a transfer, and detaching one.
 
 Synchronous support threads are compared the same way: DTT programs
 whose support thread runs a random body, plus directed cases (the limit
@@ -511,7 +512,7 @@ def assert_analyses_match_step(program, step=_steps, run=_run, **kwargs):
     ``RUN_PATHS``, must end where the ``step()`` loop does, on
     transfers: returns ``({path: run machine}, fault)``."""
     stepped, expected, fault = _analysed(program, step, **kwargs)
-    assert stepped.shadow_instructions == 0
+    assert stepped.compiled_instructions == 0
     machines = {}
     for path, prepare in RUN_PATHS.items():
         machine, actual, run_fault = _analysed(
@@ -519,8 +520,8 @@ def assert_analyses_match_step(program, step=_steps, run=_run, **kwargs):
             **kwargs)
         assert (actual, run_fault) == (expected, fault), path
         assert machine.instructions_executed == stepped.instructions_executed
-        assert machine.shadow_instructions > 0
-        assert machine.compiled_instructions <= machine.shadow_instructions
+        assert machine.compiled_instructions <= \
+            machine.instructions_executed
         if path == "closure":
             assert machine.compiled_instructions == 0
         machines[path] = machine
@@ -556,10 +557,11 @@ def test_analyses_on_run_match_step(plan):
 def test_seeded_sweep_analyses_match_step(monkeypatch):
     """200 seeded programs: every shadow kind, wild indexed addresses on
     the checked memory path, and faults mid-run, also where a compiled
-    block hands the faulting instruction back to its thunk."""
+    block hands the faulting instruction back to its step handler."""
     rng = random.Random(0x5AD0)
     handed = record_hand_backs(monkeypatch)
     faults, in_blocks = set(), set()
+    uncompiled = 0  # programs whose every block compiled retired nothing
     for _ in range(200):
         del handed[:]
         machines, fault = assert_analyses_match_step(
@@ -567,9 +569,13 @@ def test_seeded_sweep_analyses_match_step(monkeypatch):
         faults.add(fault)
         if handed and handed[-1] == machines["compiled"].main_context.pc:
             in_blocks.add(fault)  # the last hand-back was the fault
+        uncompiled += not machines["compiled"].compiled_instructions
     assert {"MemoryFault", "ExecutionFault", None} <= faults
+    # the transfers ran in blocks almost everywhere: only a program too
+    # short or too early faulting for any block retires nothing there
+    assert uncompiled <= 10
     # failed guards (a wild or a float address) and an exception inside
-    # a block, each handed back to the thunk that raised it
+    # a block, each handed back to the step handler that raised it
     assert {"MemoryFault", "AlignmentFault", "ExecutionFault"} <= in_blocks
 
 
@@ -590,7 +596,7 @@ def test_analyses_of_a_dtt_run_match_step(source):
     machine = machines["superblock"]
     assert fault is None
     assert machine.support_instructions > 0
-    assert machine.shadow_instructions < machine.instructions_executed
+    assert machine.compiled_instructions < machine.instructions_executed
     assert machines["compiled"].compiled_instructions > 0
 
 
@@ -611,12 +617,17 @@ def _spin_loads():
 
 
 def test_analyses_near_the_instruction_limit_match_step():
-    # two chunks, then run() single-steps the tail up to the limit
+    # two full chunks, then a last one capped at the limit's headroom,
+    # and step() raises on the next instruction
+    from repro.machine.machine import _CHUNK
+
     machines, fault = assert_analyses_match_step(_spin_loads(),
                                                  max_instructions=40_000)
     assert fault == ExecutionLimitExceeded.__name__
-    assert machines["superblock"].shadow_instructions < 40_000
-    assert machines["superblock"].compiled_instructions > 0
+    assert 40_000 - 2 * _CHUNK < _CHUNK
+    # more than the two full chunks hold: compiled blocks ran in the
+    # last chunk before the limit too
+    assert machines["superblock"].compiled_instructions > 2 * _CHUNK
 
 
 def test_undeclared_observer_sees_steps_hook_stream():
@@ -782,7 +793,7 @@ def assert_sync_run_matches_step(program, specs, observers=tuple,
     # a bare step() loop single-steps every support instruction (and the
     # attempt the instruction limit stops, which is not counted)
     assert stepped_support >= stepped.support_instructions
-    assert stepped.shadow_instructions == 0
+    assert stepped.compiled_instructions == 0
     for path in sorted(RUN_PATHS):
         machine, actual, support_steps = _dtt_run(
             program, specs, _run_path(path), observers=observers(),
@@ -993,7 +1004,7 @@ def _arm_fault_program():
 
 @pytest.mark.parametrize("path", ["compiled", "superblock"])
 def test_fault_in_an_if_converted_arm_matches_step(path):
-    # the block hands the idiv back and its thunk raises: the fault, pc,
+    # the block hands the idiv back and its step handler raises: the fault, pc,
     # counters and registers must be the step() loop's
     from repro.machine.superblock import SB_PREFIX
 

@@ -1,11 +1,11 @@
 """Driver equivalence: ``Machine.run`` must match ``step()`` exactly.
 
-``run`` dispatches exec-compiled superblocks and falls back to per-PC
-closure thunks, and it batches its counter reconciliation; these tests
-prove that is invisible — every bundled workload produces byte-identical
-memory, output, counters, and engine trace streams under ``step()``,
-under ``run``, and under ``run`` on the thunks alone (the ``closure``
-path, an emptied block table), and faults/limits/budgets land on the
+``run`` dispatches exec-compiled superblocks and runs what they leave on
+the pre-decoded step handlers, and it batches its counter reconciliation;
+these tests prove that is invisible — every bundled workload produces
+byte-identical memory, output, counters, and engine trace streams under
+``step()``, under ``run``, and under ``run`` with blocks that never
+compile (the ``closure`` path), and faults/limits/budgets land on the
 same instruction with the same machine state.
 """
 
@@ -34,7 +34,7 @@ from repro.profiling.slices import RedundancyTaintAnalyzer
 from repro.workloads.suite import SUITE
 
 from tests.conftest import (RUN_PATHS, HookRecorder, build_dtt_sum,
-                            thunks_only)
+                            every_block_compiled, never_compiled)
 
 
 def drive_legacy(machine):
@@ -248,7 +248,7 @@ def test_fast_run_after_restore_reuses_memory_identity():
 
 
 def test_equivalence_survives_interleaved_tiers():
-    # stepping, thunk-only and compiled batch runs on the same machine
+    # stepping, uncompiled and compiled batch runs on the same machine
     # may be freely mixed
     workload = SUITE["gzip"]
     inp = workload.make_input(scale=4)
@@ -257,7 +257,7 @@ def test_equivalence_survives_interleaved_tiers():
     main = mixed.main_context
     for _ in range(137):
         mixed.step(main)
-    thunks_only(mixed).run(main, max_steps=501)
+    never_compiled(mixed).run(main, max_steps=501)
     mixed._superblocks = None  # the next run recompiles the real table
     mixed.run(main, max_steps=503)
     while main.state is ContextState.RUNNING:
@@ -298,7 +298,7 @@ def _guard_side_exit_program(limit):
 
 
 def test_superblock_memory_guard_side_exit_faults_identically():
-    # the compiled guard must bail to the thunk, which raises the same
+    # the compiled guard must bail to the step handler, which raises the same
     # MemoryFault with the same counters and pc as single-stepping
     fp = _fault_fingerprints(
         _guard_side_exit_program(6), MemoryFault, "outside address space")
@@ -397,8 +397,24 @@ def test_blocks_of_different_shapes_do_not_share_code(copies):
             list(map(repr, reference.output))
 
 
+def record_handler_calls(machine) -> list:
+    """Test fake: wrap each of ``machine``'s pre-decoded step handlers
+    so that every call, cold or stepped, appends its pc to the returned
+    list."""
+    calls = []
+
+    def recorded(handler):
+        def call(m, ctx, instruction, pc):
+            calls.append(pc)
+            return handler(m, ctx, instruction, pc)
+        return call
+
+    machine._decoded = [(recorded(handler), instruction)
+                        for handler, instruction in machine._decoded]
+    return calls
+
+
 def test_loop_block_entered_once_runs_compiled():
-    from repro.machine.fastpath import build_thunks
     from repro.machine.superblock import SB_PREFIX, form_blocks
 
     b = ProgramBuilder()
@@ -415,14 +431,11 @@ def test_loop_block_entered_once_runs_compiled():
     program = b.build()
     (entry,) = [e for e, _, is_loop in form_blocks(program) if is_loop]
     machine = Machine(program)
-    thunk_calls = []
-    machine._thunks = [
-        (lambda ctx, thunk=thunk: thunk_calls.append(1) or thunk(ctx))
-        for thunk in build_thunks(machine)]
+    cold = record_handler_calls(machine)
     run_to_completion(machine)
     assert machine._superblocks[entry].__name__ == f"{SB_PREFIX}{entry}"
     assert machine.instructions_executed > 3000
-    assert len(thunk_calls) < 10  # the loop ran compiled, not on thunks
+    assert len(cold) < 10  # the loop ran compiled, not cold
     reference = Machine(program)
     drive_legacy(reference)
     assert fingerprint(machine) == fingerprint(reference)
@@ -752,27 +765,46 @@ def test_removed_observer_sees_nothing_more():
 
 
 def test_declared_transfers_replace_hook_calls():
-    # both analyses declare shadow transfers: their thunks hold no hook
-    # to call, and an instruction neither analyses keeps the plain thunk
+    # with every block compiled, both analyses run as shadow transfers
+    # inside the blocks: their hooks are called only for the instructions
+    # that no block retired, exactly as step() calls them there
+    from repro.machine.semantics import KIND_HOOKS, SEMANTICS
+
     program = _mcf_program()
     machine = Machine(program)
-    machine.add_observer(RedundantLoadProfiler())
-    machine.add_observer(RedundancyTaintAnalyzer())
-    machine.run(max_steps=1)
-    thunks = {i.op: thunk for i, thunk
-              in zip(program.instructions, machine._thunks)}
-    assert {"ldx", "add", "bge", "jmp"} <= set(thunks)
-    for op in ("ldx", "add", "bge"):
-        assert thunks[op].__name__ == f"observed_{op}"
-        assert not {"on_instruction", "on_load", "on_branch"} & set(
-            thunks[op].__code__.co_freevars)
-    assert thunks["jmp"].__name__ == "plain_jmp"
+    analyses = (RedundantLoadProfiler(), RedundancyTaintAnalyzer())
+    for analysis in analyses:
+        machine.add_observer(analysis)
+    every_block_compiled(machine)
+    cold = record_handler_calls(machine)
+    hooked = []  # (analysis, hook, pc) of every hook call, in order
+    for analysis in analyses:
+        for name in ("on_load", "on_store", "on_branch", "on_instruction"):
+            hook = getattr(analysis, name)
+            setattr(analysis, name,
+                    lambda ctx, pc, *args, key=(analysis, name), hook=hook:
+                    hooked.append(key + (pc,)) or hook(ctx, pc, *args))
+    run_to_completion(machine)
+    assert machine.compiled_instructions > 0.99 * \
+        machine.instructions_executed
+    assert len(cold) == \
+        machine.instructions_executed - machine.compiled_instructions
+    for analysis in analyses:
+        calls = [(name, pc) for owner, name, pc in hooked
+                 if owner is analysis]
+        expected = []
+        for pc in cold:
+            op = program.instructions[pc].op
+            kind = SEMANTICS[op].kind if op in SEMANTICS else None
+            if kind in KIND_HOOKS:
+                expected.append((KIND_HOOKS[kind], pc))
+            expected.append(("on_instruction", pc))
+        assert calls == expected
 
 
 def _assert_freed_without_the_cycle_collector(observers):
-    # neither the observed thunk table nor the observed block table may
-    # hold the machine that owns it, nor keep its memory once it is freed,
-    # or every finished profiled machine lives on until a full collection
+    # the block table may not keep its machine's memory once the machine
+    # is freed, or every finished machine lives on until a full collection
     program = _mcf_program()
     gc.disable()
     try:
@@ -781,24 +813,31 @@ def _assert_freed_without_the_cycle_collector(observers):
         for observer in attached:
             machine.add_observer(observer)
         run_to_completion(machine)
-        assert machine._thunks is not None
         # only observers that all declare a shadow transfer run blocks
         shadowed = all(o.shadow is not None for o in attached)
         assert (machine.compiled_instructions > 0) == shadowed
-        # a thunk, and a block or its countdown stub: each holds memory
-        tables = [machine._thunks, [entry for entry in machine._superblocks
-                                    if entry is not None][:1]]
-        held = [weakref.ref(table[0]) for table in tables if table]
+        # the table, and a block or its countdown stub: each holds memory
+        table = machine._superblocks
+        entries = [entry for entry in table if entry is not None]
+        assert bool(entries) == shadowed
+        held = [weakref.ref(entry) for entry in entries[:1]]
         ref = weakref.ref(machine)
-        del machine, tables
+        del machine, entries
         assert ref() is None
         assert [entry() for entry in held] == [None] * len(held)
+        if shadowed:
+            assert table == []  # cleared when its machine was freed
     finally:
         gc.enable()
 
 
+def test_unobserved_machine_is_freed_without_the_cycle_collector():
+    # a machine without observers runs compiled blocks
+    _assert_freed_without_the_cycle_collector(lambda: [])
+
+
 def test_profiled_machine_is_freed_without_the_cycle_collector():
-    # a hook observer runs on per-instruction thunks
+    # a hook observer keeps the run on the step handlers
     _assert_freed_without_the_cycle_collector(lambda: [_CountingObserver()])
 
 

@@ -129,9 +129,9 @@ def test_fold_names_the_entry_of_timed_hot_blocks():
     assert fold_superblock_frames(label) == "   30  0.2  tb:143\n"
 
 
-def test_fold_names_the_opcode_of_generated_handlers_and_thunks():
-    # profile a run that goes through the step handlers and both thunk
-    # forms; every generated frame must fold to its opcode
+def test_fold_names_the_opcode_of_generated_handlers():
+    # profile runs that go through the step handlers, stepped, cold and
+    # observed; every generated frame must fold to its opcode
     import cProfile
     import io
     import pstats

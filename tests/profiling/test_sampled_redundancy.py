@@ -146,3 +146,52 @@ def test_sampled_profile_is_deterministic_across_processes():
         [sys.executable, "-c", script], capture_output=True, text=True,
         check=True).stdout
     assert json.loads(output) == json.loads(json.dumps(local))
+
+
+def _sampled_state(profiler):
+    """Everything the sampled profiler keeps, sites in their map order."""
+    def site(stats):
+        return {slot: getattr(stats, slot) for slot in stats.__slots__}
+
+    return {
+        "summary": profiler.summary(),
+        "provenance": profiler.provenance(),
+        "loads": [site(stats) for stats in profiler._loads.values()],
+        "stores": [site(stats) for stats in profiler._stores.values()],
+        "last_loaded": profiler._last_loaded,
+        "load_counts": profiler._load_counts,
+        "store_counts": profiler._store_counts,
+    }
+
+
+@pytest.mark.parametrize("path", ["closure", "compiled", "superblock"])
+@pytest.mark.parametrize("workload,budget", [("gzip", 1 << 20),
+                                             ("mcf", 1 << 20),
+                                             ("mcf", 40)])
+def test_sampled_transfers_match_the_hooks(workload, budget, path):
+    # Machine.run runs the declared transfer in compiled blocks and the
+    # hooks elsewhere; a step() loop calls only the hooks.  Both must end
+    # in the same state, the address budget's refusals included.
+    from repro.machine.context import ContextState
+
+    from tests.conftest import RUN_PATHS
+
+    wl = SUITE[workload]
+    program = wl.build_baseline(wl.make_input(scale=2))
+    states = []
+    for drive in ("step", "run"):
+        machine = Machine(program)
+        profiler = SampledRedundantLoadProfiler(
+            sample_rate=4, seed=3, max_tracked_addresses=budget)
+        machine.add_observer(profiler)
+        if drive == "run":
+            run_to_completion(RUN_PATHS[path](machine))
+            assert (machine.compiled_instructions > 0) == (path != "closure")
+        else:
+            main = machine.main_context
+            while main.state is ContextState.RUNNING:
+                machine.step(main)
+        states.append(_sampled_state(profiler))
+    assert states[0] == states[1]
+    if budget < 1 << 20:  # the small budget refuses addresses
+        assert states[0]["summary"]["tracked_addresses_capped"]

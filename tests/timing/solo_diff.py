@@ -233,8 +233,9 @@ def record_exits(sim):
     ``"back-edge"`` for a call that looped, retiring more than one block
     length, and ``"wake"`` for a cycle-limit exit at the wake-up of
     another context (the call's limit below the configuration's).  An
-    exit from inside an inner loop of the block also counts as
-    ``"<key>@inner"``.
+    exit from inside an inner loop of the block counts as
+    ``"<key>@inner"`` instead, so each plain key is an exit from outside
+    every inner loop.
     """
     sim.exits = exits = collections.Counter()
     instructions = sim.machine.program.instructions
@@ -259,9 +260,9 @@ def record_exits(sim):
                     if state[3] + state[2] - retired - k > length:
                         keys.append("back-edge")
                     for key in keys:
-                        exits[key] += 1
                         if kind.inner and key != "back-edge":
-                            exits[f"{key}@inner"] += 1
+                            key += "@inner"
+                        exits[key] += 1
                 return state
             return traced
 

@@ -248,7 +248,9 @@ def guard_program(pad):
 def test_out_of_range_ldx_mid_block_falls_back_to_the_handler(config, pad):
     sim, snap = compiled_exact(baseline_sim(guard_program(pad), config))
     assert snap["error"][0] == "MemoryFault"
-    assert sim.exits["guard"] == 1 and sim.exits["back-edge"]
+    # the loop is an inner loop of the entry's block
+    assert sim.exits["guard@inner"] == 1 and sim.exits["back-edge"]
+    assert sim.exits["guard"] == 0
 
 
 def divide_program(slot):
@@ -277,7 +279,9 @@ def divide_program(slot):
 def test_idiv_by_zero_at_each_slot_of_a_compiled_loop(config, slot):
     sim, snap = compiled_exact(baseline_sim(divide_program(slot), config))
     assert snap["error"] == ("ExecutionFault", "integer division by zero")
-    assert sim.exits["fault"] == 1 and sim.exits["back-edge"]
+    # the loop is an inner loop of the entry's block
+    assert sim.exits["fault@inner"] == 1 and sim.exits["back-edge"]
+    assert sim.exits["fault"] == 0
 
 
 @pytest.mark.parametrize("config", CONFIGS)
@@ -289,7 +293,8 @@ def test_max_cycles_hit_inside_a_compiled_loop(config):
         assert snap["error"] == ("ExecutionLimitExceeded",
                                  f"exceeded {limit} simulated cycles")
         kinds.update(sim.exits)
-    assert "cycle-limit" in kinds
+    # the loop is an inner loop of the entry's block
+    assert "cycle-limit@inner" in kinds
 
 
 def multiply_chain_program():
@@ -317,7 +322,9 @@ def test_cycle_limit_between_a_cycle_end_and_its_stall(config):
             multiply_chain_program(), config, max_cycles=limit))
         assert snap["error"] == ("ExecutionLimitExceeded",
                                  f"exceeded {limit} simulated cycles")
-        assert sim.exits["cycle-limit"] == 1
+        # the loop is an inner loop of the entry's block
+        assert sim.exits["cycle-limit@inner"] == 1
+        assert sim.exits["cycle-limit"] == 0
 
 
 @pytest.mark.parametrize("config", CONFIGS)
@@ -328,8 +335,10 @@ def test_max_instructions_hit_inside_a_compiled_loop(config):
         assert snap["error"] == (
             "ExecutionLimitExceeded",
             f"exceeded {limit} dynamic instructions")
-        # the loop leaves its block when another iteration would not fit
-        assert sim.exits["headroom"] == 1
+        # the loop, an inner loop of the entry's block, leaves the block
+        # when another iteration would not fit
+        assert sim.exits["headroom@inner"] == 1
+        assert sim.exits["headroom"] == 0
 
 
 def mispredict_program():
@@ -364,8 +373,9 @@ def test_mispredict_ends_a_cycle_mid_block(config):
     # the loop is an inner loop of the entry's block, which runs every
     # iteration in one call: no taken exit, one call that loops and
     # leaves at the halt, and every instruction but the halt compiled
-    assert sim.exits["taken"] == 0 and sim.exits["back-edge"] == 1
-    assert sim.exits["engine"] == sim.exits["engine@inner"] + 1 == 1
+    assert sim.exits["taken"] == sim.exits["taken@inner"] == 0
+    assert sim.exits["back-edge"] == 1
+    assert sim.exits["engine"] == 1 and sim.exits["engine@inner"] == 0
     assert sim.compiled_instructions == \
         sim.machine.instructions_executed - 1
 
