@@ -92,7 +92,7 @@ class Shadow(NamedTuple):
     it touches in locals, as it keeps registers, and writes back the
     ones it wrote through ``{dest:<file>}`` when it ends, so a template
     writes a register file only through ``dest``.  A block hands an
-    instruction back (a failed memory guard, a fault) before its
+    instruction back (a faulting memory address, a fault) before its
     transfer; an exception raised by a transfer itself propagates out
     of the block without its write-back, as an interrupt does.
     """

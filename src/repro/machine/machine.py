@@ -26,7 +26,7 @@ Execution has two drivers:
   are compiled into single Python functions
   (:mod:`repro.machine.superblock`) that keep registers in locals and
   batch memory counters per block.  An instruction a block hands back
-  (a failed guard or a fault) and an uncompiled PC run on the same
+  (a faulting address or a fault) and an uncompiled PC run on the same
   pre-decoded step handlers as ``step()``, the one cold path it shares
   with the timing model's run-aheads; engine opcodes go to ``step()``
   itself.  Accounting (instruction counters, the dynamic-instruction
@@ -209,8 +209,8 @@ class Machine:
         contexts; those are counted in the machine totals as usual).
 
         Compiled blocks run at their entries; uncompiled PCs and the
-        instructions a block hands back on a failed guard or a fault run
-        on their step handlers, and engine opcodes under ``step()``.  A
+        instructions a block hands back (a faulting address or a fault)
+        run on their step handlers, and engine opcodes under ``step()``.  A
         block takes the chunk budget left as an argument, never exceeds
         it, reconciles the memory counters itself, and returns its
         retired count with the next PC (see

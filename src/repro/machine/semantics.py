@@ -24,8 +24,9 @@ signature; ``{b:int}``/``{b:float}`` coerce), the fall-through PC
 ``{out}``.  Each form renders them in its own terms: ``regs[i.b]`` in a
 step handler, the local ``r5`` in a superblock.
 Loads and stores share one memory guard, :data:`GUARD`; an address it
-rejects takes the checked :class:`~repro.machine.memory.Memory` method,
-which raises the fault.
+accepts indexes the memory's dense word list, and any other takes the
+checked :class:`~repro.machine.memory.Memory` method, which grows the
+list, reaches the sparse words or raises the fault.
 """
 
 from __future__ import annotations
@@ -156,33 +157,55 @@ SEMANTICS: Dict[str, Semantics] = {
 
 # -- the shared memory access -------------------------------------------------
 
-#: the fast-path condition of every load and store (address in ``_a``)
-GUARD = "_a.__class__ is int and 0 <= _a < _limit"
+#: the fast-path condition of every load and store (address in ``_a``):
+#: an exact ``int`` inside the memory's dense word list ``_words``, of
+#: length ``_dense``
+GUARD = "_a.__class__ is int and 0 <= _a < _dense"
 
-_FAST = {LOAD: "{a} = _get(_a, 0)", STORE: "_words[_a] = {a}"}
+#: the fast path: a list index, and a store sets its written flag in
+#: ``_W`` (the memory's ``_written``)
+_FAST = {LOAD: ["{a} = _words[_a]"],
+         STORE: ["_words[_a] = {a}", "_W[_a] = 1"]}
 _COUNT = {LOAD: "_mem.load_count += 1", STORE: "_mem.store_count += 1"}
-#: the checked fallback, through the machine ``m``; a store peeks first,
-#: so a bad address faults on the peek exactly as the engine's ``tst`` does
+#: a step handler's checked fallback, through the machine ``m``, which
+#: grows the list, reaches the sparse words or faults; a store peeks
+#: first, so a bad address faults on the peek exactly as the engine's
+#: ``tst`` does
 _CHECKED = {LOAD: ["{a} = m.memory.load(_a)"],
            STORE: ["_old = m.memory.peek(_a)", "m.memory.store(_a, {a})"]}
+#: a compiled block's fallback, through the memory's uncounted
+#: ``peek``/``poke`` (``_peek``/``_poke``), as one :class:`GuardMiss` line
+_MISS = {LOAD: "{a} = _peek(_a)", STORE: "_poke(_a, {a})"}
 
 
-def access(sem: Semantics, ops: Dict[str, Src], slow: List[str],
-           counted: bool = True, old: bool = False) -> List[str]:
+class GuardMiss(str):
+    """A compiled block's line for an address its guard rejects.  An
+    address inside the address space is read or written there; one that
+    faults raises, and the block takes the exception on this line as the
+    guard's hand-back of the instruction."""
+
+
+def access(sem: Semantics, ops: Dict[str, Src], checked: bool = True,
+           old: bool = False) -> List[str]:
     """Lines of one load or store behind :data:`GUARD`.
 
-    ``slow`` (rendered lines) runs when the guard fails; ``counted``
-    bumps the memory counter on the fast path (superblocks batch it
-    instead); ``old`` keeps a store's overwritten word in ``_old`` for
-    the store hooks.
+    In a step handler (``checked``) the fast path counts the access and
+    a failed guard takes the checked ``Memory`` method; in a compiled
+    block, which batches the counters, it takes one :class:`GuardMiss`
+    line.  ``old`` keeps a store's overwritten word in ``_old`` for the
+    store hooks and transfers.
     """
-    fast = [_COUNT[sem.kind]] if counted else []
+    fast = [_COUNT[sem.kind]] if checked else []
     if old:
-        fast.append("_old = _get(_a, 0)")
-    fast.append(_FAST[sem.kind])
-    return ([f"_a = {sem.effect.format(**ops)}", f"if {GUARD}:"]
-            + ["    " + line.format(**ops) for line in fast]
-            + ["else:"] + ["    " + line for line in slow])
+        fast.append("_old = _words[_a]")
+    fast += _FAST[sem.kind]
+    lines = ([f"_a = {sem.effect.format(**ops)}", f"if {GUARD}:"]
+             + ["    " + line.format(**ops) for line in fast] + ["else:"])
+    if checked:
+        return lines + ["    " + line.format(**ops)
+                        for line in _CHECKED[sem.kind]]
+    miss = ("_old = _peek(_a); " if old else "") + _MISS[sem.kind]
+    return lines + [GuardMiss("    " + miss.format(**ops))]
 
 
 # -- operand rendering --------------------------------------------------------
@@ -335,10 +358,11 @@ def _body(op: str) -> List[str]:
     args, result = _HOOK_ARGS.get(kind, ("", "(None, None)"))
     lines = ["regs = ctx.regs"] if "R" in OPCODES[op].signature else []
     if kind in (LOAD, STORE):
-        lines += ["_mem = m.memory", "_limit = _mem.limit",
-                  "_words = _mem._words", "_get = _words.get"]
-        checked = [line.format(**ops) for line in _CHECKED[kind]]
-        lines += access(sem, ops, checked, old=kind == STORE)
+        lines += ["_mem = m.memory", "_words = _mem._words",
+                  "_dense = len(_words)"]
+        if kind == STORE:
+            lines.append("_W = _mem._written")
+        lines += access(sem, ops, old=kind == STORE)
     elif kind == ALU:
         lines.append(f"{ops['a']} = {sem.effect.format(**env)}")
     elif kind == BRANCH:

@@ -6,8 +6,9 @@
 *compiled blocks*: one Python function per block, built with ``compile``
 from the instruction templates of :mod:`repro.machine.semantics`, with
 registers in locals, ALU ops as inline expressions and memory accesses
-straight at the machine's words dict behind the step handlers' in-range
-exact-``int`` guard.  Both tiers form the same blocks and emit them with
+as list indexes into the machine's dense words behind the step handlers'
+exact-``int`` guard, whose bound is the dense length when the block
+table is built.  Both tiers form the same blocks and emit them with
 one generator (:class:`Block`); the timed tier composes its *timing
 aspect* (:mod:`repro.timing.blocks`) onto the emitter's hooks, and an
 observed ``Machine.run`` its *shadow aspect* (:class:`ShadowBlock`).  What a
@@ -68,13 +69,16 @@ its loop's head.  So every pass but the last retires at most its span,
 the last at most the block length, and the block never exceeds the
 budget.  ``_n`` is derived from ``_room`` and the rerun counters at the
 exit.  Exit
-``j`` of the first ``length`` is the *hand-back* of position ``j``: on a
-failed memory guard (*guard*) or an ``Exception`` (*fault*, its position
-found from the traceback's line number, so no instruction pays for a
-marker) the block returns with that instruction not run, and its caller
-reruns it on its step handler, which takes the checked path or raises
-the same exception.  An interrupt propagates without the block's
-write-back.
+``j`` of the first ``length`` is the *fault* hand-back of position ``j``,
+taken on an ``Exception`` raised there (its position found from the
+traceback's line number, so no instruction pays for a marker).  A load
+or store also has a *guard* hand-back, taken on an exception raised on
+its :class:`~repro.machine.semantics.GuardMiss` line, which reads or
+writes an address the guard rejects through the memory and raises only
+where the address faults.  Either way the block returns with that
+instruction not run, and its caller reruns it on its step handler,
+which raises the same exception.  An interrupt propagates without the
+block's write-back.
 
 A functional block ``sb(ctx, budget)`` returns ``None``, having run
 nothing, when fewer than one block length of instructions is left under
@@ -148,9 +152,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.isa.instructions import operand_roles
 from repro.isa.program import Program
 from repro.machine.semantics import (ALU, BRANCH, ENGINE_OPCODES, HELPERS,
-                                     LOAD, SEMANTICS, STORE, ExactInt, Src,
-                                     access, operands, shadow_names,
-                                     transfer)
+                                     LOAD, SEMANTICS, STORE, ExactInt,
+                                     GuardMiss, Src, access, operands,
+                                     shadow_names, transfer)
 
 #: conditional branches and ``jmp``: the edges a block if-converts,
 #: duplicates a tail on, loops on or leaves by
@@ -485,8 +489,11 @@ class Block:
         self.exits = {(FAULT, j, j): j for j in range(length)}
         #: skipped range ``(lo, hi)`` -> the index of its counter
         self.skips: Dict[Tuple[int, int], int] = {}
-        #: the body's source lines and the position each belongs to
-        #: (``None``: a transfer line, which hands nothing back)
+        #: the body's source lines and the exit an exception raised on
+        #: each takes: its position's fault hand-back (exit ``j``), or
+        #: for a :class:`~repro.machine.semantics.GuardMiss` line its
+        #: guard hand-back (``None``: a transfer line, which hands
+        #: nothing back)
         self.out: List[str] = []
         self.where: List[Optional[int]] = []
         #: positions with a value bound per entry as ``_b<i>`` after the
@@ -500,14 +507,18 @@ class Block:
         """Append ``lines`` at ``indent``, as code of position ``j``."""
         for line in lines:
             self.out.append(indent + line)
-            self.where.append(j)
+            self.where.append(self._index(GUARD, j, j)
+                              if isinstance(line, GuardMiss) else j)
 
     # -- exits and edges -----------------------------------------------------
 
+    def _index(self, kind: int, d: int, pc: int) -> int:
+        """The index of the exit after ``d`` positions, for ``pc``."""
+        return self.exits.setdefault((kind, d, pc), len(self.exits))
+
     def _exit(self, kind: int, d: int, pc: int) -> str:
         """Leave through the epilogue after ``d`` positions, for ``pc``."""
-        index = self.exits.setdefault((kind, d, pc), len(self.exits))
-        return f"_e = {index}; break"
+        return f"_e = {self._index(kind, d, pc)}; break"
 
     def _skip(self, lo: int, hi: int) -> List[str]:
         """Skip positions [lo, hi) (timing aspect hook)."""
@@ -564,9 +575,9 @@ class Block:
         if sem.kind == ALU:
             return [f"{ops['a']} = {sem.effect.format(**ops)}"]
         if sem.kind == LOAD or sem.kind == STORE:
-            # memory counters are batched per block; a failed guard hands
-            # the instruction back
-            return access(sem, ops, [self._exit(GUARD, j, j)], counted=False,
+            # memory counters are batched per block; an address that
+            # faults hands the instruction back
+            return access(sem, ops, checked=False,
                           old=self.KEEP_OLD and sem.kind == STORE)
         return sem.effect.format(out="_out", **ops).splitlines()
 
@@ -835,11 +846,16 @@ def block_code(instructions, entry: int, length: int, is_loop: bool,
 
 
 def block_namespace(machine, **bound) -> dict:
-    """Globals of compiled blocks on ``machine``, plus ``bound``."""
+    """Globals of compiled blocks on ``machine``, plus ``bound``.  The
+    guard's bound ``_dense`` is the memory's dense length now, when the
+    loader has written the program's data (the list never shrinks); a
+    block reaches a word past it through ``_peek``/``_poke``."""
     memory = machine.memory
     return dict(HELPERS, __builtins__=builtins, _mem=memory,
-                _words=memory._words, _get=memory._words.get,
-                _limit=memory.limit, _out=machine.output.append, **bound)
+                _words=memory._words, _W=memory._written,
+                _dense=len(memory._words), _peek=memory.peek,
+                _poke=memory.poke,
+                _out=machine.output.append, **bound)
 
 
 def install(machine) -> list:

@@ -395,7 +395,7 @@ class TimingSimulator:
                             if exit_kind == CYCLE_LIMIT:
                                 reason = _CYCLE_LIMIT
                                 break
-                            # a failed guard or a fault: the block hands
+                            # a faulting address or a fault: the block hands
                             # the instruction back to its handler
                             pc = ctx.pc
                         kind, latency, class_index, handler, ins = cold[pc]

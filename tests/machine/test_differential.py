@@ -66,7 +66,8 @@ from repro.profiling.slices import RedundancyTaintAnalyzer
 from repro.timing.system import TimingSimulator
 from repro.workloads.suite import SUITE
 
-from tests.conftest import RUN_PATHS, HookRecorder, build_dtt_sum
+from tests.conftest import (RUN_PATHS, HookRecorder, build_dtt_sum,
+                            compile_at)
 
 # register window the generated programs use (avoids reserved r1..r3)
 REGS = [4, 5, 6, 7]
@@ -1038,3 +1039,199 @@ def test_fault_in_an_if_converted_arm_matches_step(path):
     assert machine._superblocks[entry].__name__ == f"{SB_PREFIX}{entry}"
     if path == "compiled":  # every instruction but the handed-back idiv
         assert machine.compiled_instructions == expected["counters"][0] - 1
+
+
+# -- memory grown past the dense bound a block table took -------------------
+
+
+def _storing_past_the_data(n=12):
+    """``xs[i + 3] = xs[i] + xs[i + 2]`` for ``i`` in ``[0, n)``, stored
+    twice (the second store silent, its old word the value), then
+    ``out(xs[n + 2])``: ``xs`` is the program's last data item, so the
+    first store lands one word past the loaded data, and each later one
+    past what the block's bound covers."""
+    b = ProgramBuilder()
+    b.data("xs", [1, 2, 3])
+    with b.function("main"):
+        with b.scratch(5) as (i, base, v, w, p):
+            b.la(base, "xs")
+            with b.for_range(i, 0, n):
+                b.ldx(v, base, i)
+                b.addi(p, i, 2)
+                b.ldx(w, base, p)
+                b.add(v, v, w)
+                b.addi(p, i, 3)
+                b.stx(v, base, p)
+                b.stx(v, base, p)
+            b.ld(v, base, n + 2)
+            b.out(v)
+        b.halt()
+    return b.build()
+
+
+def _summing_past_the_data(rounds=8, words=6):
+    """``rounds`` times, output the sum of ``xs[0..words)``, of which only
+    the first two are data; the rest read what was written since."""
+    b = ProgramBuilder()
+    b.data("xs", [1, 2])
+    with b.function("main"):
+        with b.scratch(5) as (r, i, base, acc, v):
+            b.la(base, "xs")
+            with b.for_range(r, 0, rounds):
+                b.li(acc, 0)
+                with b.for_range(i, 0, words):
+                    b.ldx(v, base, i)
+                    b.add(acc, acc, v)
+                b.out(acc)
+        b.halt()
+    return b.build()
+
+
+#: instructions the poke case runs before its poke
+POKE_AFTER = 40
+
+
+def _late_growth(case):
+    """``(program, crossing opcode, poked address or None)`` of a
+    late-growth case: ``"store"`` stores past its data while running,
+    ``"poke"`` reads a word poked past the data between two runs."""
+    if case == "store":
+        return _storing_past_the_data(), "stx", None
+    program = _summing_past_the_data()
+    return program, "ldx", program.address_of("xs") + 4
+
+
+def record_cold_pcs(machine, pcs: list) -> None:
+    """Test fake: append to ``pcs`` every pc ``machine`` runs on a step
+    handler from now on."""
+    def recorded(handler):
+        def call(m, ctx, instruction, pc):
+            pcs.append(pc)
+            return handler(m, ctx, instruction, pc)
+        return call
+
+    machine._decoded = [(recorded(handler), instruction)
+                        for handler, instruction in machine._decoded]
+
+
+def _grown(stepping, poked, cold=None):
+    """A drive ``(machine, loads, slices)``: run, or step, the program
+    to its end, poking 100 at ``poked`` after :data:`POKE_AFTER`
+    instructions of it; a run records in ``cold`` the pcs it runs on step
+    handlers after the poke."""
+    def drive(machine, *_analyses):
+        main = machine.main_context
+        if poked is not None:
+            if stepping:
+                for _ in range(POKE_AFTER):
+                    machine.step(main)
+            else:
+                machine.run(main, max_steps=POKE_AFTER)
+            assert machine.instructions_executed == POKE_AFTER
+            machine.memory.poke(poked, 100)
+        if stepping:
+            _run_steps(machine)
+        else:
+            if cold is not None:
+                record_cold_pcs(machine, cold)
+            run_to_completion(machine)
+    return drive
+
+
+def _grown_state(machine):
+    """Output, memory, counters, registers and pc of ``machine``."""
+    main = machine.main_context
+    return {"output": [_norm(v) for v in machine.output],
+            "memory": {a: _norm(v)
+                       for a, v in machine.memory.snapshot().items()},
+            "counters": (machine.instructions_executed,
+                         machine.main_instructions,
+                         machine.memory.load_count,
+                         machine.memory.store_count),
+            "regs": [_norm(v) for v in main.regs], "pc": main.pc}
+
+
+def _assert_grown(machine, program, handed):
+    """``machine``'s dense words grew past the end of ``xs`` while its
+    blocks handed nothing back."""
+    base, size = program.layout["xs"]
+    assert len(machine.memory._words) > base + size
+    assert handed == []
+
+
+def _ran_in_blocks(program, crossing, cold):
+    """No ``crossing`` op ran on a step handler: each reached past the
+    blocks' bound inside its block."""
+    return not {pc for pc in cold if program.instructions[pc].op == crossing}
+
+
+@pytest.mark.parametrize("path", ["compiled", "superblock"])
+@pytest.mark.parametrize("case", ["store", "poke"])
+def test_memory_grown_past_the_block_bound_matches_step(case, path,
+                                                        monkeypatch):
+    # blocks bind the dense length when the table is built; a word past
+    # it (stored there while running, or poked between two runs) is read
+    # and written in the block through the memory's peek and poke
+    program, crossing, poked = _late_growth(case)
+    stepped = Machine(program)
+    _grown(True, poked)(stepped)
+    handed, cold = record_hand_backs(monkeypatch), []
+    machine = RUN_PATHS[path](Machine(program))
+    _grown(False, poked, cold)(machine)
+    assert _grown_state(machine) == _grown_state(stepped)
+    assert machine.compiled_instructions > 0
+    _assert_grown(machine, program, handed)
+    assert _ran_in_blocks(program, crossing, cold)
+    if poked is not None:  # the poked word reached every later sum
+        assert stepped.output[-1] - stepped.output[0] == 100
+
+
+@pytest.mark.parametrize("case", ["store", "poke"])
+def test_analyses_of_memory_grown_past_the_block_bound_match_step(
+        case, monkeypatch):
+    # the shadow aspect: both analyses' state, stores keeping the word
+    # they overwrite past the bound too
+    program, crossing, poked = _late_growth(case)
+    stepped, expected, fault = _analysed(program, _grown(True, poked))
+    handed, cold = record_hand_backs(monkeypatch), []
+    compile_at(monkeypatch, 1)
+    machine, actual, run_fault = _analysed(program,
+                                           _grown(False, poked, cold))
+    assert fault is None
+    assert (actual, run_fault) == (expected, fault)
+    assert _grown_state(machine) == _grown_state(stepped)
+    assert machine.compiled_instructions > 0
+    _assert_grown(machine, program, handed)
+    assert _ran_in_blocks(program, crossing, cold)
+
+
+def test_timed_stores_past_the_block_bound_match_step(monkeypatch):
+    # the timing aspect: a timed block stores past its bound without a
+    # guard exit
+    from repro.timing import blocks
+
+    program, _, _ = _late_growth("store")
+    stepped = Machine(program)
+    _run_steps(stepped)
+    handed = []
+    compile_block = blocks.HotBlocks.compile
+
+    def recording(hot, entry, length, is_loop):
+        block = compile_block(hot, entry, length, is_loop)
+
+        def call(ctx, *state):
+            after = block(ctx, *state)
+            if after is not None and after[-1] in (superblock.GUARD,
+                                                   superblock.FAULT):
+                handed.append(ctx.pc)
+            return after
+        return call
+
+    monkeypatch.setattr(blocks.HotBlocks, "compile", recording)
+    compile_at(monkeypatch, 1)
+    simulator = TimingSimulator(program)
+    simulator.run()
+    machine = simulator.machine
+    assert _grown_state(machine) == _grown_state(stepped)
+    assert simulator.compiled_instructions > 0
+    _assert_grown(machine, program, handed)
