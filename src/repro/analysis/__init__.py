@@ -24,32 +24,17 @@ wrong answers whenever the skip fires.  This package checks it statically:
   ``dtt-harness analyze``.
 """
 
-from repro.analysis.findings import (ERROR, WARNING, Baseline, Finding,
-                                     Severity, errors_only, findings_to_json)
-from repro.analysis.checks import (CHECKS, CHECK_VERSIONS, analysis_summary,
-                                   analyze_build, analyze_program,
-                                   analyze_workload, summarize_workload)
-from repro.analysis.symbolic import (Affine, ParamRecovery, overlap_verdict,
-                                     prove_param_recovery, symbolic_report)
+from repro import lazy_exports
 
-__all__ = [
-    "ERROR",
-    "WARNING",
-    "Baseline",
-    "Finding",
-    "Severity",
-    "errors_only",
-    "findings_to_json",
-    "CHECKS",
-    "CHECK_VERSIONS",
-    "Affine",
-    "ParamRecovery",
-    "overlap_verdict",
-    "prove_param_recovery",
-    "symbolic_report",
-    "analysis_summary",
-    "analyze_build",
-    "analyze_program",
-    "analyze_workload",
-    "summarize_workload",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "findings": (
+        "ERROR", "WARNING", "Baseline", "Finding", "Severity", "errors_only",
+        "findings_to_json"),
+    "checks": (
+        "CHECKS", "CHECK_VERSIONS", "analysis_summary", "analyze_build",
+        "analyze_program", "analyze_workload", "summarize_workload"),
+    "symbolic": (
+        "Affine", "ParamRecovery", "overlap_verdict", "prove_param_recovery",
+        "symbolic_report"),
+    "lint": ("lint_program",),
+})

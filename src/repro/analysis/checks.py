@@ -47,6 +47,7 @@ from repro.analysis.dataflow import (TOP, UNDEF, AddressSet,
                                      region_containing, region_value,
                                      union_addresses)
 from repro.analysis.findings import ERROR, WARNING, Finding, Severity
+from repro.analysis.lint import lint_program
 from repro.analysis.symbolic import (NONE, SOME, SymbolicValues,
                                      overlap_verdict, symbolic_access_map,
                                      thread_entry_env)
@@ -643,8 +644,6 @@ def analyze_program(
     config = config if config is not None else DttConfig()
     findings: List[Finding] = []
     if include_lint:
-        from repro.isa.lint import lint_program  # circular-safe
-
         findings.extend(lint_program(program))
     findings.extend(_check_uninitialized(program))
     if specs is not None:

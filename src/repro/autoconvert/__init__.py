@@ -25,20 +25,15 @@ Surface: ``dtt-harness convert --workload <w>`` and
 :func:`repro.autoconvert.gate.convert_program`.
 """
 
-from repro.autoconvert.candidates import (ConversionCandidate,
-                                          discover_candidates,
-                                          rank_candidates)
-from repro.autoconvert.gate import (REJECTION_REASONS, ConversionResult,
-                                    convert_program)
-from repro.autoconvert.synthesize import SynthesisResult, synthesize
+from repro import lazy_exports
 
-__all__ = [
-    "ConversionCandidate",
-    "ConversionResult",
-    "REJECTION_REASONS",
-    "SynthesisResult",
-    "convert_program",
-    "discover_candidates",
-    "rank_candidates",
-    "synthesize",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "candidates": (
+        "ConversionCandidate", "discover_candidates", "rank_candidates"),
+    "gate": ("REJECTION_REASONS", "ConversionResult", "convert_program"),
+    "synthesize": ("SynthesisResult", "synthesize"),
+})
+
+# ``synthesize`` is also a submodule's name, and importing the submodule
+# binds the module here, so the function is bound eagerly
+from repro.autoconvert.synthesize import synthesize  # noqa: E402

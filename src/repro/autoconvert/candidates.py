@@ -38,7 +38,7 @@ every synthesized program before accepting anything.
 Scoring (:func:`rank_candidates`) runs the baseline under the
 redundancy profiler and ranks by ``silent_fraction(feeders) ×
 redundant_load_mass(region)`` — the paper's two necessary conditions
-for a DTT win.  With a :class:`~repro.profiling.redundancy.\
+for a DTT win.  With a :class:`~repro.profiling.sampled.\
 SampledRedundantLoadProfiler` the ranking key drops to the product of
 the CI *lower* bounds, so a hot-looking site whose estimate is mostly
 uncertainty does not outrank a site the sample actually measured.
@@ -58,8 +58,8 @@ from repro.isa.instructions import (is_load, is_store, is_triggering_store,
 from repro.isa.program import Program
 from repro.isa.registers import NUM_REGISTERS
 from repro.machine.machine import ENGINE_OPCODES, Machine, run_to_completion
-from repro.profiling.redundancy import (RedundantLoadProfiler,
-                                        SampledRedundantLoadProfiler)
+from repro.profiling.redundancy import RedundantLoadProfiler
+from repro.profiling.sampled import SampledRedundantLoadProfiler
 
 #: ops a convertible region may not contain: observable effects, control
 #: that leaves the region's frame, and DTT ops (the baseline must be

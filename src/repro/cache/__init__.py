@@ -8,13 +8,9 @@ PC-indexed); this affects the paper's baseline and DTT configurations
 identically and is noted in DESIGN.md.
 """
 
-from repro.cache.cache import Cache, CacheParams, CacheStats
-from repro.cache.hierarchy import CacheHierarchy, HierarchyParams
+from repro import lazy_exports
 
-__all__ = [
-    "Cache",
-    "CacheParams",
-    "CacheStats",
-    "CacheHierarchy",
-    "HierarchyParams",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cache": ("Cache", "CacheParams", "CacheStats"),
+    "hierarchy": ("CacheHierarchy", "HierarchyParams"),
+})

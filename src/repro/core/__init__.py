@@ -24,27 +24,14 @@ the inputs never changed, there is nothing to wait for and the entire
 computation is skipped.
 """
 
-from repro.core.config import DttConfig
-from repro.core.registry import ThreadRegistry, TriggerSpec
-from repro.core.queue import EnqueueResult, QueueEntry, ThreadQueue
-from repro.core.status import ThreadStatus, ThreadStatusTable
-from repro.core.engine import DttEngine
-from repro.core.runtime import DttRuntime, TrackedArray, TriggerEvent
-from repro.core.trace import EngineEvent, EngineTrace
+from repro import lazy_exports
 
-__all__ = [
-    "DttConfig",
-    "ThreadRegistry",
-    "TriggerSpec",
-    "EnqueueResult",
-    "QueueEntry",
-    "ThreadQueue",
-    "ThreadStatus",
-    "ThreadStatusTable",
-    "DttEngine",
-    "DttRuntime",
-    "TrackedArray",
-    "TriggerEvent",
-    "EngineEvent",
-    "EngineTrace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "config": ("DttConfig",),
+    "registry": ("ThreadRegistry", "TriggerSpec"),
+    "queue": ("EnqueueResult", "QueueEntry", "ThreadQueue"),
+    "status": ("ThreadStatus", "ThreadStatusTable"),
+    "engine": ("DttEngine",),
+    "runtime": ("DttRuntime", "TrackedArray", "TriggerEvent"),
+    "trace": ("EngineEvent", "EngineTrace"),
+})

@@ -7,23 +7,19 @@ the content-addressed result store, and regression compare.
 * :mod:`repro.exec.store` — the persistent on-disk backend behind
   ``SuiteRunner``'s in-memory memo;
 * :mod:`repro.exec.pool` — ``ProcessPoolExecutor`` scheduling of a plan
-  across N workers (import lazily: it pulls in the harness);
+  across N workers;
 * :mod:`repro.exec.compare` — direction-aware regression diffing of two
   stored result sets, results files, or manifests.
 
-Only ``plan`` and ``store`` are imported eagerly — ``pool`` and
-``compare`` import the harness layer, which itself imports this package.
+``plan`` and ``store`` re-export their names lazily; ``pool`` and
+``compare`` are imported by name.
 """
 
-from repro.exec.plan import (RunPlan, RunSpec, build_plan,
-                             canonical_run_name, config_fingerprint)
-from repro.exec.store import ResultStore
+from repro import lazy_exports
 
-__all__ = [
-    "RunPlan",
-    "RunSpec",
-    "build_plan",
-    "canonical_run_name",
-    "config_fingerprint",
-    "ResultStore",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "plan": (
+        "RunPlan", "RunSpec", "build_plan", "canonical_run_name",
+        "config_fingerprint"),
+    "store": ("ResultStore",),
+})

@@ -8,43 +8,18 @@ the ``benchmarks/`` directory wraps one experiment per pytest-benchmark
 target.
 """
 
-from repro.harness.results import ExperimentResult, ShapeCheck
-from repro.harness.tables import ascii_table, bar_series
-from repro.harness.runner import SuiteRunner
-from repro.harness.experiments import (
-    EXPERIMENTS,
-    run_experiment,
-    run_e1_redundant_loads,
-    run_e2_redundant_computation,
-    run_e3_speedup,
-    run_e4_committed_instructions,
-    run_e5_context_sensitivity,
-    run_e6_benchmark_table,
-    run_e7_machine_energy,
-    run_e8_ablations,
-    run_e9_parallelism,
-)
-from repro.harness.microbench import run_micro_overheads
-from repro.harness.sweeps import sweep_redundancy, sweep_speedup
+from repro import lazy_exports
 
-__all__ = [
-    "ExperimentResult",
-    "ShapeCheck",
-    "ascii_table",
-    "bar_series",
-    "SuiteRunner",
-    "EXPERIMENTS",
-    "run_experiment",
-    "run_e1_redundant_loads",
-    "run_e2_redundant_computation",
-    "run_e3_speedup",
-    "run_e4_committed_instructions",
-    "run_e5_context_sensitivity",
-    "run_e6_benchmark_table",
-    "run_e7_machine_energy",
-    "run_e8_ablations",
-    "run_e9_parallelism",
-    "run_micro_overheads",
-    "sweep_redundancy",
-    "sweep_speedup",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "results": ("ExperimentResult", "ShapeCheck"),
+    "tables": ("ascii_table", "bar_series"),
+    "runner": ("SuiteRunner",),
+    "experiments": (
+        "EXPERIMENTS", "run_experiment", "run_e1_redundant_loads",
+        "run_e2_redundant_computation", "run_e3_speedup",
+        "run_e4_committed_instructions", "run_e5_context_sensitivity",
+        "run_e6_benchmark_table", "run_e7_machine_energy", "run_e8_ablations",
+        "run_e9_parallelism"),
+    "microbench": ("run_micro_overheads",),
+    "sweeps": ("sweep_redundancy", "sweep_speedup"),
+})

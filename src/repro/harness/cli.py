@@ -608,7 +608,7 @@ def _render_findings(label: str, findings, suppressed: int = 0) -> None:
 
 
 def _cmd_lint(args) -> int:
-    from repro.isa.lint import lint_program
+    from repro.analysis.lint import lint_program
 
     try:
         targets = _analysis_targets(args)

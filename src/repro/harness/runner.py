@@ -39,8 +39,6 @@ from repro.core.trace import EngineTrace
 from repro.errors import CorrectnessError, DttError, ExecError
 from repro.exec.plan import (RunSpec, canonical_run_name, config_fingerprint,
                              resolve_workload)
-from repro.exec.store import (ResultStore, decode_profile, decode_timed,
-                              encode_profile, encode_timed)
 from repro.profiling.report import RedundancyReport, profile_program
 from repro.timing.params import named_config
 from repro.timing.stats import TimingResult
@@ -84,10 +82,12 @@ class SuiteRunner:
         self.sample_seed = sample_seed
         self._ctrace_writer = None
         self._ctrace_footer: Optional[Dict] = None
-        #: optional persistent ResultStore behind the in-memory memo;
-        #: a path string is accepted and opened
-        self.store: Optional[ResultStore] = (
-            ResultStore(store) if isinstance(store, str) else store)
+        #: optional persistent :class:`~repro.exec.store.ResultStore`
+        #: behind the in-memory memo; a path string is accepted and opened
+        if isinstance(store, str):
+            from repro.exec.store import ResultStore
+            store = ResultStore(store)
+        self.store = store
         #: optional live-telemetry heartbeat
         #: (:class:`~repro.obs.status.StatusFile`); a path string is
         #: accepted and opened.  Every executed run ticks it with the
@@ -224,8 +224,6 @@ class SuiteRunner:
         experiment workloads (e.g. E9's contention micro-workloads) are
         left out.
         """
-        from repro.analysis.checks import summarize_build
-
         seen = set()
         rows: List[Dict] = []
         for (workload, build, _config, _fields, seed, scale) in self._timed:
@@ -238,6 +236,8 @@ class SuiteRunner:
                 made = self._build(SUITE[workload], build, seed, scale)
                 if made is None:
                     continue  # no address-watched variant
+                from repro.analysis.checks import summarize_build
+
                 self._analysis[key] = summarize_build(made, workload, build)
             row = self._analysis[key]
             rows.append(dict(row, codes=dict(row["codes"])))
@@ -389,6 +389,8 @@ class SuiteRunner:
 
     def _install(self, spec: RunSpec, payload: Dict) -> None:
         """Decode ``payload`` into the memo (and engine views)."""
+        from repro.exec.store import decode_profile, decode_timed
+
         key = spec.runner_key()
         if spec.kind == "profile":
             self._profiles[key] = decode_profile(payload)
@@ -400,14 +402,8 @@ class SuiteRunner:
 
     def _persist(self, spec: RunSpec, elapsed: float) -> None:
         """Write a just-executed run through to the store."""
-        if self.store is None:
-            return
-        key = spec.runner_key()
-        if spec.kind == "profile":
-            payload = encode_profile(self._profiles[key])
-        else:
-            payload = encode_timed(self._timed[key], self._engines.get(key))
-        self.store.put(spec, payload, elapsed)
+        if self.store is not None:
+            self.store.put(spec, self.payload_for(spec), elapsed)
 
     # -- spec-driven execution (the pool scheduler's interface) -----------------
 
@@ -454,7 +450,10 @@ class SuiteRunner:
         return memo[key]
 
     def payload_for(self, spec: RunSpec) -> Dict:
-        """Encode the memoized result of ``spec`` (worker-side)."""
+        """Encode the memoized result of ``spec`` (worker-side, and for
+        the store's write-back)."""
+        from repro.exec.store import encode_profile, encode_timed
+
         if spec.kind == "profile":
             return encode_profile(self.result_for(spec))
         return encode_timed(self.result_for(spec),
@@ -597,7 +596,7 @@ class SuiteRunner:
 
         With :attr:`sample_rate` set, the profile is a bounded-memory
         *estimate* (see
-        :class:`~repro.profiling.redundancy.SampledRedundantLoadProfiler`)
+        :class:`~repro.profiling.sampled.SampledRedundantLoadProfiler`)
         and is kept memo-only: the persistent store holds exact profiles
         exclusively, so an estimated run can never be restored where an
         exact one is expected.

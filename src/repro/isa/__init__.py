@@ -18,41 +18,14 @@ Public surface:
   :func:`~repro.isa.assembler.parse_program` — two-way text assembler
 """
 
-from repro.isa.registers import NUM_REGISTERS, Reg, register_index, register_name
-from repro.isa.instructions import (
-    Instruction,
-    OPCODES,
-    OpClass,
-    OpInfo,
-    is_branch,
-    is_load,
-    is_store,
-    is_triggering_store,
-)
-from repro.isa.program import Function, Program
-from repro.isa.builder import ProgramBuilder
-from repro.isa.assembler import format_program, parse_program
-from repro.isa.lint import Finding, errors_only, lint_program
+from repro import lazy_exports
 
-__all__ = [
-    "NUM_REGISTERS",
-    "Reg",
-    "register_index",
-    "register_name",
-    "Instruction",
-    "OPCODES",
-    "OpClass",
-    "OpInfo",
-    "is_branch",
-    "is_load",
-    "is_store",
-    "is_triggering_store",
-    "Function",
-    "Program",
-    "ProgramBuilder",
-    "format_program",
-    "parse_program",
-    "Finding",
-    "errors_only",
-    "lint_program",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "registers": ("NUM_REGISTERS", "Reg", "register_index", "register_name"),
+    "instructions": (
+        "Instruction", "OPCODES", "OpClass", "OpInfo", "is_branch", "is_load",
+        "is_store", "is_triggering_store"),
+    "program": ("Function", "Program"),
+    "builder": ("ProgramBuilder",),
+    "assembler": ("format_program", "parse_program"),
+})

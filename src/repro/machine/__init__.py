@@ -10,24 +10,13 @@ engine, triggering stores behave as plain stores and ``tcheck`` is a no-op,
 which is exactly the paper's baseline machine.
 """
 
-from repro.machine.memory import Memory
-from repro.machine.context import Context, ContextRole, ContextState
-from repro.machine.events import MachineObserver, TraceObserver
-from repro.machine.debugger import Debugger, StopEvent, StopKind
-from repro.machine.loader import load_program
-from repro.machine.machine import Machine, run_to_completion
+from repro import lazy_exports
 
-__all__ = [
-    "Memory",
-    "Context",
-    "ContextRole",
-    "ContextState",
-    "MachineObserver",
-    "TraceObserver",
-    "Debugger",
-    "StopEvent",
-    "StopKind",
-    "load_program",
-    "Machine",
-    "run_to_completion",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "memory": ("Memory",),
+    "context": ("Context", "ContextRole", "ContextState"),
+    "events": ("MachineObserver", "TraceObserver"),
+    "debugger": ("Debugger", "StopEvent", "StopKind"),
+    "loader": ("load_program",),
+    "machine": ("Machine", "run_to_completion"),
+})

@@ -29,47 +29,17 @@ optional :class:`MetricsRegistry` and run identically (and pay nothing)
 without one.
 """
 
-from repro.obs.flame import attribute_cycles, flame_svg, folded_stacks
-from repro.obs.history import (
-    HistoryStore,
-    append_payload,
-    host_fingerprint,
-    make_record,
-    record_from_payload,
-)
-from repro.obs.manifest import RunManifest
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsSnapshot,
-)
-from repro.obs.status import StatusFile, read_status
-from repro.obs.timeline import trace_to_chrome, traces_to_chrome, write_chrome_trace
-from repro.obs.trends import TrendReport, TrendVerdict, analyze_history
+from repro import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "HistoryStore",
-    "MetricsRegistry",
-    "MetricsSnapshot",
-    "RunManifest",
-    "StatusFile",
-    "TrendReport",
-    "TrendVerdict",
-    "analyze_history",
-    "append_payload",
-    "attribute_cycles",
-    "flame_svg",
-    "folded_stacks",
-    "host_fingerprint",
-    "make_record",
-    "read_status",
-    "record_from_payload",
-    "trace_to_chrome",
-    "traces_to_chrome",
-    "write_chrome_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "flame": ("attribute_cycles", "flame_svg", "folded_stacks"),
+    "history": (
+        "HistoryStore", "append_payload", "host_fingerprint", "make_record",
+        "record_from_payload"),
+    "manifest": ("RunManifest",),
+    "metrics": (
+        "Counter", "Gauge", "Histogram", "MetricsRegistry", "MetricsSnapshot"),
+    "status": ("StatusFile", "read_status"),
+    "timeline": ("trace_to_chrome", "traces_to_chrome", "write_chrome_trace"),
+    "trends": ("TrendReport", "TrendVerdict", "analyze_history"),
+})

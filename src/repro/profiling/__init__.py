@@ -16,7 +16,7 @@ Two analyses, both implemented as machine observers:
 
 Attached to a machine, both run under ``Machine.run``'s batch loop and
 its compiled blocks, and so does the bounded-memory
-:class:`~repro.profiling.redundancy.SampledRedundantLoadProfiler`.  Each
+:class:`~repro.profiling.sampled.SampledRedundantLoadProfiler`.  Each
 declares its analysis as a shadow transfer
 (:class:`~repro.machine.events.Shadow`), which the machine generates
 inline after every instruction's effect in the compiled blocks, so a
@@ -26,25 +26,13 @@ the step handlers, which call the hooks, and the hooks make the same
 update.
 """
 
-from repro.profiling.redundancy import (
-    LoadSiteStats,
-    RedundantLoadProfiler,
-    SampledLoadSiteStats,
-    SampledRedundantLoadProfiler,
-    SampledStoreSiteStats,
-    StoreSiteStats,
-)
-from repro.profiling.slices import RedundancyTaintAnalyzer
-from repro.profiling.report import RedundancyReport, profile_program
+from repro import lazy_exports
 
-__all__ = [
-    "LoadSiteStats",
-    "RedundantLoadProfiler",
-    "SampledLoadSiteStats",
-    "SampledRedundantLoadProfiler",
-    "SampledStoreSiteStats",
-    "StoreSiteStats",
-    "RedundancyTaintAnalyzer",
-    "RedundancyReport",
-    "profile_program",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "redundancy": ("LoadSiteStats", "RedundantLoadProfiler", "StoreSiteStats"),
+    "sampled": (
+        "SampledLoadSiteStats", "SampledRedundantLoadProfiler",
+        "SampledStoreSiteStats"),
+    "slices": ("RedundancyTaintAnalyzer",),
+    "report": ("RedundancyReport", "profile_program"),
+})

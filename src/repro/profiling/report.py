@@ -12,8 +12,7 @@ from typing import Dict, Optional
 from repro.core.engine import DttEngine
 from repro.isa.program import Program
 from repro.machine.machine import Machine, run_to_completion
-from repro.profiling.redundancy import (RedundantLoadProfiler,
-                                        SampledRedundantLoadProfiler)
+from repro.profiling.redundancy import RedundantLoadProfiler
 from repro.profiling.slices import RedundancyTaintAnalyzer
 
 
@@ -81,7 +80,7 @@ def profile_program(
 
     ``sample_rate`` (a denominator: 64 means 1/64 of addresses) switches
     the load analysis to the bounded-memory
-    :class:`~repro.profiling.redundancy.SampledRedundantLoadProfiler`,
+    :class:`~repro.profiling.sampled.SampledRedundantLoadProfiler`,
     whose site stats are estimates with confidence intervals instead of
     exact counts.  The forward-slice taint analyzer needs every load to
     propagate taint, so sampled profiles skip it and report a
@@ -93,6 +92,8 @@ def profile_program(
     if engine is not None:
         machine.attach_engine(engine)
     if sample_rate is not None:
+        from repro.profiling.sampled import SampledRedundantLoadProfiler
+
         loads = SampledRedundantLoadProfiler(sample_rate, seed=sample_seed)
         slices = _SampledOutSlices()
         machine.add_observer(loads)

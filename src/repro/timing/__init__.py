@@ -16,19 +16,12 @@ DTT builds of the same kernel, which this model preserves (see DESIGN.md,
 "Substitutions").
 """
 
-from repro.timing.params import CoreParams, SystemConfig, named_config
-from repro.timing.branch import BranchPredictor
-from repro.timing.core import SmtCore
-from repro.timing.stats import EnergyModel, TimingResult
-from repro.timing.system import TimingSimulator
+from repro import lazy_exports
 
-__all__ = [
-    "CoreParams",
-    "SystemConfig",
-    "named_config",
-    "BranchPredictor",
-    "SmtCore",
-    "EnergyModel",
-    "TimingResult",
-    "TimingSimulator",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "params": ("CoreParams", "SystemConfig", "named_config"),
+    "branch": ("BranchPredictor",),
+    "core": ("SmtCore",),
+    "stats": ("EnergyModel", "TimingResult"),
+    "system": ("TimingSimulator",),
+})

@@ -8,19 +8,9 @@ a seeded input generator, and a pure-Python reference implementation used
 to verify that both builds compute exactly the same observable output.
 """
 
-from repro.workloads.base import DttBuild, Workload, WorkloadInput, verify_workload
-from repro.workloads.suite import (
-    SUITE,
-    get_workload,
-    workload_names,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "DttBuild",
-    "Workload",
-    "WorkloadInput",
-    "verify_workload",
-    "SUITE",
-    "get_workload",
-    "workload_names",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "base": ("DttBuild", "Workload", "WorkloadInput", "verify_workload"),
+    "suite": ("SUITE", "get_workload", "workload_names"),
+})

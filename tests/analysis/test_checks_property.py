@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis import CHECKS, analyze_program
 from repro.core.registry import TriggerSpec
 from repro.isa.instructions import Instruction
-from repro.isa.lint import CODES, lint_program
+from repro.analysis.lint import CODES, lint_program
 from repro.isa.program import Program
 
 

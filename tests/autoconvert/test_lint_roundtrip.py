@@ -8,7 +8,7 @@ from repro.analysis.checks import analysis_summary, analyze_program
 from repro.autoconvert import discover_candidates, rank_candidates, synthesize
 from repro.errors import BuilderError
 from repro.isa.builder import ProgramBuilder
-from repro.isa.lint import Severity, lint_program
+from repro.analysis.lint import Severity, lint_program
 from repro.workloads.suite import SUITE
 
 

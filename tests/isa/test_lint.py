@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ProgramValidationError
 from repro.isa.builder import ProgramBuilder
-from repro.isa.lint import ERROR, WARNING, errors_only, lint_program
+from repro.analysis.lint import ERROR, WARNING, errors_only, lint_program
 from repro.isa.program import Program
 from repro.isa.instructions import Instruction
 from repro.workloads.suite import SUITE

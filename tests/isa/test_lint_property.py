@@ -8,7 +8,7 @@ unreachable must genuinely never execute.
 from hypothesis import given, settings, strategies as st
 
 from repro.isa.instructions import Instruction
-from repro.isa.lint import lint_program
+from repro.analysis.lint import lint_program
 from repro.isa.program import Program
 from repro.machine.machine import Machine
 from repro.machine.context import ContextState

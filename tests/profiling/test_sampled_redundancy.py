@@ -14,8 +14,8 @@ import pytest
 
 from repro.isa.builder import ProgramBuilder
 from repro.machine.machine import Machine, run_to_completion
-from repro.profiling.redundancy import (RedundantLoadProfiler,
-                                        SampledRedundantLoadProfiler)
+from repro.profiling.redundancy import RedundantLoadProfiler
+from repro.profiling.sampled import SampledRedundantLoadProfiler
 from repro.profiling.report import profile_program
 from repro.workloads.suite import SUITE
 

@@ -33,7 +33,7 @@ def test_architecture_documents_every_check_code():
     """The Static Analysis check catalog must list every analyzer and
     linter code, so a new check cannot ship undocumented."""
     from repro.analysis.checks import CHECKS
-    from repro.isa.lint import CODES
+    from repro.analysis.lint import CODES
 
     text = (DOCS / "architecture.md").read_text()
     missing = [code for code in list(CHECKS) + list(CODES)
