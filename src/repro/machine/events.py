@@ -39,7 +39,10 @@ to ``step()``), the timing model and the debugger.  A declared
 observer's hooks and transfers must therefore update the same state
 identically; the hooks are the reference the transfers are tested
 against.  An observer that declares nothing keeps the whole run on the
-step handlers, which call its hooks in ``step()``'s order.
+step handlers, which call its hooks in ``step()``'s order.  Whether a
+load is redundant is decided once per load, whichever observers are
+attached and in whatever order, from the machine's one
+:class:`LoadHistory` (see :class:`Shadow`).
 
 **Instruction totals.**  An observer with ``counts_instructions`` set
 keeps a ``total_instructions`` counter that the machine maintains: ``run``
@@ -50,7 +53,7 @@ observer needs no ``on_instruction`` hook just to count.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 Number = Union[int, float]
 
@@ -69,6 +72,9 @@ class Shadow(NamedTuple):
     * ``{address}`` the word address (load, store);
     * ``{value}`` the loaded or stored value (load, store);
     * ``{old}`` the value a store overwrote;
+    * ``{redundant}`` whether a load read the value last loaded from its
+      address (never true for the first load of an address), from the
+      machine's one :class:`LoadHistory`;
     * ``{dest}`` the destination register index (load, alu, const);
     * ``{src}`` the stored register's index (store);
     * ``{first}`` / ``{second}`` the first and last register source's
@@ -79,6 +85,9 @@ class Shadow(NamedTuple):
 
     A register slot formatted with the name of one of ``registers`` is
     that register's entry in the register file: ``{dest:taint} = True``.
+    The ``{op_class}`` slot formatted with the name of one of
+    ``counters`` is that class's count in the counter:
+    ``{op_class:counts} += 1``.
     Every other ``{name}`` is the observer's own: one of ``state`` (bound
     from :meth:`MachineObserver.shadow_state` when the table is built),
     one of ``cells`` (a per-instruction variable, ``None`` until that
@@ -91,20 +100,57 @@ class Shadow(NamedTuple):
     register, created on first use.  A compiled block keeps the entries
     it touches in locals, as it keeps registers, and writes back the
     ones it wrote through ``{dest:<file>}`` when it ends, so a template
-    writes a register file only through ``dest``.  A block hands an
-    instruction back (a faulting memory address, a fault) before its
-    transfer; an exception raised by a transfer itself propagates out
-    of the block without its write-back, as an interrupt does.
+    writes a register file only through ``dest``.  ``counters`` names
+    dicts that ``shadow_state()`` maps, from op class value to a count;
+    a compiled block counts each class a template names in a local,
+    zeroed in its prologue and added to the dict in its epilogue.  A
+    block hands an instruction back (a faulting memory address, a fault)
+    before its transfer, through the epilogue, so what the block ran
+    before it is written back and counted; an exception raised by a
+    transfer itself propagates out of the block without its write-back,
+    as an interrupt does.
+
+    A load's ``{redundant}`` is a fact of the load event, as a store's
+    ``{old}`` is: the machine keeps one :class:`LoadHistory` for every
+    attached observer whose load template uses it, and each load probes
+    and writes it once, before any observer's transfer or hook.  Those
+    observers' hooks read the verdict as ``load_history.redundant``.
     """
 
     state: Tuple[str, ...] = ()
     cells: Tuple[str, ...] = ()
     registers: Tuple[str, ...] = ()
+    counters: Tuple[str, ...] = ()
     load: str = ""
     store: str = ""
     alu: str = ""
     const: str = ""
     branch: str = ""
+
+    @property
+    def reads_history(self) -> bool:
+        """Whether the load template uses ``{redundant}``."""
+        return "{redundant}" in self.load
+
+
+class LoadHistory:
+    """The value last loaded from each word address (``last``), and
+    whether the latest load the hooks see read that same value
+    (``redundant``).
+
+    :class:`~repro.machine.machine.Machine` keeps one while an attached
+    observer's shadow reads ``{redundant}``, and hands it to each such
+    observer as ``load_history``.  Every load updates it once: a step
+    handler before the ``on_load`` hooks, a compiled block before the
+    transfers.  A word never loaded reads ``None`` from ``last``, which
+    equals no value, so a first load is never redundant.
+    """
+
+    __slots__ = ("last", "redundant")
+
+    def __init__(self) -> None:
+        self.last: Dict[int, Number] = {}
+        self.redundant = False
 
 
 class MachineObserver:
@@ -118,9 +164,13 @@ class MachineObserver:
     #: set when the machine maintains ``total_instructions`` for it
     counts_instructions = False
 
+    #: the machine's load history, set while attached when ``shadow``
+    #: reads ``{redundant}``
+    load_history: Optional[LoadHistory] = None
+
     def shadow_state(self) -> dict:
-        """``{name: object}`` for each name in ``shadow.state`` and
-        ``shadow.registers``."""
+        """``{name: object}`` for each name in ``shadow.state``,
+        ``shadow.registers`` and ``shadow.counters``."""
         return {}
 
     def on_instruction(self, ctx, pc: int, instruction) -> None:

@@ -43,7 +43,9 @@ loop.  When every attached observer declares a shadow transfer, as the
 redundancy analyses do, the compiled blocks run the transfers inline;
 otherwise there are no compiled blocks.  Cold instructions call the
 observers' hooks, as ``step()`` does, with the same arguments and in
-the same order (see :mod:`repro.machine.events`).
+the same order (see :mod:`repro.machine.events`).  The machine keeps
+one load history (:attr:`Machine.load_history`) for the observers that
+read a load's redundancy, updated once per load on every path.
 
 A synchronous DTT engine runs support threads nested inside the
 ``tcheck`` that consumes them.  When ``run`` handed that ``tcheck`` to
@@ -64,6 +66,7 @@ from repro.errors import (
 from repro.isa.instructions import Instruction
 from repro.isa.program import Program
 from repro.machine.context import Context, ContextRole, ContextState
+from repro.machine.events import LoadHistory
 from repro.machine.loader import load_program
 from repro.machine.memory import Memory
 from repro.machine.semantics import ENGINE_OPCODES, STEP_HANDLERS
@@ -110,6 +113,9 @@ class Machine:
         self._observers: List = []
         # the observers whose ``total_instructions`` the machine keeps
         self._counting: List = []
+        #: the one load history of the attached observers whose shadow
+        #: reads ``{redundant}``, None while no such observer is attached
+        self.load_history: Optional[LoadHistory] = None
         #: instructions ``run`` retired inside compiled blocks
         self.compiled_instructions = 0
         # pre-decode: one (handler, instruction) pair per PC, so step() is
@@ -152,6 +158,16 @@ class Machine:
     def _rewire_observers(self) -> None:
         observers = self._observers
         self._counting = [o for o in observers if o.counts_instructions]
+        # one history for every observer that reads it, kept while one
+        # is attached
+        readers = [o for o in observers
+                   if o.shadow is not None and o.shadow.reads_history]
+        if not readers:
+            self.load_history = None
+        elif self.load_history is None:
+            self.load_history = LoadHistory()
+        for observer in readers:
+            observer.load_history = self.load_history
         self._drop_compiled()
 
     def _drop_compiled(self) -> None:

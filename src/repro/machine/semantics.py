@@ -9,7 +9,9 @@ blocks of both ``Machine.run`` and the timing model
 (:mod:`repro.machine.superblock`), and the constant folding of the
 static analyses (:func:`evaluate`).  The :data:`ENGINE_OPCODES` have
 no entry.  The observers' shadow transfers are rendered into compiled
-blocks by :func:`transfer`.
+blocks by :func:`transfer`, and a load's update of the machine's one
+load history, which decides whether it is redundant, is :data:`HISTORY`
+in both a step handler and a block.
 
 An entry is ``(kind, effect, next)``.  For ``ALU`` the effect is the
 value written to register ``a``; for ``LOAD``/``STORE`` the word
@@ -244,6 +246,12 @@ def operands(op: str, register: Callable[[str], str],
 #: (ALU and FLOW ops have none)
 KIND_HOOKS = {LOAD: "on_load", STORE: "on_store", BRANCH: "on_branch"}
 
+#: a load's update of the machine's
+#: :class:`~repro.machine.events.LoadHistory`, the one place the
+#: redundancy verdict is computed: ``{redundant}`` is set, from the map
+#: ``{last}`` with getter ``{get}``, by the loaded ``{value}`` at ``_a``
+HISTORY = "{redundant} = {get}(_a) == {value}; {last}[_a] = {value}"
+
 #: per kind: (hook arguments after ``ctx, pc``, step result)
 _HOOK_ARGS = {
     LOAD: ("_a, {a}", "(_a, None)"),
@@ -258,7 +266,7 @@ CONST = "const"
 def shadow_names(shadow) -> Tuple[str, ...]:
     """The names of ``shadow``'s objects that compiled blocks bind from
     the observer's ``shadow_state()``, in order."""
-    return shadow.state + shadow.registers
+    return shadow.state + shadow.registers + shadow.counters
 
 
 def _shadow_kind(op: str):
@@ -272,9 +280,9 @@ def _shadow_kind(op: str):
 
 
 #: per opcode: its shadow kind, its register roles and its op class
-#: literal, looked up once per transfer rendered
+#: value, looked up once per transfer rendered
 _SHADOW_OPS = {op: (_shadow_kind(op), operand_roles(op),
-                    repr(OPCODES[op].op_class.value)) for op in SEMANTICS}
+                    OPCODES[op].op_class.value) for op in SEMANTICS}
 
 
 class _Register(Src):
@@ -292,6 +300,21 @@ class _Register(Src):
         if spec in ("", "int", "float"):
             return Src.__format__(self, spec)
         return self.entry(spec, self.written)
+
+
+class _OpClass(str):
+    """The op-class slot of a shadow template: the class value as a
+    string literal.  Formatted with the name of a counter
+    (``{op_class:counts}``) it renders that counter's count of the
+    class, through ``count(counter, class value)``."""
+
+    def __new__(cls, value: str, count: Callable):
+        slot = super().__new__(cls, value)
+        slot.count = count
+        return slot
+
+    def __format__(self, spec: str) -> str:
+        return self.count(spec, str(self)) if spec else repr(str(self))
 
 
 class _Renamed(dict):
@@ -316,7 +339,8 @@ class _Renamed(dict):
 def transfer(op: str, index: int, shadow, value: str,
              register: Callable[[str], str], pc: Callable[[], str],
              entry: Callable[[str, str, bool], str],
-             cell: Callable[[str], str]) -> List[str]:
+             cell: Callable[[str], str],
+             count: Callable[[str, str], str]) -> List[str]:
     """Observer ``index``'s shadow transfer for ``op``, rendered for a
     compiled block.
 
@@ -324,8 +348,10 @@ def transfer(op: str, index: int, shadow, value: str,
     register, ``register(slot)`` the index of operand ``slot``, ``pc()``
     the instruction's PC, ``entry(file, register, written)`` that
     register's entry in register file ``file`` (renamed; ``written`` for
-    the destination), and ``cell(name)`` the instruction's cell ``name``
-    (renamed).
+    the destination), ``cell(name)`` the instruction's cell ``name``
+    and ``count(counter, op class)`` the class's count in ``counter``
+    (both renamed).  A load's ``{redundant}`` is ``_rd``, which the
+    block sets by :data:`HISTORY` before the transfers.
     """
     kind, (dest, sources), op_class = _SHADOW_OPS[op]
     template = getattr(shadow, kind) if kind else ""
@@ -338,7 +364,9 @@ def transfer(op: str, index: int, shadow, value: str,
             f"_{index}_{file}", source, written), name == dest)
 
     slots = _Renamed(index, shadow.cells, cell, pc, address="_a",
-                     old="_old", value=value, op_class=op_class)
+                     old="_old", value=value, redundant="_rd",
+                     op_class=_OpClass(op_class, lambda counter, key: count(
+                         f"_{index}_{counter}", key)))
     if kind == STORE:
         slots["src"] = slot("a")
     if dest:
@@ -378,7 +406,14 @@ def _body(op: str) -> List[str]:
         nxt = "_n"
     lines.append(f"ctx.pc = {nxt}")
     if hook:
-        lines += ["if m._observers:", "    for _o in m._observers:",
+        lines.append("if m._observers:")
+        if kind == LOAD:  # the history first, so every hook sees it
+            lines += ["    _h = m.load_history",
+                      "    if _h is not None:",
+                      "        _l = _h.last; " + HISTORY.format(
+                          redundant="_h.redundant", get="_l.get", last="_l",
+                          value=ops["a"])]
+        lines += ["    for _o in m._observers:",
                   f"        _o.{hook}(ctx, pc, {args})"]
     return lines + [f"return {result}"]
 

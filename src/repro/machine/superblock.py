@@ -116,11 +116,15 @@ to a hand-back position: an exception raised in one propagates, as an
 interrupt does.  Register-file entries (the
 taint analysis's per-register taint) are locals, fetched for the
 context in the prologue and written back in the epilogue, as registers
-are; each per-instruction cell is an entry of a list bound per block
-entry, and each PC a transfer names a value bound per entry.  Stores
-keep the word they overwrite.  Without shadows the emitter's source is
-unchanged.  Observed blocks are compiled afresh, not kept in the code
-cache, since observed shapes seldom recur.
+are, and so are counter entries (its per-class counts), zeroed in the
+prologue and added in the epilogue; each per-instruction cell is an
+entry of a list bound per block entry, and each PC a transfer names a
+value bound per entry.  Stores keep the word they overwrite.  When a
+shadow reads a load's ``{redundant}``, each load probes and writes the
+machine's load history once, before every transfer
+(:data:`~repro.machine.semantics.HISTORY`).  Without shadows the
+emitter's source is unchanged.  Observed blocks are compiled afresh,
+not kept in the code cache, since observed shapes seldom recur.
 
 Lazy compile and the code cache
 -------------------------------
@@ -152,9 +156,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.isa.instructions import operand_roles
 from repro.isa.program import Program
 from repro.machine.semantics import (ALU, BRANCH, ENGINE_OPCODES, HELPERS,
-                                     LOAD, SEMANTICS, STORE, ExactInt,
-                                     GuardMiss, Src, access, operands,
-                                     shadow_names, transfer)
+                                     HISTORY, LOAD, SEMANTICS, STORE,
+                                     ExactInt, GuardMiss, Src, access,
+                                     operands, shadow_names, transfer)
 
 #: conditional branches and ``jmp``: the edges a block if-converts,
 #: duplicates a tail on, loops on or leaves by
@@ -207,7 +211,8 @@ def compile_reach(timed: bool, is_loop: bool) -> int:
 
 # -- process-wide code cache ---------------------------------------------------
 
-_STATS = {"cache_hits": 0, "cache_misses": 0, "build_seconds": 0.0}
+_STATS = {"cache_hits": 0, "cache_misses": 0, "build_seconds": 0.0,
+          "source_lines": 0}
 
 #: shape key -> ``(code, static arguments, tier data)``, in LRU order
 _CODE_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
@@ -215,8 +220,9 @@ _CODE_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
 
 def cache_stats() -> Dict[str, float]:
     """Process-wide code-cache counters over both tiers: shapes compiled
-    (``cache_misses``, taking ``build_seconds``), blocks bound to a shape
-    compiled before (``cache_hits``), and blocks bound (both)."""
+    (``cache_misses``, taking ``build_seconds``, from ``source_lines``
+    lines handed to ``compile()``), blocks bound to a shape compiled
+    before (``cache_hits``), and blocks bound (both)."""
     stats = dict(_STATS)
     total = stats["blocks_compiled"] = (stats["cache_hits"]
                                         + stats["cache_misses"])
@@ -226,13 +232,15 @@ def cache_stats() -> Dict[str, float]:
 
 def reset_cache_stats() -> None:
     """Zero the cache counters (bench/test isolation; cache is kept)."""
-    _STATS.update(cache_hits=0, cache_misses=0, build_seconds=0.0)
+    _STATS.update(cache_hits=0, cache_misses=0, build_seconds=0.0,
+                  source_lines=0)
 
 
 _GAUGES = {
     "cache_hits": "code-cache hits (blocks bound to a shape compiled before)",
     "cache_misses": "code-cache misses (block shapes compiled)",
     "build_seconds": "cumulative block codegen+compile wall-clock",
+    "source_lines": "block source lines handed to compile(), both tiers",
     "blocks_compiled": "blocks bound to compiled code, both tiers",
     "hit_rate": "code-cache hit fraction over all lookups",
 }
@@ -271,6 +279,7 @@ def shared_code(key: Optional[tuple], generate: Callable[[], tuple],
         if len(_CODE_CACHE) > CACHE_SHAPES:
             _CODE_CACHE.popitem(last=False)
     _STATS["cache_misses"] += 1
+    _STATS["source_lines"] += len(lines)
     _STATS["build_seconds"] += time.perf_counter() - started
     return cached
 
@@ -764,9 +773,13 @@ class ShadowBlock(Block):
     block entry, so the transfers read them as locals.  Register-file
     entries the transfers touch are locals too, fetched for ``ctx`` in
     the prologue and written back (the ones written) in the epilogue, as
-    registers are.  Cells are the entries of ``_K``, a list bound per
-    block entry; each PC a transfer uses is a ``_b`` value bound per
-    entry.
+    registers are; so are the counts of each counter, zeroed in the
+    prologue and added in the epilogue.  Cells are the entries of
+    ``_K``, a list bound per block entry; each PC a transfer uses is a
+    ``_b`` value bound per entry.  When a shadow reads ``{redundant}``,
+    each load sets ``_rd`` from the machine's load history (``_H``, with
+    getter ``_Hg``, after ``_K``) and writes it, once, before the
+    transfers.
     """
 
     KEEP_OLD = True
@@ -775,13 +788,18 @@ class ShadowBlock(Block):
                  is_loop: bool, shadows: tuple):
         super().__init__(instructions, entry, length, is_loop)
         self.shadows = shadows
-        self.PARAMS = ", ".join(["ctx, budget, _K"] + [
-            f"_{index}_{name}" for index, shadow in enumerate(shadows)
-            for name in shadow_names(shadow)])
+        #: does a load update the history?
+        self.history = any(shadow.reads_history for shadow in shadows)
+        self.PARAMS = ", ".join(
+            ["ctx, budget, _K"] + ["_H, _Hg"] * self.history + [
+                f"_{index}_{name}" for index, shadow in enumerate(shadows)
+                for name in shadow_names(shadow)])
         #: ``(position, cell)`` -> its ``_K`` entry
         self.cells: Dict[Tuple[int, str], str] = {}
         #: register file -> {register: written by some transfer}
         self.files: Dict[str, Dict[int, bool]] = {}
+        #: counter -> the op class values counted, in first use order
+        self.counts: Dict[str, Dict[str, None]] = {}
 
     def _transfer(self, j: int, ins) -> Tuple[str, ...]:
         files, cells = self.files, self.cells
@@ -800,23 +818,42 @@ class ShadowBlock(Block):
         def cell(name: str) -> str:
             return cells.setdefault((j, name), f"_K[{len(cells)}]")
 
-        return tuple(line for index, shadow in enumerate(self.shadows)
-                     for line in transfer(ins.op, index, shadow, f"r{ins.a}",
-                                          lambda slot: str(getattr(ins, slot)),
-                                          pc, entry, cell))
+        def count(counter: str, key: str) -> str:
+            self.counts.setdefault(counter, {})[key] = None
+            return f"{counter}_{key}"
+
+        def operand(slot: str) -> str:
+            return str(getattr(ins, slot))
+
+        value = f"r{ins.a}"
+        lines = tuple(line for index, shadow in enumerate(self.shadows)
+                      for line in transfer(ins.op, index, shadow, value,
+                                           operand, pc, entry, cell, count))
+        if self.history and SEMANTICS[ins.op].kind == LOAD:
+            lines = (HISTORY.format(redundant="_rd", get="_Hg", last="_H",
+                                    value=value),) + lines
+        return lines
 
     def _prologue(self) -> List[str]:
-        return super()._prologue() + [
+        lines = super()._prologue() + [
             f"_{file} = {file}[ctx.context_id]; " + "; ".join(
                 f"_{file}_{r} = _{file}[{r}]" for r in sorted(touched))
             for file, touched in self.files.items()]
+        if self.counts:
+            lines.append(" = ".join(f"{counter}_{key}"
+                                    for counter, keys in self.counts.items()
+                                    for key in keys) + " = 0")
+        return lines
 
     def _finish(self) -> List[str]:
         written = [[r for r in sorted(touched) if touched[r]]
                    for touched in self.files.values()]
         return ["; ".join(f"_{file}[{r}] = _{file}_{r}" for r in registers)
                 for file, registers in zip(self.files, written)
-                if registers] + super()._finish()
+                if registers] + [
+            "; ".join(f"{counter}[{key!r}] += {counter}_{key}"
+                      for key in keys)
+            for counter, keys in self.counts.items()] + super()._finish()
 
     def generate(self) -> Tuple[List[str], tuple, tuple]:
         """As :meth:`Block.generate`, with the number of cells last in
@@ -876,7 +913,9 @@ def install(machine) -> list:
     instructions = machine.program.instructions
     observers = machine._observers
     shadows = tuple(observer.shadow for observer in observers)
-    state: list = []
+    history = machine.load_history
+    state: list = [] if history is None else [history.last,
+                                              history.last.get]
     for observer in observers:
         objects = observer.shadow_state()
         state += [objects[name] for name in shadow_names(observer.shadow)]
@@ -888,7 +927,7 @@ def install(machine) -> list:
         exits = tuple((kind, d, -2 - entry - pc if kind >= GUARD
                        else entry + pc) for kind, d, pc in data[0])
         defaults = (exits,) + statics
-        if shadows:  # cells, state, exits, pcs, statics
+        if shadows:  # cells, history, state, exits, pcs, statics
             defaults = ([None] * data[2], *state, exits,
                         *[entry + j for j in data[1]], *statics)
         return bind(code, f"{SB_PREFIX}{entry}", namespace, defaults)

@@ -22,14 +22,9 @@ per-location definition.  The bounded-memory sampled variant is
 
 from __future__ import annotations
 
-from typing import Dict, List, Union
+from typing import Dict, List
 
 from repro.machine.events import MachineObserver, Shadow
-
-Number = Union[int, float]
-
-#: sentinel distinguishing "never loaded" from any real value
-_NEVER = object()
 
 
 class LoadSiteStats:
@@ -81,6 +76,9 @@ class RedundantLoadProfiler(MachineObserver):
     Its hooks and its declared shadow transfer make the same update:
     ``Machine.run`` generates the transfer into its compiled blocks, and
     the step handlers call the hooks (see :mod:`repro.machine.events`).
+    Whether a load is redundant is the machine's verdict, from its one
+    load history (:class:`~repro.machine.events.LoadHistory`), which
+    the taint analysis reads as well.
     Each compiled block entry holds, per position, its site's stats in a
     cell from the site's first execution there on, and a site is made on
     the first execution of its PC on any path, so sites enter the site
@@ -90,15 +88,13 @@ class RedundantLoadProfiler(MachineObserver):
 
     counts_instructions = True
     shadow = Shadow(
-        state=("last", "last_get", "load_site", "store_site"),
+        state=("load_site", "store_site"),
         cells=("site",),
-        # a word never loaded reads None, which equals no value
         load="""\
 {s} = {site}
 if {s} is None: {s} = {site} = {load_site}({pc})
 {s}.dynamic += 1
-if {last_get}({address}) == {value}: {s}.redundant += 1
-{last}[{address}] = {value}""",
+if {redundant}: {s}.redundant += 1""",
         store="""\
 {s} = {site}
 if {s} is None: {s} = {site} = {store_site}({pc}, False)
@@ -108,13 +104,10 @@ if {old} == {value}: {s}.silent += 1""")
     def __init__(self) -> None:
         self._loads: Dict[int, LoadSiteStats] = {}
         self._stores: Dict[int, StoreSiteStats] = {}
-        # per-location last-loaded value (the redundancy definition)
-        self._last_loaded: Dict[int, Number] = {}
         self.total_instructions = 0
 
     def shadow_state(self) -> dict:
-        return {"last": self._last_loaded, "last_get": self._last_loaded.get,
-                "load_site": self._load_site, "store_site": self._store_site}
+        return {"load_site": self._load_site, "store_site": self._store_site}
 
     def _load_site(self, pc) -> LoadSiteStats:
         site = self._loads.get(pc)
@@ -133,10 +126,8 @@ if {old} == {value}: {s}.silent += 1""")
     def on_load(self, ctx, pc, address, value) -> None:
         site = self._load_site(pc)
         site.dynamic += 1
-        last = self._last_loaded.get(address, _NEVER)
-        if last == value and last is not _NEVER:
+        if self.load_history.redundant:
             site.redundant += 1
-        self._last_loaded[address] = value
 
     def on_store(self, ctx, pc, address, old_value, new_value, triggering) -> None:
         site = self._store_site(pc, triggering)

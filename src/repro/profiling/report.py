@@ -2,7 +2,10 @@
 
 ``profile_program`` runs a finalized program functionally with both
 analyzers attached and returns a :class:`RedundancyReport` — the unit a
-benchmark-level study (E1/E2) aggregates across the suite.
+benchmark-level study (E1/E2) aggregates across the suite.  The two
+analyses read one verdict per load, from the machine's one load history
+(:class:`~repro.machine.events.LoadHistory`), so a load the load
+profiler counts as redundant is exactly one the taint analysis taints.
 """
 
 from __future__ import annotations

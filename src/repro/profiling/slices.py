@@ -32,9 +32,6 @@ from repro.isa.instructions import OpClass, operand_roles
 from repro.machine.events import MachineObserver, Shadow
 from repro.isa.registers import NUM_REGISTERS
 
-#: sentinel distinguishing "never loaded" from any real value
-_NEVER = object()
-
 # how on_instruction treats a static instruction (see _decode)
 _OTHER, _LOAD, _STORE, _CONST, _ALU, _BRANCH = range(6)
 
@@ -53,37 +50,37 @@ class RedundancyTaintAnalyzer(MachineObserver):
     Its hooks and its declared shadow transfer make the same update:
     ``Machine.run`` generates the transfer into its compiled blocks, and
     the step handlers call the hooks (see :mod:`repro.machine.events`).
-    The register taint is the transfer's register file, which compiled
-    blocks keep in locals.  The machine keeps ``total_instructions``.
+    The register taint is the transfer's register file and the
+    per-class redundant counts its counter, both of which compiled
+    blocks keep in locals.  A load's redundancy is the machine's verdict,
+    from its one load history
+    (:class:`~repro.machine.events.LoadHistory`), which the load
+    profiler reads as well.  The machine keeps ``total_instructions``.
     """
 
     counts_instructions = True
     shadow = Shadow(
-        state=("mem", "mem_get", "last", "last_get", "counts"),
+        state=("mem", "mem_get"),
         registers=("taint",),
-        # a word never loaded reads None, which equals no value; taint
-        # values are bools, so ``and``/``or`` keep them bools
+        counters=("counts",),
+        # taint values are bools, so ``and``/``or`` keep them bools
         load="""\
-{dest:taint} = {last_get}({address}) == {value} or {mem_get}({address}, False)
-if {dest:taint}: {counts}[{op_class}] += 1
-{last}[{address}] = {value}""",
+{dest:taint} = {redundant} or {mem_get}({address}, False)
+if {dest:taint}: {op_class:counts} += 1""",
         store="""\
 {mem}[{address}] = {src:taint}
-if {src:taint}: {counts}[{op_class}] += 1""",
+if {src:taint}: {op_class:counts} += 1""",
         alu="""\
 {dest:taint} = {first:taint} and {second:taint}
-if {dest:taint}: {counts}[{op_class}] += 1""",
+if {dest:taint}: {op_class:counts} += 1""",
         const="{dest:taint} = False",
         branch="""\
-if {first:taint} and {second:taint}: {counts}[{op_class}] += 1""")
+if {first:taint} and {second:taint}: {op_class:counts} += 1""")
 
     def __init__(self) -> None:
         # per-context register taint, created lazily by context id
         self._reg_taint = _RegisterTaint()
         self._mem_taint: Dict[int, bool] = {}
-        # per-location last-loaded value (same redundancy definition as
-        # the profiler, duplicated so the analyzer is self-contained)
-        self._last: Dict[int, object] = {}
         # pc -> decoded static instruction (see _decode)
         self._decoded: Dict[int, Tuple] = {}
         self.total_instructions = 0
@@ -95,8 +92,7 @@ if {first:taint} and {second:taint}: {counts}[{op_class}] += 1""")
 
     def shadow_state(self) -> dict:
         return {"taint": self._reg_taint, "mem": self._mem_taint,
-                "mem_get": self._mem_taint.get, "last": self._last,
-                "last_get": self._last.get, "counts": self._redundant}
+                "mem_get": self._mem_taint.get, "counts": self._redundant}
 
     def _taint_of(self, ctx) -> List[bool]:
         return self._reg_taint[ctx.context_id]
@@ -139,13 +135,11 @@ if {first:taint} and {second:taint}: {counts}[{op_class}] += 1""")
     # -- hooks -----------------------------------------------------------------
 
     def on_load(self, ctx, pc, address, value) -> None:
-        last = self._last.get(address, _NEVER)
-        redundant = last is not _NEVER and last == value
-        self._last[address] = value
         # the destination register is tainted either because the load was
         # itself redundant or because the word was written by redundant
         # computation; on_instruction applies it to the register file
-        self._pending_load_taint = redundant or self._mem_taint.get(address, False)
+        self._pending_load_taint = (self.load_history.redundant
+                                    or self._mem_taint.get(address, False))
 
     def on_instruction(self, ctx, pc, instruction) -> None:
         entry = self._decoded.get(pc)

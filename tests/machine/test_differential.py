@@ -56,7 +56,7 @@ from repro.core.trace import EngineEvent, EngineTrace
 from repro.errors import (AlignmentFault, CascadeError, ExecutionFault,
                           ExecutionLimitExceeded, MemoryFault)
 from repro.isa.builder import ProgramBuilder
-from repro.isa.instructions import OPCODES
+from repro.isa.instructions import OPCODES, OpClass
 from repro.machine import superblock
 from repro.machine.context import ContextState
 from repro.machine.events import TraceObserver
@@ -462,42 +462,68 @@ def test_seeded_sweep_matches_oracle(path):
 
 # -- the analyses' shadow transfers vs their hooks ------------------------------
 
+#: the observers attached, in order: ``loads`` (the load profiler),
+#: ``slices`` (the taint analysis), ``hooks`` (a recorder without a
+#: transfer, which keeps every instruction on the step handlers)
+ATTACHMENTS = {
+    "pair": ("loads", "slices"),
+    "reversed": ("slices", "loads"),
+    "loads": ("loads",),
+    "slices": ("slices",),
+    "hooked": ("loads", "hooks", "slices"),
+}
 
-def analysis_state(loads, slices):
-    """Everything both analyses computed, their shadow state included."""
-    return {
-        "loads": loads.summary(),
-        "load_sites": [(s.pc, s.dynamic, s.redundant)
-                       for s in loads.load_sites()],
-        "store_sites": [(s.pc, s.dynamic, s.silent, s.triggering)
-                        for s in loads.store_sites()],
-        "last_loaded": {a: _norm(v) for a, v in loads._last_loaded.items()},
-        "slices": slices.summary(),
-        "by_class": slices.redundant_by_class,
-        "register_taint": {ctx: list(taint)
-                           for ctx, taint in slices._reg_taint.items()},
-        "memory_taint": dict(slices._mem_taint),
-        "slice_last": {a: _norm(v) for a, v in slices._last.items()},
-    }
+
+def analysis_state(machine, loads, slices, hooks=None):
+    """Everything the attached analyses (``None``: not attached)
+    computed, their shadow state and the machine's one load history
+    included."""
+    history = machine.load_history
+    state = {"history": None if history is None else
+             {a: _norm(v) for a, v in history.last.items()}}
+    if loads is not None:
+        state.update(
+            loads=loads.summary(),
+            load_sites=[(s.pc, s.dynamic, s.redundant)
+                        for s in loads.load_sites()],
+            store_sites=[(s.pc, s.dynamic, s.silent, s.triggering)
+                         for s in loads.store_sites()])
+    if slices is not None:
+        state.update(
+            slices=slices.summary(),
+            by_class=slices.redundant_by_class,
+            register_taint={ctx: list(taint)
+                            for ctx, taint in slices._reg_taint.items()},
+            memory_taint=dict(slices._mem_taint))
+    if hooks is not None:
+        state["hooks"] = hooks.events
+    return state
 
 
 def _analysed(program, drive, num_contexts=1, specs=(), extra=(),
-              **machine_kwargs):
-    """Run ``drive(machine, loads, slices)`` under both analyses (and the
-    ``extra`` observers, attached between them); returns ``(machine,
+              attach="pair", **machine_kwargs):
+    """Run ``drive(machine, loads, slices)`` under the observers of
+    ``ATTACHMENTS[attach]`` (an analysis not attached is ``None``), the
+    ``extra`` observers attached after the first; returns ``(machine,
     analysis state, fault type name or None)``."""
     machine = Machine(program, num_contexts=num_contexts, **machine_kwargs)
     if specs:
         machine.attach_engine(DttEngine(ThreadRegistry(specs)))
-    loads, slices = RedundantLoadProfiler(), RedundancyTaintAnalyzer()
-    for observer in (loads, *extra, slices):
+    made = {"loads": RedundantLoadProfiler,
+            "slices": RedundancyTaintAnalyzer, "hooks": HookRecorder}
+    observers = {name: made[name]() for name in ATTACHMENTS[attach]}
+    attached = list(observers.values())
+    attached[1:1] = extra
+    for observer in attached:
         machine.add_observer(observer)
+    loads, slices = observers.get("loads"), observers.get("slices")
     fault = None
     try:
         drive(machine, loads, slices)
     except Exception as exc:  # noqa: BLE001 - the fault is the result
         fault = type(exc).__name__
-    return machine, analysis_state(loads, slices), fault
+    return machine, analysis_state(machine, loads, slices,
+                                   observers.get("hooks")), fault
 
 
 def _steps(machine, _loads, _slices):
@@ -509,7 +535,7 @@ def _run(machine, _loads, _slices):
 
 
 def assert_analyses_match_step(program, step=_steps, run=_run, **kwargs):
-    """``run`` under both analyses, on each ``Machine.run`` path of
+    """``run`` under the analyses, on each ``Machine.run`` path of
     ``RUN_PATHS``, must end where the ``step()`` loop does, on
     transfers: returns ``({path: run machine}, fault)``."""
     stepped, expected, fault = _analysed(program, step, **kwargs)
@@ -549,35 +575,104 @@ def record_hand_backs(patch: pytest.MonkeyPatch) -> list:
     return handed
 
 
-@given(plans())
+@given(plans(), st.sampled_from(sorted(ATTACHMENTS)))
 @settings(max_examples=50, deadline=None)
-def test_analyses_on_run_match_step(plan):
-    assert_analyses_match_step(lower(plan))
+def test_analyses_on_run_match_step(plan, attach):
+    assert_analyses_match_step(lower(plan), attach=attach)
 
 
-def test_seeded_sweep_analyses_match_step(monkeypatch):
-    """200 seeded programs: every shadow kind, wild indexed addresses on
-    the checked memory path, and faults mid-run, also where a compiled
-    block hands the faulting instruction back to its step handler."""
+def _sweep_analyses(patch, attach):
+    """200 seeded programs under ``ATTACHMENTS[attach]``: every shadow
+    kind, wild indexed addresses on the checked memory path, and faults
+    mid-run, also where a compiled block hands the faulting instruction
+    back to its step handler."""
     rng = random.Random(0x5AD0)
-    handed = record_hand_backs(monkeypatch)
+    handed = record_hand_backs(patch)
     faults, in_blocks = set(), set()
     uncompiled = 0  # programs whose every block compiled retired nothing
     for _ in range(200):
         del handed[:]
         machines, fault = assert_analyses_match_step(
-            lower(compose_plan(rng.choice)))
+            lower(compose_plan(rng.choice)), attach=attach)
         faults.add(fault)
         if handed and handed[-1] == machines["compiled"].main_context.pc:
             in_blocks.add(fault)  # the last hand-back was the fault
         uncompiled += not machines["compiled"].compiled_instructions
     assert {"MemoryFault", "ExecutionFault", None} <= faults
+    if "hooks" in ATTACHMENTS[attach]:  # no transfer: every pc runs cold
+        assert uncompiled == 200 and not in_blocks
+        return
     # the transfers ran in blocks almost everywhere: only a program too
     # short or too early faulting for any block retires nothing there
     assert uncompiled <= 10
     # failed guards (a wild or a float address) and an exception inside
     # a block, each handed back to the step handler that raised it
     assert {"MemoryFault", "AlignmentFault", "ExecutionFault"} <= in_blocks
+
+
+def test_seeded_sweep_analyses_match_step(monkeypatch):
+    _sweep_analyses(monkeypatch, "pair")
+
+
+@pytest.mark.parametrize("attach", ["reversed", "loads", "slices", "hooked"])
+def test_seeded_sweep_analyses_attached_otherwise_match_step(attach,
+                                                              monkeypatch):
+    # each analysis alone, the pair the other way round, and the pair
+    # with a hook observer between them
+    _sweep_analyses(monkeypatch, attach)
+
+
+def _counting_then_handing_back(kind):
+    """A loop block whose transfers count in every class the loop runs
+    (a redundant load, an add, a store and a branch on its value), then,
+    past the loop in the same block, an instruction it hands back: a
+    load outside the address space (``guard``) or a division by zero
+    (``fault``)."""
+    b = ProgramBuilder()
+    b.data("xs", [5, 0])
+    with b.function("main"):
+        with b.scratch(6) as (i, n, base, v, w, t):
+            b.la(base, "xs")
+            b.li(i, 0)
+            b.li(n, 40)
+            b.label("loop")
+            b.ld(v, base, 0)
+            b.addi(w, v, 1)
+            b.st(w, base, 1)
+            b.bnez(w, "next")
+            b.nop()
+            b.label("next")
+            b.addi(i, i, 1)
+            b.blt(i, n, "loop")
+            if kind == "guard":
+                b.li(t, -1)
+                b.ld(v, t, 0)
+            else:
+                b.li(t, 0)
+                b.idiv(v, i, t)
+        b.halt()
+    return b.build()
+
+
+@pytest.mark.parametrize("attach", ["pair", "reversed", "slices"])
+@pytest.mark.parametrize("kind", ["guard", "fault"])
+def test_counts_of_a_block_that_hands_back_match_step(kind, attach,
+                                                       monkeypatch):
+    # what the block counted in locals before the hand-back reaches the
+    # analyses through its epilogue
+    program = _counting_then_handing_back(kind)
+    handed = record_hand_backs(monkeypatch)
+    machines, fault = assert_analyses_match_step(program, attach=attach)
+    assert fault == {"guard": "MemoryFault", "fault": "ExecutionFault"}[kind]
+    pc = machines["compiled"].main_context.pc
+    assert program.instructions[pc].op == {"guard": "ld",
+                                           "fault": "idiv"}[kind]
+    # once on each path that compiles blocks, and nothing else
+    assert handed == [pc, pc]
+    _, state, _ = _analysed(program, _steps, attach=attach)
+    counted = state["by_class"]
+    assert all(counted[c] >= 39 for c in (OpClass.LOAD, OpClass.IALU,
+                                          OpClass.STORE, OpClass.BRANCH))
 
 
 @pytest.mark.parametrize("source", ["dtt-sum", "mcf"])

@@ -764,6 +764,31 @@ def test_removed_observer_sees_nothing_more():
     assert fingerprint(machine) == fingerprint(reference)
 
 
+def test_one_load_history_while_an_analysis_reads_it():
+    # the machine keeps one history for every attached analysis whose
+    # shadow reads {redundant}, from the first attached to the last
+    # detached; other observers get none
+    from repro.profiling.sampled import SampledRedundantLoadProfiler
+
+    machine = Machine(_mcf_program())
+    for other in (HookRecorder(), SampledRedundantLoadProfiler()):
+        machine.add_observer(other)
+        assert machine.load_history is None
+        assert other.load_history is None
+    loads, slices = RedundantLoadProfiler(), RedundancyTaintAnalyzer()
+    machine.add_observer(loads)
+    history = machine.load_history
+    assert history is not None and loads.load_history is history
+    machine.run(max_steps=5000)
+    assert history.last
+    machine.add_observer(slices)
+    assert machine.load_history is slices.load_history is history
+    machine.remove_observer(loads)
+    assert machine.load_history is history
+    machine.remove_observer(slices)
+    assert machine.load_history is None
+
+
 def test_declared_transfers_replace_hook_calls():
     # with every block compiled, both analyses run as shadow transfers
     # inside the blocks: their hooks are called only for the instructions

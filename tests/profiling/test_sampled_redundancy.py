@@ -6,6 +6,7 @@ sampled profiler's own 95 % confidence intervals, and the profiler's
 state must stay within a fixed budget regardless of footprint.
 """
 
+import functools
 import json
 import subprocess
 import sys
@@ -164,6 +165,28 @@ def _sampled_state(profiler):
     }
 
 
+@functools.lru_cache(maxsize=None)
+def _stepped(workload, budget):
+    """``(program, the step() loop's sampled state)``: the reference
+    every run path is compared against, made once per module."""
+    from repro.machine.context import ContextState
+
+    wl = SUITE[workload]
+    program = wl.build_baseline(wl.make_input(scale=2))
+    machine = Machine(program)
+    profiler = _sampled_profiler(budget)
+    machine.add_observer(profiler)
+    main = machine.main_context
+    while main.state is ContextState.RUNNING:
+        machine.step(main)
+    return program, _sampled_state(profiler)
+
+
+def _sampled_profiler(budget):
+    return SampledRedundantLoadProfiler(sample_rate=4, seed=3,
+                                        max_tracked_addresses=budget)
+
+
 @pytest.mark.parametrize("path", ["closure", "compiled", "superblock"])
 @pytest.mark.parametrize("workload,budget", [("gzip", 1 << 20),
                                              ("mcf", 1 << 20),
@@ -172,26 +195,14 @@ def test_sampled_transfers_match_the_hooks(workload, budget, path):
     # Machine.run runs the declared transfer in compiled blocks and the
     # hooks elsewhere; a step() loop calls only the hooks.  Both must end
     # in the same state, the address budget's refusals included.
-    from repro.machine.context import ContextState
-
     from tests.conftest import RUN_PATHS
 
-    wl = SUITE[workload]
-    program = wl.build_baseline(wl.make_input(scale=2))
-    states = []
-    for drive in ("step", "run"):
-        machine = Machine(program)
-        profiler = SampledRedundantLoadProfiler(
-            sample_rate=4, seed=3, max_tracked_addresses=budget)
-        machine.add_observer(profiler)
-        if drive == "run":
-            run_to_completion(RUN_PATHS[path](machine))
-            assert (machine.compiled_instructions > 0) == (path != "closure")
-        else:
-            main = machine.main_context
-            while main.state is ContextState.RUNNING:
-                machine.step(main)
-        states.append(_sampled_state(profiler))
-    assert states[0] == states[1]
+    program, expected = _stepped(workload, budget)
+    machine = Machine(program)
+    profiler = _sampled_profiler(budget)
+    machine.add_observer(profiler)
+    run_to_completion(RUN_PATHS[path](machine))
+    assert (machine.compiled_instructions > 0) == (path != "closure")
+    assert _sampled_state(profiler) == expected
     if budget < 1 << 20:  # the small budget refuses addresses
-        assert states[0]["summary"]["tracked_addresses_capped"]
+        assert expected["summary"]["tracked_addresses_capped"]
