@@ -11,17 +11,17 @@ hook.  With a spare context, a synchronous DTT engine runs support
 threads nested inside the ``tcheck`` that consumes them, so their hooks
 come before that ``tcheck``'s ``on_instruction``.  Inside a
 ``Machine.run`` those support threads run on its batch loop too, with
-``ctx.pc`` and the counters reconciled per chunk as below; a bare
-``step()`` loop single-steps them.
+``ctx.pc`` and the counters reconciled as below; a bare ``step()``
+loop single-steps them.
 
 Hooks must take the instruction's PC from their ``pc`` argument and must
 not read ``ctx.pc`` or the instruction counters (``ctx.instruction_count``,
 ``Machine.instructions_executed`` and the main/support split): observed
 runs go through ``Machine.run``'s batch loop, which reconciles those only
-once per chunk of instructions.  Compiled blocks bind the observers'
-shadow state when the machine builds its block table, so attach
-observers with ``Machine.add_observer`` rather than swapping state
-during a run.
+where it stops (an engine opcode, the limit, a fault, the end of the
+run).  Compiled blocks bind the observers' shadow state when the machine
+builds its block table, so attach observers with
+``Machine.add_observer`` rather than swapping state during a run.
 
 **Declared shadow transfers.**  An observer whose analysis is a small
 shadow machine (per-register and per-word state updated at each
@@ -46,8 +46,8 @@ attached and in whatever order, from the machine's one
 
 **Instruction totals.**  An observer with ``counts_instructions`` set
 keeps a ``total_instructions`` counter that the machine maintains: ``run``
-adds each chunk's retired count (an instruction that faults is not
-added), and ``step()`` adds one per completed instruction.  Such an
+adds the count retired up to each stop (an instruction that faults is
+not added), and ``step()`` adds one per completed instruction.  Such an
 observer needs no ``on_instruction`` hook just to count.
 """
 

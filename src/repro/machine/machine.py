@@ -29,9 +29,10 @@ Execution has two drivers:
   (a faulting address or a fault) and an uncompiled PC run on the same
   pre-decoded step handlers as ``step()``, the one cold path it shares
   with the timing model's run-aheads; engine opcodes go to ``step()``
-  itself.  Accounting (instruction counters, the dynamic-instruction
-  limit, the step budget) is reconciled once per chunk of thousands of
-  instructions.
+  itself.  Blocks take the run's real budget, and accounting
+  (instruction counters, the dynamic-instruction limit, the step
+  budget) is reconciled only where the loop stops anyway: at an engine
+  opcode, the limit, a fault, or the end of the run.
 
 Both produce identical results — architectural state, counters, faults,
 and limits are byte-for-byte the same.  The step handlers and the
@@ -74,10 +75,6 @@ from repro.machine.superblock import install
 
 Number = Union[int, float]
 StepResult = Tuple[Instruction, Optional[int], Optional[bool]]
-
-#: batch size of the fast loop: accounting (instruction counters, the
-#: dynamic-instruction limit, the step budget) is reconciled once per chunk
-_CHUNK = 16384
 
 
 class Machine:
@@ -227,23 +224,23 @@ class Machine:
         Compiled blocks run at their entries; uncompiled PCs and the
         instructions a block hands back (a faulting address or a fault)
         run on their step handlers, and engine opcodes under ``step()``.  A
-        block takes the chunk budget left as an argument, never exceeds
-        it, reconciles the memory counters itself, and returns its
-        retired count with the next PC (see
-        :mod:`repro.machine.superblock`).  Architectural results,
-        counters, faults, and the dynamic instruction limit behave
-        exactly as an equivalent ``step()`` loop.
+        block takes the run's budget left as an argument (the limit's
+        headroom, capped by ``max_steps``), never exceeds it, reconciles
+        the memory counters itself, and returns its retired count with
+        the next PC (see :mod:`repro.machine.superblock`), so a loop
+        nest stays in its block.  Architectural results, counters,
+        faults, and the limit behave exactly as a ``step()`` loop.
 
         With machine observers attached, compiled blocks run their
         declared shadow transfers, but only when every observer declares
         one; one that declares none leaves no compiled blocks.  A step
         handler calls the observers' hooks, and the loop then calls each
-        ``on_instruction``, as ``step()`` does.  Each chunk's retired
-        count goes to the observers that count instructions, and what
-        blocks retired to ``compiled_instructions``.
-        Inside this loop ``ctx.pc`` and the instruction counters are
-        reconciled per chunk, so hooks must rely on their ``pc``
-        argument (see :mod:`repro.machine.events`).
+        ``on_instruction``, as ``step()`` does.  ``ctx.pc`` and the
+        counters (the observers' that count instructions, and
+        ``compiled_instructions`` for what blocks retired) are
+        reconciled only at an engine opcode, the limit, a fault or the
+        end of the run, so hooks must rely on their ``pc`` argument
+        (see :mod:`repro.machine.events`).
 
         A synchronous DTT engine runs each support thread nested inside
         the ``tcheck`` that consumes it.  When this loop handed that
@@ -262,7 +259,8 @@ class Machine:
         return self._drive(ctx, max_steps)
 
     def _drive(self, ctx: Context, max_steps: Optional[int] = None) -> int:
-        """The batch loop of :meth:`run` on a RUNNING ``ctx``.
+        """The batch loop of :meth:`run` on a RUNNING ``ctx``: it runs
+        blocks on the run's real budget and stops only where it must.
 
         Also the entry of nested synchronous support threads, so those
         do not re-enter the public :meth:`run`: each ``run`` call is one
@@ -278,20 +276,17 @@ class Machine:
         total = 0
         pc = ctx.pc
         while True:
-            if budget >= 0 and total >= budget:
-                break
-            # a chunk never runs past the dynamic-instruction limit; at
-            # the limit, step() raises on exactly the next instruction
-            chunk = min(_CHUNK, self.max_instructions
-                        - self.instructions_executed)
-            if budget >= 0 and budget - total < chunk:
-                chunk = budget - total
+            # the run's real budget: the limit's headroom, capped by
+            # what is left of max_steps (-1, no max_steps, caps nothing)
+            room = self.max_instructions - self.instructions_executed
+            if 0 <= budget - total < room:
+                room = budget - total
             n = compiled = 0  # compiled: retired inside blocks
             try:
-                while n < chunk:
+                while n < room:
                     fn = sb_table[pc]  # IndexError: ran off the end
                     if fn is not None:
-                        ret = fn(ctx, chunk - n)
+                        ret = fn(ctx, room - n)
                         if ret is not None:
                             retired, pc = ret
                             n += retired
@@ -327,13 +322,14 @@ class Machine:
                 raise
             self._retire(ctx, n, n, compiled)
             total += n
-            if 0 < chunk <= n:
-                continue  # chunk spent; reconcile and keep going
-            # an engine opcode, or no headroom left: step it with the
-            # counters reconciled, so nested synchronous execution and the
-            # dynamic-instruction limit see exactly what a step() loop
-            # shows them, then re-budget.  The flag is saved and restored
-            # because nested support threads come back here.
+            if total == budget:
+                break
+            # an engine opcode, or the limit, where step() raises on
+            # exactly the next instruction: step it with the counters
+            # reconciled, so nested synchronous execution and the limit
+            # see exactly what a step() loop shows them, then re-budget.
+            # The flag is saved and restored because nested support
+            # threads come back here.
             ctx.pc = pc
             batching = self._batching
             self._batching = True

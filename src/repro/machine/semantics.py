@@ -85,7 +85,7 @@ HELPERS = {"_idiv": trunc_div, "_fdiv": fdiv, "_fsqrt": fsqrt,
 #: opcodes whose handlers touch the DTT engine (``tst``/``tstx`` trigger,
 #: ``tcheck`` may block, ``treturn`` ends a support thread) or end the
 #: context (``halt``).  They have no template and no fast path:
-#: ``Machine.run`` ends its chunk and executes them with ``step()``, and
+#: ``Machine.run`` stops at them and executes them with ``step()``, and
 #: the timing model's solo run-ahead side-exits on them.
 ENGINE_OPCODES = frozenset(["tst", "tstx", "tcheck", "treturn", "halt"])
 

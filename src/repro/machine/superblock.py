@@ -212,7 +212,7 @@ def compile_reach(timed: bool, is_loop: bool) -> int:
 # -- process-wide code cache ---------------------------------------------------
 
 _STATS = {"cache_hits": 0, "cache_misses": 0, "build_seconds": 0.0,
-          "source_lines": 0}
+          "source_lines": 0, "positions": 0}
 
 #: shape key -> ``(code, static arguments, tier data)``, in LRU order
 _CODE_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
@@ -222,7 +222,8 @@ def cache_stats() -> Dict[str, float]:
     """Process-wide code-cache counters over both tiers: shapes compiled
     (``cache_misses``, taking ``build_seconds``, from ``source_lines``
     lines handed to ``compile()``), blocks bound to a shape compiled
-    before (``cache_hits``), and blocks bound (both)."""
+    before (``cache_hits``), blocks bound (both), and the instructions
+    of the blocks the lazy tables bind (``positions``)."""
     stats = dict(_STATS)
     total = stats["blocks_compiled"] = (stats["cache_hits"]
                                         + stats["cache_misses"])
@@ -232,8 +233,7 @@ def cache_stats() -> Dict[str, float]:
 
 def reset_cache_stats() -> None:
     """Zero the cache counters (bench/test isolation; cache is kept)."""
-    _STATS.update(cache_hits=0, cache_misses=0, build_seconds=0.0,
-                  source_lines=0)
+    _STATS.update(dict.fromkeys(_STATS, 0), build_seconds=0.0)
 
 
 _GAUGES = {
@@ -242,6 +242,7 @@ _GAUGES = {
     "build_seconds": "cumulative block codegen+compile wall-clock",
     "source_lines": "block source lines handed to compile(), both tiers",
     "blocks_compiled": "blocks bound to compiled code, both tiers",
+    "positions": "instructions compiled into bound blocks, both tiers",
     "hit_rate": "code-cache hit fraction over all lookups",
 }
 
@@ -418,6 +419,7 @@ def lazy_table(program: Program, timed: bool,
             if left > 0:
                 return None
             block = table[entry] = compile_block(entry, length, is_loop)
+            _STATS["positions"] += length
             return block(*args)
         return countdown
 

@@ -713,17 +713,77 @@ def _spin_loads():
 
 
 def test_analyses_near_the_instruction_limit_match_step():
-    # two full chunks, then a last one capped at the limit's headroom,
-    # and step() raises on the next instruction
-    from repro.machine.machine import _CHUNK
-
-    machines, fault = assert_analyses_match_step(_spin_loads(),
+    # compiled blocks take the run's real budget, so they run up to the
+    # limit: only the instructions before the loop and fewer than one
+    # block length at the limit run cold, and step() raises on the next
+    program = _spin_loads()
+    machines, fault = assert_analyses_match_step(program,
                                                  max_instructions=40_000)
     assert fault == ExecutionLimitExceeded.__name__
-    assert 40_000 - 2 * _CHUNK < _CHUNK
-    # more than the two full chunks hold: compiled blocks ran in the
-    # last chunk before the limit too
-    assert machines["superblock"].compiled_instructions > 2 * _CHUNK
+    (entry, length, _), = [block for block in superblock.form_blocks(program)
+                           if block[2]]
+    for path in ("compiled", "superblock"):
+        assert 40_000 - machines[path].compiled_instructions < entry + length
+
+
+def _nest(outer, inner):
+    """``outer`` passes of a loop over two inner loops of ``inner``
+    iterations each, both loading ``xs``."""
+    b = ProgramBuilder()
+    b.data("xs", [3, 1, 4, 1, 5, 9, 2, 6])
+    with b.function("main"):
+        with b.scratch(5) as (i, j, base, acc, v):
+            b.la(base, "xs")
+            b.li(acc, 0)
+            with b.for_range(i, 0, outer):
+                with b.for_range(j, 0, inner):
+                    b.andi(v, j, 7)
+                    b.ldx(v, base, v)
+                    b.add(acc, acc, v)
+                with b.for_range(j, 0, inner):
+                    b.ldx(v, base, j)
+                    b.sub(acc, acc, i)
+            b.out(acc)
+        b.halt()
+    return b.build()
+
+
+@pytest.mark.parametrize("analysed", [False, True],
+                         ids=["unobserved", "analysed"])
+def test_a_loop_nest_compiles_once(analysed):
+    # a nest that runs for tens of thousands of instructions stays in
+    # its one block: its inner loop heads never become block entries
+    # (they stay countdown stubs), and the nest is the one block bound
+    program = _nest(500, 8)
+    blocks = {pc: (length, is_loop)
+              for pc, length, is_loop in superblock.form_blocks(program)}
+    entry = min(pc for pc, (_, is_loop) in blocks.items() if is_loop)
+    length = blocks[entry][0]
+    heads = sorted(entry + head for head in superblock.loop_nest(
+        program.instructions, entry, length))
+    assert len(heads) == 2 and all(blocks[head][1] for head in heads)
+
+    def drive(run):
+        machine = Machine(program)
+        analyses = [RedundantLoadProfiler(), RedundancyTaintAnalyzer()]
+        if analysed:
+            for analysis in analyses:
+                machine.add_observer(analysis)
+        run(machine)
+        return machine, (machine.output, machine.instructions_executed,
+                         analysis_state(machine, *analyses) if analysed
+                         else None)
+
+    expected = drive(_run_steps)[1]
+    superblock.reset_cache_stats()
+    machine, actual = drive(run_to_completion)
+    assert actual == expected
+    assert machine.compiled_instructions > 40_000
+    table = machine._superblocks
+    assert table[entry].__name__ == f"sb_{entry}"
+    assert [table[head].__name__ for head in heads] == ["countdown"] * 2
+    stats = superblock.cache_stats()
+    assert (stats["blocks_compiled"], stats["positions"]) == (1, length)
 
 
 def test_undeclared_observer_sees_steps_hook_stream():
@@ -921,7 +981,7 @@ def test_seeded_sweep_sync_support_threads_match_step():
 
 def _looping_thread(iterations, trailer=()):
     """A DTT program whose support thread loops ``iterations`` times over
-    ``xs`` (long enough for compiled blocks and whole chunks), then runs
+    ``xs`` (long enough for compiled blocks), then runs
     ``trailer`` (a list of ``(op, *operands)`` with ``base`` standing for
     the register holding ``xs``); main triggers it twice."""
     b = ProgramBuilder()
@@ -953,13 +1013,14 @@ def _looping_thread(iterations, trailer=()):
 
 
 def test_limit_firing_mid_support_body_matches_step():
-    # chunks of the nested batch loop, then its single-stepped tail up to
-    # the limit, which fires inside the first activation's loop
+    # the nested batch loop runs the first activation's loop up to the
+    # limit, which fires inside it: only the instruction the limit stops
+    # goes to step()
     machine, state, support_steps = assert_sync_run_matches_step(
         *_looping_thread(20_000), max_instructions=40_000)
     assert state["fault"][0] == ExecutionLimitExceeded.__name__
     assert machine.support_instructions > 35_000
-    assert support_steps < 16_384  # at most the tail, one chunk long
+    assert support_steps == 1
 
 
 def test_memory_fault_mid_support_body_matches_step():

@@ -667,8 +667,8 @@ def test_observed_division_fault_matches_step():
 
 
 def test_observed_instruction_limit_matches_step():
-    # past one batch chunk, so the limit is reached by the single-step
-    # hand-off after observed batch execution
+    # the limit is reached by the single-step hand-off after observed
+    # batch execution
     b = ProgramBuilder()
     b.data("xs", [1])
     with b.function("main"):
