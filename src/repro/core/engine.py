@@ -202,8 +202,6 @@ class DttEngine:
                     )
                 return  # behaves as a plain store
         t = self._trace
-        if t is not None and not t.enabled:
-            t = None  # disabled sink: skip building event details entirely
         # Prefilter: one set-membership test (plus range probes only when
         # address watches exist) decides the common can-never-match case
         # without walking the registry.  Staleness is two int compares.
@@ -214,15 +212,9 @@ class DttEngine:
                 or prefilter.granularity != granularity):
             prefilter = self.registry.build_prefilter(granularity)
             self._prefilter = prefilter
-        if pc not in prefilter.store_pcs:
-            hit = False
-            for lo, hi in prefilter.ranges:
-                if lo <= address < hi:
-                    hit = True
-                    break
-            if not hit:
-                self.unmatched_tstores += 1
-                return
+        if not prefilter.may_match(pc, address):
+            self.unmatched_tstores += 1
+            return
         specs = self.registry.matches(pc, address, granularity)
         if not specs:
             self.unmatched_tstores += 1

@@ -121,10 +121,6 @@ class EngineTrace:
         #: events discarded from the in-memory buffer after it filled
         #: (0 = complete in-memory trace; a spill sink still saw them)
         self.dropped = 0
-        #: fast-exit flag: the engine's hot hooks read this *before*
-        #: formatting event details, so a disabled sink costs one attribute
-        #: load per hook instead of string building + an EngineEvent
-        self.enabled = True
         self._sequence = 0
         engine.attach_trace(self)
 
@@ -142,8 +138,6 @@ class EngineTrace:
                pc: Optional[int] = None,
                cycle: Optional[int] = None) -> None:
         """Append one event (engine-facing; buffer policy applies)."""
-        if not self.enabled:
-            return
         full = len(self.events) >= self.max_events
         if full and self.keep == "head" and self.spill is None:
             self.dropped += 1
@@ -159,11 +153,6 @@ class EngineTrace:
             self.dropped += 1
             if self.keep == "tail":
                 self.events.append(event)  # deque evicts the oldest
-
-    # retained for callers/tests that emitted events directly
-    def _emit(self, kind: str, thread: Optional[str],
-              address: Optional[int] = None, detail: str = "") -> None:
-        self.record(kind, thread, address, detail)
 
     # -- queries --------------------------------------------------------------------
 

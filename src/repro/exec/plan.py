@@ -9,10 +9,10 @@ scheduler (:mod:`repro.exec.pool`) executes every distinct run exactly
 one time regardless of how many experiments asked for it.
 
 A :class:`RunSpec` is also the *identity* of a run everywhere else in the
-execution subsystem:
+execution subsystem.  The spec itself keys every
+:class:`~repro.harness.runner.SuiteRunner` memo, and it has two derived
+forms:
 
-* ``runner_key()`` — the :class:`~repro.harness.runner.SuiteRunner`
-  memoization tuple;
 * ``canonical()`` — the stable, documented string form
   (see :func:`canonical_run_name`) exposed by ``cache_stats()["keys"]``
   and embedded in manifests;
@@ -150,13 +150,6 @@ class RunSpec:
         return cls("profile", workload, "profile", None, (), seed, scale)
 
     # -- identities -----------------------------------------------------------
-
-    def runner_key(self) -> Tuple:
-        """The SuiteRunner memoization key for this run."""
-        if self.kind == "profile":
-            return (self.workload, self.seed, self.scale)
-        return (self.workload, self.build, self.config_name,
-                self.dtt_fields, self.seed, self.scale)
 
     def canonical(self) -> str:
         """The documented ``workload:build:config:seed:scale`` string."""

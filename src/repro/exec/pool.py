@@ -136,13 +136,15 @@ def execute_plan(plan: RunPlan, runner, jobs: int = 1,
 
     # live telemetry: declare the plan size up front so the heartbeat's
     # ETA has a denominator; serial-path runs tick themselves inside
-    # SuiteRunner.timed/profile, the parallel path ticks on install
-    status = getattr(runner, "status", None)
+    # the runner's one execution path, the parallel path ticks on install
+    status = runner.status
     if status is not None:
         status.set_total(len(plan))
         status.begin_phase("plan")
 
     # 1. serve what we can without simulating: memo first, then store
+    # (the one store read of each run: a spec that misses here is never
+    # read again, whichever path executes it)
     pending: List[RunSpec] = []
     for spec in plan:
         if runner.is_cached(spec):
@@ -159,7 +161,7 @@ def execute_plan(plan: RunPlan, runner, jobs: int = 1,
         return stats
 
     # 2. tracing needs live engines in the parent process
-    parallel_ok = jobs > 1 and not getattr(runner, "trace_enabled", False)
+    parallel_ok = jobs > 1 and not runner.trace_enabled
 
     executed_parallel: List[RunSpec] = []
     if parallel_ok:
@@ -190,7 +192,7 @@ def execute_plan(plan: RunPlan, runner, jobs: int = 1,
             stats["worker_retries"] += len(crashed)
         pending = remaining  # anything still here falls back to serial
 
-    # 3. serial path: the ordinary runner execution (with its built-in
+    # 3. serial path: the runner's one execution path (with its built-in
     # baseline checking), used for jobs=1, tracing, and crash fallback
     for spec in pending:
         runner.execute_spec(spec)

@@ -118,11 +118,9 @@ class StoredRedundancyReport:
     a store entry; mirrors the attributes E1/E2 read."""
 
     def __init__(self, name: str, loads_summary: Dict, slices_summary: Dict,
-                 output: List, instructions: int,
-                 sites: Optional[Dict] = None):
+                 output: List, instructions: int, sites: Dict):
         self.name = name
-        #: persisted top-site stats ({"loads": [...], "stores": [...]}),
-        #: or None for entries written before store schema v2
+        #: persisted top-site stats ({"loads": [...], "stores": [...]})
         self.sites = sites
         self.loads = _SummaryView(loads_summary)
         # RedundancyReport reads slices.redundant_fraction; the stored
@@ -151,7 +149,7 @@ class StoredRedundancyReport:
         from repro.profiling.redundancy import LoadSiteStats
 
         out = []
-        for row in (self.sites or {}).get("loads", []):
+        for row in self.sites["loads"]:
             stats = LoadSiteStats(row["pc"])
             stats.dynamic = row["dynamic"]
             stats.redundant = row["redundant"]
@@ -163,7 +161,7 @@ class StoredRedundancyReport:
         from repro.profiling.redundancy import StoreSiteStats
 
         out = []
-        for row in (self.sites or {}).get("stores", []):
+        for row in self.sites["stores"]:
             stats = StoreSiteStats(row["pc"], row["triggering"])
             stats.dynamic = row["dynamic"]
             stats.silent = row["silent"]
@@ -226,23 +224,20 @@ _SITE_LIMIT = 20
 
 
 def encode_profile(report) -> Dict:
-    """A redundancy profile as a JSON-ready payload.
+    """A live redundancy profile as a JSON-ready payload.
 
-    Live reports (whose ``loads`` is the profiler itself) additionally
-    persist their hottest static sites, so the HTML report can render
-    top-sites tables from a cold store; stored stand-ins round-trip
-    whatever sites they were restored with.
+    Only a run this process executed is encoded, so ``loads`` is the
+    profiler itself; its hottest static sites are persisted too, so the
+    HTML report can render top-sites tables from a cold store.
     """
-    payload = {
+    loads = report.loads
+    return {
         "name": report.name,
-        "loads": report.loads.summary(),
+        "loads": loads.summary(),
         "slices": report.slices.summary(),
         "output": report.output,
         "instructions": report.instructions,
-    }
-    loads = report.loads
-    if hasattr(loads, "hottest_redundant_loads"):
-        payload["sites"] = {
+        "sites": {
             "loads": [
                 {"pc": s.pc, "dynamic": s.dynamic, "redundant": s.redundant}
                 for s in loads.hottest_redundant_loads(_SITE_LIMIT)
@@ -252,10 +247,8 @@ def encode_profile(report) -> Dict:
                  "triggering": s.triggering}
                 for s in loads.store_sites()[:_SITE_LIMIT]
             ],
-        }
-    elif getattr(report, "sites", None):
-        payload["sites"] = report.sites
-    return payload
+        },
+    }
 
 
 def decode_profile(payload: Dict) -> StoredRedundancyReport:
@@ -263,8 +256,7 @@ def decode_profile(payload: Dict) -> StoredRedundancyReport:
     try:
         return StoredRedundancyReport(
             payload["name"], payload["loads"], payload["slices"],
-            payload["output"], payload["instructions"],
-            sites=payload.get("sites"),
+            payload["output"], payload["instructions"], payload["sites"],
         )
     except (KeyError, TypeError) as error:
         raise StoreError(f"malformed profile payload: {error}") from error

@@ -49,7 +49,7 @@ def run_e1_redundant_loads(runner: Optional[SuiteRunner] = None) -> ExperimentRe
     tolerance-is-CI-width treatment ``compare`` gives sampled metrics.
     """
     runner = runner or SuiteRunner()
-    sampled = getattr(runner, "sample_rate", None) is not None
+    sampled = runner.sample_rate is not None
     rows = []
     fractions = []
     silent = []
@@ -142,7 +142,7 @@ def run_e2_redundant_computation(
                      "computation' (shape-only; exact series unpublished)"),
         notes="taint-propagation operationalization; see profiling.slices",
     )
-    if getattr(runner, "sample_rate", None) is not None:
+    if runner.sample_rate is not None:
         # taint propagation needs every load's classification; a sampled
         # profile cannot estimate it (see profiling.report), so the
         # fractions above are all zero by construction — record that

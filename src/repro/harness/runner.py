@@ -1,19 +1,22 @@
 """Suite runner: executes (and memoizes) the runs experiments share.
 
 E3, E4, E6 and E7 all need the same baseline/DTT timed runs; running the
-whole suite once and caching results keeps the full harness fast.  Cache
-keys include everything that affects a run (workload, build kind, machine
+whole suite once and caching results keeps the full harness fast.  Every
+memo is keyed on the run's :class:`~repro.exec.plan.RunSpec`, which holds
+everything that affects a run (kind, workload, build kind, machine
 configuration, DTT configuration fingerprint, seed, scale), so distinct
 experiments never alias.  The fingerprint is auto-derived from
 ``DttConfig.__slots__`` (:func:`repro.exec.plan.config_fingerprint`), so
 a newly added configuration knob can never silently alias entries.
 
-Behind the in-memory memo sits an optional persistent backend, the
-content-addressed :class:`~repro.exec.store.ResultStore`: a memo miss
-first consults the store (counted as ``runner.store_hits`` /
-``runner.store_misses``), and every executed run is written back, so a
-second harness invocation against the same store executes zero
-simulations.  DTT results restored from the store carry a
+Timed runs and profiles take one path (:meth:`SuiteRunner._run`): the
+in-memory memo, then the optional persistent backend, the
+content-addressed :class:`~repro.exec.store.ResultStore` (read at most
+once per run and counted as one ``runner.store_hits`` or
+``runner.store_misses``), then the simulation, whose result is written
+back, so a second harness invocation against the same store executes
+zero simulations.  Only the simulate step differs by ``RunSpec.kind``.
+DTT results restored from the store carry a
 :class:`~repro.exec.store.StoredEngineView` standing in for the live
 engine, so experiments that read engine counters keep working.
 
@@ -24,8 +27,10 @@ an :class:`~repro.core.trace.EngineTrace` for timeline export, and feeds
 a shared :class:`~repro.obs.metrics.MetricsRegistry` through to the
 timing simulator — all of which
 :meth:`repro.obs.manifest.RunManifest.from_runner` rolls into the
-per-run manifest.  Pool workers (:mod:`repro.exec.pool`) run their own
-private runner and hand results back through
+per-run manifest.  The pool scheduler (:mod:`repro.exec.pool`) reads
+the store once per planned run (:meth:`SuiteRunner.load_from_store`),
+then executes the rest through :meth:`SuiteRunner.execute_spec` or in
+workers, each with a private runner, whose results come back through
 :meth:`SuiteRunner.install_payload` / :meth:`merge_worker_run`.
 """
 
@@ -37,8 +42,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.config import DttConfig
 from repro.core.trace import EngineTrace
 from repro.errors import CorrectnessError, DttError, ExecError
-from repro.exec.plan import (RunSpec, canonical_run_name, config_fingerprint,
-                             resolve_workload)
+from repro.exec.plan import RunSpec, resolve_workload
 from repro.profiling.report import RedundancyReport, profile_program
 from repro.timing.params import named_config
 from repro.timing.stats import TimingResult
@@ -96,10 +100,10 @@ class SuiteRunner:
             from repro.obs.status import StatusFile
             status = StatusFile(status)
         self.status = status
-        self._timed: Dict[Tuple, TimingResult] = {}
-        self._profiles: Dict[Tuple, RedundancyReport] = {}
-        self._engines: Dict[Tuple, object] = {}
-        self._traces: Dict[Tuple, EngineTrace] = {}
+        #: every memo is keyed on the run's RunSpec
+        self._results: Dict[RunSpec, object] = {}
+        self._engines: Dict[RunSpec, object] = {}
+        self._traces: Dict[RunSpec, EngineTrace] = {}
         self._autoconvert: List[Dict] = []
         self._history: List[Dict] = []
         #: made once on first use: inputs by (workload, seed, scale),
@@ -160,31 +164,24 @@ class SuiteRunner:
         :func:`repro.exec.plan.canonical_run_name`) — the same strings
         the result store hashes into content addresses.
         """
-        keys = [
-            canonical_run_name(workload, build, config, fields, seed, scale)
-            for (workload, build, config, fields, seed, scale) in self._timed
-        ] + [
-            canonical_run_name(workload, "profile", None, (), seed, scale)
-            for (workload, seed, scale) in self._profiles
-        ]
+        timed = sum(spec.kind == "timed" for spec in self._results)
         return {
             "hits": self._hits,
             "misses": self._misses,
             "store_hits": self._store_hits,
             "store_misses": self._store_misses,
-            "timed_entries": len(self._timed),
-            "profile_entries": len(self._profiles),
+            "timed_entries": timed,
+            "profile_entries": len(self._results) - timed,
             "inputs": len(self._inputs),
             "builds": len(self._builds),
             "analysis_rows": len(self._analysis),
-            "keys": keys,
+            "keys": [spec.canonical() for spec in self._results],
         }
 
     def clear(self) -> None:
         """Drop every memoized run, input, build and analysis row
         (counters and phase timings too)."""
-        self._timed.clear()
-        self._profiles.clear()
+        self._results.clear()
         self._inputs.clear()
         self._builds.clear()
         self._analysis.clear()
@@ -226,14 +223,16 @@ class SuiteRunner:
         """
         seen = set()
         rows: List[Dict] = []
-        for (workload, build, _config, _fields, seed, scale) in self._timed:
+        for spec in self._results:
+            workload, build = spec.workload, spec.build
             if (build not in ("dtt", "dtt-watch") or workload not in SUITE
                     or (workload, build) in seen):
                 continue
             seen.add((workload, build))
-            key = (workload, build, seed, scale)
+            key = (workload, build, spec.seed, spec.scale)
             if key not in self._analysis:
-                made = self._build(SUITE[workload], build, seed, scale)
+                made = self._build(SUITE[workload], build, spec.seed,
+                                   spec.scale)
                 if made is None:
                     continue  # no address-watched variant
                 from repro.analysis.checks import summarize_build
@@ -246,16 +245,15 @@ class SuiteRunner:
 
     def traces(self) -> List[Tuple[str, EngineTrace]]:
         """(label, trace) for every traced run, in execution order."""
-        return [
-            (f"{key[0]}:{key[1]}:{key[2]}", trace)
-            for key, trace in self._traces.items()
-        ]
+        return [(spec.phase_name(), trace)
+                for spec, trace in self._traces.items()]
 
     def trace_for(self, workload: str, kind: str = "dtt",
                   config_name: str = "smt2") -> Optional[EngineTrace]:
         """The trace of one run (requires ``trace=True``), or None."""
-        for key, trace in self._traces.items():
-            if (key[0], key[1], key[2]) == (workload, kind, config_name):
+        for spec, trace in self._traces.items():
+            if (spec.workload, spec.build, spec.config_name) \
+                    == (workload, kind, config_name):
                 return trace
         return None
 
@@ -299,9 +297,9 @@ class SuiteRunner:
         if self.sample_rate is None:
             return None
         profiles = {}
-        for (workload, _seed, _scale), report in self._profiles.items():
-            if hasattr(report.loads, "provenance"):
-                profiles[workload] = report.loads.provenance()
+        for spec, report in self._results.items():
+            if spec.kind == "profile" and hasattr(report.loads, "provenance"):
+                profiles[spec.workload] = report.loads.provenance()
         return {
             "sample_rate": self.sample_rate,
             "sample_seed": self.sample_seed,
@@ -369,15 +367,22 @@ class SuiteRunner:
 
     # -- persistent store --------------------------------------------------------
 
-    def _try_store(self, spec: RunSpec) -> bool:
-        """Restore ``spec`` from the store into the memo, if possible.
+    def _storable(self, spec: RunSpec) -> bool:
+        """May ``spec`` go through the store?  Sampled profiles are
+        estimates, so they stay memo-only: the store holds exact
+        profiles only, and an estimate is never restored where an exact
+        one is expected."""
+        return self.store is not None and not (
+            spec.kind == "profile" and self.sample_rate is not None)
 
-        The single counting site for store hits and misses: a hit
-        installs the entry and returns True; an absent/corrupt entry
-        counts a miss and returns False.  Reads are disabled while
+    def load_from_store(self, spec: RunSpec) -> bool:
+        """Serve ``spec`` from the persistent store if present.
+
+        The one store read: it counts one hit or one miss.  Nothing is
+        read (or counted) for a run the store may not hold, nor while
         tracing (traces need live engines).
         """
-        if self.store is None or self.trace_enabled:
+        if self.trace_enabled or not self._storable(spec):
             return False
         entry = self.store.get(spec)
         if entry is None:
@@ -391,63 +396,32 @@ class SuiteRunner:
         """Decode ``payload`` into the memo (and engine views)."""
         from repro.exec.store import decode_profile, decode_timed
 
-        key = spec.runner_key()
         if spec.kind == "profile":
-            self._profiles[key] = decode_profile(payload)
+            self._results[spec] = decode_profile(payload)
         else:
-            result, view = decode_timed(payload)
-            self._timed[key] = result
+            self._results[spec], view = decode_timed(payload)
             if view is not None:
-                self._engines[key] = view
-
-    def _persist(self, spec: RunSpec, elapsed: float) -> None:
-        """Write a just-executed run through to the store."""
-        if self.store is not None:
-            self.store.put(spec, self.payload_for(spec), elapsed)
+                self._engines[spec] = view
 
     # -- spec-driven execution (the pool scheduler's interface) -----------------
 
     def is_cached(self, spec: RunSpec) -> bool:
         """Is this run already in the in-memory memo?"""
-        key = spec.runner_key()
-        return key in (self._profiles if spec.kind == "profile"
-                       else self._timed)
-
-    def load_from_store(self, spec: RunSpec) -> bool:
-        """Serve ``spec`` from the persistent store if present.
-
-        Counts only hits — a miss here means the scheduler will execute
-        the run, and the execution path counts the store miss exactly
-        once (avoiding double counting when serial fallback re-checks).
-        """
-        if self.store is None or self.trace_enabled:
-            return False
-        if spec.kind == "profile" and self.sample_rate is not None:
-            return False  # stored profiles are exact; this runner samples
-        entry = self.store.get(spec)
-        if entry is None:
-            return False
-        self._install(spec, entry["payload"])
-        self._record_store_hit()
-        return True
+        return spec in self._results
 
     def execute_spec(self, spec: RunSpec,
                      check_against_baseline: bool = True) -> None:
-        """Run one :class:`RunSpec` through the ordinary memoized path."""
-        workload = resolve_workload(spec.workload)
-        if spec.kind == "profile":
-            self.profile(workload)
-        else:
-            self.timed(workload, spec.build, spec.config_name,
-                       spec.dtt_config(), check_against_baseline)
+        """Run one planned :class:`RunSpec` through the one path, without
+        the store read: the scheduler already made it
+        (:meth:`load_from_store`), for this run and its baseline."""
+        self._run(spec, resolve_workload(spec.workload),
+                  check_against_baseline, read_store=False)
 
     def result_for(self, spec: RunSpec):
         """The memoized result of ``spec`` (raises if never run)."""
-        key = spec.runner_key()
-        memo = self._profiles if spec.kind == "profile" else self._timed
-        if key not in memo:
+        if spec not in self._results:
             raise ExecError(f"run {spec.canonical()} has not been executed")
-        return memo[key]
+        return self._results[spec]
 
     def payload_for(self, spec: RunSpec) -> Dict:
         """Encode the memoized result of ``spec`` (worker-side, and for
@@ -456,20 +430,18 @@ class SuiteRunner:
 
         if spec.kind == "profile":
             return encode_profile(self.result_for(spec))
-        return encode_timed(self.result_for(spec),
-                            self._engines.get(spec.runner_key()))
+        return encode_timed(self.result_for(spec), self._engines.get(spec))
 
     def install_payload(self, spec: RunSpec, payload: Dict,
                         elapsed: float) -> None:
         """Adopt a worker-executed run: memo, store write-back, and the
         executed-run count.  The run's engine/timing/cache-miss counters
         arrive separately via :meth:`merge_worker_run` (already
-        incremented worker-side); the store miss is metered *here*
-        because workers never see the store."""
+        incremented worker-side); its store miss was counted when the
+        scheduler read the store."""
         self._install(spec, payload)
         self._misses += 1
         if self.store is not None:
-            self._record_store_miss()
             self.store.put(spec, payload, elapsed)
 
     def merge_worker_run(self, metrics_values: Optional[Dict],
@@ -501,7 +473,84 @@ class SuiteRunner:
         """The shared ``kind`` build at this runner's seed and scale."""
         return self._build(workload, kind, self.seed, self.scale)
 
-    # -- timed runs --------------------------------------------------------------
+    # -- the one execution path --------------------------------------------------
+
+    def _run(self, spec: RunSpec, workload: Workload,
+             check_against_baseline: bool = True, read_store: bool = True):
+        """Every run's path: the memo, then (with ``read_store``) the
+        store, else simulate, account the phase and heartbeat, check a
+        DTT output against its baseline, memoize and write back."""
+        if spec in self._results:
+            self._record_hit()
+            return self._results[spec]
+        if read_store and self.load_from_store(spec):
+            return self._results[spec]
+        self._record_miss()
+        result, engine, elapsed = self._simulate(spec, workload)
+        self._record_phase(spec.phase_name(), elapsed)
+        if self.status is not None:
+            self.status.complete_run(
+                spec.phase_name(), elapsed,
+                instructions=(result.instructions if spec.kind == "timed"
+                              else 0),
+                queue_depth=(engine.queue.depth_high_water
+                             if engine is not None else 0))
+        baseline_spec = spec.baseline_spec()
+        if baseline_spec is not None and check_against_baseline:
+            baseline = self._run(baseline_spec, workload,
+                                 read_store=read_store)
+            if result.output != baseline.output:
+                raise CorrectnessError(
+                    f"{workload.name}: {spec.build} output diverges from "
+                    f"baseline under {spec.config_name}"
+                )
+        self._results[spec] = result
+        if engine is not None:
+            self._engines[spec] = engine
+        if self._storable(spec):
+            self.store.put(spec, self.payload_for(spec), elapsed)
+        return result
+
+    def _simulate(self, spec: RunSpec, workload: Workload):
+        """Execute ``spec``: (result, live engine or None, seconds)."""
+        if spec.kind == "profile":
+            program = self.build_for(workload, "baseline")
+            started = time.perf_counter()
+            report = profile_program(program, workload.name,
+                                     sample_rate=self.sample_rate,
+                                     sample_seed=self.sample_seed)
+            return report, None, time.perf_counter() - started
+        build = self.build_for(workload, spec.build)
+        if build is None:
+            raise CorrectnessError(
+                f"{workload.name} has no {spec.build} build")
+        program, engine, trace = build, None, None
+        if spec.build != "baseline":
+            program = build.program
+            engine = build.engine(config=spec.dtt_config(), deferred=True)
+            if self.trace_enabled:
+                spill = self._begin_spill(spec.phase_name())
+                trace = self._traces[spec] = EngineTrace(
+                    engine, max_events=self.trace_max_events,
+                    keep=self.trace_keep, spill=spill)
+        simulator = TimingSimulator(program, named_config(spec.config_name),
+                                    engine=engine, metrics=self.metrics)
+        started = time.perf_counter()
+        result = simulator.run()
+        elapsed = time.perf_counter() - started
+        if trace is not None:
+            self._end_spill(trace)
+            if self.metrics is not None and trace.dropped:
+                # labeled by drop policy: a "head" drop loses the run's
+                # recent events, a "tail" drop its beginning — exported
+                # metrics must distinguish the two windows
+                self.metrics.counter(
+                    "trace.dropped_events",
+                    "events dropped by full in-memory trace buffers",
+                    labels={"keep": trace.keep}).inc(trace.dropped)
+        return result, engine, elapsed
+
+    # -- timed runs and profiles -------------------------------------------------
 
     def timed(
         self,
@@ -512,62 +561,9 @@ class SuiteRunner:
         check_against_baseline: bool = True,
     ) -> TimingResult:
         """One timed run.  ``kind`` is 'baseline', 'dtt', or 'dtt-watch'."""
-        spec = RunSpec("timed", workload.name, kind, config_name,
-                       config_fingerprint(dtt_config), self.seed, self.scale)
-        key = spec.runner_key()
-        if key in self._timed:
-            self._record_hit()
-            return self._timed[key]
-        if self._try_store(spec):
-            return self._timed[key]
-        self._record_miss()
-        build = self.build_for(workload, kind)
-        if build is None:
-            raise CorrectnessError(f"{workload.name} has no {kind} build")
-        program, engine = build, None
-        if kind != "baseline":
-            program = build.program
-            engine = build.engine(config=dtt_config, deferred=True)
-            if self.trace_enabled:
-                spill = self._begin_spill(f"{key[0]}:{key[1]}:{key[2]}")
-                self._traces[key] = EngineTrace(
-                    engine, max_events=self.trace_max_events,
-                    keep=self.trace_keep, spill=spill)
-        simulator = TimingSimulator(program, named_config(config_name),
-                                    engine=engine, metrics=self.metrics)
-        started = time.perf_counter()
-        result = simulator.run()
-        elapsed = time.perf_counter() - started
-        if engine is not None and key in self._traces:
-            trace = self._traces[key]
-            self._end_spill(trace)
-            if self.metrics is not None and trace.dropped:
-                # labeled by drop policy: a "head" drop loses the run's
-                # recent events, a "tail" drop its beginning — exported
-                # metrics must distinguish the two windows
-                self.metrics.counter(
-                    "trace.dropped_events",
-                    "events dropped by full in-memory trace buffers",
-                    labels={"keep": trace.keep}).inc(trace.dropped)
-        self._record_phase(spec.phase_name(), elapsed)
-        if self.status is not None:
-            self.status.complete_run(
-                spec.phase_name(), elapsed,
-                instructions=result.instructions,
-                queue_depth=(engine.queue.depth_high_water
-                             if engine is not None else 0))
-        if kind != "baseline" and check_against_baseline:
-            baseline = self.timed(workload, "baseline", config_name)
-            if result.output != baseline.output:
-                raise CorrectnessError(
-                    f"{workload.name}: {kind} output diverges from baseline "
-                    f"under {config_name}"
-                )
-        self._timed[key] = result
-        if engine is not None:
-            self._engines[key] = engine
-        self._persist(spec, elapsed)
-        return result
+        spec = RunSpec.for_timed(workload.name, kind, config_name,
+                                 dtt_config, self.seed, self.scale)
+        return self._run(spec, workload, check_against_baseline)
 
     def engine_for(self, workload: Workload, kind: str = "dtt",
                    config_name: str = "smt2",
@@ -578,18 +574,16 @@ class SuiteRunner:
         :class:`~repro.exec.store.StoredEngineView` carrying the same
         ``summary()`` / ``status`` / queue high-water surfaces.
         """
-        key = (workload.name, kind, config_name,
-               config_fingerprint(dtt_config), self.seed, self.scale)
-        if key not in self._engines:
-            self.timed(workload, kind, config_name, dtt_config)
-        if key not in self._engines:
+        spec = RunSpec.for_timed(workload.name, kind, config_name,
+                                 dtt_config, self.seed, self.scale)
+        if spec not in self._engines:
+            self._run(spec, workload)
+        if spec not in self._engines:
             raise DttError(
                 f"no engine available for {workload.name}:{kind}:"
                 f"{config_name} (baseline runs have no DTT engine)"
             )
-        return self._engines[key]
-
-    # -- profiles ------------------------------------------------------------------
+        return self._engines[spec]
 
     def profile(self, workload: Workload) -> RedundancyReport:
         """Redundancy profile of the workload's baseline build.
@@ -597,32 +591,10 @@ class SuiteRunner:
         With :attr:`sample_rate` set, the profile is a bounded-memory
         *estimate* (see
         :class:`~repro.profiling.sampled.SampledRedundantLoadProfiler`)
-        and is kept memo-only: the persistent store holds exact profiles
-        exclusively, so an estimated run can never be restored where an
-        exact one is expected.
+        and is kept memo-only (:meth:`_storable`).
         """
         spec = RunSpec.for_profile(workload.name, self.seed, self.scale)
-        key = spec.runner_key()
-        sampled = self.sample_rate is not None
-        if key in self._profiles:
-            self._record_hit()
-            return self._profiles[key]
-        if not sampled and self._try_store(spec):
-            return self._profiles[key]
-        self._record_miss()
-        program = self.build_for(workload, "baseline")
-        started = time.perf_counter()
-        report = profile_program(program, workload.name,
-                                 sample_rate=self.sample_rate,
-                                 sample_seed=self.sample_seed)
-        elapsed = time.perf_counter() - started
-        self._record_phase(spec.phase_name(), elapsed)
-        if self.status is not None:
-            self.status.complete_run(spec.phase_name(), elapsed)
-        self._profiles[key] = report
-        if not sampled:
-            self._persist(spec, elapsed)
-        return report
+        return self._run(spec, workload)
 
     # -- sweeps ---------------------------------------------------------------------
 

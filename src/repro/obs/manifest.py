@@ -125,7 +125,7 @@ class RunManifest:
         causal = None
         dropped = 0
         unmatched = 0
-        traces = runner.traces() if hasattr(runner, "traces") else []
+        traces = runner.traces()
         if traces:
             # lazy: untraced runs never pay the causality import
             from repro.obs.causality import causal_summary
@@ -135,18 +135,6 @@ class RunManifest:
             dropped = causal["dropped_events"]
             unmatched = sum(unmatched_closer_count(trace)
                             for _name, trace in traces)
-        analysis = (runner.analysis_summaries()
-                    if hasattr(runner, "analysis_summaries") else [])
-        sampling = (runner.sampling_provenance()
-                    if hasattr(runner, "sampling_provenance") else None)
-        ctrace = (runner.ctrace_provenance()
-                  if hasattr(runner, "ctrace_provenance") else None)
-        autoconvert = (runner.autoconvert_provenance()
-                       if hasattr(runner, "autoconvert_provenance") else [])
-        history = (runner.history_provenance()
-                   if hasattr(runner, "history_provenance") else [])
-        status = (runner.status_summary()
-                  if hasattr(runner, "status_summary") else None)
         return cls(
             fingerprint=fingerprint_of(identity),
             seed=runner.seed,
@@ -156,18 +144,18 @@ class RunManifest:
             cache_misses=stats["misses"],
             peak_queue_depth=runner.peak_queue_depth(),
             experiment_id=experiment_id,
-            store_hits=stats.get("store_hits", 0),
-            store_misses=stats.get("store_misses", 0),
+            store_hits=stats["store_hits"],
+            store_misses=stats["store_misses"],
             trace_dropped_events=dropped,
             unmatched_closers=unmatched,
             causal=causal,
-            analysis=analysis,
-            trace_drop_policy=getattr(runner, "trace_keep", "head"),
-            sampling=sampling,
-            ctrace=ctrace,
-            autoconvert=autoconvert,
-            history=history,
-            status=status,
+            analysis=runner.analysis_summaries(),
+            trace_drop_policy=runner.trace_keep,
+            sampling=runner.sampling_provenance(),
+            ctrace=runner.ctrace_provenance(),
+            autoconvert=runner.autoconvert_provenance(),
+            history=runner.history_provenance(),
+            status=runner.status_summary(),
         )
 
     # -- serialization --------------------------------------------------------

@@ -29,40 +29,39 @@ _NEVER = object()
 _SITE_ADDRESS_CAP = 1024
 
 
-class SampledLoadSiteStats:
-    """Estimated counters for one static load site.
+class _SampledSiteStats:
+    """Estimated counters for one static site: the part load and store
+    sites share.
 
-    ``dynamic`` is exact (a counter costs no memory); redundancy is
-    *estimated* from the loads whose addresses fell in the tracked
-    subset.  ``redundant`` scales the estimate back to a count so
-    consumers written against
-    :class:`~repro.profiling.redundancy.LoadSiteStats`
+    ``dynamic`` is exact (a counter costs no memory); the fraction of
+    ``hits`` (redundant loads, silent stores) is *estimated* from the
+    events whose addresses fell in the tracked subset, and scaled back
+    to a count so consumers written against the exact site stats
     (:func:`~repro.autoconvert.candidates.rank_candidates`, the HTML
-    top-sites tables) keep working; ``estimate`` carries the CI —
-    a :func:`~repro.obs.sampling.cluster_coverage_interval`, because a
-    site's loads cluster by address and a binomial interval over sampled
-    loads would be confidently wrong whenever the hash sample misses the
-    site's hot addresses.
+    top-sites tables) keep working.  ``estimate`` carries the CI — a
+    :func:`~repro.obs.sampling.cluster_coverage_interval`, because a
+    site's events cluster by address and a binomial interval over
+    sampled events would be confidently wrong whenever the hash sample
+    misses the site's hot addresses.
     """
 
-    __slots__ = ("pc", "rate", "dynamic", "sampled", "sampled_redundant",
-                 "_addresses")
+    __slots__ = ("pc", "rate", "dynamic", "sampled", "hits", "_addresses")
 
     def __init__(self, pc: int, rate: int = 1):
         self.pc = pc
         self.rate = rate
         self.dynamic = 0
         self.sampled = 0
-        self.sampled_redundant = 0
-        # sampled address -> load count; the cluster sizes behind the
+        self.hits = 0
+        # sampled address -> event count; the cluster sizes behind the
         # Kish effective sample size of this site's estimate
         self._addresses: Dict[int, int] = {}
 
-    def note_sampled(self, address: int, redundant: bool) -> None:
-        """Record one exactly-classified load of a sampled address."""
+    def note_sampled(self, address: int, hit: bool) -> None:
+        """Record one exactly-classified event at a sampled address."""
         self.sampled += 1
-        if redundant:
-            self.sampled_redundant += 1
+        if hit:
+            self.hits += 1
         if address in self._addresses:
             self._addresses[address] += 1
         elif len(self._addresses) < _SITE_ADDRESS_CAP:
@@ -73,24 +72,22 @@ class SampledLoadSiteStats:
         return len(self._addresses)
 
     @property
+    def fraction(self) -> float:
+        return self.hits / self.sampled if self.sampled else 0.0
+
+    @property
+    def count(self) -> int:
+        """Estimated hit count, scaled to the exact dynamic count."""
+        return round(self.dynamic * self.fraction)
+
+    @property
     def estimate(self) -> SampleEstimate:
         low, high = cluster_coverage_interval(
-            self.sampled_redundant, self.sampled,
+            self.hits, self.sampled,
             kish_effective_size(self._addresses.values()),
             self.dynamic, self.rate)
         return SampleEstimate.from_interval(
-            self.sampled_redundant, self.sampled, self.redundant_fraction,
-            low, high)
-
-    @property
-    def redundant_fraction(self) -> float:
-        return (self.sampled_redundant / self.sampled
-                if self.sampled else 0.0)
-
-    @property
-    def redundant(self) -> int:
-        """Estimated redundant-load count, scaled to the exact dynamic count."""
-        return round(self.dynamic * self.redundant_fraction)
+            self.hits, self.sampled, self.fraction, low, high)
 
     @property
     def ci_low(self) -> float:
@@ -103,6 +100,16 @@ class SampledLoadSiteStats:
     @property
     def ci_width(self) -> float:
         return self.estimate.ci_width
+
+
+class SampledLoadSiteStats(_SampledSiteStats):
+    """Estimated counters for one static load site (redundant loads)."""
+
+    __slots__ = ()
+
+    sampled_redundant = _SampledSiteStats.hits
+    redundant_fraction = _SampledSiteStats.fraction
+    redundant = _SampledSiteStats.count
 
     def __repr__(self) -> str:
         return (
@@ -113,70 +120,20 @@ class SampledLoadSiteStats:
         )
 
 
-class SampledStoreSiteStats:
-    """Estimated counters for one static store site (silent-store rate).
-
-    Same cluster-coverage estimation as :class:`SampledLoadSiteStats`:
+class SampledStoreSiteStats(_SampledSiteStats):
+    """Estimated counters for one static store site (silent stores):
     silent stores concentrate on hot addresses exactly as redundant
-    loads do.
-    """
+    loads do."""
 
-    __slots__ = ("pc", "rate", "dynamic", "sampled", "sampled_silent",
-                 "triggering", "_addresses")
+    __slots__ = ("triggering",)
+
+    sampled_silent = _SampledSiteStats.hits
+    silent_fraction = _SampledSiteStats.fraction
+    silent = _SampledSiteStats.count
 
     def __init__(self, pc: int, triggering: bool, rate: int = 1):
-        self.pc = pc
-        self.rate = rate
-        self.dynamic = 0
-        self.sampled = 0
-        self.sampled_silent = 0
+        super().__init__(pc, rate)
         self.triggering = triggering
-        self._addresses: Dict[int, int] = {}
-
-    def note_sampled(self, address: int, silent: bool) -> None:
-        """Record one exactly-classified store to a sampled address."""
-        self.sampled += 1
-        if silent:
-            self.sampled_silent += 1
-        if address in self._addresses:
-            self._addresses[address] += 1
-        elif len(self._addresses) < _SITE_ADDRESS_CAP:
-            self._addresses[address] = 1
-
-    @property
-    def sampled_addresses(self) -> int:
-        return len(self._addresses)
-
-    @property
-    def estimate(self) -> SampleEstimate:
-        low, high = cluster_coverage_interval(
-            self.sampled_silent, self.sampled,
-            kish_effective_size(self._addresses.values()),
-            self.dynamic, self.rate)
-        return SampleEstimate.from_interval(
-            self.sampled_silent, self.sampled, self.silent_fraction,
-            low, high)
-
-    @property
-    def silent_fraction(self) -> float:
-        return self.sampled_silent / self.sampled if self.sampled else 0.0
-
-    @property
-    def silent(self) -> int:
-        """Estimated silent-store count, scaled to the exact dynamic count."""
-        return round(self.dynamic * self.silent_fraction)
-
-    @property
-    def ci_low(self) -> float:
-        return self.estimate.ci_low
-
-    @property
-    def ci_high(self) -> float:
-        return self.estimate.ci_high
-
-    @property
-    def ci_width(self) -> float:
-        return self.estimate.ci_width
 
     def __repr__(self) -> str:
         return (

@@ -1,10 +1,12 @@
 """Pool scheduler: dedup, ordering, fallback ladders, determinism."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import CorrectnessError, ExecError
 from repro.exec import pool as pool_module
-from repro.exec.plan import RunSpec, build_plan
+from repro.exec.plan import RunPlan, RunSpec, build_plan
 from repro.exec.pool import (_ordered_longest_first, _worker, execute_plan)
 from repro.exec.store import ResultStore
 from repro.harness.runner import SuiteRunner
@@ -74,6 +76,38 @@ def test_parallel_matches_serial_and_second_pass_is_stored(tmp_path):
     assert warm_stats["store_hits"] == len(plan)
     assert warm_stats["parallel_executed"] == 0
     assert warm_stats["serial_executed"] == 0
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_planned_run_reads_the_store_once(tmp_path, monkeypatch, jobs):
+    """A cold pass, then a warm one: one ``ResultStore.get`` per planned
+    run per pass, and each run counted once as a store hit or miss."""
+    reads = Counter()
+    real_get = ResultStore.get
+
+    def counted_get(self, spec):
+        reads[spec] += 1
+        return real_get(self, spec)
+
+    monkeypatch.setattr(ResultStore, "get", counted_get)
+    plan = RunPlan(["E3"])
+    for name in ("perlbmk", "gzip"):
+        plan.add(RunSpec.for_timed(name, "dtt"), "E3")
+    expected = {
+        # serially a DTT run executes its baseline for the output check,
+        # so the baseline's own planned turn is a memo hit
+        "cold": {"store_hits": 0, "store_misses": 4,
+                 "hits": 2 if jobs == 1 else 0, "misses": 4},
+        "warm": {"store_hits": 4, "store_misses": 0, "hits": 0, "misses": 0},
+    }
+    store_dir = str(tmp_path / "store")
+    for name, counts in expected.items():
+        reads.clear()
+        runner = SuiteRunner(store=store_dir)
+        execute_plan(plan, runner, jobs=jobs)
+        assert reads == Counter(plan), name
+        stats = runner.cache_stats()
+        assert {key: stats[key] for key in counts} == counts, name
 
 
 def test_task_timeout_raises(monkeypatch):

@@ -129,3 +129,26 @@ def test_trace_gate_needs_every_engine_counter(tmp_path, capsys):
     assert ci_gates.main(
         ["trace", trace, write_json(tmp_path, "m9.json", metrics)]) == 1
     assert "engine.cancels" in capsys.readouterr().err
+
+
+def store_manifest(store_hits, store_misses, cache_misses):
+    return [{"manifest": {"store_hits": store_hits,
+                          "store_misses": store_misses,
+                          "cache_misses": cache_misses}}]
+
+
+@pytest.mark.parametrize("cold_misses, reason", [
+    (36, None),
+    (72, "did not miss the store exactly once"),
+])
+def test_store_compare_gate_counts_one_miss_per_executed_run(
+        tmp_path, capsys, cold_misses, reason):
+    compare = write_json(tmp_path, "compare.json",
+                         {"regressions": 0, "missing_rows": []})
+    cold = write_json(tmp_path, "cold.json",
+                      store_manifest(0, cold_misses, 36))
+    warm = write_json(tmp_path, "warm.json", store_manifest(36, 0, 0))
+    assert ci_gates.main(["store-compare", compare, cold, warm]) \
+        == (reason is not None)
+    if reason is not None:
+        assert reason in capsys.readouterr().err

@@ -155,11 +155,16 @@ def gate_trace(args) -> str:
 
 
 def gate_store_compare(args) -> str:
-    """A warm store pass reruns nothing and compares clean."""
+    """A warm store pass reruns nothing and compares clean, and every
+    run the cold pass executed missed the store exactly once."""
     report = load_json(args.compare)
     require(report["regressions"] == 0, report)
     require(report["missing_rows"] == [], report)
-    load_json(args.cold)
+    cold = load_json(args.cold)[-1]["manifest"]
+    require(cold["store_misses"] == cold["cache_misses"],
+            "cold pass: an executed run did not miss the store exactly "
+            f"once ({cold['store_misses']} store misses, "
+            f"{cold['cache_misses']} executed)")
     warm = load_json(args.warm)
     require(warm[-1]["manifest"]["store_hits"] > 0,
             "warm pass hit nothing in the store")
