@@ -441,7 +441,7 @@ class SuiteRunner:
         scheduler read the store."""
         self._install(spec, payload)
         self._misses += 1
-        if self.store is not None:
+        if self._storable(spec):
             self.store.put(spec, payload, elapsed)
 
     def merge_worker_run(self, metrics_values: Optional[Dict],

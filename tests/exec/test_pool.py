@@ -110,6 +110,18 @@ def test_each_planned_run_reads_the_store_once(tmp_path, monkeypatch, jobs):
         assert {key: stats[key] for key in counts} == counts, name
 
 
+def test_sampling_runner_stores_no_adopted_profile(tmp_path):
+    """A sampling runner keeps profiles memo-only on every path: a
+    profile adopted from a worker is not written to its store."""
+    spec = RunSpec.for_profile("perlbmk")
+    exact = SuiteRunner()
+    exact.execute_spec(spec)
+    runner = SuiteRunner(store=str(tmp_path / "store"), sample_rate=64)
+    runner.install_payload(spec, exact.payload_for(spec), 0.0)
+    assert runner.is_cached(spec)
+    assert len(runner.store) == 0
+
+
 def test_task_timeout_raises(monkeypatch):
     plan = build_plan(["E9"])
     runner = SuiteRunner()

@@ -152,7 +152,9 @@ def test_sampled_profile_is_deterministic_across_processes():
 def _sampled_state(profiler):
     """Everything the sampled profiler keeps, sites in their map order."""
     def site(stats):
-        return {slot: getattr(stats, slot) for slot in stats.__slots__}
+        return {slot: getattr(stats, slot)
+                for cls in type(stats).__mro__
+                for slot in getattr(cls, "__slots__", ())}
 
     return {
         "summary": profiler.summary(),
